@@ -9,8 +9,8 @@ the Schrodinger and wave evolutions to verify dispersive decay rates.
 from .errors import (ConfigError, ConicwaveError, ConvergenceError,
                      DomainError, QuadratureError)
 from .geometry import (ArclengthChart, ConicalFit, PotentialProfile,
-                       ProfileSpec, arclength_of, fit_conical_constants,
-                       make_profile, potential_at, x_of_arclength)
+                       ProfileSpec, fit_conical_constants, make_profile,
+                       potential_at)
 from .hankel import (C0, C1, KAPPA, WaveSample, f0_reference, f0_values,
                      g0_green, hankel0_plus)
 from .jost import (AsymptoticConstants, JostEvaluator, LowEnergyBasis,
@@ -30,9 +30,8 @@ __all__ = [
     "KernelEngine", "KernelSample", "LowEnergyBasis", "PotentialProfile",
     "ProfileSpec", "QuadratureError", "ScatteringData", "ScatteringModel",
     "StationaryPhaseCase", "VolterraProblem", "VolterraSolution",
-    "WaveSample", "arclength_of", "chi_low", "chi_window", "estimate_mu",
+    "WaveSample", "chi_low", "chi_window", "estimate_mu",
     "f0_reference", "f0_values", "fit_conical_constants", "g0_green",
     "hankel0_plus", "make_profile", "potential_at",
     "standard_case_library", "stationary_phase_check", "volterra_solve",
-    "x_of_arclength",
 ]

@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -170,43 +168,27 @@ def _write_csv(path: Path, header, rows) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
-def _n_workers() -> int:
-    raw = os.environ.get("CONIC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError("CONIC_THREADS must be a positive integer") from exc
-    if n < 1:
-        raise ConfigError("CONIC_THREADS must be a positive integer")
-    return n
-
-
-def _scan(fn, items):
-    """Ordered map over items, optionally threaded (CONIC_THREADS)."""
-    n = _n_workers()
-    if n == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _build_model(cfg: RunConfig) -> ScatteringModel:
+def _build_potential(cfg: RunConfig) -> PotentialProfile:
     profile = make_profile(cfg.profile)
     x_max = float(cfg.profile.get("x_max", 1.0e5))
-    chart = ArclengthChart(profile, x_max=x_max)
-    pot = PotentialProfile(profile, chart)
+    return PotentialProfile(profile, ArclengthChart(profile, x_max=x_max))
+
+
+def _build_model(cfg: RunConfig) -> ScatteringModel:
+    pot = _build_potential(cfg)
     if cfg.lam_low is not None:
-        return ScatteringModel(profile, chart, pot, lam_low=cfg.lam_low)
-    return ScatteringModel(profile, chart, pot)
+        return ScatteringModel(pot.profile, pot.chart, pot,
+                               lam_low=cfg.lam_low)
+    return ScatteringModel(pot.profile, pot.chart, pot)
 
 
 def _cmd_describe(cfg, out: Path) -> int:
-    model = _build_model(cfg)
-    prof, chart, pot = model.profile, model.chart, model.pot
+    pot = _build_potential(cfg)
+    prof, chart = pot.profile, pot.chart
     lines = [
         f"profile kind: {prof.kind}",
         f"params: {json.dumps(prof.params, default=float, sort_keys=True)}",
@@ -231,14 +213,14 @@ def _cmd_describe(cfg, out: Path) -> int:
 
 
 def _cmd_potential(cfg, out: Path) -> int:
-    model = _build_model(cfg)
+    pot = _build_potential(cfg)
     grid = cfg.xi_grid
     if grid is None:
         raise ConfigError("potential command requires xi_grid")
     rows = []
     for xi in grid:
-        rho = float(model.pot.rho(xi))
-        V = float(model.pot.V(xi))
+        rho = float(pot.rho(xi))
+        V = float(pot.V(xi))
         rows.append((xi, rho, V, xi * xi * V))
     _write_csv(out / "potential.csv", ["xi", "rho", "V", "xi2V"], rows)
     return 0
@@ -350,18 +332,14 @@ def _cmd_kernel(cfg, out: Path) -> int:
         raise ConfigError("kernel command requires t_grid and xi_grid")
     eng = _kernel_engine(cfg)
     pts = np.asarray(cfg.xi_grid, dtype=float)
-    jobs = [(t, xi, xip) for t in cfg.t_grid
+    jobs = [(float(t), float(xi), float(xip)) for t in cfg.t_grid
             for i, xi in enumerate(pts) for xip in pts[: i + 1]]
-
-    def one(job):
-        t, xi, xip = job
-        if cfg.band:
-            return eng.band_kernel(cfg.kind, cfg.band, float(t), float(xi),
-                                   float(xip))
-        return eng.evolution_kernel(cfg.kind, float(t), float(xi), float(xip))
-
     rows = []
-    for ks in _scan(one, jobs):
+    for t, xi, xip in jobs:
+        if cfg.band:
+            ks = eng.band_kernel(cfg.kind, cfg.band, t, xi, xip)
+        else:
+            ks = eng.evolution_kernel(cfg.kind, t, xi, xip)
         rows.append((ks.kind, ks.t, ks.xi, ks.xi_prime, ks.value.real,
                      ks.value.imag, abs(ks.value), ks.err_est))
     _write_csv(out / "kernel.csv",

@@ -280,16 +280,6 @@ class ArclengthChart:
         return self._metric(x)
 
 
-def arclength_of(chart: ArclengthChart, x: float) -> float:
-    """Arclength of x; functional alias of the chart method."""
-    return float(chart.xi_of_x(float(x)))
-
-
-def x_of_arclength(chart: ArclengthChart, xi: float) -> float:
-    """Inverse arclength; functional alias of the chart method."""
-    return float(chart.x_of_xi(float(xi)))
-
-
 # ---------------------------------------------------------------------------
 # potential
 # ---------------------------------------------------------------------------

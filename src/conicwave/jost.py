@@ -40,16 +40,24 @@ from .errors import ConvergenceError, DomainError
 from .geometry import ArclengthChart, PotentialProfile, ProfileSpec
 from .hankel import (C0, C1, KAPPA, REGIME_LOW_ENERGY,
                      REGIME_OSCILLATORY, WaveSample, f0_values)
-from .volterra import separable_integrators
+from .volterra import separable_integrators, sweep
 
 LAM_LOW = 1.0e-2
 SWEEP_TOL = 1e-12
-MAX_SWEEPS = 200
 
 
 def wr(u, du, v, dv):
     """Wronskian u v' - u' v."""
     return u * dv - du * v
+
+
+def _gated(report: dict) -> dict:
+    """Set each row's 'ok' to value <= threshold, and-ed with the extra
+    condition (a fitted slope or rate) a row may already carry in 'ok'."""
+    for row in report.values():
+        row["ok"] = bool(row["value"] <= row["threshold"]
+                         and row.get("ok", True))
+    return report
 
 
 def _exp_moment(s: complex, B: float, n: int) -> complex:
@@ -108,10 +116,6 @@ class LowEnergyBasis:
     u1: Callable
     du0: Callable
     du1: Callable
-    u0_seed: Callable
-    u1_seed: Callable
-    du0_seed: Callable
-    du1_seed: Callable
 
     def wronskian_residual(self, xi) -> float:
         w = wr(self.u0(xi), self.du0(xi), self.u1(xi), self.du1(xi))
@@ -182,6 +186,9 @@ class ScatteringModel:
     def __init__(self, profile: ProfileSpec, chart: Optional[ArclengthChart] = None,
                  potential: Optional[PotentialProfile] = None,
                  lam_low: float = LAM_LOW):
+        if profile.d != 1:
+            raise DomainError("the scattering pipelines are wired for d = 1 "
+                              f"only (profile has d = {profile.d})")
         self.profile = profile
         self.chart = chart if chart is not None else ArclengthChart(profile)
         self.pot = potential if potential is not None \
@@ -221,24 +228,8 @@ class ScatteringModel:
         def du1(xi):
             return du0(xi) * pot.inv_r_integral(xi) + 1.0 / u0(xi)
 
-        if self.profile.d != 1:
-            # u0 = r^{d/2}, u1 = r^{d/2} int r^{-d}; only d = 1 is wired to
-            # the scattering pipelines, but the basis itself is generic
-            d = self.profile.d
-
-            def u0(xi):  # noqa: F811
-                return pot.r_of_xi(xi) ** (d / 2.0)
-
-            def du0(xi):  # noqa: F811
-                return (d / 2.0) * pot.r_of_xi(xi) ** (d / 2.0 - 1.0) \
-                    * pot.dr_of_xi(xi)
-
-            def u1(xi):  # noqa: F811
-                raise DomainError("u1 for d != 1 is not wired up")
-            du1 = u1
         return LowEnergyBasis(lam=0.0, window=(-cap, cap),
-                              u0=u0, u1=u1, du0=du0, du1=du1,
-                              u0_seed=u0, u1_seed=u1, du0_seed=du0, du1_seed=du1)
+                              u0=u0, u1=u1, du0=du0, du1=du1)
 
     # ------------------------------------------------------------------
     # energy-perturbed basis (one side)
@@ -270,19 +261,10 @@ class ScatteringModel:
             # u(xi,lam) = u_j(xi) - lam^2 int_0^xi [u1(xi)u0 - u0(xi)u1] u(.,lam);
             # the minus sign is what puts the solution at energy +lam^2
             # (cylinder oracle: cos(lam*xi), not cosh)
-            f = seed.astype(complex)
-            for sweep in range(1, MAX_SWEEPS + 1):
-                p0 = integ[0].node_values(u0x * f)
-                p1 = integ[1].node_values(u1x * f)
-                new = seed - lam2 * (u1x * p0 - u0x * p1)
-                delta = float(np.max(np.abs(new - f)))
-                f = new
-                if delta <= SWEEP_TOL * max(1.0, float(np.max(np.abs(seed)))):
-                    break
-            else:
-                raise ConvergenceError("perturbed-basis iteration stalled")
-            p0 = integ[0].node_values(u0x * f)
-            p1 = integ[1].node_values(u1x * f)
+            f, (p0, p1), _ = sweep(
+                integ, (-lam2 * u1x, lam2 * u0x), (u0x, u1x),
+                seed.astype(complex),
+                SWEEP_TOL * max(1.0, float(np.max(np.abs(seed)))))
             # corrections relative to the zero-energy seed: the seed is
             # evaluated exactly at interpolation time, so the panel
             # interpolation error only touches the O(lam^2) part
@@ -357,11 +339,8 @@ class ScatteringModel:
         du0 = ev(1, True, odd_mirror=True)
         u1 = ev(2, True, odd_mirror=True)
         du1 = ev(3, False, odd_mirror=False)
-        zero = self.zero_energy_basis()
         return LowEnergyBasis(lam=lam, window=(-L, L), u0=u0, u1=u1,
-                              du0=du0, du1=du1, u0_seed=zero.u0,
-                              u1_seed=zero.u1, du0_seed=zero.du0,
-                              du1_seed=zero.du1)
+                              du0=du0, du1=du1)
 
     # ------------------------------------------------------------------
     # low-energy outgoing solution on one side
@@ -379,8 +358,6 @@ class ScatteringModel:
         if not self._conical(side):
             raise DomainError(f"low-energy pipeline needs a conical "
                               f"{'right' if side == 'plus' else 'left'} end")
-        if self.profile.d != 1:
-            raise DomainError("low-energy pipeline is d = 1 only")
         pv = self._pv(side)
         xm = lam ** -0.5
         xi0 = max(pv.xi_tail, 0.75 * xm)
@@ -403,21 +380,11 @@ class ScatteringModel:
         A2 = -f0 * inv2il
         B2 = np.conj(f0) * v1
         integ = separable_integrators(grid, "backward", [0.0, 0.0])
-        f = g.copy()
-        for sweep in range(1, MAX_SWEEPS + 1):
-            t1 = integ[0].node_values(B1 * f)
-            t2 = integ[1].node_values(B2 * f)
-            new = g + A1 * t1 + A2 * t2
-            delta = float(np.max(np.abs(new - f)))
-            f = new
-            if delta <= SWEEP_TOL * float(np.max(np.abs(g))):
-                break
-        else:
-            raise ConvergenceError("low-energy Volterra iteration stalled")
-        t1 = integ[0].node_values(B1 * f) * inv2il
-        t2 = integ[1].node_values(B2 * f) * inv2il
-        df = df0 + np.conj(df0) * (s1 + t1) - df0 * (s2 + t2)
-        diag = {"sweeps": sweep, "s1": s1, "s2": s2, "B": B, "xi0": xi0}
+        f, (t1, t2), sweeps = sweep(integ, (A1, A2), (B1, B2), g,
+                                    SWEEP_TOL * float(np.max(np.abs(g))))
+        df = df0 + np.conj(df0) * (s1 + t1 * inv2il) \
+            - df0 * (s2 + t2 * inv2il)
+        diag = {"sweeps": sweeps, "s1": s1, "s2": s2, "B": B, "xi0": xi0}
         rec = (grid, f, df, diag)
         self._low_cache[key] = rec
         return rec
@@ -494,22 +461,12 @@ class ScatteringModel:
         V = pv.V(e)
         inv2il = 1.0 / (2j * lam)
         c0t, c1tp = self._m_tail_constants(side, pv, lam, B)
-        g = 1.0 + inv2il * (np.exp(-2j * lam * e) * c1tp - c0t)
-        A1 = np.full_like(e, -inv2il, dtype=complex)
-        A2 = np.exp(-2j * lam * e) * inv2il
+        ph = np.exp(-2j * lam * e)
+        g = 1.0 + inv2il * (ph * c1tp - c0t)
         integ = separable_integrators(grid, "backward", [0.0, 2.0 * lam])
-        m = g.copy()
-        for sweep in range(1, MAX_SWEEPS + 1):
-            t1 = integ[0].node_values(V * m)
-            t2 = integ[1].node_values(V * m)
-            new = g + A1 * t1 + A2 * t2
-            delta = float(np.max(np.abs(new - m)))
-            m = new
-            if delta <= SWEEP_TOL:
-                break
-        else:
-            raise ConvergenceError("m iteration stalled")
-        dm = -np.exp(-2j * lam * e) * (integ[1].node_values(V * m) + c1tp)
+        m, (_, t2), sweeps = sweep(integ, (-inv2il, ph * inv2il), (V, V), g,
+                                   SWEEP_TOL)
+        dm = -ph * (t2 + c1tp)
         # inward ODE continuation for xi below xi_v
         lo = min(xi_floor, 0.0)
         fv = np.exp(1j * lam * xi_v)
@@ -526,24 +483,22 @@ class ScatteringModel:
         if not sol.success:
             raise ConvergenceError("inward ODE continuation failed")
         rec = {"grid": grid, "m": m, "dm": dm, "xi_v": xi_v, "B": B,
-               "ode": sol.sol, "lam": lam, "sweeps": sweep, "lo": lo}
+               "ode": sol.sol, "lam": lam, "sweeps": sweeps, "lo": lo}
         self._osc_cache[key] = rec
         return rec
 
     def _m_tail_constants(self, side: str, pv, lam: float, B: float):
         """Analytic tail forcing of the m equation past the truncation B.
 
-        Uses the conical model V ~ cfac/eta^2 + A/eta^3 beyond B; for
+        Uses the conical model V ~ -1/(4 eta^2) + A/eta^3 beyond B; for
         non-conical ends (cylinder) the tail vanishes identically.
         """
         if not self._conical(side):
             return 0.0, 0.0
-        d = self.profile.d
-        cfac = d * d / 4.0 - d / 2.0
         A = pv.tail_coeff_right
-        c0t = cfac / B + A / (2.0 * B * B)
+        c0t = -0.25 / B + A / (2.0 * B * B)
         # c1tp = int_B^inf e^{+2i lam eta} V_model(eta) deta
-        c1tp = cfac * _exp_moment(-2j * lam, B, 2) \
+        c1tp = -0.25 * _exp_moment(-2j * lam, B, 2) \
             + A * _exp_moment(-2j * lam, B, 3)
         return c0t, c1tp
 
@@ -576,7 +531,7 @@ class ScatteringModel:
             raise DomainError(f"unknown pipeline {pipeline!r}")
         if pipeline != "auto":
             return pipeline
-        if lam <= self.lam_low and self._conical(side) and self.profile.d == 1:
+        if lam <= self.lam_low and self._conical(side):
             return "low"
         return "osc"
 
@@ -827,8 +782,7 @@ class ScatteringModel:
             "law": "W/(2*lam) = 1 + i*c3 + i*(2/pi)*log(lam)",
             "constants": {"c3": float(c3_w), "im_slope": float(slope_w)},
             "value": float(np.max(w_resid)), "threshold": 0.05,
-            "ok": bool(np.max(w_resid) <= 0.05
-                       and abs(slope_w / C1 - 1.0) <= 0.02)}
+            "ok": bool(abs(slope_w / C1 - 1.0) <= 0.02)}
         report["a_plus_law"] = {
             "law": "a+ = 2^(1/4)*c0*sqrt(lam)*(1 + i*c1*log(lam) + i*c3)",
             "constants": {"c3_from_a": float(c3_a),
@@ -841,8 +795,7 @@ class ScatteringModel:
             "constants": {"c3_a": float(c3_a), "c3_w": float(c3_w),
                           "kappa_minus_c1c2": float(KAPPA - C1 * c2)},
             "value": abs(c3_a - c3_w) / max(abs(c3_w), 1e-12),
-            "threshold": 0.03,
-            "ok": bool(abs(c3_a - c3_w) <= 0.03 * abs(c3_w))}
+            "threshold": 0.03}
 
         # b-law and its decay rate
         bnorm = bp / (1j * 2 ** -0.25 * C0 * C1 * rt)
@@ -852,7 +805,7 @@ class ScatteringModel:
             "law": "b+ = i*2^(-1/4)*c0*c1*sqrt(lam) + O(lam^(1-eps))",
             "constants": {"decay_rate": float(rate)},
             "value": float(bres[0]), "threshold": 0.05,
-            "ok": bool(bres[0] <= 0.05 and rate >= 0.4)}
+            "ok": bool(rate >= 0.4)}
 
         # derivative laws on an interior subgrid
         sub = lam_grid[:: max(1, len(lam_grid) // 8)]
@@ -866,13 +819,11 @@ class ScatteringModel:
             da_res.append(abs(dap / da_pred - 1.0))
         report["db_plus_law"] = {
             "law": "b+' = (i/2)*2^(-1/4)*c0*c1*lam^(-1/2) + O(lam^-eps)",
-            "value": float(np.max(db_res)), "threshold": 0.10,
-            "ok": bool(np.max(db_res) <= 0.10)}
+            "value": float(np.max(db_res)), "threshold": 0.10}
         report["da_plus_law"] = {
             "law": "a+' = (1/2)*2^(1/4)*c0*lam^(-1/2)*"
                    "(1 + i*c3 + 2i*c1 + i*c1*log(lam))",
-            "value": float(np.max(da_res)), "threshold": 0.10,
-            "ok": bool(np.max(da_res) <= 0.10)}
+            "value": float(np.max(da_res)), "threshold": 0.10}
 
         # pointwise low-energy representation of f+ on both sides
         c4s, c5s = [], []
@@ -894,7 +845,7 @@ class ScatteringModel:
             "law": "f+ = c0*sqrt(lam*<xi>)*(1 + i*c1*log(lam*<xi>^(+-1)) + i*c4/c5)",
             "constants": {"c4": consts.c4, "c5": consts.c5},
             "value": float(max(np.std(c4s), np.std(c5s))),
-            "threshold": 0.2, "ok": bool(max(np.std(c4s), np.std(c5s)) <= 0.2)}
+            "threshold": 0.2}
 
         # nonsymmetric-decomposition constants gamma0, gamma1
         g0s, g1s = [], []
@@ -915,8 +866,7 @@ class ScatteringModel:
                           "gamma1_symmetric": g1_ref},
             "value": float(max(abs(consts.gamma0 / g0_ref - 1.0),
                                abs(consts.gamma1 / g1_ref - 1.0))),
-            "threshold": 0.05,
-            "ok": bool(abs(consts.gamma0 / g0_ref - 1.0) <= 0.05)}
+            "threshold": 0.05}
 
         # zero-energy quadratic moments
         m1, m2 = self.zero_energy_moments(1.0e3)
@@ -924,8 +874,7 @@ class ScatteringModel:
         report["moment_m1"] = {
             "law": "u1*int(u0^2) - u0*int(u0 u1) = (1/4)*2^(-1/4)*xi^(5/2) + ...",
             "value": abs(m1 / 1.0e3 ** 2.5 / lead1 - 1.0),
-            "threshold": 0.02,
-            "ok": bool(abs(m1 / 1.0e3 ** 2.5 / lead1 - 1.0) <= 0.02)}
+            "threshold": 0.02}
         xis = np.geomspace(1.0e3, 1.0e4, 8)
         vals = []
         for x in xis:
@@ -939,10 +888,10 @@ class ScatteringModel:
                    " + c3_tilde*xi^(5/2) + ...",
             "constants": {"c3_tilde": consts.c3_tilde},
             "value": float(np.sqrt(np.mean((basis @ coef - vals) ** 2))),
-            "threshold": 0.05, "ok": True}
+            "threshold": 0.05}
 
         consts.residuals = {k: v["value"] for k, v in report.items()}
-        return consts, report
+        return consts, _gated(report)
 
     # ------------------------------------------------------------------
     # high-energy validation suite
@@ -982,26 +931,21 @@ class ScatteringModel:
             worst = float(np.max(arr))
             report[name] = {"law": law, "constants": {"C": C_fit},
                             "value": worst,
-                            "threshold": 1.5 * max(C_fit, 1e-12),
-                            "ok": bool(worst <= 1.5 * max(C_fit, 1e-12))}
+                            "threshold": 1.5 * max(C_fit, 1e-12)}
         W_vals = np.asarray(W_vals)
         dW_vals = np.asarray(dW_vals)
         wdev = np.abs(W_vals + 2j * lam_grid)
         report["w_high"] = {"law": "W = -2i*lam + O(1)",
                             "constants": {"C": float(np.max(wdev))},
                             "value": float(np.max(wdev)),
-                            "threshold": max(2.0, 3.0 * self.pot.C2 + 1.0),
-                            "ok": bool(np.max(wdev)
-                                       <= max(2.0, 3.0 * self.pot.C2 + 1.0))}
+                            "threshold": max(2.0, 3.0 * self.pot.C2 + 1.0)}
         dwdev = np.abs(dW_vals + 2j) * lam_grid
         C_fit = float(np.max(dwdev[::2]))
         report["dw_high"] = {"law": "W' = -2i + O(1/lam)",
                              "constants": {"C": C_fit},
                              "value": float(np.max(dwdev)),
-                             "threshold": 1.5 * max(C_fit, 1e-12),
-                             "ok": bool(np.max(dwdev)
-                                        <= 1.5 * max(C_fit, 1e-12))}
-        return report
+                             "threshold": 1.5 * max(C_fit, 1e-12)}
+        return _gated(report)
 
     def _m_scan(self, side: str, lam: float, xis: np.ndarray):
         """m, dm/dxi, d2m/dxi2 on an array of xi > 0."""

@@ -163,15 +163,13 @@ class KernelEngine:
 
     def __init__(self, model: ScatteringModel, xi_abs_max: float = 1.0e3,
                  lam_floor: float = 1.0e-5, lam_min_table: float = 1.0e-8,
-                 s_panel: float = 0.85, panel_ratio: float = 4.0 / 3.0,
-                 amp_tol: float = 1.0e-9):
+                 s_panel: float = 0.85, panel_ratio: float = 4.0 / 3.0):
         self.model = model
         self.lam_low = model.lam_low
         self.xi_abs_max = float(xi_abs_max)
         self.lam_floor = float(lam_floor)
         self.lam_min_table = float(lam_min_table)
         self.panel_ratio = float(panel_ratio)
-        self.amp_tol = float(amp_tol)
         # s-region grid (lam = e^{-s})
         s0 = np.log(1.0 / self.lam_low)
         s1 = np.log(1.0 / self.lam_min_table)
@@ -185,7 +183,6 @@ class KernelEngine:
             down.append(down[-1] / self.panel_ratio)
         self._osc_edges = list(reversed(down))
         self._records: dict = {}
-        self._amp_cache: dict = {}
         self._pair_cache: dict = {}
 
     # -- table plumbing -----------------------------------------------------
@@ -193,11 +190,6 @@ class KernelEngine:
     def _ensure_top(self, lam_top: float) -> None:
         while self._osc_edges[-1] < lam_top:
             self._osc_edges.append(self._osc_edges[-1] * self.panel_ratio)
-
-    def _osc_panel_edges(self, lam_top: float):
-        self._ensure_top(lam_top)
-        e = np.asarray(self._osc_edges)
-        return e
 
     def _record(self, lam: float) -> _NodeRecord:
         rec = self._records.get(lam)

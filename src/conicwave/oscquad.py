@@ -205,41 +205,3 @@ def tail_integral(p, p1, p2, p3, p4, alpha: float, beta: float,
     val, b4 = ibp_boundary_terms(p, p1, p2, p3, p4, phi1, 2.0 * alpha)
     phase = np.exp(1j * (alpha * lam0 * lam0 + beta * lam0))
     return -phase * val, 2.0 * b4 * max(1.0, abs(phi1))
-
-
-class AdaptivePanels:
-    """Adaptive amplitude panelization shared by all phase channels.
-
-    The amplitude callable is sampled on Chebyshev nodes per panel; a panel
-    is accepted when the last two Chebyshev coefficients are below tol
-    relative to the panel scale.
-    """
-
-    def __init__(self, amp, a: float, b: float, seeds=None,
-                 tol: float = 1e-9, max_panels: int = 4000):
-        self.amp = amp
-        edges = [a, b] if seeds is None else \
-            sorted({a, b, *[float(s) for s in seeds if a < s < b]})
-        stack = list(zip(edges[:-1], edges[1:]))
-        accepted = []
-        budget = max_panels
-        while stack:
-            lo, hi = stack.pop()
-            vals = np.asarray(amp(cheb_nodes(lo, hi)), dtype=complex)
-            coef = fit_poly(vals)
-            scale = float(np.max(np.abs(vals))) + 1e-300
-            tail = float(np.abs(coef[-2:]).max())
-            if tail <= tol * scale or budget <= 0 or hi - lo < 1e-13 * hi:
-                accepted.append((lo, hi, coef, tail * (hi - lo)))
-            else:
-                mid = 0.5 * (lo + hi)
-                stack.extend([(lo, mid), (mid, hi)])
-                budget -= 1
-        self.panels = sorted(accepted)
-        self.err_est = float(sum(p[3] for p in self.panels))
-
-    def integrate(self, alpha: float, beta: float) -> complex:
-        total = 0.0 + 0j
-        for lo, hi, coef, _ in self.panels:
-            total += panel_osc_integral(lo, hi, coef, alpha, beta)
-        return total

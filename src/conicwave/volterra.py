@@ -13,7 +13,8 @@ accepted solve.
 Two kernel representations are accepted: a generic callable K(x, s), swept
 through a dense triangular quadrature matrix, and a separable list of terms
 A_r(x) * B_r(s) * exp(i w_r s), swept in O(N) per pass via cumulative panel
-sums.  The scattering pipelines use the separable form exclusively.
+sums by ``sweep``.  The scattering pipelines use ``sweep`` directly; the
+dense path stays as the test oracle for it.
 """
 
 from __future__ import annotations
@@ -154,7 +155,12 @@ def volterra_solve(problem: VolterraProblem, tol: float = 1e-10,
     gnorm = float(np.max(np.abs(g))) or 1.0
 
     if problem.separable is not None:
-        f, sweeps = _sweep_separable(problem, grid, g, tol * gnorm, max_sweeps)
+        terms = problem.separable
+        integ = separable_integrators(grid, problem.direction,
+                                      [w for _, _, w in terms])
+        A = [np.asarray(Af(x), dtype=complex) for Af, _, _ in terms]
+        B = [np.asarray(Bf(x), dtype=complex) for _, Bf, _ in terms]
+        f, _, sweeps = sweep(integ, A, B, g, tol * gnorm, max_sweeps)
     else:
         f, sweeps = _sweep_dense(problem, grid, g, tol * gnorm, max_sweeps)
 
@@ -178,23 +184,39 @@ def separable_integrators(grid: panels.PanelGrid, direction: str,
     return [cls(grid, omega) for omega in omegas]
 
 
-def _sweep_separable(problem, grid, g, atol, max_sweeps):
-    terms = problem.separable
-    x = grid.flat
-    A = [np.asarray(Af(x), dtype=complex) for Af, _, _ in terms]
-    B = [np.asarray(Bf(x), dtype=complex) for _, Bf, _ in terms]
-    integ = separable_integrators(grid, problem.direction,
-                                  [w for _, _, w in terms])
-    f = g.copy()
-    for sweep in range(1, max_sweeps + 1):
-        new = g.copy()
-        for Ar, Br, I in zip(A, B, integ):
-            new += Ar * I.node_values(Br * f)
+def sweep(integ, A, B, g, atol: float, max_sweeps: int = MAX_SWEEPS):
+    """Solve f = g + sum_r A_r * I_r[B_r f] by successive substitution.
+
+    ``integ`` holds one cumulative integrator I_r per term (see
+    ``separable_integrators``); ``A``, ``B`` and ``g`` are nodal values on
+    its grid.  Each sweep forms the next iterate from the integrals of the
+    last one and then integrates it, so the first iterate f within ``atol``
+    (sup norm) of its predecessor comes back as (f, [I_r[B_r f]], sweeps)
+    and callers assemble derivatives from the integrals of f itself.
+    Raises ConvergenceError when the sweeps stall or when ||f|| exceeds the
+    a-priori bound exp(mu) ||g|| with the separable
+    mu = sum_r sup|A_r| * integral |B_r|.
+    """
+    grid = integ[0].grid
+    mu = sum(float(np.max(np.abs(Ar)))
+             * float(panels.integrate(grid, np.abs(Br)).real)
+             for Ar, Br in zip(A, B))
+    f = g
+    ints = [I.node_values(Br * f) for I, Br in zip(integ, B)]
+    for n in range(1, max_sweeps + 1):
+        new = sum((Ar * t for Ar, t in zip(A, ints)), g)
+        ints = [I.node_values(Br * new) for I, Br in zip(integ, B)]
         delta = float(np.max(np.abs(new - f)))
         f = new
         if delta <= atol:
-            return f, sweep
-    raise ConvergenceError(f"no convergence within {max_sweeps} sweeps")
+            break
+    else:
+        raise ConvergenceError(f"no convergence within {max_sweeps} sweeps")
+    bound = np.exp(mu) * float(np.max(np.abs(g))) * (1.0 + 1e-9) + 10 * atol
+    if float(np.max(np.abs(f))) > bound:
+        raise ConvergenceError("solution violates the exp(mu) a-priori bound; "
+                               "kernel or mu estimate is inconsistent")
+    return f, ints, n
 
 
 def _sweep_dense(problem, grid, g, atol, max_sweeps):
@@ -209,12 +231,12 @@ def _sweep_dense(problem, grid, g, atol, max_sweeps):
         Q = _prefix_matrix(grid)
     M = problem.kernel_values(x[:, None], x[None, :]) * Q
     f = g.copy()
-    for sweep in range(1, max_sweeps + 1):
+    for n in range(1, max_sweeps + 1):
         new = g + M @ f
         delta = float(np.max(np.abs(new - f)))
         f = new
         if delta <= atol:
-            return f, sweep
+            return f, n
     raise ConvergenceError(f"no convergence within {max_sweeps} sweeps")
 
 

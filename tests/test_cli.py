@@ -113,23 +113,6 @@ def test_kernel_csv_contract(tmp_path):
     assert float(row[7]) <= 1e-4
 
 
-def test_conic_threads_env(tmp_path, monkeypatch):
-    doc = {"profile": {"kind": "cylinder"}, "command": "kernel",
-           "kind": "schrodinger",
-           "t_grid": {"min": 10.0, "max": 100.0, "count": 2, "scale": "log"},
-           "xi_grid": {"min": -2.0, "max": 2.0, "count": 2,
-                       "scale": "linear"}}
-    cfg = load_config(_write(tmp_path, doc))
-    assert run(cfg, tmp_path / "s1") == 0
-    monkeypatch.setenv("CONIC_THREADS", "2")
-    assert run(cfg, tmp_path / "s2") == 0
-    assert (tmp_path / "s1" / "kernel.csv").read_bytes() \
-        == (tmp_path / "s2" / "kernel.csv").read_bytes()
-    monkeypatch.setenv("CONIC_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        run(cfg, tmp_path / "s3")
-
-
 def test_statphase_command(tmp_path):
     doc = {"profile": {"kind": "cylinder"}, "command": "statphase"}
     cfg = load_config(_write(tmp_path, doc))
@@ -192,4 +175,20 @@ def test_validate_high_command(tmp_path, capsys):
     assert lines[0] == "check,law,constants,worst_residual,threshold,status"
     assert all(line.split(",")[-1] == "pass" for line in lines[1:])
     assert (tmp_path / "vh" / "validate_high.txt").exists()
+    capsys.readouterr()
+
+
+def test_d2_profile_scattering_fails_loudly(tmp_path, capsys):
+    base = {"profile": {"kind": "hyperboloid", "params": {"a": 1.0}, "d": 2,
+                        "x_max": 5.0e4}}
+    c = _write(tmp_path, dict(base, command="coeffs",
+                              lam_grid={"min": 0.5, "max": 2.0, "count": 2,
+                                        "scale": "log"}), "c.json")
+    assert main(["coeffs", "--config", str(c),
+                 "--out", str(tmp_path / "c")]) == 1
+    assert "d = 1" in capsys.readouterr().err
+    d = _write(tmp_path, dict(base, command="describe"), "d.json")
+    assert main(["describe", "--config", str(d),
+                 "--out", str(tmp_path / "d")]) == 0
+    assert "d: 2" in (tmp_path / "d" / "describe.txt").read_text()
     capsys.readouterr()

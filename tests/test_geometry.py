@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conicwave import (ConfigError, DomainError, arclength_of,
-                       fit_conical_constants, make_profile, potential_at,
-                       x_of_arclength)
+from conicwave import (ConfigError, DomainError, fit_conical_constants,
+                       make_profile, potential_at)
 from conicwave.geometry import ArclengthChart, PotentialProfile
 
 
@@ -56,8 +55,8 @@ def hyp_chart():
 
 def test_cylinder_chart_is_identity():
     chart = ArclengthChart(make_profile({"kind": "cylinder"}), x_max=1e4)
-    assert arclength_of(chart, 2.0) == pytest.approx(2.0, abs=1e-13)
-    assert x_of_arclength(chart, -3.0) == pytest.approx(-3.0, abs=1e-13)
+    assert chart.xi_of_x(2.0) == pytest.approx(2.0, abs=1e-13)
+    assert chart.x_of_xi(-3.0) == pytest.approx(-3.0, abs=1e-13)
 
 
 def test_hyperboloid_arclength_simpson_oracle(hyp_chart):
@@ -66,12 +65,12 @@ def test_hyperboloid_arclength_simpson_oracle(hyp_chart):
     f = np.sqrt(1.0 + y ** 2 / (1.0 + y ** 2))
     simp = (f[0] + f[-1] + 4 * f[1::2].sum() + 2 * f[2:-1:2].sum()) \
         * (y[1] - y[0]) / 3.0
-    assert abs(arclength_of(hyp_chart, 1.0) - simp) <= 1e-8
+    assert abs(hyp_chart.xi_of_x(1.0) - simp) <= 1e-8
 
 
 def test_chart_asymptotic_constant_convergence(hyp_chart):
-    d3 = arclength_of(hyp_chart, 1.0e3) - np.sqrt(2) * 1.0e3
-    d4 = arclength_of(hyp_chart, 1.0e4) - np.sqrt(2) * 1.0e4
+    d3 = hyp_chart.xi_of_x(1.0e3) - np.sqrt(2) * 1.0e3
+    d4 = hyp_chart.xi_of_x(1.0e4) - np.sqrt(2) * 1.0e4
     assert abs(d3 - d4) < 1e-3
 
 
@@ -80,9 +79,9 @@ def test_chart_roundtrip_and_domain(hyp_chart):
     rt = np.abs(hyp_chart.x_of_xi(hyp_chart.xi_of_x(xs)) - xs)
     assert np.max(rt / (1 + np.abs(xs))) <= 1e-9
     with pytest.raises(DomainError):
-        arclength_of(hyp_chart, 2.0e5)
+        hyp_chart.xi_of_x(2.0e5)
     with pytest.raises(DomainError):
-        x_of_arclength(hyp_chart, 2.0 * hyp_chart.xi_max)
+        hyp_chart.x_of_xi(2.0 * hyp_chart.xi_max)
 
 
 def test_chart_odd_symmetry(hyp_chart):

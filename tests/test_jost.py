@@ -323,6 +323,24 @@ def test_validate_low_energy_suite(hyperboloid_model):
     assert abs(consts.c3_tilde - consts.c3) > 0.05
 
 
+def test_validate_status_follows_threshold(hyperboloid_model, monkeypatch):
+    # a second moment that no longer fits its law must flag its row
+    model_cls = type(hyperboloid_model)
+    moments = model_cls.zero_energy_moments
+
+    def off_law(self, xi):
+        m1, m2 = moments(self, xi)
+        return m1, m2 + (-1) ** round(4 * np.log10(xi)) * xi ** 2.5
+
+    monkeypatch.setattr(model_cls, "zero_energy_moments", off_law)
+    _, report = hyperboloid_model.validate_low_energy(
+        np.geomspace(1e-6, 1e-4, 3))
+    assert report["moment_m2"]["value"] > report["moment_m2"]["threshold"]
+    assert not report["moment_m2"]["ok"]
+    for name, rec in report.items():
+        assert rec["ok"] <= (rec["value"] <= rec["threshold"]), name
+
+
 def test_validate_high_energy_suite(hyperboloid_model):
     report = hyperboloid_model.validate_high_energy(
         np.geomspace(1.0, 100.0, 8))

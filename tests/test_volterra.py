@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conicwave import (ConvergenceError, QuadratureError, VolterraProblem,
                        estimate_mu, volterra_solve)
+from conicwave.panels import PanelGrid
+from conicwave.volterra import separable_integrators, sweep
 
 
 def _const_kernel(x, s):
@@ -141,6 +143,29 @@ def test_separable_matches_dense():
     a = volterra_solve(dense, tol=1e-12)
     b = volterra_solve(sep, tol=1e-12)
     assert np.max(np.abs(a.values - b.values)) <= 1e-10
+
+
+def test_sweep_contract_and_guards():
+    # f = 1 + 2 int_0^x f = e^{2x}; the integrals belong to the returned f
+    grid = PanelGrid.build(np.linspace(0.0, 1.0, 9))
+    integ = separable_integrators(grid, "forward", [0.0])
+    g = np.ones(grid.flat.shape, dtype=complex)
+    f, (t,), n = sweep(integ, [2.0], [np.ones_like(g)], g, 1e-13)
+    assert np.max(np.abs(f - np.exp(2.0 * grid.flat))) <= 1e-11
+    assert np.max(np.abs(t - integ[0].node_values(f))) == 0.0
+    assert np.max(np.abs(g + 2.0 * t - f)) <= 1e-13
+    with pytest.raises(ConvergenceError):
+        sweep(integ, [2.0], [np.ones_like(g)], g, 1e-13, max_sweeps=n - 1)
+
+    class Tripled:
+        # an integrator three times too large breaks the exp(mu) bound
+        grid = integ[0].grid
+
+        def node_values(self, h):
+            return 3.0 * integ[0].node_values(h)
+
+    with pytest.raises(ConvergenceError):
+        sweep([Tripled()], [1.0], [np.ones_like(g)], g, 1e-13)
 
 
 @settings(max_examples=15, deadline=None)
