@@ -470,9 +470,9 @@ class ScatteringModel:
         # inward ODE continuation for xi below xi_v
         lo = min(xi_floor, 0.0)
         fv = np.exp(1j * lam * xi_v)
-        y0 = [fv * grid.interpolate(m, np.array([xi_v]))[0],
-              fv * (1j * lam * grid.interpolate(m, np.array([xi_v]))[0]
-                    + grid.interpolate(dm, np.array([xi_v]))[0])]
+        m_v = grid.interpolate(m, [xi_v])[0]
+        y0 = [fv * m_v,
+              fv * (1j * lam * m_v + grid.interpolate(dm, [xi_v])[0])]
 
         def rhs(s, y):
             return [y[1], (pv.V(s) - lam * lam) * y[0]]

@@ -7,6 +7,10 @@ the per-panel Lagrange basis (optionally against a fixed oscillator
 ``exp(i*omega*eta)``) are precomputed once, which makes successive
 substitution sweeps and cumulative integrals O(N) and lets panels span many
 oscillation periods without losing the phase.
+
+Arrays that depend only on the order and the reference nodes (the GL-route
+interpolation matrix, the omega=0 reference segments that each panel scales
+by its half-width) are built once per order and cached read-only.
 """
 
 from __future__ import annotations
@@ -204,12 +208,10 @@ def prefix_basis_integrals(grid: PanelGrid, omega: float = 0.0) -> np.ndarray:
 
 def full_panel_integrals(grid: PanelGrid, omega: float = 0.0) -> np.ndarray:
     """F[p, j] = integral over panel p of L_{p,j}(eta) exp(i*omega*eta) deta."""
-    ref = gauss_legendre(grid.order)[0]
     h = np.diff(grid.breaks)
-    c = 0.5 * (grid.breaks[:-1] + grid.breaks[1:])
     if omega == 0.0:
-        return np.repeat(gauss_legendre(grid.order)[1][None, :] * 0.5, grid.npanels,
-                         axis=0) * h[:, None] + 0j
+        return (0.5 * h)[:, None] * gauss_legendre(grid.order)[1] + 0j
+    c = 0.5 * (grid.breaks[:-1] + grid.breaks[1:])
     out = np.empty((grid.npanels, grid.order), dtype=complex)
     for p in range(grid.npanels):
         s = 0.5 * h[p]
@@ -219,25 +221,52 @@ def full_panel_integrals(grid: PanelGrid, omega: float = 0.0) -> np.ndarray:
     return out
 
 
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=32)
+def _gl_reference(order: int, w0_key: bytes):
+    """Beta-independent part of the GL route of ``_basis_segment``."""
+    w0 = np.frombuffer(w0_key)
+    xg, wg = gauss_legendre(24)
+    mid = 0.5 * (w0[:, None] + 1.0)
+    half = 0.5 * (1.0 - w0[:, None])
+    pts = mid + half * xg[None, :]                         # (i, 24)
+    bmat = interp_matrix(order, pts.ravel()).reshape(len(w0), 24, order)
+    return _frozen(half * wg[None, :], pts, bmat)
+
+
 def _basis_segment(order: int, w0: np.ndarray, beta: float) -> np.ndarray:
     """B[i, j] = integral_{w0[i]}^{1} L_j(w) exp(i*beta*w) dw on [-1, 1]."""
     kmax = order - 1
     if abs(beta) <= max(15.0, kmax + 4):
-        xg, wg = gauss_legendre(24)
-        mid = 0.5 * (w0[:, None] + 1.0)
-        half = 0.5 * (1.0 - w0[:, None])
-        pts = mid + half * xg[None, :]                     # (i, 24)
+        wts, pts, bmat = _gl_reference(order, w0.tobytes())
         phase = np.exp(1j * beta * pts)
-        bmat = interp_matrix(order, pts.ravel()).reshape(len(w0), 24, order)
-        return np.einsum("ig,ig,igj->ij", half * wg[None, :], phase, bmat)
+        return np.einsum("ig,ig,igj->ij", wts, phase, bmat)
     mono = _monomial_suffix_moments(w0, beta, kmax)        # (i, k)
     a = _lagrange_to_monomial(order)                       # (k, j)
     return mono @ a
 
 
+@lru_cache(maxsize=32)
+def _reference_segment(order: int, suffix: bool) -> np.ndarray:
+    """Real omega=0 basis integrals on [-1, 1]; a panel scales them by h/2."""
+    ref = gauss_legendre(order)[0]
+    if suffix:
+        seg = _basis_segment(order, ref, 0.0)
+    else:
+        seg = _basis_segment(order, -ref[::-1], -0.0)[::-1, ::-1]
+    return _frozen(seg.real.copy())[0]
+
+
 def _basis_integrals(grid: PanelGrid, omega: float, suffix: bool) -> np.ndarray:
-    ref = gauss_legendre(grid.order)[0]
     h = np.diff(grid.breaks)
+    if omega == 0.0:
+        return (0.5 * h)[:, None, None] * _reference_segment(grid.order, suffix) + 0j
+    ref = gauss_legendre(grid.order)[0]
     c = 0.5 * (grid.breaks[:-1] + grid.breaks[1:])
     out = np.empty((grid.npanels, grid.order, grid.order), dtype=complex)
     for p in range(grid.npanels):
@@ -249,8 +278,6 @@ def _basis_integrals(grid: PanelGrid, omega: float, suffix: bool) -> np.ndarray:
             # prefix over [-1, w_i]: mirror w -> -w
             seg = _basis_segment(grid.order, -ref[::-1], -beta)[::-1, ::-1]
         out[p] = s * np.exp(1j * omega * c[p]) * seg
-    if omega == 0.0:
-        out = out.real + 0j
     return out
 
 
