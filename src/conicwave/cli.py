@@ -38,6 +38,9 @@ _TOP_KEYS = {"profile", "command", "out", "lam_grid", "t_grid", "xi_grid",
 _PROFILE_KEYS = {"kind", "params", "d", "x_max", "conical_left",
                  "conical_right"}
 _GRID_KEYS = {"min", "max", "count", "scale"}
+#: coeffs exits 2 when a residual exceeds its gate (unitarity: criterion 5)
+_COEFFS_GATES = {"wronskian_constancy": 1e-8, "connection_identity": 1e-6,
+                 "unitarity": 1e-5}
 
 _GRID_DEFAULTS = {
     "validate-low": {"lam_grid": {"min": 1e-6, "max": 1e-2, "count": 25,
@@ -250,9 +253,13 @@ def _cmd_coeffs(cfg, out: Path) -> int:
         raise ConfigError("coeffs command requires lam_grid")
     res_names = ["wronskian_constancy", "connection_identity", "beta_from_W",
                  "unitarity", "lower_bound"]
-    rows = []
+    rows, flagged = [], []
     for lam in cfg.lam_grid:
         sd = model.scattering_data(float(lam))
+        # "not <=" also flags a NaN residual
+        flagged += [f"[flag] {k} = {_fmt(sd.residuals[k])} at lambda "
+                    f"{_fmt(lam)}\n" for k, gate in _COEFFS_GATES.items()
+                    if not sd.residuals[k] <= gate]
         rows.append((lam,
                      sd.a_plus.real, sd.a_plus.imag,
                      sd.b_plus.real, sd.b_plus.imag,
@@ -267,7 +274,8 @@ def _cmd_coeffs(cfg, out: Path) -> int:
            "re_W", "im_W", "re_alpha_minus", "im_alpha_minus",
            "re_beta_minus", "im_beta_minus"] + [f"res_{k}" for k in res_names]
     _write_csv(out / "coeffs.csv", hdr, rows)
-    return 0
+    sys.stdout.write("".join(flagged))
+    return 2 if flagged else 0
 
 
 def _summary_from_report(report: dict) -> ValidationSummary:

@@ -42,7 +42,6 @@ class ProfileSpec:
     r: Callable[[np.ndarray], np.ndarray]
     r1: Callable[[np.ndarray], np.ndarray]
     r2: Callable[[np.ndarray], np.ndarray]
-    r3: Callable[[np.ndarray], np.ndarray]
     deriv_tol: float = 1e-6
 
     @property
@@ -77,8 +76,7 @@ def make_profile(config: dict) -> ProfileSpec:
             conical_left=False, conical_right=False,
             r=lambda x: np.full_like(np.asarray(x, dtype=float), radius),
             r1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            r2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            r3=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+            r2=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     elif kind == "hyperboloid":
         a = float(params.get("a", 1.0))
         if a <= 0:
@@ -89,8 +87,7 @@ def make_profile(config: dict) -> ProfileSpec:
             conical_left=True, conical_right=True,
             r=lambda x: np.sqrt(a2 + np.asarray(x, dtype=float) ** 2),
             r1=lambda x: x / np.sqrt(a2 + np.asarray(x, dtype=float) ** 2),
-            r2=lambda x: a2 * (a2 + np.asarray(x, dtype=float) ** 2) ** -1.5,
-            r3=lambda x: -3.0 * a2 * x * (a2 + np.asarray(x, dtype=float) ** 2) ** -2.5)
+            r2=lambda x: a2 * (a2 + np.asarray(x, dtype=float) ** 2) ** -1.5)
     elif kind == "two-sided-cone-smoothed":
         kappa = float(params.get("kappa", 1.0))
         if kappa <= 0:
@@ -111,8 +108,7 @@ def make_profile(config: dict) -> ProfileSpec:
             conical_left=True, conical_right=True,
             r=_r,
             r1=lambda x: np.tanh(kappa * np.asarray(x, dtype=float)),
-            r2=lambda x: kappa * _sech2(x),
-            r3=lambda x: -2.0 * kappa ** 2 * np.tanh(kappa * x) * _sech2(x))
+            r2=lambda x: kappa * _sech2(x))
     else:
         prof = _tabulated_profile(params, d,
                                   bool(config.get("conical_left", False)),
@@ -137,28 +133,23 @@ def _tabulated_profile(params, d, conical_left, conical_right) -> ProfileSpec:
         raise ConfigError("tabulated profile must satisfy r > 0")
     d1 = _stencil5(r, h[0], 1)
     d2 = _stencil5(r, h[0], 2)
-    d3 = _stencil5(r, h[0], 3)
     sp = CubicSpline(x, r)
     sp1 = CubicSpline(x, d1)
     sp2 = CubicSpline(x, d2)
-    sp3 = CubicSpline(x, d3)
     return ProfileSpec(kind="custom-tabulated",
                        params={"x": x, "r": r}, d=d,
                        conical_left=conical_left, conical_right=conical_right,
-                       r=sp, r1=sp1, r2=sp2, r3=sp3, deriv_tol=1e-4)
+                       r=sp, r1=sp1, r2=sp2, deriv_tol=1e-4)
 
 
 def _stencil5(y: np.ndarray, h: float, order: int) -> np.ndarray:
     """Interior 5-point stencil derivative, one-sided copies at the edges."""
-    n = len(y)
-    out = np.empty(n)
+    out = np.empty(len(y))
     if order == 1:
         out[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
-    elif order == 2:
+    else:
         out[2:-2] = (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2]
                      + 16 * y[3:-1] - y[4:]) / (12 * h * h)
-    else:
-        out[2:-2] = (-y[:-4] + 2 * y[1:-3] - 2 * y[3:-1] + y[4:]) / (2 * h ** 3)
     out[:2] = out[2]
     out[-2:] = out[-3]
     return out
@@ -205,13 +196,11 @@ class ArclengthChart:
     guarded Newton iteration seeded by a monotone spline.
     """
 
-    def __init__(self, profile: ProfileSpec, x_max: float = DEFAULT_X_MAX,
-                 quad_tol: float = 1e-12):
+    def __init__(self, profile: ProfileSpec, x_max: float = DEFAULT_X_MAX):
         if x_max <= 0:
             raise ConfigError("x_max must be positive")
         self.profile = profile
         self.x_max = float(x_max)
-        self.quad_tol = float(quad_tol)
         breaks = self._build_breaks()
         self._grid = panels.PanelGrid.build(breaks, order=16)
         svals = self._metric(self._grid.flat)
@@ -376,10 +365,9 @@ class PotentialProfile:
                        self._V1_left(np.minimum(xi, -self.xi_tail)))
         return float(out) if out.ndim == 0 else out
 
-    def v1_tail_model(self, xi, side: str = "right"):
-        """Asymptotic cubic-tail model used beyond the chart."""
-        c = self.tail_coeff_right if side == "right" else self.tail_coeff_left
-        return c / np.abs(np.asarray(xi, dtype=float)) ** 3
+    def v1_tail_model(self, xi):
+        """Cubic-tail model of the right end's V1, used beyond the chart."""
+        return self.tail_coeff_right / np.abs(np.asarray(xi, dtype=float)) ** 3
 
     def r_of_xi(self, xi):
         return self._r(xi)
@@ -402,24 +390,17 @@ class MirroredPotential:
         self.base = base
         self.xi_tail = base.xi_tail
         self.xi_cap = base.xi_cap
-        self.d = base.d
         self.C2 = base.C2
-        self.C3 = base.C3
         self.tail_coeff_right = base.tail_coeff_left
-        self.tail_coeff_left = base.tail_coeff_right
 
-    def rho(self, xi):
-        return -self.base.rho(-np.asarray(xi, dtype=float))
+    # the tail model reads only tail_coeff_right, the mirrored left end
+    v1_tail_model = PotentialProfile.v1_tail_model
 
     def V(self, xi):
         return self.base.V(-np.asarray(xi, dtype=float))
 
     def V1(self, xi):
         return self.base.V1(-np.asarray(xi, dtype=float))
-
-    def v1_tail_model(self, xi, side: str = "right"):
-        c = self.tail_coeff_right if side == "right" else self.tail_coeff_left
-        return c / np.abs(np.asarray(xi, dtype=float)) ** 3
 
     def r_of_xi(self, xi):
         return self.base.r_of_xi(-np.asarray(xi, dtype=float))
@@ -429,9 +410,6 @@ class MirroredPotential:
 
     def inv_r_integral(self, xi):
         return -self.base.inv_r_integral(-np.asarray(xi, dtype=float))
-
-    def mirrored(self):
-        return self.base
 
 
 def _potential_grid(xi_hi: float) -> np.ndarray:

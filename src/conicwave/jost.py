@@ -213,23 +213,13 @@ class ScatteringModel:
     # ------------------------------------------------------------------
 
     def zero_energy_basis(self) -> LowEnergyBasis:
-        pot = self.pot
-        cap = 0.98 * pot.xi_cap
+        cap = 0.98 * self.pot.xi_cap
 
-        def u0(xi):
-            return np.sqrt(pot.r_of_xi(xi))
+        def seed(k: int):
+            return lambda xi: _seed_values(self.pot, xi)[k]
 
-        def du0(xi):
-            return pot.dr_of_xi(xi) / (2.0 * np.sqrt(pot.r_of_xi(xi)))
-
-        def u1(xi):
-            return u0(xi) * pot.inv_r_integral(xi)
-
-        def du1(xi):
-            return du0(xi) * pot.inv_r_integral(xi) + 1.0 / u0(xi)
-
-        return LowEnergyBasis(lam=0.0, window=(-cap, cap),
-                              u0=u0, u1=u1, du0=du0, du1=du1)
+        return LowEnergyBasis(lam=0.0, window=(-cap, cap), u0=seed(0),
+                              u1=seed(2), du0=seed(1), du1=seed(3))
 
     # ------------------------------------------------------------------
     # energy-perturbed basis (one side)
@@ -280,7 +270,7 @@ class ScatteringModel:
         return rec
 
     def _extend_basis_ode(self, pv, lam, grid, vals, L0, L):
-        v0, d0, v1, d1 = vals
+        """Continue the four basis corrections ``vals`` from L0 to L."""
         breaks = panels.cap_phase(panels.geometric_breaks(L0, L, 8),
                                   lambda s: lam, max_phase=0.8)
         ext = panels.PanelGrid.build(breaks, order=10)
@@ -290,25 +280,19 @@ class ScatteringModel:
             return [y[1], (V - lam * lam) * y[0],
                     y[3], (V - lam * lam) * y[2]]
 
-        s0, ds0, s1, ds1 = _seed_values(pv, np.array([L0]))
-        y0 = [grid.interpolate(v0, np.array([L0]))[0] + s0[0],
-              grid.interpolate(d0, np.array([L0]))[0] + ds0[0],
-              grid.interpolate(v1, np.array([L0]))[0] + s1[0],
-              grid.interpolate(d1, np.array([L0]))[0] + ds1[0]]
+        x0 = np.array([L0])
+        y0 = [grid.interpolate(c, x0)[0] + seed[0]
+              for c, seed in zip(vals, _seed_values(pv, x0))]
         sol = solve_ivp(rhs, (L0, L), np.real(y0), method="DOP853",
                         rtol=1e-11, atol=1e-12, dense_output=True)
         if not sol.success:
             raise ConvergenceError("basis ODE extension failed")
         ys = sol.sol(ext.flat)
-        e0, ed0, e1, ed1 = _seed_values(pv, ext.flat)
-        merged_breaks = np.concatenate([grid.breaks, ext.breaks[1:]])
-        merged = panels.PanelGrid.build(merged_breaks, order=10)
-
-        def cat(a, b):
-            return np.concatenate([np.asarray(a).ravel(), b])
-
-        return (cat(v0, ys[0] - e0), cat(d0, ys[1] - ed0),
-                cat(v1, ys[2] - e1), cat(d1, ys[3] - ed1), merged)
+        merged = panels.PanelGrid.build(
+            np.concatenate([grid.breaks, ext.breaks[1:]]), order=10)
+        return (*[np.concatenate([np.asarray(c).ravel(), y - seed])
+                  for c, y, seed in zip(vals, ys, _seed_values(pv, ext.flat))],
+                merged)
 
     def low_energy_basis(self, lam: float, window: Optional[float] = None
                          ) -> LowEnergyBasis:
@@ -365,8 +349,8 @@ class ScatteringModel:
         if B <= 1.3 * xm:
             raise DomainError("chart too small for the low-energy matching")
         breaks = panels.geometric_breaks(xi0, B, 12)
-        breaks = panels.cap_phase(breaks, lambda s: lam if s * lam > 0.5 else 0.0,
-                                  max_phase=1.0)
+        breaks = panels.cap_phase(
+            breaks, lambda s: np.where(s * lam > 0.5, lam, 0.0), max_phase=1.0)
         grid = panels.PanelGrid.build(breaks, order=10)
         x = grid.flat
         f0, df0 = f0_values(x, lam)
@@ -635,42 +619,36 @@ class ScatteringModel:
         # mirrored-side coefficients translate with a sign flip on b
         return ap, bp, am_t, -bm_t
 
+    def _w_alpha(self, lam: float, pipeline: str = "auto", xi_hi: float = 0.0):
+        """(W, alpha): from the connection coefficients when both sides run
+        the low pipeline, else from the Wronskians at xi = 0 of the m records
+        built with ``xi_hi``.  Callers form beta = W/(-2i lam) themselves."""
+        if (self._pipeline_for("plus", lam, pipeline) == "low"
+                and self._pipeline_for("minus", lam, pipeline) == "low"):
+            ap, bp, am, bm = self.connection_coefficients(lam, pipeline)
+            return (ap * bm - am * bp,
+                    (am * np.conj(bp) - bm * np.conj(ap)) / (-2j * lam))
+        zero = np.array([0.0])
+        (fp,), (dfp,) = self._m_record_values(
+            self._m_side("plus", lam, xi_hi=xi_hi), zero)
+        (fm,), (dfm,) = self._m_record_values(
+            self._m_side("minus", lam, xi_hi=xi_hi), zero)
+        dfm = -dfm      # f_-(xi) = g(-xi), g the mirrored plus solution
+        return (wr(fp, dfp, fm, dfm),
+                wr(fm, dfm, np.conj(fp), np.conj(dfp)) / (-2j * lam))
+
     def wronskian(self, lam: float, pipeline: str = "auto") -> complex:
         """W(lam) = Wr(f_plus, f_minus); cylinder convention -2i lam."""
         if lam <= 0:
             raise DomainError("wronskian requires lam > 0")
-        pipe_p = self._pipeline_for("plus", lam, pipeline)
-        pipe_m = self._pipeline_for("minus", lam, pipeline)
-        if pipe_p == "low" and pipe_m == "low":
-            ap, bp, am, bm = self.connection_coefficients(lam, pipeline)
-            return ap * bm - am * bp
-        rp = self._m_side("plus", lam)
-        rm = self._m_side("minus", lam)
-        fp, dfp = self._m_record_values(rp, np.array([0.0]))
-        fmv, dfmv = self._m_record_values(rm, np.array([0.0]))
-        # minus side: f_-(xi) = g(-xi) with g the mirrored plus solution
-        fm, dfm = fmv[0], -dfmv[0]
-        return complex(wr(fp[0], dfp[0], fm, dfm))
+        return complex(self._w_alpha(lam, pipeline)[0])
 
     def reflection_transmission(self, lam: float, pipeline: str = "auto"):
         """(alpha_minus, beta_minus); |beta|^2 - |alpha|^2 = 1."""
         if lam <= 0:
             raise DomainError("reflection_transmission requires lam > 0")
-        W = self.wronskian(lam, pipeline)
-        beta = W / (-2j * lam)
-        pipe = self._pipeline_for("plus", lam, pipeline)
-        pipe_m = self._pipeline_for("minus", lam, pipeline)
-        if pipe == "low" and pipe_m == "low":
-            ap, bp, am, bm = self.connection_coefficients(lam, pipeline)
-            alpha = (am * np.conj(bp) - bm * np.conj(ap)) / (-2j * lam)
-        else:
-            rp = self._m_side("plus", lam)
-            rm = self._m_side("minus", lam)
-            fp, dfp = self._m_record_values(rp, np.array([0.0]))
-            fmv, dfmv = self._m_record_values(rm, np.array([0.0]))
-            fm, dfm = fmv[0], -dfmv[0]
-            alpha = wr(fm, dfm, np.conj(fp[0]), np.conj(dfp[0])) / (-2j * lam)
-        return complex(alpha), complex(beta)
+        W, alpha = self._w_alpha(lam, pipeline)
+        return complex(alpha), complex(W) / (-2j * lam)
 
     def scattering_data(self, lam: float, pipeline: str = "auto") -> ScatteringData:
         """Full per-energy record with named consistency residuals."""
@@ -678,12 +656,10 @@ class ScatteringModel:
         am_t, bm_t, res_m = self._side_coefficients("minus", lam, pipeline)
         am, bm = am_t, -bm_t
         W_basis = ap * bm - am * bp
-        pipe = self._pipeline_for("plus", lam, pipeline)
-        if pipe == "low":
-            W = W_basis
-        else:
-            W = self.wronskian(lam, pipeline)
-        alpha, beta = self.reflection_transmission(lam, pipeline)
+        W_side, alpha = map(complex, self._w_alpha(lam, pipeline))
+        beta = W_side / (-2j * lam)
+        W = W_basis if self._pipeline_for("plus", lam, pipeline) == "low" \
+            else W_side
         residuals = {
             "wronskian_constancy": max(res_p, res_m),
             "connection_identity": abs(W - W_basis) / abs(W),

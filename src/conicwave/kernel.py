@@ -44,6 +44,10 @@ BANDS = ("low_low", "osc_osc", "osc_low", "same_side_osc", "high_energy")
 #: default spatial magnitudes of the sup grids (plus the moving light-cone
 #: probe added per t)
 SUP_GRID = (0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
+#: lowest edge of the oscillatory (Filon) panels below lam_low
+LAM_FLOOR = 1.0e-5
+#: lowest lam of the s-region table (lam = e^{-s})
+LAM_MIN_TABLE = 1.0e-8
 
 
 # ---------------------------------------------------------------------------
@@ -124,33 +128,25 @@ class StationaryPhaseCase:
 # ---------------------------------------------------------------------------
 
 class _NodeRecord:
-    __slots__ = ("lam", "W", "alpha", "beta", "ev_plus", "ev_minus",
-                 "mp", "mm")
+    """(W, alpha, beta) at one lam and the phase-stripped Jost solutions
+    m(side, xi) = e^{-+i lam xi} f_side(xi), cached per (side, xi)."""
+
+    __slots__ = ("lam", "W", "alpha", "beta", "_ev", "_m")
 
     def __init__(self, lam, W, alpha, beta, ev_plus, ev_minus):
         self.lam = lam
         self.W = W
         self.alpha = alpha
         self.beta = beta
-        self.ev_plus = ev_plus      # callable xi-array -> f values (xi >= 0)
-        self.ev_minus = ev_minus    # callable xi-array -> f values (xi <= 0)
-        self.mp: dict = {}
-        self.mm: dict = {}
+        self._ev = {"plus": (ev_plus, -1j), "minus": (ev_minus, 1j)}
+        self._m: dict = {}
 
-    def m_plus(self, xi: float) -> complex:
-        v = self.mp.get(xi)
+    def m(self, side: str, xi: float) -> complex:
+        v = self._m.get((side, xi))
         if v is None:
-            f = self.ev_plus(np.array([xi]))[0]
-            v = f * np.exp(-1j * self.lam * xi)
-            self.mp[xi] = v
-        return v
-
-    def m_minus(self, xi: float) -> complex:
-        v = self.mm.get(xi)
-        if v is None:
-            f = self.ev_minus(np.array([xi]))[0]
-            v = f * np.exp(1j * self.lam * xi)
-            self.mm[xi] = v
+            ev, ph = self._ev[side]
+            v = ev.values(np.array([xi]))[0][0] * np.exp(ph * self.lam * xi)
+            self._m[side, xi] = v
         return v
 
 
@@ -162,24 +158,21 @@ class KernelEngine:
     """
 
     def __init__(self, model: ScatteringModel, xi_abs_max: float = 1.0e3,
-                 lam_floor: float = 1.0e-5, lam_min_table: float = 1.0e-8,
                  s_panel: float = 0.85, panel_ratio: float = 4.0 / 3.0):
         self.model = model
         self.lam_low = model.lam_low
         self.xi_abs_max = float(xi_abs_max)
-        self.lam_floor = float(lam_floor)
-        self.lam_min_table = float(lam_min_table)
         self.panel_ratio = float(panel_ratio)
         # s-region grid (lam = e^{-s})
         s0 = np.log(1.0 / self.lam_low)
-        s1 = np.log(1.0 / self.lam_min_table)
+        s1 = np.log(1.0 / LAM_MIN_TABLE)
         n = int(np.ceil((s1 - s0) / s_panel))
         self._sgrid = panels.PanelGrid.build(np.linspace(s0, s1, n + 1),
                                              order=12)
         self._s_lam = np.exp(-self._sgrid.flat)
         # oscillatory panel edges, geometric around lam_low
         down = [self.lam_low]
-        while down[-1] > self.lam_floor:
+        while down[-1] > LAM_FLOOR:
             down.append(down[-1] / self.panel_ratio)
         self._osc_edges = list(reversed(down))
         self._records: dict = {}
@@ -193,71 +186,33 @@ class KernelEngine:
 
     def _record(self, lam: float) -> _NodeRecord:
         rec = self._records.get(lam)
-        if rec is not None:
-            return rec
-        m = self.model
-        if lam > self.lam_low:
-            rp = m._m_side("plus", lam, xi_floor=0.0, xi_hi=self.xi_abs_max)
-            rm = m._m_side("minus", lam, xi_floor=0.0, xi_hi=self.xi_abs_max)
-            fp, dfp = m._m_record_values(rp, np.array([0.0]))
-            fmv, dfmv = m._m_record_values(rm, np.array([0.0]))
-            fm, dfm = fmv[0], -dfmv[0]
-            W = fp[0] * dfm - dfp[0] * fm
-            alpha = (fm * np.conj(dfp[0]) - dfm * np.conj(fp[0])) / (-2j * lam)
-            beta = W / (-2j * lam)
-
-            def ev_plus(xi, _rp=rp):
-                return m._m_record_values(_rp, xi)[0]
-
-            def ev_minus(xi, _rm=rm):
-                return m._m_record_values(_rm, -np.asarray(xi))[0]
-        else:
-            evp = m.jost_plus(lam, xi_min=-1.0, xi_hi=self.xi_abs_max)
-            evm = m.jost_minus(lam, xi_max=1.0, xi_lo=-self.xi_abs_max)
-            sd_ap, sd_bp, _ = m._side_coefficients("plus", lam)
-            am_t, bm_t, _ = m._side_coefficients("minus", lam)
-            am, bm = am_t, -bm_t
-            W = sd_ap * bm - am * sd_bp
-            alpha = (am * np.conj(sd_bp) - bm * np.conj(sd_ap)) / (-2j * lam)
-            beta = W / (-2j * lam)
-
-            def ev_plus(xi, _e=evp):
-                return _e.values(xi)[0]
-
-            def ev_minus(xi, _e=evm):
-                return _e.values(xi)[0]
-        rec = _NodeRecord(lam, complex(W), complex(alpha), complex(beta),
-                          ev_plus, ev_minus)
-        self._records[lam] = rec
+        if rec is None:
+            m, span = self.model, self.xi_abs_max
+            W, alpha = m._w_alpha(lam, xi_hi=span)
+            # beta divides the raw numpy W (complex(W) rounds differently)
+            rec = _NodeRecord(lam, complex(W), complex(alpha),
+                              complex(W / (-2j * lam)),
+                              m.jost_plus(lam, xi_hi=span),
+                              m.jost_minus(lam, xi_lo=-span))
+            self._records[lam] = rec
         return rec
 
     # -- channels ------------------------------------------------------------
 
     def _channels(self, hi: float, lo: float):
-        """[(theta, amp(lam_array, records) -> complex array)] for a pair."""
+        """[(theta, amp(record) -> complex)] for an ordered pair hi >= lo."""
         if hi >= 0.0 >= lo:
-            def amp(recs):
-                return np.array([r.m_plus(hi) * r.m_minus(lo) / r.W
-                                 for r in recs])
-            return [(hi - lo, amp)]
+            return [(hi - lo,
+                     lambda r: r.m("plus", hi) * r.m("minus", lo) / r.W)]
         if lo > 0.0:
-            def amp_a(recs):
-                return np.array([r.alpha * r.m_plus(hi) * r.m_plus(lo) / r.W
-                                 for r in recs])
-
-            def amp_b(recs):
-                return np.array([r.beta * r.m_plus(hi)
-                                 * np.conj(r.m_plus(lo)) / r.W for r in recs])
-            return [(hi + lo, amp_a), (hi - lo, amp_b)]
-
-        def amp_a(recs):
-            return np.array([-np.conj(r.alpha) * r.m_minus(hi)
-                             * r.m_minus(lo) / r.W for r in recs])
-
-        def amp_b(recs):
-            return np.array([r.beta * np.conj(r.m_minus(hi))
-                             * r.m_minus(lo) / r.W for r in recs])
-        return [(-hi - lo, amp_a), (hi - lo, amp_b)]
+            return [(hi + lo, lambda r: r.alpha * r.m("plus", hi)
+                     * r.m("plus", lo) / r.W),
+                    (hi - lo, lambda r: r.beta * r.m("plus", hi)
+                     * np.conj(r.m("plus", lo)) / r.W)]
+        return [(-hi - lo, lambda r: -np.conj(r.alpha) * r.m("minus", hi)
+                 * r.m("minus", lo) / r.W),
+                (hi - lo, lambda r: r.beta * np.conj(r.m("minus", hi))
+                 * r.m("minus", lo) / r.W)]
 
     def _pair_data(self, hi: float, lo: float, lam_top: float):
         """Channel amplitude samples on the s-grid and the osc panels."""
@@ -269,17 +224,18 @@ class KernelEngine:
         if cached is not None and len(cached["osc"]) >= n_panels:
             return cached
         chans = self._channels(hi, lo)
+
+        def sample(lams):
+            recs = [self._record(l) for l in lams]
+            return [np.array([amp(r) for r in recs]) for _, amp in chans]
+
         edges = self._osc_edges[: n_panels + 1]
         osc_panels = []
         for a, b in zip(edges[:-1], edges[1:]):
             lam_nodes = oscquad.cheb_nodes(a, b)
-            recs = [self._record(l) for l in lam_nodes]
-            vals = [np.asarray(amp(recs)) for _, amp in chans]
-            osc_panels.append((a, b, lam_nodes, vals))
-        s_recs = [self._record(l) for l in self._s_lam]
-        s_vals = [np.asarray(amp(s_recs)) for _, amp in chans]
+            osc_panels.append((a, b, lam_nodes, sample(lam_nodes)))
         data = {"thetas": [th for th, _ in chans], "osc": osc_panels,
-                "s_vals": s_vals}
+                "s_vals": sample(self._s_lam)}
         self._pair_cache[key] = data
         return data
 
@@ -444,7 +400,6 @@ class KernelEngine:
             scale = float(np.max(np.abs(lam_nodes * vals[chan_idx]
                                         * cut(lam_nodes))))
             return 0.0 + 0j, 40.0 * scale
-        a, b, lam_nodes, vals = data["osc"][-1]
         for a, b, lam_nodes, vals in reversed(data["osc"]):
             if a < lam_top:
                 break
@@ -484,10 +439,8 @@ class KernelEngine:
         hi, lo = max(xi, xi_prime), min(xi, xi_prime)
         self._ensure_span(hi, lo)
         rec = self._record(lam)
-        total = 0.0
-        for th, amp in self._channels(hi, lo):
-            total += (np.exp(1j * th * lam) * amp([rec])[0]).imag
-        return float(2.0 * lam * total)
+        return float(2.0 * lam * sum((np.exp(1j * th * lam) * amp(rec)).imag
+                                     for th, amp in self._channels(hi, lo)))
 
     def evolution_kernel(self, kind: str, t: float, xi: float,
                          xi_prime: float) -> KernelSample:

@@ -62,15 +62,19 @@ def graded_breaks(a: float, b: float, lin_until: float, h_lin: float,
 def cap_phase(breaks: np.ndarray, freq_of_x, max_phase: float = 1.2) -> np.ndarray:
     """Split panels until local |freq| * width <= max_phase.
 
-    ``freq_of_x`` maps a position to the local oscillation frequency of the
-    integrand (rad per unit length); it is sampled at panel midpoints.
+    ``freq_of_x`` maps an array of positions to the local oscillation
+    frequency of the integrand (rad per unit length); it is sampled at panel
+    midpoints.  A panel split k ways gets the breaks of
+    ``np.linspace(a, b, k + 1)``, with the same arithmetic.
     """
-    out = [breaks[0]]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        f = abs(freq_of_x(0.5 * (a + b)))
-        k = max(1, int(np.ceil(f * (b - a) / max_phase)))
-        out.extend(np.linspace(a, b, k + 1)[1:])
-    return np.asarray(out)
+    a, b = breaks[:-1], breaks[1:]
+    k = np.maximum(1, np.ceil(np.abs(freq_of_x(0.5 * (a + b))) * (b - a)
+                              / max_phase)).astype(int)
+    p, ends = np.repeat(np.arange(len(a)), k), np.cumsum(k)
+    j = np.arange(1, ends[-1] + 1) - np.repeat(ends - k, k)
+    out = j * ((b - a) / k)[p] + a[p]
+    out[ends - 1] = b
+    return np.concatenate([breaks[:1], out])
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +145,7 @@ def _bary_eval(ref: np.ndarray, bw: np.ndarray, vals: np.ndarray,
                w: np.ndarray) -> np.ndarray:
     # vals: (k, order) per-point panel values; w: (k,) scaled coordinates
     d = w[:, None] - ref[None, :]
-    exact = np.isclose(d, 0.0, atol=1e-15)
+    exact = np.abs(d) <= 1e-15
     d = np.where(exact, 1.0, d)
     num = (bw[None, :] / d * vals).sum(axis=1)
     den = (bw[None, :] / d).sum(axis=1)
@@ -158,7 +162,7 @@ def interp_matrix(order: int, w_eval: np.ndarray) -> np.ndarray:
     ref = gauss_legendre(order)[0]
     bw = _bary_weights_cached(order)
     d = w_eval[:, None] - ref[None, :]
-    exact = np.isclose(d, 0.0, atol=1e-15)
+    exact = np.abs(d) <= 1e-15
     d = np.where(exact, 1.0, d)
     m = bw[None, :] / d
     m /= m.sum(axis=1, keepdims=True)
@@ -294,7 +298,6 @@ class SuffixIntegrator:
 
     def __init__(self, grid: PanelGrid, omega: float = 0.0):
         self.grid = grid
-        self.omega = omega
         self._partial = suffix_basis_integrals(grid, omega)
         self._full = full_panel_integrals(grid, omega)
 
@@ -312,7 +315,6 @@ class PrefixIntegrator:
 
     def __init__(self, grid: PanelGrid, omega: float = 0.0):
         self.grid = grid
-        self.omega = omega
         self._partial = prefix_basis_integrals(grid, omega)
         self._full = full_panel_integrals(grid, omega)
 

@@ -1,11 +1,12 @@
 """Config loading, CSV column contracts, determinism and exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from conicwave import ConfigError
+from conicwave import ConfigError, ScatteringModel
 from conicwave.cli import load_config, main, run
 
 
@@ -192,3 +193,28 @@ def test_d2_profile_scattering_fails_loudly(tmp_path, capsys):
                  "--out", str(tmp_path / "d")]) == 0
     assert "d: 2" in (tmp_path / "d" / "describe.txt").read_text()
     capsys.readouterr()
+
+
+def test_coeffs_residual_over_gate_exits_2(tmp_path, monkeypatch, capsys):
+    """A residual over its gate flags the run (exit 2) after the CSV is
+    written; the same run with the true residuals exits 0."""
+    doc = {"profile": {"kind": "hyperboloid", "params": {"a": 1.0},
+                       "x_max": 5.0e4},
+           "command": "coeffs",
+           "lam_grid": {"min": 0.5, "max": 2.0, "count": 2, "scale": "log"}}
+    p = _write(tmp_path, doc)
+    assert main(["coeffs", "--config", str(p),
+                 "--out", str(tmp_path / "ok")]) == 0
+    true_data = ScatteringModel.scattering_data
+
+    def inflated(self, lam, pipeline="auto"):
+        sd = true_data(self, lam, pipeline)
+        return dataclasses.replace(
+            sd, residuals=dict(sd.residuals, connection_identity=2e-6))
+
+    monkeypatch.setattr(ScatteringModel, "scattering_data", inflated)
+    assert main(["coeffs", "--config", str(p),
+                 "--out", str(tmp_path / "flag")]) == 2
+    lines = (tmp_path / "flag" / "coeffs.csv").read_text().splitlines()
+    assert len(lines) == 3
+    assert "[flag] connection_identity" in capsys.readouterr().out

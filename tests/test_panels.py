@@ -99,3 +99,45 @@ def test_cached_references_are_read_only():
     out = suffix_basis_integrals(grid)
     out[:] = 0.0
     assert np.any(suffix_basis_integrals(grid) != 0.0)
+
+
+def _cap_phase_oracle(breaks, freq_of_x, max_phase):
+    """cap_phase by one np.linspace per panel, each frequency sampled alone."""
+    out = [breaks[0]]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        f = abs(freq_of_x(0.5 * (a + b)))
+        k = max(1, int(np.ceil(f * (b - a) / max_phase)))
+        out.extend(np.linspace(a, b, k + 1)[1:])
+    return np.asarray(out)
+
+
+@pytest.mark.parametrize("case", ["constant", "piecewise", "statphase"])
+def test_cap_phase_matches_per_panel_linspace(case):
+    """The vectorised split gives the per-panel linspace breaks bit for bit,
+    for the three kinds of frequency its callers pass."""
+    rng = np.random.default_rng(7)
+    split = 0
+    for _ in range(40):
+        if case == "constant":
+            lam = 10.0 ** rng.uniform(-3, 2)
+            breaks = geometric_breaks(10.0 ** rng.uniform(-2, 1),
+                                      10.0 ** rng.uniform(1.5, 4), 8)
+            freq, cap = (lambda s: lam), 0.8
+        elif case == "piecewise":
+            lam = 10.0 ** rng.uniform(-4, -2)
+            # the low-energy pipeline's window [0.75/sqrt(lam), 8/lam]
+            breaks = geometric_breaks(max(5.0, 0.75 * lam ** -0.5),
+                                      rng.uniform(8.0, 16.0) / lam, 12)
+            freq = lambda s: np.where(s * lam > 0.5, lam, 0.0)  # noqa: E731
+            cap = 1.0
+        else:
+            a = rng.uniform(-7.0, 1.0)
+            breaks = np.linspace(a, a + rng.uniform(1.0, 13.0), 65)
+            t = 10.0 ** rng.uniform(1, 4)
+            freq = lambda x: t * abs(2.0 * np.asarray(x)) + 1.0  # noqa: E731
+            cap = 1.0
+        got = panels.cap_phase(breaks, freq, max_phase=cap)
+        want = _cap_phase_oracle(breaks, freq, cap)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        split += len(got) > len(breaks)
+    assert split >= 20
