@@ -17,7 +17,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -34,13 +34,17 @@ COMMANDS = ("describe", "potential", "jost", "coeffs", "validate-low",
             "validate-high", "kernel", "decay", "statphase")
 
 _TOP_KEYS = {"profile", "command", "out", "lam_grid", "t_grid", "xi_grid",
-             "kind", "band", "tolerances", "lam_low"}
+             "kind", "band"}
 _PROFILE_KEYS = {"kind", "params", "d", "x_max", "conical_left",
                  "conical_right"}
 _GRID_KEYS = {"min", "max", "count", "scale"}
 #: coeffs exits 2 when a residual exceeds its gate (unitarity: criterion 5)
 _COEFFS_GATES = {"wronskian_constancy": 1e-8, "connection_identity": 1e-6,
                  "unitarity": 1e-5}
+#: decay exits 2 unless |fit_alpha - target| <= this and R^2 >= 0.95
+DECAY_ALPHA_WINDOW = 0.15
+#: statphase exits 2 when the worst lhs/rhs ratio C_sp exceeds this
+C_SP_CAP = 10.0
 
 _GRID_DEFAULTS = {
     "validate-low": {"lam_grid": {"min": 1e-6, "max": 1e-2, "count": 25,
@@ -64,8 +68,6 @@ class RunConfig:
     xi_grid: Optional[np.ndarray] = None
     kind: str = "schrodinger"
     band: Optional[str] = None
-    lam_low: Optional[float] = None
-    tolerances: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -144,12 +146,6 @@ def load_config(path) -> RunConfig:
     if band is not None and band not in BANDS:
         raise ConfigError(f"unknown band {band!r}")
     cfg.band = band
-    if "lam_low" in doc:
-        cfg.lam_low = float(doc["lam_low"])
-    tol = doc.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("tolerances must be an object")
-    cfg.tolerances = tol
     return cfg
 
 
@@ -183,9 +179,6 @@ def _build_potential(cfg: RunConfig) -> PotentialProfile:
 
 def _build_model(cfg: RunConfig) -> ScatteringModel:
     pot = _build_potential(cfg)
-    if cfg.lam_low is not None:
-        return ScatteringModel(pot.profile, pot.chart, pot,
-                               lam_low=cfg.lam_low)
     return ScatteringModel(pot.profile, pot.chart, pot)
 
 
@@ -365,8 +358,8 @@ def _cmd_decay(cfg, out: Path) -> int:
             for t, s in zip(rep.t_grid, rep.sup_abs)]
     _write_csv(out / "decay.csv",
                ["kind", "t", "sup_abs", "fit_alpha", "fit_C", "fit_R2"], rows)
-    tol = float(cfg.tolerances.get("alpha_window", 0.15))
-    ok = (abs(rep.fit_alpha - rep.target_alpha) <= tol and rep.fit_R2 >= 0.95)
+    ok = (abs(rep.fit_alpha - rep.target_alpha) <= DECAY_ALPHA_WINDOW
+          and rep.fit_R2 >= 0.95)
     sys.stdout.write(f"decay fit: alpha={_fmt(rep.fit_alpha)} "
                      f"(target {_fmt(rep.target_alpha)}), "
                      f"R2={_fmt(rep.fit_R2)}\n")
@@ -392,8 +385,7 @@ def _cmd_statphase(cfg, out: Path) -> int:
                ["case", "t", "lhs", "rhs", "ratio", "oracle_abs_err"], rows)
     sys.stdout.write(f"statphase: C_sp = {_fmt(worst_ratio)} over "
                      f"{len(cases)} cases\n")
-    cap = float(cfg.tolerances.get("c_sp_cap", 10.0))
-    return 0 if (worst_ratio <= cap and not oracle_fail) else 2
+    return 0 if (worst_ratio <= C_SP_CAP and not oracle_fail) else 2
 
 
 _DISPATCH = {

@@ -302,15 +302,14 @@ class PotentialProfile:
     """Sampled rho, V, V1 on the arclength line with tail certificates.
 
     Heavy consumers (Volterra sweeps, ODE right-hand sides, kernel tables)
-    evaluate through cubic splines built here once; V1 below |xi| = xi_tail
+    evaluate through cubic splines built here once; V1 below |xi| = XI_TAIL
     is deliberately undefined.
     """
 
-    def __init__(self, profile: ProfileSpec, chart: ArclengthChart,
-                 xi_tail: float = XI_TAIL):
+    def __init__(self, profile: ProfileSpec, chart: ArclengthChart):
         self.profile = profile
         self.chart = chart
-        self.xi_tail = float(xi_tail)
+        self.xi_tail = XI_TAIL
         self.d = profile.d
         xi_hi = min(chart.xi_max, -chart.xi_min)
         self.xi_cap = xi_hi
@@ -329,10 +328,10 @@ class PotentialProfile:
         self._invr_shift = float(self._invr(0.0))
         d = self.d
         cfac = (d * d / 4.0 - d / 2.0)
-        tail = grid[grid >= xi_tail]
+        tail = grid[grid >= XI_TAIL]
         v1r = self._V(tail) - cfac / tail ** 2
         self._V1_right = CubicSpline(tail, v1r)
-        tail_l = grid[grid <= -xi_tail]
+        tail_l = grid[grid <= -XI_TAIL]
         v1l = self._V(tail_l) - cfac / tail_l ** 2
         self._V1_left = CubicSpline(tail_l, v1l)
         win = (grid >= 10.0) & (grid <= xi_hi)

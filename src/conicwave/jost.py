@@ -39,11 +39,13 @@ from . import panels
 from .errors import ConvergenceError, DomainError
 from .geometry import ArclengthChart, PotentialProfile, ProfileSpec
 from .hankel import (C0, C1, KAPPA, REGIME_LOW_ENERGY,
-                     REGIME_OSCILLATORY, WaveSample, f0_values)
+                     REGIME_OSCILLATORY, f0_values)
 from .volterra import separable_integrators, sweep
 
 LAM_LOW = 1.0e-2
 SWEEP_TOL = 1e-12
+#: sign of (u0, u0', u1, u1') under xi -> -xi: u0 even-type, u1 odd-type
+_PARITY = (1.0, -1.0, -1.0, 1.0)
 
 
 def wr(u, du, v, dv):
@@ -78,6 +80,39 @@ def _seed_values(pv, x: np.ndarray):
     dsq = pv.dr_of_xi(x) / (2.0 * sq)
     iv = pv.inv_r_integral(x)
     return sq, dsq, sq * iv, dsq * iv + 1.0 / sq
+
+
+def _continue(pv, lam: float, y0, span, atol: float):
+    """Dense solution of f'' = (V - lam^2) f over ``span``; y0 packs one or
+    more (f, f') pairs."""
+    pairs = range(0, len(y0), 2)
+
+    def rhs(s, y):
+        # a list, not an array: this runs ~300k times per spectral table
+        k = pv.V(s) - lam * lam
+        out = []
+        for i in pairs:
+            out += (y[i + 1], k * y[i])
+        return out
+
+    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-11, atol=atol,
+                    dense_output=True)
+    if not sol.success:
+        raise ConvergenceError("ODE continuation failed")
+    return sol.sol
+
+
+def _two_sided(this, other, xi: np.ndarray):
+    """(u0, u0', u1, u1') at any xi: ``this`` side's basis for xi >= 0, the
+    mirrored ``other`` side's basis with the parity signs for xi < 0."""
+    neg = xi < 0
+    if not np.any(neg):
+        return this.eval(xi)
+    out = np.empty((4,) + xi.shape)
+    if not np.all(neg):
+        out[:, ~neg] = this.eval(xi[~neg])
+    out[:, neg] = [p * u for p, u in zip(_PARITY, other.eval(-xi[neg]))]
+    return tuple(out)
 
 
 class _SideBasis:
@@ -155,7 +190,7 @@ class AsymptoticConstants:
 
 
 class JostEvaluator:
-    """Callable xi -> WaveSample for one energy, with a vector interface."""
+    """(f, f') on an array of xi for one energy, over a fixed window."""
 
     def __init__(self, lam: float, fun, window, regime: str):
         self.lam = lam
@@ -170,11 +205,6 @@ class JostEvaluator:
             raise DomainError(f"xi outside evaluator window {self.window}")
         return self._fun(np.atleast_1d(xi))
 
-    def __call__(self, xi) -> WaveSample:
-        v, d = self.values(np.atleast_1d(float(xi)))
-        return WaveSample(xi=float(xi), lam=self.lam, value=complex(v[0]),
-                          dvalue=complex(d[0]), regime=self.regime)
-
 
 # ---------------------------------------------------------------------------
 # model
@@ -184,8 +214,7 @@ class ScatteringModel:
     """Scattering pipeline for one profile/chart/potential bundle."""
 
     def __init__(self, profile: ProfileSpec, chart: Optional[ArclengthChart] = None,
-                 potential: Optional[PotentialProfile] = None,
-                 lam_low: float = LAM_LOW):
+                 potential: Optional[PotentialProfile] = None):
         if profile.d != 1:
             raise DomainError("the scattering pipelines are wired for d = 1 "
                               f"only (profile has d = {profile.d})")
@@ -193,7 +222,7 @@ class ScatteringModel:
         self.chart = chart if chart is not None else ArclengthChart(profile)
         self.pot = potential if potential is not None \
             else PotentialProfile(profile, self.chart)
-        self.lam_low = float(lam_low)
+        self.lam_low = LAM_LOW
         self._pot_minus = self.pot.mirrored()
         self._osc_cache: dict = {}
         self._low_cache: dict = {}
@@ -274,20 +303,10 @@ class ScatteringModel:
         breaks = panels.cap_phase(panels.geometric_breaks(L0, L, 8),
                                   lambda s: lam, max_phase=0.8)
         ext = panels.PanelGrid.build(breaks, order=10)
-
-        def rhs(s, y):
-            V = pv.V(s)
-            return [y[1], (V - lam * lam) * y[0],
-                    y[3], (V - lam * lam) * y[2]]
-
         x0 = np.array([L0])
         y0 = [grid.interpolate(c, x0)[0] + seed[0]
               for c, seed in zip(vals, _seed_values(pv, x0))]
-        sol = solve_ivp(rhs, (L0, L), np.real(y0), method="DOP853",
-                        rtol=1e-11, atol=1e-12, dense_output=True)
-        if not sol.success:
-            raise ConvergenceError("basis ODE extension failed")
-        ys = sol.sol(ext.flat)
+        ys = _continue(pv, lam, np.real(y0), (L0, L), 1e-12)(ext.flat)
         merged = panels.PanelGrid.build(
             np.concatenate([grid.breaks, ext.breaks[1:]]), order=10)
         return (*[np.concatenate([np.asarray(c).ravel(), y - seed])
@@ -306,25 +325,12 @@ class ScatteringModel:
         bp = self._side_basis("plus", lam, L)
         bm = self._side_basis("minus", lam, L)
 
-        def ev(idx: int, odd: bool, odd_mirror: bool):
-            def f(xi):
-                xi = np.atleast_1d(np.asarray(xi, dtype=float))
-                out = np.empty(xi.shape)
-                pos = xi >= 0
-                if np.any(pos):
-                    out[pos] = bp.eval(xi[pos])[idx]
-                if np.any(~pos):
-                    sgn = -1.0 if odd_mirror else 1.0
-                    out[~pos] = sgn * bm.eval(-xi[~pos])[idx]
-                return out
-            return f
+        def ev(k: int):
+            return lambda xi: _two_sided(
+                bp, bm, np.atleast_1d(np.asarray(xi, dtype=float)))[k]
 
-        u0 = ev(0, False, odd_mirror=False)
-        du0 = ev(1, True, odd_mirror=True)
-        u1 = ev(2, True, odd_mirror=True)
-        du1 = ev(3, False, odd_mirror=False)
-        return LowEnergyBasis(lam=lam, window=(-L, L), u0=u0, u1=u1,
-                              du0=du0, du1=du1)
+        return LowEnergyBasis(lam=lam, window=(-L, L), u0=ev(0), u1=ev(2),
+                              du0=ev(1), du1=ev(3))
 
     # ------------------------------------------------------------------
     # low-energy outgoing solution on one side
@@ -407,13 +413,6 @@ class ScatteringModel:
     # oscillatory pipeline on one side
     # ------------------------------------------------------------------
 
-    def osc_viability(self, side: str, lam: float) -> float:
-        """Residual initialization error estimate of the m pipeline."""
-        pv = self._pv(side)
-        xi_max = 0.98 * pv.xi_cap
-        raw = pv.C2 / max(lam * xi_max, 1e-300)
-        return 0.5 * raw * raw + 1e-12
-
     def _m_side(self, side: str, lam: float, xi_floor: float = 0.0,
                 xi_hi: float = 0.0):
         """Backward Volterra for m on [2/lam, B], ODE continuation below.
@@ -432,7 +431,7 @@ class ScatteringModel:
         if lam * xi_max < 4.0 and raw_trunc > 1e-9:
             raise DomainError("lam so small that xi_max*lam < 4; enlarge the "
                               "chart or use the low-energy pipeline")
-        if self.osc_viability(side, lam) > 2e-4:
+        if 0.5 * raw_trunc * raw_trunc + 1e-12 > 2e-4:
             raise DomainError("oscillatory pipeline truncation error too "
                               "large at this lam; use the low-energy path")
         xi_v = min(2.0 / lam, 0.45 * xi_max)
@@ -457,17 +456,10 @@ class ScatteringModel:
         m_v = grid.interpolate(m, [xi_v])[0]
         y0 = [fv * m_v,
               fv * (1j * lam * m_v + grid.interpolate(dm, [xi_v])[0])]
-
-        def rhs(s, y):
-            return [y[1], (pv.V(s) - lam * lam) * y[0]]
-
-        sol = solve_ivp(rhs, (xi_v, lo - 1e-9), np.asarray(y0, dtype=complex),
-                        method="DOP853", rtol=1e-11, atol=1e-13,
-                        dense_output=True)
-        if not sol.success:
-            raise ConvergenceError("inward ODE continuation failed")
+        ode = _continue(pv, lam, np.asarray(y0, dtype=complex),
+                        (xi_v, lo - 1e-9), 1e-13)
         rec = {"grid": grid, "m": m, "dm": dm, "xi_v": xi_v, "B": B,
-               "ode": sol.sol, "lam": lam, "sweeps": sweeps, "lo": lo}
+               "ode": ode, "lam": lam, "sweeps": sweeps, "lo": lo}
         self._osc_cache[key] = rec
         return rec
 
@@ -539,17 +531,10 @@ class ScatteringModel:
                 if np.any(direct):
                     out_v[direct] = grid.interpolate(f, xi[direct])
                     out_d[direct] = grid.interpolate(df, xi[direct])
-                mid = (~direct) & (xi >= 0)
-                if np.any(mid):
-                    u0v, du0v, u1v, du1v = basis.eval(xi[mid])
-                    out_v[mid] = a * u0v + b * u1v
-                    out_d[mid] = a * du0v + b * du1v
-                neg = xi < 0
-                if np.any(neg):
-                    # u0 is even-type, u1 odd-type across the origin
-                    u0v, du0v, u1v, du1v = basis_o.eval(-xi[neg])
-                    out_v[neg] = a * u0v - b * u1v
-                    out_d[neg] = -a * du0v + b * du1v
+                if not np.all(direct):
+                    u0, du0, u1, du1 = _two_sided(basis, basis_o, xi[~direct])
+                    out_v[~direct] = a * u0 + b * u1
+                    out_d[~direct] = a * du0 + b * du1
                 return out_v, out_d
 
             return JostEvaluator(lam, fun, (-L, max(diag["B"], L)),
@@ -568,13 +553,13 @@ class ScatteringModel:
             raise DomainError("jost_plus requires lam > 0")
         return self._side_evaluator("plus", lam, xi_min, xi_hi, pipeline)
 
-    def jost_minus(self, lam: float, xi_max: float = 0.0, xi_lo: float = 0.0,
-                   pipeline: str = "auto") -> JostEvaluator:
+    def jost_minus(self, lam: float, xi_max: float = 0.0,
+                   xi_lo: float = 0.0) -> JostEvaluator:
         """Jost solution f_minus ~ e^{-i lam xi} at -infinity."""
         if lam <= 0:
             raise DomainError("jost_minus requires lam > 0")
         base = self._side_evaluator("minus", lam, -abs(xi_max), abs(xi_lo),
-                                    pipeline)
+                                    "auto")
 
         def fun(xi):
             v, d = base.values(-np.asarray(xi, dtype=float))
@@ -612,12 +597,17 @@ class ScatteringModel:
         spread_b = np.max(np.abs(b3 - b3[1])) / max(abs(b3[1]), 1e-300)
         return complex(a3[1]), complex(b3[1]), float(max(spread_a, spread_b))
 
+    def _connection(self, lam: float, pipeline: str = "auto"):
+        """(a+, b+, a-, b-, spread): both sides against their perturbed
+        bases; spread is the worse side's three-point coefficient spread."""
+        ap, bp, res_p = self._side_coefficients("plus", lam, pipeline)
+        am, bm, res_m = self._side_coefficients("minus", lam, pipeline)
+        # mirrored-side coefficients translate with a sign flip on b
+        return ap, bp, am, -bm, max(res_p, res_m)
+
     def connection_coefficients(self, lam: float, pipeline: str = "auto"):
         """(a+, b+, a-, b-) in the perturbed basis, Wronskian-matched."""
-        ap, bp, res_p = self._side_coefficients("plus", lam, pipeline)
-        am_t, bm_t, res_m = self._side_coefficients("minus", lam, pipeline)
-        # mirrored-side coefficients translate with a sign flip on b
-        return ap, bp, am_t, -bm_t
+        return self._connection(lam, pipeline)[:4]
 
     def _w_alpha(self, lam: float, pipeline: str = "auto", xi_hi: float = 0.0):
         """(W, alpha): from the connection coefficients when both sides run
@@ -625,7 +615,7 @@ class ScatteringModel:
         built with ``xi_hi``.  Callers form beta = W/(-2i lam) themselves."""
         if (self._pipeline_for("plus", lam, pipeline) == "low"
                 and self._pipeline_for("minus", lam, pipeline) == "low"):
-            ap, bp, am, bm = self.connection_coefficients(lam, pipeline)
+            ap, bp, am, bm, _ = self._connection(lam, pipeline)
             return (ap * bm - am * bp,
                     (am * np.conj(bp) - bm * np.conj(ap)) / (-2j * lam))
         zero = np.array([0.0])
@@ -643,25 +633,24 @@ class ScatteringModel:
             raise DomainError("wronskian requires lam > 0")
         return complex(self._w_alpha(lam, pipeline)[0])
 
-    def reflection_transmission(self, lam: float, pipeline: str = "auto"):
+    def reflection_transmission(self, lam: float):
         """(alpha_minus, beta_minus); |beta|^2 - |alpha|^2 = 1."""
         if lam <= 0:
             raise DomainError("reflection_transmission requires lam > 0")
-        W, alpha = self._w_alpha(lam, pipeline)
+        W, alpha = self._w_alpha(lam)
         return complex(alpha), complex(W) / (-2j * lam)
 
-    def scattering_data(self, lam: float, pipeline: str = "auto") -> ScatteringData:
-        """Full per-energy record with named consistency residuals."""
-        ap, bp, res_p = self._side_coefficients("plus", lam, pipeline)
-        am_t, bm_t, res_m = self._side_coefficients("minus", lam, pipeline)
-        am, bm = am_t, -bm_t
+    def scattering_data(self, lam: float) -> ScatteringData:
+        """Full per-energy record with named consistency residuals.
+
+        W, alpha and beta come from ``_w_alpha``; the connection identity
+        compares that W with the one of the basis coefficients."""
+        ap, bp, am, bm, spread = self._connection(lam)
+        W, alpha = map(complex, self._w_alpha(lam))
         W_basis = ap * bm - am * bp
-        W_side, alpha = map(complex, self._w_alpha(lam, pipeline))
-        beta = W_side / (-2j * lam)
-        W = W_basis if self._pipeline_for("plus", lam, pipeline) == "low" \
-            else W_side
+        beta = W / (-2j * lam)
         residuals = {
-            "wronskian_constancy": max(res_p, res_m),
+            "wronskian_constancy": spread,
             "connection_identity": abs(W - W_basis) / abs(W),
             "beta_from_W": abs(beta - W / (-2j * lam)) / abs(beta),
             "unitarity": abs(abs(beta) ** 2 - abs(alpha) ** 2 - 1.0),
@@ -873,7 +862,7 @@ class ScatteringModel:
     # high-energy validation suite
     # ------------------------------------------------------------------
 
-    def validate_high_energy(self, lam_grid, xi_max: float = 1.0e3) -> dict:
+    def validate_high_energy(self, lam_grid) -> dict:
         """Scan the m bounds and the Wronskian at energies above one.
 
         Single fitted constants; each law is flagged when a fine-grid point
@@ -882,7 +871,7 @@ class ScatteringModel:
         lam_grid = np.asarray(lam_grid, dtype=float)
         if np.any(lam_grid < 1.0):
             raise DomainError("high-energy grid must satisfy lam >= 1")
-        xis = np.geomspace(1.0, xi_max, 25)
+        xis = np.geomspace(1.0, 1.0e3, 25)
         w = np.hypot(xis, 1.0)
         rows = {"m_minus_one": [], "dxi_m": [], "dxi2_m": [], "dlam_m": []}
         W_vals, dW_vals = [], []

@@ -40,6 +40,10 @@ KIND_WAVE_MINUS = "wave_minus"
 KINDS = (KIND_SCHRODINGER, KIND_WAVE_PLUS, KIND_WAVE_MINUS)
 
 BANDS = ("low_low", "osc_osc", "osc_low", "same_side_osc", "high_energy")
+#: windowed bands: whether the cut keeps chi_window (True) or its complement
+#: (False) in |lam xi| and in |lam xi'|
+_WINDOWED = {"low_low": (True, True), "osc_osc": (False, False),
+             "osc_low": (False, True)}
 
 #: default spatial magnitudes of the sup grids (plus the moving light-cone
 #: probe added per t)
@@ -250,18 +254,13 @@ class KernelEngine:
         ll = self.lam_low
         if band is None:
             return lambda lam: np.ones_like(np.asarray(lam, dtype=float))
-        if band == "low_low":
+        if band in _WINDOWED:
+            def win(u, inside: bool):
+                return chi_window(u) if inside else 1 - chi_window(u)
+            in_xi, in_xip = _WINDOWED[band]
             return lambda lam: (chi_low(lam, ll)
-                                * chi_window(np.abs(lam * xi))
-                                * chi_window(np.abs(lam * xi_prime)))
-        if band == "osc_osc":
-            return lambda lam: (chi_low(lam, ll)
-                                * (1 - chi_window(np.abs(lam * xi)))
-                                * (1 - chi_window(np.abs(lam * xi_prime))))
-        if band == "osc_low":
-            return lambda lam: (chi_low(lam, ll)
-                                * (1 - chi_window(np.abs(lam * xi)))
-                                * chi_window(np.abs(lam * xi_prime)))
+                                * win(np.abs(lam * xi), in_xi)
+                                * win(np.abs(lam * xi_prime), in_xip))
         if band == "same_side_osc":
             if not (xi > xi_prime > 0 or 0 > xi > xi_prime):
                 raise DomainError("same_side_osc needs xi > xi' > 0 or "
@@ -379,8 +378,7 @@ class KernelEngine:
         cp = oscquad.fit_poly(amp_plus)
         cm = oscquad.fit_poly(amp_minus)
         # probe the fit between nodes against (interpolated G) * exact cutoff
-        nodes = oscquad.cheb_nodes(a, b)
-        probe = 0.5 * (nodes[:-1] + nodes[1:])
+        probe = 0.5 * (lam_nodes[:-1] + lam_nodes[1:])
         wprobe = (2.0 * probe - a - b) / (b - a)
         truth = oscquad.eval_poly(g_coef, wprobe) * cut(probe)
         fit_err = float(np.max(np.abs(oscquad.eval_poly(cp, wprobe) - truth)))
@@ -404,19 +402,13 @@ class KernelEngine:
             if a < lam_top:
                 break
         w_top = (2.0 * lam_top - a - b) / (b - a)
-        coef = oscquad.fit_poly(lam_nodes * vals[chan_idx]
-                                * cut(lam_nodes))
         s = 0.5 * (b - a)
-        derivs_p = []
-        derivs_m = []
-        c = coef
-        cm = oscquad.fit_poly(lam_nodes * np.conj(vals[chan_idx])
-                              * cut(lam_nodes))
-        for k in range(5):
-            derivs_p.append(oscquad.eval_poly(c, w_top) / s ** k)
-            derivs_m.append(oscquad.eval_poly(cm, w_top) / s ** k)
-            c = np.polynomial.polynomial.polyder(c)
-            cm = np.polynomial.polynomial.polyder(cm)
+        derivs_p = oscquad.derivatives(
+            oscquad.fit_poly(lam_nodes * vals[chan_idx] * cut(lam_nodes)),
+            w_top, s)
+        derivs_m = oscquad.derivatives(
+            oscquad.fit_poly(lam_nodes * np.conj(vals[chan_idx])
+                             * cut(lam_nodes)), w_top, s)
         va, ea = oscquad.tail_integral(*derivs_p, alpha, beta_base + th,
                                        lam_top)
         vb, eb = oscquad.tail_integral(*derivs_m, alpha, beta_base - th,

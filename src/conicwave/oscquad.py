@@ -156,23 +156,24 @@ def _shift_poly(coef: np.ndarray, w0: float) -> np.ndarray:
     return out
 
 
+def derivatives(coef: np.ndarray, w, s: float) -> list:
+    """The polynomial and its first four derivatives in lam at w, for a
+    panel of half-width s (lam = mid + s*w)."""
+    out = []
+    for k in range(5):
+        out.append(eval_poly(coef, w) / s ** k)
+        coef = np.polynomial.polynomial.polyder(coef)
+    return out
+
+
 def _ibp_panel(a: float, b: float, coef: np.ndarray, alpha: float,
                beta: float, s: float) -> complex:
     """Four-term boundary series for a strongly oscillatory panel."""
     m0 = 0.5 * (a + b)
-    c1 = np.polynomial.polynomial.polyder(coef)
-    c2 = np.polynomial.polynomial.polyder(c1)
-    c3 = np.polynomial.polynomial.polyder(c2)
-    c4 = np.polynomial.polynomial.polyder(c3)
-
     total = 0.0 + 0j
     for lam, sign in ((b, 1.0), (a, -1.0)):
-        w = (lam - m0) / s
-        derivs = (eval_poly(coef, w), eval_poly(c1, w) / s,
-                  eval_poly(c2, w) / s ** 2, eval_poly(c3, w) / s ** 3,
-                  eval_poly(c4, w) / s ** 4)
-        val, _ = ibp_boundary_terms(*derivs, 2.0 * alpha * lam + beta,
-                                    2.0 * alpha)
+        val, _ = ibp_boundary_terms(*derivatives(coef, (lam - m0) / s, s),
+                                    2.0 * alpha * lam + beta, 2.0 * alpha)
         total += sign * np.exp(1j * (alpha * lam * lam + beta * lam)) * val
     return total
 

@@ -22,15 +22,11 @@ import numpy as np
 
 from .errors import DomainError
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@lru_cache(maxsize=32)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], cached."""
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (x, w)
-    return _GL_CACHE[n]
+    """Gauss-Legendre nodes and weights on [-1, 1], cached read-only."""
+    return _frozen(*np.polynomial.legendre.leggauss(n))
 
 
 # ---------------------------------------------------------------------------

@@ -225,11 +225,8 @@ def _sweep_dense(problem, grid, g, atol, max_sweeps):
     if n > 6000:
         raise QuadratureError("dense Volterra grid too large; supply a "
                               "separable kernel for grids beyond 6000 nodes")
-    if problem.direction == "backward":
-        Q = _suffix_matrix(grid)
-    else:
-        Q = _prefix_matrix(grid)
-    M = problem.kernel_values(x[:, None], x[None, :]) * Q
+    Q = _quadrature_matrix(grid, problem.direction == "backward")
+    M =problem.kernel_values(x[:, None], x[None, :]) * Q
     f = g.copy()
     for n in range(1, max_sweeps + 1):
         new = g + M @ f
@@ -240,28 +237,18 @@ def _sweep_dense(problem, grid, g, atol, max_sweeps):
     raise ConvergenceError(f"no convergence within {max_sweeps} sweeps")
 
 
-def _suffix_matrix(grid: panels.PanelGrid) -> np.ndarray:
-    part = panels.suffix_basis_integrals(grid).real
+def _quadrature_matrix(grid: panels.PanelGrid, backward: bool) -> np.ndarray:
+    """Dense weights Q with (Q f)(x_i) = integral of f from x_i to the end
+    (backward) or from the start to x_i (forward)."""
+    part = (panels.suffix_basis_integrals(grid) if backward
+            else panels.prefix_basis_integrals(grid)).real
     full = panels.full_panel_integrals(grid).real
     m, n = grid.npanels, grid.order
     Q = np.zeros((m * n, m * n))
     for p in range(m):
         rows = slice(p * n, (p + 1) * n)
         Q[rows, rows] = part[p]
-        for q in range(p + 1, m):
-            Q[rows, q * n:(q + 1) * n] = full[q]
-    return Q
-
-
-def _prefix_matrix(grid: panels.PanelGrid) -> np.ndarray:
-    part = panels.prefix_basis_integrals(grid).real
-    full = panels.full_panel_integrals(grid).real
-    m, n = grid.npanels, grid.order
-    Q = np.zeros((m * n, m * n))
-    for p in range(m):
-        rows = slice(p * n, (p + 1) * n)
-        Q[rows, rows] = part[p]
-        for q in range(p):
+        for q in (range(p + 1, m) if backward else range(p)):
             Q[rows, q * n:(q + 1) * n] = full[q]
     return Q
 
@@ -275,17 +262,15 @@ def _equation_residual(problem, grid, f) -> float:
     ff = grid.interpolate(f, xf)
     if problem.separable is not None:
         terms = problem.separable
+        integ = separable_integrators(fine, problem.direction,
+                                      [w for _, _, w in terms])
         acc = np.zeros(len(mids), dtype=complex)
-        for Af, Bf, omega in terms:
-            I = (panels.SuffixIntegrator(fine, omega)
-                 if problem.direction == "backward"
-                 else panels.PrefixIntegrator(fine, omega))
+        for (Af, Bf, _), I in zip(terms, integ):
             vals = I.node_values(np.asarray(Bf(xf), dtype=complex) * ff)
             acc += np.asarray(Af(mids), dtype=complex) * fine.interpolate(vals, mids)
         integral = acc
     else:
-        I = (panels.SuffixIntegrator(fine) if problem.direction == "backward"
-             else panels.PrefixIntegrator(fine))
+        (I,) = separable_integrators(fine, problem.direction, [0.0])
         vals_nodes = problem.kernel_values(mids[:, None], xf[None, :]) \
             * ff[None, :]
         integral = np.empty(len(mids), dtype=complex)

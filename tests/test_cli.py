@@ -61,6 +61,14 @@ def test_config_rejections(tmp_path):
                                       "command": "coeffs",
                                       "lam_grid": {"min": 2.0, "max": 1.0,
                                                    "count": 5}}))
+    # lam_low and the decay/statphase gates are constants, not config keys
+    with pytest.raises(ConfigError):
+        load_config(_write(tmp_path, {"profile": {"kind": "cylinder"},
+                                      "command": "coeffs", "lam_low": 0.5}))
+    with pytest.raises(ConfigError):
+        load_config(_write(tmp_path, {"profile": {"kind": "cylinder"},
+                                      "command": "statphase",
+                                      "tolerances": {"c_sp_cap": 1e3}}))
     bad = tmp_path / "broken.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
@@ -207,8 +215,8 @@ def test_coeffs_residual_over_gate_exits_2(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "ok")]) == 0
     true_data = ScatteringModel.scattering_data
 
-    def inflated(self, lam, pipeline="auto"):
-        sd = true_data(self, lam, pipeline)
+    def inflated(self, lam):
+        sd = true_data(self, lam)
         return dataclasses.replace(
             sd, residuals=dict(sd.residuals, connection_identity=2e-6))
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conicwave import C0, C1, KAPPA, DomainError, f0_values
+from conicwave import (C0, C1, KAPPA, ArclengthChart, DomainError,
+                       ScatteringModel, f0_values, make_profile)
 from conicwave.jost import wr
 
 
@@ -303,6 +304,26 @@ def test_wronskian_pipeline_agreement(hyperboloid_model):
         fmv, dfmv = m._m_record_values(rm, np.array([0.0]))
         Wo = complex(wr(fp[0], dfp[0], fmv[0], -dfmv[0]))
         assert abs(Wl - Wo) <= 1e-5 * abs(Wo)
+
+
+def test_one_sided_profile_w_agrees_with_beta():
+    # r = sqrt(1 + softplus(x)^2): conical on the right end only, so at
+    # lam = 5e-3 <= lam_low the plus side runs the low pipeline and the
+    # minus side the oscillatory one (lam * 0.98 * xi_cap >= 12.5).  The
+    # table reaches |x| = 1e4, where make_profile checks the conical end.
+    x = np.arange(-100000, 100001) * 0.1
+    r = np.sqrt(1.0 + np.logaddexp(0.0, x) ** 2)
+    prof = make_profile({"kind": "custom-tabulated",
+                         "params": {"x": x, "r": r}, "conical_right": True})
+    m = ScatteringModel(prof, ArclengthChart(prof, x_max=3000.0))
+    lam = 5e-3
+    assert m._pipeline_for("plus", lam, "auto") == "low"
+    assert m._pipeline_for("minus", lam, "auto") == "osc"
+    sd = m.scattering_data(lam)
+    assert sd.W == m.wronskian(lam)
+    assert abs(sd.beta_minus - sd.W / (-2j * lam)) <= 1e-15 * abs(sd.beta_minus)
+    # W and the basis-coefficient W come from different pipelines here
+    assert sd.residuals["connection_identity"] > 0.0
 
 
 # ---------------------------------------------------------------------------
