@@ -156,12 +156,16 @@ def _stencil5(y: np.ndarray, h: float, order: int) -> np.ndarray:
 
 
 def _validate_profile(prof: ProfileSpec) -> None:
-    xs = np.concatenate([np.linspace(-40.0, 40.0, 161),
-                         np.geomspace(40.0, 2.0e4, 40),
-                         -np.geomspace(40.0, 2.0e4, 40)])
-    if prof.kind == "custom-tabulated":
+    def in_table(v):
+        # a custom table is sampled only where its spline interpolates
+        if prof.kind != "custom-tabulated":
+            return v
         xg = prof.params["x"]
-        xs = xs[(xs >= xg[2]) & (xs <= xg[-3])]
+        return v[(v >= xg[2]) & (v <= xg[-3])]
+
+    xs = in_table(np.concatenate([np.linspace(-40.0, 40.0, 161),
+                                  np.geomspace(40.0, 2.0e4, 40),
+                                  -np.geomspace(40.0, 2.0e4, 40)]))
     r = prof.r(xs)
     if np.any(~np.isfinite(r)) or np.min(r) <= 0:
         raise ConfigError("profile violates inf r > 0 on the sample grid")
@@ -175,9 +179,11 @@ def _validate_profile(prof: ProfileSpec) -> None:
     for side, flag in (("right", prof.conical_right), ("left", prof.conical_left)):
         if not flag:
             continue
-        xe = np.geomspace(10.0, 1.0e4, 30)
-        if side == "left":
-            xe = -xe
+        xe = in_table(np.geomspace(10.0, 1.0e4, 30)
+                      * (-1.0 if side == "left" else 1.0))
+        if len(xe) == 0:
+            raise ConfigError(f"profile marked conical on the {side} but its "
+                              "table ends before |x| = 10")
         dev = xe ** 2 * np.abs(prof.r(xe) / np.abs(xe) - 1.0)
         if np.max(dev) > 1.0e3:
             raise ConfigError(f"profile marked conical on the {side} but "

@@ -9,7 +9,9 @@ kernel evaluation reduces to polynomial work against that table:
   Gauss rules while t lam^p stays below one radian;
 * the oscillatory region carries Chebyshev panels of the phase-stripped
   channel amplitudes; the quadratic/linear phase exp(i(t lam^p + theta lam))
-  is integrated exactly per panel (oscquad);
+  is integrated exactly per panel (oscquad), against polynomial fits that
+  each pair caches per band, so that kernels at another t or kind refit
+  only the panels cut at lam_split or lam_top;
 * the upper truncation is an Abel-regularised boundary series whose first
   neglected term is reported in the error estimate.
 
@@ -239,7 +241,7 @@ class KernelEngine:
             lam_nodes = oscquad.cheb_nodes(a, b)
             osc_panels.append((a, b, lam_nodes, sample(lam_nodes)))
         data = {"thetas": [th for th, _ in chans], "osc": osc_panels,
-                "s_vals": sample(self._s_lam)}
+                "s_vals": sample(self._s_lam), "fits": {}}
         self._pair_cache[key] = data
         return data
 
@@ -343,14 +345,24 @@ class KernelEngine:
 
         # --- oscillatory region: Filon panels from lam_split to lam_top ---
         alpha = wave_sign * tt if p == 2 else 0.0
-        for th, chan_idx in zip(data["thetas"], range(len(data["thetas"]))):
+        # the cut depends on the band and on which of xi, xi' is the larger
+        # (osc_low is not symmetric), so that names the pair's fits
+        fit_key = (band, xi >= xi_prime)
+        for chan_idx, th in enumerate(data["thetas"]):
             beta_base = wave_sign * tt if p == 1 else 0.0
-            for a, b, lam_nodes, vals in data["osc"]:
+            for i, (a, b, _, _) in enumerate(data["osc"]):
                 if b <= lam_split or a >= lam_top:
                     continue
                 lo_edge, hi_edge = max(a, lam_split), min(b, lam_top)
-                coef_plus, coef_minus, fit_err = self._panel_coeffs(
-                    a, b, lam_nodes, vals[chan_idx], cut, lo_edge, hi_edge)
+                coef_plus, coef_minus, fit_err = self._panel_fit(
+                    data, fit_key, chan_idx, i, cut)
+                if lo_edge > a or hi_edge < b:
+                    w = (2.0 * oscquad.cheb_nodes(lo_edge, hi_edge)
+                         - a - b) / (b - a)
+                    coef_plus = oscquad.fit_poly(
+                        oscquad.eval_poly(coef_plus, w))
+                    coef_minus = oscquad.fit_poly(
+                        oscquad.eval_poly(coef_minus, w))
                 ia = oscquad.panel_osc_integral(lo_edge, hi_edge, coef_plus,
                                                 alpha, beta_base + th)
                 ib = oscquad.panel_osc_integral(lo_edge, hi_edge, coef_minus,
@@ -359,18 +371,27 @@ class KernelEngine:
                 err += fit_err * (hi_edge - lo_edge)
             # Abel tail past lam_top (full kernel and high_energy band only)
             if band is None or band == "high_energy":
-                tail, terr = self._tail(data, chan_idx, cut, lam_top,
-                                        alpha, beta_base, th)
+                tail, terr = self._tail(data, fit_key, chan_idx, cut,
+                                        lam_top, alpha, beta_base, th)
                 total += tail
                 err += terr
         if t < 0:
             total = np.conj(total)
         return total, err
 
-    def _panel_coeffs(self, a, b, lam_nodes, vals, cut, lo_edge, hi_edge):
-        """Fitted p(lam) = lam * G(lam) * cut(lam), its conjugate-G twin, and
-        a pointwise estimate of the product-fit error (the cutoff factor is
-        the only inexactly-resolved ingredient)."""
+    @staticmethod
+    def _panel_fit(data, fit_key, chan_idx, i, cut):
+        """Fitted p(lam) = lam * G(lam) * cut(lam) on osc panel i, its
+        conjugate-G twin, and a pointwise estimate of the product-fit error
+        (the cutoff factor is the only inexactly-resolved ingredient).
+
+        Cached in the pair's data under ``fit_key``, which names the cut."""
+        key = (fit_key, chan_idx, i)
+        fit = data["fits"].get(key)
+        if fit is not None:
+            return fit
+        a, b, lam_nodes, vals = data["osc"][i]
+        vals = vals[chan_idx]
         cut_nodes = cut(lam_nodes)
         amp_plus = lam_nodes * vals * cut_nodes
         amp_minus = lam_nodes * np.conj(vals) * cut_nodes
@@ -382,33 +403,24 @@ class KernelEngine:
         wprobe = (2.0 * probe - a - b) / (b - a)
         truth = oscquad.eval_poly(g_coef, wprobe) * cut(probe)
         fit_err = float(np.max(np.abs(oscquad.eval_poly(cp, wprobe) - truth)))
-        if lo_edge > a or hi_edge < b:
-            sub = oscquad.cheb_nodes(lo_edge, hi_edge)
-            w = (2.0 * sub - a - b) / (b - a)
-            amp_plus = oscquad.eval_poly(cp, w)
-            amp_minus = oscquad.eval_poly(cm, w)
-            return (oscquad.fit_poly(amp_plus), oscquad.fit_poly(amp_minus),
-                    fit_err)
-        return cp, cm, fit_err
+        fit = data["fits"][key] = (cp, cm, fit_err)
+        return fit
 
-    def _tail(self, data, chan_idx, cut, lam_top, alpha, beta_base, th):
+    def _tail(self, data, fit_key, chan_idx, cut, lam_top, alpha, beta_base,
+              th):
         if alpha == 0.0 and min(abs(beta_base + th), abs(beta_base - th)) < 0.05:
             # wave channel on the light cone: the Abel tail degenerates
             a, b, lam_nodes, vals = data["osc"][-1]
             scale = float(np.max(np.abs(lam_nodes * vals[chan_idx]
                                         * cut(lam_nodes))))
             return 0.0 + 0j, 40.0 * scale
-        for a, b, lam_nodes, vals in reversed(data["osc"]):
-            if a < lam_top:
-                break
+        i = max(k for k, panel in enumerate(data["osc"]) if panel[0] < lam_top)
+        a, b = data["osc"][i][:2]
+        cp, cm, _ = self._panel_fit(data, fit_key, chan_idx, i, cut)
         w_top = (2.0 * lam_top - a - b) / (b - a)
         s = 0.5 * (b - a)
-        derivs_p = oscquad.derivatives(
-            oscquad.fit_poly(lam_nodes * vals[chan_idx] * cut(lam_nodes)),
-            w_top, s)
-        derivs_m = oscquad.derivatives(
-            oscquad.fit_poly(lam_nodes * np.conj(vals[chan_idx])
-                             * cut(lam_nodes)), w_top, s)
+        derivs_p = oscquad.derivatives(cp, w_top, s)
+        derivs_m = oscquad.derivatives(cm, w_top, s)
         va, ea = oscquad.tail_integral(*derivs_p, alpha, beta_base + th,
                                        lam_top)
         vb, eb = oscquad.tail_integral(*derivs_m, alpha, beta_base - th,

@@ -12,10 +12,16 @@ oscillator is integrated exactly against it.  Four terminal regimes:
   series.
 
 Panels falling between regimes are bisected; bisection re-uses the already
-fitted polynomial, so the amplitude is never re-sampled.
+fitted polynomial, so the amplitude is never re-sampled.  Each step on the
+coefficients that does not depend on the panel is a constant matrix built at
+import: the two half-panel maps of a bisection, the weighted Gauss-node
+values of the mild regime, the derivatives of the boundary series and the
+binomial shift of the erfc regime.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 import numpy as np
 from scipy.special import erfc
@@ -31,6 +37,21 @@ _GL_MILD = 24
 _GL_WIDE = 48
 
 _SQRT_PI = np.sqrt(np.pi)
+_POW = np.arange(DEG + 1)
+
+#: Gauss order -> (nodes, coefficients -> weight * p(node))
+_GAUSS = {n: (xg, wg[:, None] * np.vander(xg, DEG + 1, increasing=True))
+          for n in (_GL_MILD, _GL_WIDE)
+          for xg, wg in [panels.gauss_legendre(n)]}
+#: _DERIV[k] @ coef: coefficients of the k-th derivative in w, k = 0..4
+_DERIV = np.stack([np.linalg.matrix_power(np.diag(_POW[1:] * 1.0, 1), k)
+                   for k in range(5)])
+#: p(v + w0) has coefficients (_BINOM * w0 ** _SHIFT_POW) @ coef
+_BINOM = np.array([[comb(k, j) for k in _POW] for j in _POW], dtype=float)
+_SHIFT_POW = np.maximum(_POW[None, :] - _POW[:, None], 0)
+#: coefficients -> coefficients on the left half panel, then the right one:
+#: p((v -+ 1)/2), whose dyadic entries C(k, j) (-+1)^(k-j) / 2^k are exact
+_SPLIT = np.vstack([_BINOM * (-1.0) ** _SHIFT_POW, _BINOM]) / 2.0 ** _POW
 
 
 def cheb_nodes(a: float, b: float) -> np.ndarray:
@@ -43,14 +64,11 @@ def fit_poly(values: np.ndarray) -> np.ndarray:
 
 
 def eval_poly(coef: np.ndarray, w) -> np.ndarray:
-    return np.polynomial.polynomial.polyval(w, coef)
-
-
-def _split_poly(coef: np.ndarray):
-    """Coefficients of the same polynomial on the two half panels."""
-    left = fit_poly(eval_poly(coef, 0.5 * (_CHEB_NODES - 1.0)))
-    right = fit_poly(eval_poly(coef, 0.5 * (_CHEB_NODES + 1.0)))
-    return left, right
+    """p(w) by Horner's rule, the arithmetic of numpy's polyval."""
+    out = coef[-1]
+    for c in coef[-2::-1]:
+        out = out * w + c
+    return out
 
 
 def panel_osc_integral(a: float, b: float, coef: np.ndarray,
@@ -64,10 +82,10 @@ def panel_osc_integral(a: float, b: float, coef: np.ndarray,
 
     if at + 2.0 * abs(bt) <= 80.0:
         n = _GL_MILD if at + 2.0 * abs(bt) <= 25.0 else _GL_WIDE
-        xg, wg = panels.gauss_legendre(n)
+        xg, wv = _GAUSS[n]
         lam = m0 + s * xg
         ph = np.exp(1j * (alpha * lam * lam + beta * lam))
-        return s * np.sum(wg * eval_poly(coef, xg) * ph)
+        return s * (ph @ (wv @ coef))
 
     if at <= 0.15:
         return s * np.exp(1j * phase0) * _linear_filon(coef, at, bt)
@@ -82,35 +100,32 @@ def panel_osc_integral(a: float, b: float, coef: np.ndarray,
     if (K >= 3200.0 and 16.0 * at / K ** 2 <= 5.6e-3) or depth >= 26:
         return _ibp_panel(a, b, coef, alpha, beta, s)
 
-    lc, rc = _split_poly(coef)
-    mid = 0.5 * (a + b)
-    return (panel_osc_integral(a, mid, lc, alpha, beta, depth + 1)
-            + panel_osc_integral(mid, b, rc, alpha, beta, depth + 1))
+    halves = _SPLIT @ coef
+    return (panel_osc_integral(a, m0, halves[: DEG + 1], alpha, beta,
+                               depth + 1)
+            + panel_osc_integral(m0, b, halves[DEG + 1:], alpha, beta,
+                                 depth + 1))
 
 
 def _linear_filon(coef: np.ndarray, at: float, bt: float) -> complex:
     """integral_-1^1 p(w) e^{i(at w^2 + bt w)} dw with at Taylor-expanded."""
-    work = np.zeros(len(coef) + 18, dtype=complex)
-    work[: len(coef)] = coef
-    term = np.zeros_like(work)
-    term[: len(coef)] = coef
+    nc = len(coef)
+    work = np.zeros(nc + 18, dtype=complex)
+    work[:nc] = coef
     fac = 1.0 + 0j
     for k in range(1, 9):
         fac *= 1j * at / k
-        term = np.roll(term, 2)
-        term[:2] = 0.0
-        work = work + fac * term
+        work[2 * k: 2 * k + nc] += fac * coef
     # moments M_j = int_-1^1 w^j e^{i bt w} dw by upward recursion
-    n = len(work)
     ib = 1j * bt
     e1 = np.exp(ib)
     em = np.exp(-ib)
-    M = np.empty(n, dtype=complex)
-    M[0] = (e1 - em) / ib
-    sign = -1.0
-    for j in range(1, n):
-        M[j] = (e1 - sign * em) / ib - (j / ib) * M[j - 1]
-        sign = -sign
+    # boundary terms of M_j for even and odd j; the recursion runs in Python
+    # complex numbers, faster than numpy scalars and bit-identical to them
+    ends = (complex((e1 - em) / ib), complex((e1 + em) / ib))
+    M = [ends[0]]
+    for j in range(1, len(work)):
+        M.append(ends[j % 2] - (j / ib) * M[-1])
     return complex(np.dot(work, M))
 
 
@@ -121,7 +136,7 @@ def _erfc_moments(coef: np.ndarray, at: float, bt: float) -> complex:
     moments start from a complex erfc difference and recurse upward.
     """
     w0 = -bt / (2.0 * at)
-    shifted = _shift_poly(coef, w0)
+    shifted = (_BINOM * w0 ** _SHIFT_POW) @ coef
     va, vb = -1.0 - w0, 1.0 - w0
     phase_c = np.exp(-1j * at * w0 * w0)
     n = len(shifted)
@@ -139,31 +154,10 @@ def _erfc_moments(coef: np.ndarray, at: float, bt: float) -> complex:
     return phase_c * complex(np.dot(shifted, M))
 
 
-def _binom_row(k: int, w0: float) -> np.ndarray:
-    from math import comb
-    return np.array([comb(k, j) * w0 ** (k - j) for j in range(k + 1)],
-                    dtype=complex)
-
-
-def _shift_poly(coef: np.ndarray, w0: float) -> np.ndarray:
-    """Coefficients of p(v + w0) given p's coefficients in w."""
-    out = np.zeros(len(coef), dtype=complex)
-    for k in range(len(coef)):
-        c = coef[k]
-        if c == 0.0:
-            continue
-        out[: k + 1] += c * _binom_row(k, w0)[: k + 1]
-    return out
-
-
 def derivatives(coef: np.ndarray, w, s: float) -> list:
     """The polynomial and its first four derivatives in lam at w, for a
     panel of half-width s (lam = mid + s*w)."""
-    out = []
-    for k in range(5):
-        out.append(eval_poly(coef, w) / s ** k)
-        coef = np.polynomial.polynomial.polyder(coef)
-    return out
+    return list((_DERIV @ coef) @ w ** _POW / s ** _POW[:5])
 
 
 def _ibp_panel(a: float, b: float, coef: np.ndarray, alpha: float,

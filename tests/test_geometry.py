@@ -47,6 +47,26 @@ def test_tabulated_profile_roundtrip():
     assert np.max(np.abs(prof.r1(xs) - xs / np.sqrt(1 + xs ** 2))) <= 1e-4
 
 
+def _one_sided_table(scale=1.0, x_end=3000.0):
+    """{x, r} for r = scale * sqrt(1 + softplus(x)^2) on [-x_end, x_end]."""
+    x = np.linspace(-x_end, x_end, int(round(20.0 * x_end)) + 1)
+    return {"x": x, "r": scale * np.sqrt(1.0 + np.logaddexp(0.0, x) ** 2)}
+
+
+def test_tabulated_conical_end_checked_inside_table():
+    # the conical-end samples stop where the table ends (|x| = 3000 here);
+    # past it the spline extrapolates and x^2 |r/|x| - 1| grows without bound
+    prof = make_profile({"kind": "custom-tabulated", "conical_right": True,
+                         "params": _one_sided_table()})
+    assert prof.conical_right and not prof.conical_left
+    with pytest.raises(ConfigError, match="conical on the right"):
+        make_profile({"kind": "custom-tabulated", "conical_right": True,
+                      "params": _one_sided_table(scale=1.2)})
+    with pytest.raises(ConfigError, match="table ends before"):
+        make_profile({"kind": "custom-tabulated", "conical_right": True,
+                      "params": _one_sided_table(x_end=8.0)})
+
+
 @pytest.fixture(scope="module")
 def hyp_chart():
     prof = make_profile({"kind": "hyperboloid", "params": {"a": 1.0}})

@@ -6,8 +6,9 @@ import pytest
 
 from conicwave import (DomainError, KernelEngine, standard_case_library,
                        stationary_phase_check)
-from conicwave.kernel import (KIND_SCHRODINGER, StationaryPhaseCase,
-                              _compact_bump, _compact_bump_d)
+from conicwave.kernel import (KIND_SCHRODINGER, KIND_WAVE_PLUS,
+                              StationaryPhaseCase, _compact_bump,
+                              _compact_bump_d)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,40 @@ def test_quadrature_self_consistency(cylinder_model):
                 k1 = e1.evolution_kernel(KIND_SCHRODINGER, t, xi, xip)
                 k2 = e2.evolution_kernel(KIND_SCHRODINGER, t, xi, xip)
             assert abs(k1.value - k2.value) <= max(k1.err_est, k2.err_est)
+
+
+def _kernel(eng, kind, band, t, xi, xip):
+    if band is None:
+        return eng.evolution_kernel(kind, t, xi, xip)
+    return eng.band_kernel(kind, band, t, xi, xip)
+
+
+def test_cached_panel_fits_match_fresh_engine(cylinder_model):
+    # repeat kernels read each pair's cached Filon panel fits, so they must
+    # equal, bit for bit, the same kernel on an engine that fits anew
+    cases = [(KIND_SCHRODINGER, None, 20.0, 3.0, -2.0),
+             # lam_split = 1/500 falls inside a panel: the partial-panel path
+             (KIND_WAVE_PLUS, None, 500.0, 3.0, -2.0),
+             # the osc_low cut is not symmetric in (xi, xi')
+             (KIND_WAVE_PLUS, "osc_low", 500.0, 300.0, 2.0),
+             (KIND_WAVE_PLUS, "osc_low", 500.0, 2.0, 300.0)]
+    coarse = {"s_panel": 2.0, "panel_ratio": 2.0}     # a cheap table
+
+    def same(a, b):
+        return (a.value, a.err_est) == (b.value, b.err_est)
+
+    warm = KernelEngine(cylinder_model, xi_abs_max=400.0, **coarse)
+    for case in cases:
+        _kernel(warm, *case)
+    fresh = KernelEngine(cylinder_model, xi_abs_max=400.0, **coarse)
+    for case in cases:
+        fresh._pair_cache.clear()          # same table, every fit redone
+        assert same(_kernel(warm, *case), _kernel(fresh, *case))
+    # a wider span rebuilds the table; no fit of the old one may survive
+    _kernel(warm, KIND_SCHRODINGER, None, 20.0, 3.0, -450.0)
+    grown = KernelEngine(cylinder_model, xi_abs_max=warm.xi_abs_max, **coarse)
+    for case in cases[:2]:
+        assert same(_kernel(warm, *case), _kernel(grown, *case))
 
 
 def test_band_sign_precondition(hyperboloid_engine):

@@ -1,6 +1,7 @@
 """Oscillatory panel integrals against brute-force phase-resolved rules."""
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from conicwave import oscquad as OQ
 
@@ -52,6 +53,51 @@ def test_stationary_point_inside_panel():
         got = OQ.panel_osc_integral(a, b, coef, alpha, beta)
         ref = _brute(a, b, coef, alpha, beta)
         assert abs(got - ref) <= 1e-9 * abs(ref) + 1e-14
+
+
+def _random_coefs(rng, n):
+    return [rng.normal(size=OQ.DEG + 1) + 1j * rng.normal(size=OQ.DEG + 1)
+            for _ in range(n)]
+
+
+def test_constant_maps_match_generic_polynomial_calls():
+    rng = np.random.default_rng(11)
+    w = np.linspace(-1.0, 1.0, 33)
+    n1 = OQ.DEG + 1
+    for coef in _random_coefs(rng, 200):
+        # half-panel coefficients reproduce p((w -+ 1)/2); the generic refit
+        # through _FIT carries its own ~1e-13 conditioning error, so the
+        # comparison is on values
+        halves = OQ._SPLIT @ coef
+        for k, shift in enumerate((-1.0, 1.0)):
+            ref = P.polyval(0.5 * (w + shift), coef)
+            got = P.polyval(w, halves[k * n1: (k + 1) * n1])
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # derivatives against polyder, scaled by sum_j |c_j| |w|^j
+        wq, s = rng.uniform(-1.0, 1.0), 10 ** rng.uniform(-3.0, 1.0)
+        der = coef
+        for k, got in enumerate(OQ.derivatives(coef, wq, s)):
+            ref = P.polyval(wq, der) / s ** k
+            scale = P.polyval(abs(wq), np.abs(der)) / s ** k
+            assert abs(got - ref) <= 1e-14 * scale
+            der = P.polyder(der)
+        # weighted Gauss-node values of the mild regime
+        for n, (xg, wv) in OQ._GAUSS.items():
+            ref = np.polynomial.legendre.leggauss(n)[1] * P.polyval(xg, coef)
+            assert np.max(np.abs(wv @ coef - ref)) \
+                <= 1e-14 * np.max(np.abs(ref))
+        assert OQ.eval_poly(coef, 0.3) == P.polyval(0.3, coef)
+
+
+def test_linear_filon_small_curvature():
+    # on [-1, 1] the panel variables are the phase coefficients themselves
+    rng = np.random.default_rng(5)
+    for coef in _random_coefs(rng, 3):
+        for at in (0.0, 0.04, 0.15):
+            for bt in (40.0, 1.0e3):
+                got = OQ._linear_filon(coef, at, bt)
+                ref = _brute(-1.0, 1.0, coef, at, bt)
+                assert abs(got - ref) <= 2e-12 * max(abs(ref), 1e-3)
 
 
 def test_abel_tail_against_exponential_integral():
