@@ -11,8 +11,7 @@ from .errors import (ConfigError, ConicwaveError, ConvergenceError,
 from .geometry import (ArclengthChart, ConicalFit, PotentialProfile,
                        ProfileSpec, fit_conical_constants, make_profile,
                        potential_at)
-from .hankel import (C0, C1, KAPPA, WaveSample, f0_reference, f0_values,
-                     g0_green, hankel0_plus)
+from .hankel import C0, C1, KAPPA, f0_values, g0_green, hankel0_plus
 from .jost import (AsymptoticConstants, JostEvaluator, LowEnergyBasis,
                    ScatteringData, ScatteringModel)
 from .kernel import (BANDS, KINDS, DecayReport, KernelEngine, KernelSample,
@@ -30,8 +29,8 @@ __all__ = [
     "KernelEngine", "KernelSample", "LowEnergyBasis", "PotentialProfile",
     "ProfileSpec", "QuadratureError", "ScatteringData", "ScatteringModel",
     "StationaryPhaseCase", "VolterraProblem", "VolterraSolution",
-    "WaveSample", "chi_low", "chi_window", "estimate_mu",
-    "f0_reference", "f0_values", "fit_conical_constants", "g0_green",
+    "chi_low", "chi_window", "estimate_mu", "f0_values",
+    "fit_conical_constants", "g0_green",
     "hankel0_plus", "make_profile", "potential_at",
     "standard_case_library", "stationary_phase_check", "volterra_solve",
 ]

@@ -70,17 +70,6 @@ class RunConfig:
     band: Optional[str] = None
 
 
-@dataclass
-class ValidationSummary:
-    """Per-check validation outcome table."""
-
-    rows: list
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r["status"] == "pass" for r in self.rows)
-
-
 def _parse_grid(doc, name: str) -> np.ndarray:
     if not isinstance(doc, dict):
         raise ConfigError(f"{name} must be an object with min/max/count/scale")
@@ -271,7 +260,11 @@ def _cmd_coeffs(cfg, out: Path) -> int:
     return 2 if flagged else 0
 
 
-def _summary_from_report(report: dict) -> ValidationSummary:
+def _emit_summary(report: dict, out: Path, stem: str) -> int:
+    """Write a validation report as ``stem``.csv and ``stem``.txt; exit 2
+    when any check is flagged."""
+    hdr = ["check", "law", "constants", "worst_residual", "threshold",
+           "status"]
     rows = []
     for name, rec in report.items():
         consts = rec.get("constants", {})
@@ -284,37 +277,28 @@ def _summary_from_report(report: dict) -> ValidationSummary:
             "threshold": rec.get("threshold", np.nan),
             "status": "pass" if rec["ok"] else "flag",
         })
-    return ValidationSummary(rows=rows)
-
-
-def _emit_summary(summary: ValidationSummary, out: Path, stem: str) -> int:
-    hdr = ["check", "law", "constants", "worst_residual", "threshold",
-           "status"]
-    _write_csv(out / f"{stem}.csv", hdr,
-               [[r[k] for k in hdr] for r in summary.rows])
+    _write_csv(out / f"{stem}.csv", hdr, [[r[k] for k in hdr] for r in rows])
     lines = []
-    for r in summary.rows:
+    for r in rows:
         lines.append(f"[{r['status']:>4}] {r['check']}: "
                      f"residual {_fmt(r['worst_residual'])} "
                      f"(threshold {_fmt(r['threshold'])})  {r['law']}")
     text = "\n".join(lines) + "\n"
     (out / f"{stem}.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-    return 0 if summary.all_ok else 2
+    return 0 if all(r["status"] == "pass" for r in rows) else 2
 
 
 def _cmd_validate_low(cfg, out: Path) -> int:
     model = _build_model(cfg)
-    consts, report = model.validate_low_energy(cfg.lam_grid)
-    summary = _summary_from_report(report)
-    return _emit_summary(summary, out, "validate_low")
+    _, report = model.validate_low_energy(cfg.lam_grid)
+    return _emit_summary(report, out, "validate_low")
 
 
 def _cmd_validate_high(cfg, out: Path) -> int:
     model = _build_model(cfg)
     report = model.validate_high_energy(cfg.lam_grid)
-    summary = _summary_from_report(report)
-    return _emit_summary(summary, out, "validate_high")
+    return _emit_summary(report, out, "validate_high")
 
 
 def _kernel_engine(cfg) -> KernelEngine:

@@ -8,8 +8,6 @@ below 1e-15 for z in [1e-8, 1e6].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import hankel1
 
@@ -24,18 +22,6 @@ C0 = np.sqrt(np.pi / 2.0) * np.exp(1j * np.pi / 4.0)
 
 REGIME_OSCILLATORY = "oscillatory"
 REGIME_LOW_ENERGY = "low_energy_basis"
-REGIME_HANKEL = "hankel_reference"
-
-
-@dataclass(frozen=True)
-class WaveSample:
-    """Value and xi-derivative of a solution of H f = lambda^2 f at one point."""
-
-    xi: float
-    lam: float
-    value: complex
-    dvalue: complex
-    regime: str = REGIME_OSCILLATORY
 
 
 def hankel0_plus(z):
@@ -58,21 +44,6 @@ def hankel0_plus(z):
     if np.isscalar(z) or np.ndim(z) == 0:
         return complex(val[0]), complex(der[0])
     return val, der
-
-
-def f0_reference(xi, lam) -> WaveSample:
-    """Reference solution of -f'' - f/(4 xi^2) = lam^2 f with outgoing phase.
-
-    f0(xi, lam) = C0 * sqrt(xi*lam) * H0+(xi*lam); returned with its
-    xi-derivative.
-    """
-    if np.ndim(xi) == 0 and np.ndim(lam) == 0:
-        if xi <= 0 or lam <= 0:
-            raise DomainError("f0_reference requires xi > 0 and lam > 0")
-        v, d = f0_values(np.asarray([xi], dtype=float), float(lam))
-        return WaveSample(xi=float(xi), lam=float(lam), value=complex(v[0]),
-                          dvalue=complex(d[0]), regime=REGIME_HANKEL)
-    raise DomainError("f0_reference is a scalar interface; use f0_values for arrays")
 
 
 def f0_values(xi: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:

@@ -82,20 +82,14 @@ def _seed_values(pv, x: np.ndarray):
     return sq, dsq, sq * iv, dsq * iv + 1.0 / sq
 
 
-def _continue(pv, lam: float, y0, span, atol: float):
-    """Dense solution of f'' = (V - lam^2) f over ``span``; y0 packs one or
-    more (f, f') pairs."""
-    pairs = range(0, len(y0), 2)
+def _continue(pv, lam: float, y0, span):
+    """Dense solution of f'' = (V - lam^2) f over ``span`` from y0 = (f, f')."""
 
     def rhs(s, y):
         # a list, not an array: this runs ~300k times per spectral table
-        k = pv.V(s) - lam * lam
-        out = []
-        for i in pairs:
-            out += (y[i + 1], k * y[i])
-        return out
+        return [y[1], (pv.V(s) - lam * lam) * y[0]]
 
-    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-11, atol=atol,
+    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-11, atol=1e-13,
                     dense_output=True)
     if not sol.success:
         raise ConvergenceError("ODE continuation failed")
@@ -257,9 +251,9 @@ class ScatteringModel:
     def _side_basis(self, side: str, lam: float, L: float):
         """u_j(., lam) and derivatives on [0, L] of the chosen side.
 
-        Volterra zone covers xi*lam <= 3; beyond that the two solutions are
-        continued as an ODE system (they oscillate there, the perturbation
-        series does not pay off).
+        A Volterra solve on the zone xi*lam <= 3, where the perturbation
+        series pays off; past it the two solutions oscillate, and a window
+        with L > 3/lam raises DomainError.
         """
         key = (side, lam, round(L, 6))
         if key in self._basis_cache:
@@ -267,8 +261,10 @@ class ScatteringModel:
         pv = self._pv(side)
         if L > 0.99 * pv.xi_cap:
             raise DomainError("basis window exceeds the chart")
-        L_volt = min(L, 3.0 / lam) if lam > 0 else L
-        breaks = panels.graded_breaks(0.0, L_volt, min(4.0, L_volt), 0.5, 12)
+        if L > 3.0 / lam:
+            raise DomainError("basis window exceeds the Volterra zone "
+                              "xi*lam <= 3")
+        breaks = panels.graded_breaks(0.0, L, min(4.0, L), 0.5, 12)
         breaks = panels.cap_phase(breaks, lambda s: lam, max_phase=0.8)
         grid = panels.PanelGrid.build(breaks, order=10)
         x = grid.flat
@@ -290,38 +286,23 @@ class ScatteringModel:
             sols.append(((f.real - seed).copy(),
                          (-lam2 * (du1x * p0 - du0x * p1)).real.copy()))
         (v0, d0), (v1, d1) = sols
-
-        if L > L_volt:
-            v0, d0, v1, d1, grid = self._extend_basis_ode(
-                pv, lam, grid, (v0, d0, v1, d1), L_volt, L)
         rec = _SideBasis(pv, grid, v0, d0, v1, d1)
         self._basis_cache[key] = rec
         return rec
 
-    def _extend_basis_ode(self, pv, lam, grid, vals, L0, L):
-        """Continue the four basis corrections ``vals`` from L0 to L."""
-        breaks = panels.cap_phase(panels.geometric_breaks(L0, L, 8),
-                                  lambda s: lam, max_phase=0.8)
-        ext = panels.PanelGrid.build(breaks, order=10)
-        x0 = np.array([L0])
-        y0 = [grid.interpolate(c, x0)[0] + seed[0]
-              for c, seed in zip(vals, _seed_values(pv, x0))]
-        ys = _continue(pv, lam, np.real(y0), (L0, L), 1e-12)(ext.flat)
-        merged = panels.PanelGrid.build(
-            np.concatenate([grid.breaks, ext.breaks[1:]]), order=10)
-        return (*[np.concatenate([np.asarray(c).ravel(), y - seed])
-                  for c, y, seed in zip(vals, ys, _seed_values(pv, ext.flat))],
-                merged)
-
     def low_energy_basis(self, lam: float, window: Optional[float] = None
                          ) -> LowEnergyBasis:
-        """Energy-perturbed basis u_j(., lam) on [-L, L] (default L = 4/lam)."""
+        """Energy-perturbed basis u_j(., lam) on [-L, L].
+
+        The default L = 3/lam is the whole Volterra zone xi*lam <= 3 of
+        ``_side_basis``; a window past it raises DomainError.
+        """
         if lam <= 0:
             raise DomainError("low_energy_basis requires lam > 0")
         if lam > self.lam_low:
             raise DomainError("low_energy_basis is restricted to lam <= lam_low")
         L = window if window is not None else \
-            min(4.0 / lam, 0.98 * self.pot.xi_cap)
+            min(3.0 / lam, 0.98 * self.pot.xi_cap)
         bp = self._side_basis("plus", lam, L)
         bm = self._side_basis("minus", lam, L)
 
@@ -336,22 +317,25 @@ class ScatteringModel:
     # low-energy outgoing solution on one side
     # ------------------------------------------------------------------
 
-    def _f_low_side(self, side: str, lam: float):
-        """Solve the V1 Volterra equation around the matching point.
+    def _f_low_side(self, side: str, lam: float, xi_hi: float = 0.0):
+        """Solve the V1 Volterra equation from the matching point out to B.
 
-        Returns (grid, values, dvalues, diag) valid on [0.75, 1.0] * B in
-        xi; diag carries the solve residually and the tail constants.
+        B >= 1.1 * xi_hi + 10 (capped at 0.98 xi_cap), so the grid serves
+        every xi up to ``xi_hi``.  Returns (grid, values, dvalues, diag) on
+        [xi0, B], xi0 = max(xi_tail, 0.75 lam^-1/2); diag carries the sweep
+        count, the tail constants, B and xi0.
         """
-        key = (side, lam)
+        pv = self._pv(side)
+        xm = lam ** -0.5
+        B = min(0.98 * pv.xi_cap, max(8.0 / lam, 3.0 * xm,
+                                      1.1 * xi_hi + 10.0))
+        key = (side, lam, B)
         if key in self._low_cache:
             return self._low_cache[key]
         if not self._conical(side):
             raise DomainError(f"low-energy pipeline needs a conical "
                               f"{'right' if side == 'plus' else 'left'} end")
-        pv = self._pv(side)
-        xm = lam ** -0.5
         xi0 = max(pv.xi_tail, 0.75 * xm)
-        B = min(0.98 * pv.xi_cap, max(8.0 / lam, 3.0 * xm))
         if B <= 1.3 * xm:
             raise DomainError("chart too small for the low-energy matching")
         breaks = panels.geometric_breaks(xi0, B, 12)
@@ -457,7 +441,7 @@ class ScatteringModel:
         y0 = [fv * m_v,
               fv * (1j * lam * m_v + grid.interpolate(dm, [xi_v])[0])]
         ode = _continue(pv, lam, np.asarray(y0, dtype=complex),
-                        (xi_v, lo - 1e-9), 1e-13)
+                        (xi_v, lo - 1e-9))
         rec = {"grid": grid, "m": m, "dm": dm, "xi_v": xi_v, "B": B,
                "ode": ode, "lam": lam, "sweeps": sweeps, "lo": lo}
         self._osc_cache[key] = rec
@@ -515,10 +499,11 @@ class ScatteringModel:
                         xi_hi: float, pipeline: str) -> JostEvaluator:
         pipe = self._pipeline_for(side, lam, pipeline)
         if pipe == "low":
-            grid, f, df, diag = self._f_low_side(side, lam)
-            a, b, _ = self._side_coefficients(side, lam)
-            L = min(max(1.3 * lam ** -0.5, abs(xi_min) + 1.0, xi_hi + 1.0,
-                        2.0), 0.97 * self.pot.xi_cap)
+            # two pieces: the matching basis below xi_lo (mirrored for
+            # xi < 0), the V1 grid from xi_lo to B
+            grid, f, df, diag = self._f_low_side(side, lam, xi_hi)
+            a, b, _ = self._side_coefficients(side, lam, pipe, xi_hi)
+            L = max(1.3 * lam ** -0.5, abs(xi_min) + 1.0)
             other = "minus" if side == "plus" else "plus"
             basis = self._side_basis(side, lam, L)
             basis_o = self._side_basis(other, lam, L)
@@ -527,7 +512,7 @@ class ScatteringModel:
             def fun(xi):
                 out_v = np.empty(xi.shape, dtype=complex)
                 out_d = np.empty(xi.shape, dtype=complex)
-                direct = (xi >= xi_lo) & (xi <= diag["B"])
+                direct = xi >= xi_lo
                 if np.any(direct):
                     out_v[direct] = grid.interpolate(f, xi[direct])
                     out_d[direct] = grid.interpolate(df, xi[direct])
@@ -537,8 +522,7 @@ class ScatteringModel:
                     out_d[~direct] = a * du0 + b * du1
                 return out_v, out_d
 
-            return JostEvaluator(lam, fun, (-L, max(diag["B"], L)),
-                                 REGIME_LOW_ENERGY)
+            return JostEvaluator(lam, fun, (-L, diag["B"]), REGIME_LOW_ENERGY)
         rec = self._m_side(side, lam, xi_floor=xi_min, xi_hi=xi_hi)
 
         def fun(xi):
@@ -573,21 +557,22 @@ class ScatteringModel:
     # ------------------------------------------------------------------
 
     def _side_coefficients(self, side: str, lam: float,
-                           pipeline: str = "auto"):
-        """(a, b) of the chosen side against its perturbed basis."""
+                           pipeline: str = "auto", xi_hi: float = 0.0):
+        """(a, b) of the chosen side against its perturbed basis, matched
+        to the side solution built with ``xi_hi``."""
         pipe = self._pipeline_for(side, lam, pipeline)
         if pipe == "low":
             xm = lam ** -0.5
-            grid, f, df, diag = self._f_low_side(side, lam)
+            grid, f, df, diag = self._f_low_side(side, lam, xi_hi)
             basis = self._side_basis(side, lam, 1.3 * xm)
             pts = np.array([0.85 * xm, xm, 1.15 * xm])
             fv = grid.interpolate(f, pts)
             fd = grid.interpolate(df, pts)
         else:
             xm = min(lam ** -0.5, 2.5 / lam)
-            L = min(1.3 * xm + 1.0, 3.2 / lam)
+            L = min(1.3 * xm + 1.0, 3.0 / lam)
             basis = self._side_basis(side, lam, L)
-            rec = self._m_side(side, lam)
+            rec = self._m_side(side, lam, xi_hi=xi_hi)
             pts = np.array([0.85 * xm, xm, min(1.15 * xm, 0.98 * L)])
             fv, fd = self._m_record_values(rec, pts)
         u0v, du0v, u1v, du1v = basis.eval(pts)
@@ -597,11 +582,12 @@ class ScatteringModel:
         spread_b = np.max(np.abs(b3 - b3[1])) / max(abs(b3[1]), 1e-300)
         return complex(a3[1]), complex(b3[1]), float(max(spread_a, spread_b))
 
-    def _connection(self, lam: float, pipeline: str = "auto"):
+    def _connection(self, lam: float, pipeline: str = "auto",
+                    xi_hi: float = 0.0):
         """(a+, b+, a-, b-, spread): both sides against their perturbed
         bases; spread is the worse side's three-point coefficient spread."""
-        ap, bp, res_p = self._side_coefficients("plus", lam, pipeline)
-        am, bm, res_m = self._side_coefficients("minus", lam, pipeline)
+        ap, bp, res_p = self._side_coefficients("plus", lam, pipeline, xi_hi)
+        am, bm, res_m = self._side_coefficients("minus", lam, pipeline, xi_hi)
         # mirrored-side coefficients translate with a sign flip on b
         return ap, bp, am, -bm, max(res_p, res_m)
 
@@ -611,11 +597,12 @@ class ScatteringModel:
 
     def _w_alpha(self, lam: float, pipeline: str = "auto", xi_hi: float = 0.0):
         """(W, alpha): from the connection coefficients when both sides run
-        the low pipeline, else from the Wronskians at xi = 0 of the m records
-        built with ``xi_hi``.  Callers form beta = W/(-2i lam) themselves."""
+        the low pipeline, else from the Wronskians at xi = 0 of the m records;
+        either way from the side solutions built with ``xi_hi``.  Callers
+        form beta = W/(-2i lam) themselves."""
         if (self._pipeline_for("plus", lam, pipeline) == "low"
                 and self._pipeline_for("minus", lam, pipeline) == "low"):
-            ap, bp, am, bm, _ = self._connection(lam, pipeline)
+            ap, bp, am, bm, _ = self._connection(lam, pipeline, xi_hi)
             return (ap * bm - am * bp,
                     (am * np.conj(bp) - bm * np.conj(ap)) / (-2j * lam))
         zero = np.array([0.0])

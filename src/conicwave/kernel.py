@@ -532,10 +532,6 @@ class KernelEngine:
             for a, b in pairs:
                 ks = (self.band_kernel(kind, band, t, a, b) if band
                       else self.evolution_kernel(kind, t, a, b))
-                if ks.err_est > 1e-3 * max(1.0, abs(ks.value)):
-                    raise QuadratureError(
-                        f"kernel quadrature failed at (t={t}, xi={a}, "
-                        f"xi'={b}): err_est={ks.err_est:.2e}")
                 best = max(best, abs(ks.value))
             sups.append(best)
         sups = np.asarray(sups)

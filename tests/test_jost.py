@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from conicwave import (C0, C1, KAPPA, ArclengthChart, DomainError,
-                       ScatteringModel, f0_values, make_profile)
+                       KernelEngine, ScatteringModel, f0_values, make_profile)
+from conicwave import jost
 from conicwave.jost import wr
+
+HYPERBOLOID_A1 = {"kind": "hyperboloid", "params": {"a": 1.0}}
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +194,11 @@ def test_low_energy_basis_window_guard(hyperboloid_model):
         hyperboloid_model.low_energy_basis(1e-3, window=1.0e6)
     with pytest.raises(DomainError):
         hyperboloid_model.low_energy_basis(0.5)
+    # the perturbed basis is solved on xi*lam <= 3 only
+    with pytest.raises(DomainError):
+        hyperboloid_model.low_energy_basis(1e-3, window=3500.0)
+    with pytest.raises(DomainError):
+        hyperboloid_model.jost_plus(1e-2, xi_min=-400.0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +300,47 @@ def test_pipeline_overlap(hyperboloid_model):
         vo, do = osc.values(xis)
         assert np.max(np.abs(vl - vo) / np.abs(vo)) <= 1e-4
         assert np.max(np.abs(dl - do) / np.abs(do)) <= 1e-4
+    # a kernel-table evaluator (span 1100) near the top of its V1 grid
+    lam = 1e-2
+    lo = hyperboloid_model.jost_plus(lam, xi_hi=1100.0, pipeline="low")
+    osc = hyperboloid_model.jost_plus(lam, xi_hi=1100.0, pipeline="osc")
+    xis = np.array([900.0, 1000.0, 1090.0])
+    vl, dl = lo.values(xis)
+    vo, do = osc.values(xis)
+    assert np.max(np.abs(vl - vo) / np.abs(vo)) <= 1e-4
+    assert np.max(np.abs(dl - do) / np.abs(do)) <= 1e-4
+
+
+def test_low_table_record_reads_matching_basis_only(monkeypatch):
+    # a span-1100 table record with both sides on the low pipeline takes
+    # everything below the V1 grid from the two matching bases
+    # (L = 1.3 lam^-1/2) and continues no ODE
+    model = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    calls = []
+    real = jost.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jost, "solve_ivp", counting)
+    lam = 8e-3
+    KernelEngine(model, xi_abs_max=1.1e3)._record(lam)
+    keys = sorted(model._basis_cache)
+    assert [k[0] for k in keys] == ["minus", "plus"]
+    assert all(k[2] == round(1.3 * lam ** -0.5, 6) for k in keys)
+    assert calls == []
+
+
+def test_scattering_data_unaffected_by_table_records():
+    # a span-1100 record builds its own V1 grid; scattering_data keeps its own
+    fresh = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    used = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    engine = KernelEngine(used, xi_abs_max=1.1e3)
+    for lam in (7e-3, 1e-2):
+        engine._record(lam)
+        assert repr(used.scattering_data(lam)) == \
+            repr(fresh.scattering_data(lam))
 
 
 def test_wronskian_pipeline_agreement(hyperboloid_model):
