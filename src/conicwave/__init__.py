@@ -11,14 +11,12 @@ from .errors import (ConfigError, ConicwaveError, ConvergenceError,
 from .geometry import (ArclengthChart, ConicalFit, PotentialProfile,
                        ProfileSpec, fit_conical_constants, make_profile,
                        potential_at)
-from .hankel import C0, C1, KAPPA, f0_values, g0_green, hankel0_plus
+from .hankel import C0, C1, KAPPA, f0_values, hankel0_plus
 from .jost import (AsymptoticConstants, JostEvaluator, LowEnergyBasis,
                    ScatteringData, ScatteringModel)
 from .kernel import (BANDS, KINDS, DecayReport, KernelEngine, KernelSample,
                      StationaryPhaseCase, chi_low, chi_window,
                      standard_case_library, stationary_phase_check)
-from .volterra import VolterraProblem, VolterraSolution, estimate_mu, \
-    volterra_solve
 
 __version__ = "0.1.0"
 
@@ -28,9 +26,7 @@ __all__ = [
     "DecayReport", "DomainError", "JostEvaluator", "KAPPA", "KINDS",
     "KernelEngine", "KernelSample", "LowEnergyBasis", "PotentialProfile",
     "ProfileSpec", "QuadratureError", "ScatteringData", "ScatteringModel",
-    "StationaryPhaseCase", "VolterraProblem", "VolterraSolution",
-    "chi_low", "chi_window", "estimate_mu", "f0_values",
-    "fit_conical_constants", "g0_green",
-    "hankel0_plus", "make_profile", "potential_at",
-    "standard_case_library", "stationary_phase_check", "volterra_solve",
+    "StationaryPhaseCase", "chi_low", "chi_window", "f0_values",
+    "fit_conical_constants", "hankel0_plus", "make_profile", "potential_at",
+    "standard_case_library", "stationary_phase_check",
 ]

@@ -59,18 +59,3 @@ def f0_values(xi: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     val = C0 * rz * h
     dval = C0 * lam * (0.5 * h / rz + rz * hp)
     return val, dval
-
-
-def g0_green(xi: float, eta: float, lam: float) -> complex:
-    """Green kernel of the inverse-square reference problem.
-
-    Normalised so that G0(xi, xi) = 0 and d/dxi G0(xi, eta)|_{eta=xi} = +1.
-    Requires 0 < xi <= eta and lam > 0.
-    """
-    if lam <= 0:
-        raise DomainError("g0_green requires lam > 0")
-    if not (0 < xi <= eta):
-        raise DomainError("g0_green requires 0 < xi <= eta")
-    fxi, _ = f0_values(np.array([xi]), lam)
-    feta, _ = f0_values(np.array([eta]), lam)
-    return complex(np.imag(fxi[0] * np.conj(feta[0])) / lam)

@@ -489,6 +489,10 @@ class ScatteringModel:
     def _pipeline_for(self, side: str, lam: float, pipeline: str) -> str:
         if pipeline not in ("auto", "low", "osc"):
             raise DomainError(f"unknown pipeline {pipeline!r}")
+        if pipeline == "low" and lam > self.lam_low:
+            # the low pipeline's matching basis is built for lam <= lam_low
+            raise DomainError("the low pipeline is restricted to "
+                              "lam <= lam_low")
         if pipeline != "auto":
             return pipeline
         if lam <= self.lam_low and self._conical(side):

@@ -240,8 +240,15 @@ class KernelEngine:
         for a, b in zip(edges[:-1], edges[1:]):
             lam_nodes = oscquad.cheb_nodes(a, b)
             osc_panels.append((a, b, lam_nodes, sample(lam_nodes)))
+        # the cut-free s-region density lam^2 Im[sum e^{i theta lam} amp]
+        # (one lam is the Jacobian of lam = e^{-s})
+        lam_s = self._s_lam
+        amp0 = np.zeros(len(lam_s))
+        for (th, _), vals in zip(chans, sample(lam_s)):
+            amp0 += (np.exp(1j * th * lam_s) * vals).imag
+        amp0 *= lam_s * lam_s
         data = {"thetas": [th for th, _ in chans], "osc": osc_panels,
-                "s_vals": sample(self._s_lam), "fits": {}}
+                "amp0": amp0, "fits": {}}
         self._pair_cache[key] = data
         return data
 
@@ -300,48 +307,9 @@ class KernelEngine:
         cut = self._cut_factory(band, xi, xi_prime)
         lam_split = self._lam_split(kind, tt)
 
-        total = 0.0 + 0j
-        err = 0.0
-
         # --- slow region: refined sums on the s-grid ---
-        # the cut-free density is polynomial-smooth per panel; the cutoff is
-        # applied exactly on refined subnodes, and the plain-vs-refined
-        # difference goes into the error estimate
-        s_split = np.log(1.0 / lam_split)
-        lam_s = self._s_lam
-        amp0 = np.zeros(len(lam_s))
-        for th, vals in zip(data["thetas"], data["s_vals"]):
-            amp0 += (np.exp(1j * th * lam_s) * vals).imag
-        amp0 *= lam_s * lam_s                      # one lam is the Jacobian
-        g = self._sgrid
-        w = g.weights.ravel()
-        plain_int = np.exp(1j * wave_sign * tt * lam_s ** p) * amp0 \
-            * cut(lam_s)
-        xg, wg = panels.gauss_legendre(12)
-        for pidx in range(g.npanels):
-            a_s, b_s = g.breaks[pidx], g.breaks[pidx + 1]
-            if b_s <= s_split + 1e-14:
-                continue
-            lo_s = max(a_s, s_split)
-            sl = slice(pidx * g.order, (pidx + 1) * g.order)
-            if lo_s <= a_s + 1e-14:
-                plain = np.sum(w[sl] * plain_int[sl])
-            else:
-                plain = None
-            mid = 0.5 * (lo_s + b_s)
-            h1, h2 = 0.5 * (mid - lo_s), 0.5 * (b_s - mid)
-            ss = np.concatenate([0.5 * (lo_s + mid) + h1 * xg,
-                                 0.5 * (mid + b_s) + h2 * xg])
-            wsub = np.concatenate([h1 * wg, h2 * wg])
-            amp_sub = g.interpolate(amp0, ss)
-            lam_sub = np.exp(-ss)
-            ref = np.sum(wsub * np.exp(1j * wave_sign * tt * lam_sub ** p)
-                         * amp_sub * cut(lam_sub))
-            total += ref
-            if plain is not None:
-                err += abs(ref - plain)
-        # unresolved sub-table tail
-        err += abs(amp0[-1] * cut(lam_s[-1])) * lam_s[-1] * 2.0
+        total, err = self._s_region(data["amp0"], cut, p, wave_sign * tt,
+                                    lam_split)
 
         # --- oscillatory region: Filon panels from lam_split to lam_top ---
         alpha = wave_sign * tt if p == 2 else 0.0
@@ -378,6 +346,36 @@ class KernelEngine:
         if t < 0:
             total = np.conj(total)
         return total, err
+
+    def _s_region(self, amp0, cut, p: int, omega: float, lam_split: float):
+        """(integral, err) of e^{i omega lam^p} amp0 cut over lam < lam_split
+        in s = log(1/lam), amp0 being the pair's cut-free s-grid density.
+
+        The density is polynomial-smooth per panel; the cutoff is applied
+        exactly on the refined halves of each panel above s_split, and on
+        whole panels the plain-vs-refined difference goes into err."""
+        s_split = np.log(1.0 / lam_split)
+        lam_s = self._s_lam
+        g = self._sgrid
+        used = g.breaks[1:] > s_split + 1e-14
+        a_s, b_s = g.breaks[:-1][used], g.breaks[1:][used]
+        lo_s = np.maximum(a_s, s_split)
+        whole = lo_s <= a_s + 1e-14
+        mid = 0.5 * (lo_s + b_s)
+        h = np.stack([0.5 * (mid - lo_s), 0.5 * (b_s - mid)], axis=1)
+        c = np.stack([0.5 * (lo_s + mid), 0.5 * (mid + b_s)], axis=1)
+        xg, wg = panels.gauss_legendre(12)
+        ss = c[:, :, None] + h[:, :, None] * xg
+        lam_sub = np.exp(-ss)
+        amp_sub = g.interpolate(amp0, ss.ravel()).reshape(ss.shape)
+        ref = (h[:, :, None] * wg * np.exp(1j * omega * lam_sub ** p)
+               * amp_sub * cut(lam_sub)).reshape(len(mid), -1).sum(axis=1)
+        plain_int = np.exp(1j * omega * lam_s ** p) * amp0 * cut(lam_s)
+        plain = (g.weights * plain_int.reshape(g.nodes.shape))[used].sum(axis=1)
+        err = np.abs(ref - plain)[whole].sum()
+        # unresolved sub-table tail
+        err += abs(amp0[-1] * cut(lam_s[-1])) * lam_s[-1] * 2.0
+        return ref.sum(), err
 
     @staticmethod
     def _panel_fit(data, fit_key, chan_idx, i, cut):

@@ -201,6 +201,17 @@ def test_low_energy_basis_window_guard(hyperboloid_model):
         hyperboloid_model.jost_plus(1e-2, xi_min=-400.0)
 
 
+def test_forced_low_pipeline_above_lam_low_raises(hyperboloid_model):
+    # the matching basis of the low pipeline is built for lam <= lam_low;
+    # forced above it, f was off by 3.6e-2 relative at lam = 0.1
+    lam = 0.1
+    assert lam > hyperboloid_model.lam_low
+    with pytest.raises(DomainError):
+        hyperboloid_model.jost_plus(lam, pipeline="low")
+    with pytest.raises(DomainError):
+        hyperboloid_model.wronskian(lam, pipeline="low")
+
+
 # ---------------------------------------------------------------------------
 # coefficients and the Wronskian laws
 # ---------------------------------------------------------------------------

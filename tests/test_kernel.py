@@ -9,6 +9,7 @@ from conicwave import (DomainError, KernelEngine, standard_case_library,
 from conicwave.kernel import (KIND_SCHRODINGER, KIND_WAVE_PLUS,
                               StationaryPhaseCase, _compact_bump,
                               _compact_bump_d)
+from conicwave.panels import gauss_legendre
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +146,57 @@ def test_cached_panel_fits_match_fresh_engine(cylinder_model):
     grown = KernelEngine(cylinder_model, xi_abs_max=warm.xi_abs_max, **coarse)
     for case in cases[:2]:
         assert same(_kernel(warm, *case), _kernel(grown, *case))
+
+
+def _s_region_by_panel(eng, amp0, cut, p, omega, lam_split):
+    # reference: the s-region sums one panel at a time
+    g = eng._sgrid
+    lam_s = eng._s_lam
+    s_split = np.log(1.0 / lam_split)
+    plain_int = np.exp(1j * omega * lam_s ** p) * amp0 * cut(lam_s)
+    w = g.weights.ravel()
+    xg, wg = gauss_legendre(12)
+    total, err, scale = 0j, 0.0, 0.0
+    for i in range(g.npanels):
+        a, b = g.breaks[i], g.breaks[i + 1]
+        if b <= s_split + 1e-14:
+            continue
+        lo = max(a, s_split)
+        mid = 0.5 * (lo + b)
+        h1, h2 = 0.5 * (mid - lo), 0.5 * (b - mid)
+        ss = np.concatenate([0.5 * (lo + mid) + h1 * xg,
+                             0.5 * (mid + b) + h2 * xg])
+        lam = np.exp(-ss)
+        ref = np.sum(np.concatenate([h1 * wg, h2 * wg])
+                     * np.exp(1j * omega * lam ** p)
+                     * g.interpolate(amp0, ss) * cut(lam))
+        total += ref
+        scale += abs(ref)
+        if lo <= a + 1e-14:
+            err += abs(ref - np.sum(w[i * g.order:(i + 1) * g.order]
+                                    * plain_int[i * g.order:(i + 1) * g.order]))
+    err += abs(amp0[-1] * cut(lam_s[-1])) * lam_s[-1] * 2.0
+    return total, err, scale
+
+
+def test_s_region_matches_panel_loop(cylinder_model):
+    eng = KernelEngine(cylinder_model, xi_abs_max=400.0, s_panel=2.0,
+                       panel_ratio=2.0)
+    cases = [(KIND_SCHRODINGER, None, 20.0, 3.0, -2.0),
+             # lam_split = 1/500 cuts an s-panel
+             (KIND_WAVE_PLUS, None, 500.0, 3.0, -2.0),
+             (KIND_WAVE_PLUS, "osc_low", 150.0, 300.0, 2.0),
+             (KIND_SCHRODINGER, "low_low", 1.0e6, 3.0, -2.0)]
+    for kind, band, t, xi, xip in cases:
+        p = eng._phase_power(kind)
+        data = eng._pair_data(max(xi, xip), min(xi, xip), 30.0)
+        cut = eng._cut_factory(band, xi, xip)
+        lam_split = eng._lam_split(kind, t)
+        got = eng._s_region(data["amp0"], cut, p, t, lam_split)
+        want = _s_region_by_panel(eng, data["amp0"], cut, p, t, lam_split)
+        # the panel sums are added in another order
+        assert abs(got[0] - want[0]) <= 1e-13 * want[2]
+        assert abs(got[1] - want[1]) <= 1e-13 * want[1]
 
 
 def test_band_sign_precondition(hyperboloid_engine):
