@@ -6,9 +6,12 @@ kernel evaluation reduces to polynomial work against that table:
 
 * the sub-threshold region lam <= lam_low is parametrised as lam = e^{-s},
   resolving the 1/(lam log^2 lam) structure, and integrated by plain
-  Gauss rules while t lam^p stays below one radian;
+  Gauss rules while t lam^p stays below one radian; past the table's
+  lowest lam the density is extrapolated with e^{-s} decay;
 * the oscillatory region carries Chebyshev panels of the phase-stripped
-  channel amplitudes; the quadratic/linear phase exp(i(t lam^p + theta lam))
+  channel amplitudes; panels below lam_low read them off the s-grid
+  samples (one table per lam range), panels above sample the table
+  directly; the quadratic/linear phase exp(i(t lam^p + theta lam))
   is integrated exactly per panel (oscquad), against polynomial fits that
   each pair caches per band, so that kernels at another t or kind refit
   only the panels cut at lam_split or lam_top;
@@ -221,7 +224,10 @@ class KernelEngine:
                  * r.m("minus", lo) / r.W)]
 
     def _pair_data(self, hi: float, lo: float, lam_top: float):
-        """Channel amplitude samples on the s-grid and the osc panels."""
+        """Channel amplitude samples on the s-grid and the osc panels.
+
+        Only the s-grid and the osc panels above lam_low build table
+        records; the panels below lam_low interpolate the s-grid samples."""
         self._ensure_top(lam_top)
         n_panels = int(np.searchsorted(self._osc_edges, lam_top * 0.999999))
         n_panels = min(max(n_panels, 1), len(self._osc_edges) - 1)
@@ -235,16 +241,25 @@ class KernelEngine:
             recs = [self._record(l) for l in lams]
             return [np.array([amp(r) for r in recs]) for _, amp in chans]
 
+        lam_s = self._s_lam
+        s_vals = sample(lam_s)
         edges = self._osc_edges[: n_panels + 1]
+        nodes = [oscquad.cheb_nodes(a, b)
+                 for a, b in zip(edges[:-1], edges[1:])]
+        # panels 0 .. n_sub-1 have b <= lam_low; one interpolation per
+        # channel serves them all
+        n_sub = int(np.searchsorted(edges, self.lam_low, side="right")) - 1
+        s_sub = np.log(1.0 / np.concatenate(nodes[:n_sub]))
+        sub = [np.split(self._sgrid.interpolate(v, s_sub), n_sub)
+               for v in s_vals]
         osc_panels = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            lam_nodes = oscquad.cheb_nodes(a, b)
-            osc_panels.append((a, b, lam_nodes, sample(lam_nodes)))
+        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            vals = [v[i] for v in sub] if i < n_sub else sample(nodes[i])
+            osc_panels.append((a, b, nodes[i], vals))
         # the cut-free s-region density lam^2 Im[sum e^{i theta lam} amp]
         # (one lam is the Jacobian of lam = e^{-s})
-        lam_s = self._s_lam
         amp0 = np.zeros(len(lam_s))
-        for (th, _), vals in zip(chans, sample(lam_s)):
+        for (th, _), vals in zip(chans, s_vals):
             amp0 += (np.exp(1j * th * lam_s) * vals).imag
         amp0 *= lam_s * lam_s
         data = {"thetas": [th for th, _ in chans], "osc": osc_panels,
@@ -297,7 +312,6 @@ class KernelEngine:
         hi, lo = max(xi, xi_prime), min(xi, xi_prime)
         p = self._phase_power(kind)
         tt = abs(float(t))
-        sgn_t = 1.0 if (t >= 0) else -1.0
         wave_sign = -1.0 if kind == KIND_WAVE_MINUS else 1.0
         chans_probe = self._channels(hi, lo)
         lam_top = self._lam_top(kind, tt, [th for th, _ in chans_probe])
@@ -373,9 +387,16 @@ class KernelEngine:
         plain_int = np.exp(1j * omega * lam_s ** p) * amp0 * cut(lam_s)
         plain = (g.weights * plain_int.reshape(g.nodes.shape))[used].sum(axis=1)
         err = np.abs(ref - plain)[whole].sum()
-        # unresolved sub-table tail
-        err += abs(amp0[-1] * cut(lam_s[-1])) * lam_s[-1] * 2.0
-        return ref.sum(), err
+        # sub-table tail lam < LAM_MIN_TABLE: amp0 = lam g(s) with g slowly
+        # varying, so its integral over s > s_min is g(s_min) LAM_MIN_TABLE
+        # up to g'(s_min) LAM_MIN_TABLE, g' taken across the last panel
+        g_end = amp0[-g.order:] / lam_s[-g.order:]
+        s_end = g.nodes[-1]
+        slope = (g_end[-1] - g_end[0]) / (s_end[-1] - s_end[0])
+        edge = LAM_MIN_TABLE * cut(LAM_MIN_TABLE)
+        tail = g_end[-1] * edge * np.exp(1j * omega * LAM_MIN_TABLE ** p)
+        err += abs(slope * edge)
+        return ref.sum() + tail, err
 
     @staticmethod
     def _panel_fit(data, fit_key, chan_idx, i, cut):

@@ -7,8 +7,8 @@ import pytest
 from conicwave import (DomainError, KernelEngine, standard_case_library,
                        stationary_phase_check)
 from conicwave.kernel import (KIND_SCHRODINGER, KIND_WAVE_PLUS,
-                              StationaryPhaseCase, _compact_bump,
-                              _compact_bump_d)
+                              LAM_MIN_TABLE, StationaryPhaseCase,
+                              _compact_bump, _compact_bump_d)
 from conicwave.panels import gauss_legendre
 
 
@@ -56,14 +56,18 @@ def test_density_of_states_slope(cylinder_engine):
 # ---------------------------------------------------------------------------
 
 def test_cylinder_fresnel_oracle(cylinder_engine):
-    # closed-form free kernel, symmetrised over the half-line spectrum
+    # closed-form free kernel, symmetrised over the half-line spectrum; at
+    # t >= 1e5 lam_split = t^{-1/2} < lam_low, so the Filon panels below
+    # lam_low and the sub-table tail lam < LAM_MIN_TABLE are both in play
     for (t, xi, xip) in [(10.0, 3.0, -2.0), (100.0, 0.0, 0.0),
-                         (1000.0, 30.0, 10.0)]:
+                         (1000.0, 30.0, 10.0), (1.0e5, 30.0, 10.0),
+                         (1.0e6, 0.0, 0.0)]:
         ks = cylinder_engine.evolution_kernel(KIND_SCHRODINGER, t, xi, xip)
         th = xi - xip
         closed = 0.25 * np.sqrt(np.pi / t) * np.exp(1j * np.pi / 4) \
             * np.exp(-1j * th ** 2 / (4 * t)) * ks.weight
         assert abs(ks.value - closed) <= 1e-4
+        assert abs(ks.value - closed) <= ks.err_est
         assert ks.err_est <= 1e-4 * max(1.0, abs(ks.value))
 
 
@@ -175,7 +179,14 @@ def _s_region_by_panel(eng, amp0, cut, p, omega, lam_split):
         if lo <= a + 1e-14:
             err += abs(ref - np.sum(w[i * g.order:(i + 1) * g.order]
                                     * plain_int[i * g.order:(i + 1) * g.order]))
-    err += abs(amp0[-1] * cut(lam_s[-1])) * lam_s[-1] * 2.0
+    # sub-table tail, extrapolated from the last panel with e^{-s} decay
+    g_end = amp0[-g.order:] / lam_s[-g.order:]
+    s_end = g.nodes[-1]
+    lam_min = LAM_MIN_TABLE
+    total += (g_end[-1] * lam_min * cut(lam_min)
+              * np.exp(1j * omega * lam_min ** p))
+    err += abs((g_end[-1] - g_end[0]) / (s_end[-1] - s_end[0])
+               * lam_min * cut(lam_min))
     return total, err, scale
 
 
@@ -197,6 +208,39 @@ def test_s_region_matches_panel_loop(cylinder_model):
         # the panel sums are added in another order
         assert abs(got[0] - want[0]) <= 1e-13 * want[2]
         assert abs(got[1] - want[1]) <= 1e-13 * want[1]
+
+
+def test_subthreshold_panels_match_direct_samples(hyperboloid_engine):
+    # the Filon panels below lam_low read their channel values off the
+    # s-grid; a table record at each panel node must agree with them
+    eng = hyperboloid_engine
+    for xi, xip in [(300.0, -1000.0), (1000.0, 0.5)]:
+        hi, lo = max(xi, xip), min(xi, xip)
+        chans = eng._channels(hi, lo)
+        data = eng._pair_data(hi, lo, 30.0)
+        below = [panel for panel in data["osc"] if panel[1] <= eng.lam_low]
+        assert below
+        for _, _, lam_nodes, vals in below:
+            recs = [eng._record(lam) for lam in lam_nodes]
+            for (_, amp), v in zip(chans, vals):
+                direct = np.array([amp(r) for r in recs])
+                assert (np.max(np.abs(v - direct))
+                        <= 1e-8 * np.max(np.abs(direct)))
+
+
+def test_one_table_below_the_threshold(cylinder_model):
+    eng = KernelEngine(cylinder_model, xi_abs_max=400.0, s_panel=2.0,
+                       panel_ratio=2.0)
+    eng.evolution_kernel(KIND_SCHRODINGER, 10.0, 3.0, -2.0)
+    # (the lowest node of the first panel above lam_low rounds to a hair
+    # below it)
+    below = {lam for lam in eng._records if lam < eng.lam_low * (1 - 1e-12)}
+    assert below and below <= set(eng._s_lam.tolist())
+    # lam_split = 1e-3 < lam_low: the sub-threshold panels are integrated,
+    # from values already in hand
+    n = len(eng._records)
+    eng.evolution_kernel(KIND_WAVE_PLUS, 1.0e3, 3.0, -2.0)
+    assert len(eng._records) == n
 
 
 def test_band_sign_precondition(hyperboloid_engine):
