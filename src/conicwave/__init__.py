@@ -12,8 +12,8 @@ from .geometry import (ArclengthChart, ConicalFit, PotentialProfile,
                        ProfileSpec, fit_conical_constants, make_profile,
                        potential_at)
 from .hankel import C0, C1, KAPPA, f0_values, hankel0_plus
-from .jost import (AsymptoticConstants, JostEvaluator, LowEnergyBasis,
-                   ScatteringData, ScatteringModel)
+from .jost import (JostEvaluator, LowEnergyBasis, ScatteringData,
+                   ScatteringModel)
 from .kernel import (BANDS, KINDS, DecayReport, KernelEngine, KernelSample,
                      StationaryPhaseCase, chi_low, chi_window,
                      standard_case_library, stationary_phase_check)
@@ -21,7 +21,7 @@ from .kernel import (BANDS, KINDS, DecayReport, KernelEngine, KernelSample,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArclengthChart", "AsymptoticConstants", "BANDS", "C0", "C1",
+    "ArclengthChart", "BANDS", "C0", "C1",
     "ConfigError", "ConicalFit", "ConicwaveError", "ConvergenceError",
     "DecayReport", "DomainError", "JostEvaluator", "KAPPA", "KINDS",
     "KernelEngine", "KernelSample", "LowEnergyBasis", "PotentialProfile",

@@ -291,7 +291,7 @@ def _emit_summary(report: dict, out: Path, stem: str) -> int:
 
 def _cmd_validate_low(cfg, out: Path) -> int:
     model = _build_model(cfg)
-    _, report = model.validate_low_energy(cfg.lam_grid)
+    report = model.validate_low_energy(cfg.lam_grid)
     return _emit_summary(report, out, "validate_low")
 
 

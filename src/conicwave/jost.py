@@ -166,23 +166,6 @@ class ScatteringData:
     residuals: dict = field(default_factory=dict)
 
 
-@dataclass
-class AsymptoticConstants:
-    """Exact and fitted constants of the low-energy expansions."""
-
-    c0: complex
-    c1: float
-    kappa: float
-    c2: float = np.nan
-    c3: float = np.nan
-    c3_tilde: float = np.nan
-    c4: float = np.nan
-    c5: float = np.nan
-    gamma0: float = np.nan
-    gamma1: float = np.nan
-    residuals: dict = field(default_factory=dict)
-
-
 class JostEvaluator:
     """(f, f') on an array of xi for one energy, over a fixed window."""
 
@@ -698,11 +681,12 @@ class ScatteringModel:
         m2 = u1e * i01 - u0e * i11
         return m1, m2
 
-    def validate_low_energy(self, lam_grid) -> tuple:
+    def validate_low_energy(self, lam_grid) -> dict:
         """Fit the low-energy constants and check every stated law.
 
-        Returns (AsymptoticConstants, report) where report maps check name
-        to {'value': worst residual, 'threshold': gate, 'ok': bool, ...}.
+        Returns the report, which maps check name to {'value': worst
+        residual, 'threshold': gate, 'ok': bool, 'constants': fitted
+        constants, ...}; c2 is ``fit_c2()``.
         """
         lam_grid = np.asarray(lam_grid, dtype=float)
         if np.any(lam_grid <= 0) or np.any(lam_grid > self.lam_low):
@@ -710,10 +694,8 @@ class ScatteringModel:
         if lam_grid.max() / lam_grid.min() < 99.0:
             raise DomainError("lam_grid must span at least two decades")
         lam_grid = np.sort(lam_grid)
-        consts = AsymptoticConstants(c0=C0, c1=C1, kappa=KAPPA)
         report: dict = {}
         c2 = self.fit_c2()
-        consts.c2 = c2
 
         data = [self.scattering_data(l) for l in lam_grid]
         ap = np.array([d.a_plus for d in data])
@@ -731,7 +713,6 @@ class ScatteringModel:
         # W-law: W/(2 lam) = 1 + i c3 + i c1 log lam
         wnorm = W / (2 * lam_grid)
         slope_w, c3_w = np.polyfit(logl[fitsel], wnorm.imag[fitsel], 1)
-        consts.c3 = float(c3_w)
         model = 1.0 + 1j * (c3_w + C1 * logl)
         w_resid = np.abs(wnorm - model) / np.abs(model)
         report["wronskian_low_law"] = {
@@ -795,11 +776,10 @@ class ScatteringModel:
                 z = v[0] / (C0 * np.sqrt(l * np.hypot(xi, 1.0)))
                 c5s.append((z - 1.0 - 1j * C1
                             * np.log(l / np.hypot(xi, 1.0))).imag)
-        consts.c4 = float(np.mean(c4s))
-        consts.c5 = float(np.mean(c5s))
         report["f_plus_low_rep"] = {
             "law": "f+ = c0*sqrt(lam*<xi>)*(1 + i*c1*log(lam*<xi>^(+-1)) + i*c4/c5)",
-            "constants": {"c4": consts.c4, "c5": consts.c5},
+            "constants": {"c4": float(np.mean(c4s)),
+                          "c5": float(np.mean(c5s))},
             "value": float(max(np.std(c4s), np.std(c5s))),
             "threshold": 0.2}
 
@@ -811,17 +791,17 @@ class ScatteringModel:
             g0s.append(-0.5 * ratio.imag)
             g1s.append(0.5 * (bp[i] / ap[i]).imag
                        * (1.0 + (c3_w + C1 * np.log(l)) ** 2))
-        consts.gamma0 = float(np.mean(g0s))
-        consts.gamma1 = float(np.mean(g1s))
+        gamma0 = float(np.mean(g0s))
+        gamma1 = float(np.mean(g1s))
         g0_ref = np.pi / (2 * np.sqrt(2.0))
         g1_ref = 1.0 / (np.sqrt(2.0) * np.pi)
         report["gamma_constants"] = {
             "law": "density = gamma0*u0*u0' + gamma1/(1+(c3+c1*log lam)^2)*u1*u1'",
-            "constants": {"gamma0": consts.gamma0, "gamma1": consts.gamma1,
+            "constants": {"gamma0": gamma0, "gamma1": gamma1,
                           "gamma0_symmetric": g0_ref,
                           "gamma1_symmetric": g1_ref},
-            "value": float(max(abs(consts.gamma0 / g0_ref - 1.0),
-                               abs(consts.gamma1 / g1_ref - 1.0))),
+            "value": float(max(abs(gamma0 / g0_ref - 1.0),
+                               abs(gamma1 / g1_ref - 1.0))),
             "threshold": 0.05}
 
         # zero-energy quadratic moments
@@ -838,16 +818,14 @@ class ScatteringModel:
             vals.append(m2x / x ** 2.5 - 0.25 * 2 ** 0.25 * np.log(x))
         basis = np.stack([np.ones_like(xis), np.log(xis) / xis], axis=1)
         coef, *_ = np.linalg.lstsq(basis, np.asarray(vals), rcond=None)
-        consts.c3_tilde = float(coef[0])
         report["moment_m2"] = {
             "law": "u1*int(u0 u1) - u0*int(u1^2) = (1/4)*2^(1/4)*xi^(5/2)*log(xi)"
                    " + c3_tilde*xi^(5/2) + ...",
-            "constants": {"c3_tilde": consts.c3_tilde},
+            "constants": {"c3_tilde": float(coef[0])},
             "value": float(np.sqrt(np.mean((basis @ coef - vals) ** 2))),
             "threshold": 0.05}
 
-        consts.residuals = {k: v["value"] for k, v in report.items()}
-        return consts, _gated(report)
+        return _gated(report)
 
     # ------------------------------------------------------------------
     # high-energy validation suite

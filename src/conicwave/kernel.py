@@ -5,16 +5,19 @@ lambda table (scattering solves are by far the dominant cost) and every
 kernel evaluation reduces to polynomial work against that table:
 
 * the sub-threshold region lam <= lam_low is parametrised as lam = e^{-s},
-  resolving the 1/(lam log^2 lam) structure, and integrated by plain
-  Gauss rules while t lam^p stays below one radian; past the table's
-  lowest lam the density is extrapolated with e^{-s} decay;
+  resolving the 1/(lam log^2 lam) structure, down to LAM_MIN_TABLE, and
+  integrated by plain Gauss rules while t lam^p stays below one radian;
+  past the table's lowest lam the density is extrapolated with e^{-s}
+  decay, so a kernel whose t^{-1/p} reaches LAM_MIN_TABLE is refused;
 * the oscillatory region carries Chebyshev panels of the phase-stripped
-  channel amplitudes; panels below lam_low read them off the s-grid
-  samples (one table per lam range), panels above sample the table
-  directly; the quadratic/linear phase exp(i(t lam^p + theta lam))
-  is integrated exactly per panel (oscquad), against polynomial fits that
-  each pair caches per band, so that kernels at another t or kind refit
-  only the panels cut at lam_split or lam_top;
+  channel amplitudes on one geometric ladder from LAM_MIN_TABLE up through
+  lam_low; panels below lam_low read them off the s-grid samples (one
+  table per lam range), panels above sample the table directly and are
+  appended to a pair's entry as kernels reach higher; the quadratic/linear
+  phase exp(i(t lam^p + theta lam)) is integrated exactly per panel
+  (oscquad), against polynomial fits that each pair caches per band, so
+  that kernels at another t or kind refit only the panels cut at lam_split
+  or lam_top;
 * the upper truncation is an Abel-regularised boundary series whose first
   neglected term is reported in the error estimate.
 
@@ -53,9 +56,7 @@ _WINDOWED = {"low_low": (True, True), "osc_osc": (False, False),
 #: default spatial magnitudes of the sup grids (plus the moving light-cone
 #: probe added per t)
 SUP_GRID = (0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
-#: lowest edge of the oscillatory (Filon) panels below lam_low
-LAM_FLOOR = 1.0e-5
-#: lowest lam of the s-region table (lam = e^{-s})
+#: lowest lam of the s-region table (lam = e^{-s}) and of the Filon panels
 LAM_MIN_TABLE = 1.0e-8
 
 
@@ -179,19 +180,16 @@ class KernelEngine:
         self._sgrid = panels.PanelGrid.build(np.linspace(s0, s1, n + 1),
                                              order=12)
         self._s_lam = np.exp(-self._sgrid.flat)
-        # oscillatory panel edges, geometric around lam_low
+        # oscillatory panel edges, geometric from lam_low down to the table
+        # floor (the last panel is cut there) and grown upward on demand
         down = [self.lam_low]
-        while down[-1] > LAM_FLOOR:
-            down.append(down[-1] / self.panel_ratio)
+        while down[-1] > LAM_MIN_TABLE:
+            down.append(max(down[-1] / self.panel_ratio, LAM_MIN_TABLE))
         self._osc_edges = list(reversed(down))
         self._records: dict = {}
         self._pair_cache: dict = {}
 
     # -- table plumbing -----------------------------------------------------
-
-    def _ensure_top(self, lam_top: float) -> None:
-        while self._osc_edges[-1] < lam_top:
-            self._osc_edges.append(self._osc_edges[-1] * self.panel_ratio)
 
     def _record(self, lam: float) -> _NodeRecord:
         rec = self._records.get(lam)
@@ -224,47 +222,48 @@ class KernelEngine:
                  * r.m("minus", lo) / r.W)]
 
     def _pair_data(self, hi: float, lo: float, lam_top: float):
-        """Channel amplitude samples on the s-grid and the osc panels.
+        """The pair's channel amplitudes on the s-grid and the osc panels.
 
-        Only the s-grid and the osc panels above lam_low build table
-        records; the panels below lam_low interpolate the s-grid samples."""
-        self._ensure_top(lam_top)
-        n_panels = int(np.searchsorted(self._osc_edges, lam_top * 0.999999))
-        n_panels = min(max(n_panels, 1), len(self._osc_edges) - 1)
-        key = (hi, lo)
-        cached = self._pair_cache.get(key)
-        if cached is not None and len(cached["osc"]) >= n_panels:
-            return cached
+        The entry is built once: the s-grid samples, the cut-free s-region
+        density ``amp0`` and the osc panels below lam_low, which interpolate
+        the s-grid samples.  Later calls only append panels above lam_low,
+        sampled from table records, until they reach lam_top; the panel fits
+        cached under ``fits`` stay valid, since panel indices never move."""
         chans = self._channels(hi, lo)
 
         def sample(lams):
             recs = [self._record(l) for l in lams]
             return [np.array([amp(r) for r in recs]) for _, amp in chans]
 
-        lam_s = self._s_lam
-        s_vals = sample(lam_s)
-        edges = self._osc_edges[: n_panels + 1]
-        nodes = [oscquad.cheb_nodes(a, b)
-                 for a, b in zip(edges[:-1], edges[1:])]
-        # panels 0 .. n_sub-1 have b <= lam_low; one interpolation per
-        # channel serves them all
-        n_sub = int(np.searchsorted(edges, self.lam_low, side="right")) - 1
-        s_sub = np.log(1.0 / np.concatenate(nodes[:n_sub]))
-        sub = [np.split(self._sgrid.interpolate(v, s_sub), n_sub)
-               for v in s_vals]
-        osc_panels = []
-        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            vals = [v[i] for v in sub] if i < n_sub else sample(nodes[i])
-            osc_panels.append((a, b, nodes[i], vals))
-        # the cut-free s-region density lam^2 Im[sum e^{i theta lam} amp]
-        # (one lam is the Jacobian of lam = e^{-s})
-        amp0 = np.zeros(len(lam_s))
-        for (th, _), vals in zip(chans, s_vals):
-            amp0 += (np.exp(1j * th * lam_s) * vals).imag
-        amp0 *= lam_s * lam_s
-        data = {"thetas": [th for th, _ in chans], "osc": osc_panels,
-                "amp0": amp0, "fits": {}}
-        self._pair_cache[key] = data
+        edges = self._osc_edges
+        data = self._pair_cache.get((hi, lo))
+        if data is None:
+            lam_s = self._s_lam
+            s_vals = sample(lam_s)
+            sub = list(zip(edges, edges[1: edges.index(self.lam_low) + 1]))
+            nodes = [oscquad.cheb_nodes(a, b) for a, b in sub]
+            # one interpolation per channel serves every sub-threshold panel
+            s_sub = np.log(1.0 / np.concatenate(nodes))
+            vals = [np.split(self._sgrid.interpolate(v, s_sub), len(sub))
+                    for v in s_vals]
+            osc = [(a, b, x, [v[i] for v in vals])
+                   for i, ((a, b), x) in enumerate(zip(sub, nodes))]
+            # the cut-free s-region density lam^2 Im[sum e^{i theta lam} amp]
+            # (one lam is the Jacobian of lam = e^{-s})
+            amp0 = np.zeros(len(lam_s))
+            for (th, _), v in zip(chans, s_vals):
+                amp0 += (np.exp(1j * th * lam_s) * v).imag
+            amp0 *= lam_s * lam_s
+            data = self._pair_cache[hi, lo] = {
+                "thetas": [th for th, _ in chans], "osc": osc, "amp0": amp0,
+                "fits": {}}
+        osc = data["osc"]
+        while osc[-1][1] < lam_top * 0.999999:
+            i = len(osc)
+            if i + 1 == len(edges):
+                edges.append(edges[-1] * self.panel_ratio)
+            nodes = oscquad.cheb_nodes(edges[i], edges[i + 1])
+            osc.append((edges[i], edges[i + 1], nodes, sample(nodes)))
         return data
 
     # -- integration ----------------------------------------------------------
@@ -298,7 +297,13 @@ class KernelEngine:
 
     def _lam_split(self, kind: str, t: float) -> float:
         p = self._phase_power(kind)
-        return float(min(self.lam_low, (1.0 / max(abs(t), 1e-12)) ** (1.0 / p)))
+        lam_split = float(min(self.lam_low,
+                              (1.0 / max(abs(t), 1e-12)) ** (1.0 / p)))
+        if lam_split <= LAM_MIN_TABLE:
+            raise DomainError(
+                f"{kind} kernel at t={t:g}: t^(-1/{p}) is at or below the "
+                f"lowest tabulated lam {LAM_MIN_TABLE:g}")
+        return lam_split
 
     def _lam_top(self, kind: str, t: float, thetas) -> float:
         if kind == KIND_SCHRODINGER:
@@ -313,13 +318,13 @@ class KernelEngine:
         p = self._phase_power(kind)
         tt = abs(float(t))
         wave_sign = -1.0 if kind == KIND_WAVE_MINUS else 1.0
+        lam_split = self._lam_split(kind, tt)
         chans_probe = self._channels(hi, lo)
         lam_top = self._lam_top(kind, tt, [th for th, _ in chans_probe])
         if band is not None and band != "high_energy":
             lam_top = min(lam_top, 1.05 * self.lam_low)
         data = self._pair_data(hi, lo, lam_top)
         cut = self._cut_factory(band, xi, xi_prime)
-        lam_split = self._lam_split(kind, tt)
 
         # --- slow region: refined sums on the s-grid ---
         total, err = self._s_region(data["amp0"], cut, p, wave_sign * tt,
@@ -395,7 +400,8 @@ class KernelEngine:
         slope = (g_end[-1] - g_end[0]) / (s_end[-1] - s_end[0])
         edge = LAM_MIN_TABLE * cut(LAM_MIN_TABLE)
         tail = g_end[-1] * edge * np.exp(1j * omega * LAM_MIN_TABLE ** p)
-        err += abs(slope * edge)
+        # the phase is held at its lam = LAM_MIN_TABLE value over the tail
+        err += abs(slope * edge) + abs(tail) * abs(omega) * LAM_MIN_TABLE ** p
         return ref.sum() + tail, err
 
     @staticmethod

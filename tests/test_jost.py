@@ -391,17 +391,20 @@ def test_one_sided_profile_w_agrees_with_beta():
 # ---------------------------------------------------------------------------
 
 def test_validate_low_energy_suite(hyperboloid_model):
-    consts, report = hyperboloid_model.validate_low_energy(
+    report = hyperboloid_model.validate_low_energy(
         np.geomspace(1e-6, 1e-2, 25))
     for name, rec in report.items():
         assert rec["ok"], f"{name}: {rec}"
+    c3 = report["wronskian_low_law"]["constants"]["c3"]
+    gamma = report["gamma_constants"]["constants"]
     # fitted c3 agrees with kappa - c1 c2
-    assert abs(consts.c3 - (KAPPA - C1 * consts.c2)) <= 0.03 * abs(consts.c3)
+    c3_law = report["c3_cross_check"]["constants"]["kappa_minus_c1c2"]
+    assert abs(c3 - c3_law) <= 0.03 * abs(c3)
     # gamma constants at their symmetric-case values
-    assert abs(consts.gamma0 - np.pi / (2 * np.sqrt(2))) <= 1e-3
-    assert abs(consts.gamma1 - 1.0 / (np.sqrt(2) * np.pi)) <= 2e-3
+    assert abs(gamma["gamma0"] - np.pi / (2 * np.sqrt(2))) <= 1e-3
+    assert abs(gamma["gamma1"] - 1.0 / (np.sqrt(2) * np.pi)) <= 2e-3
     # c3 and the moment constant of the second expansion differ
-    assert abs(consts.c3_tilde - consts.c3) > 0.05
+    assert abs(report["moment_m2"]["constants"]["c3_tilde"] - c3) > 0.05
 
 
 def test_validate_status_follows_threshold(hyperboloid_model, monkeypatch):
@@ -414,7 +417,7 @@ def test_validate_status_follows_threshold(hyperboloid_model, monkeypatch):
         return m1, m2 + (-1) ** round(4 * np.log10(xi)) * xi ** 2.5
 
     monkeypatch.setattr(model_cls, "zero_energy_moments", off_law)
-    _, report = hyperboloid_model.validate_low_energy(
+    report = hyperboloid_model.validate_low_energy(
         np.geomspace(1e-6, 1e-4, 3))
     assert report["moment_m2"]["value"] > report["moment_m2"]["threshold"]
     assert not report["moment_m2"]["ok"]

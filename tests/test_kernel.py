@@ -71,6 +71,26 @@ def test_cylinder_fresnel_oracle(cylinder_engine):
         assert ks.err_est <= 1e-4 * max(1.0, abs(ks.value))
 
 
+def test_cylinder_wave_oracle(cylinder_engine):
+    # the cylinder's wave kernel at xi = xi' = 0 is i/(2t) (Abel); for
+    # t > 1.3e5 lam_split = 1/t lies below 1e-5, where the Filon panels go
+    # down to the table floor LAM_MIN_TABLE
+    for t in (2.0e5, 1.0e6, 1.0e7):
+        ks = cylinder_engine.evolution_kernel(KIND_WAVE_PLUS, t, 0.0, 0.0)
+        assert abs(ks.value - 0.5j / t) <= ks.err_est
+
+
+def test_kernel_past_the_table_raises(cylinder_engine):
+    # t^{-1/p} at the table floor: no s-region is left, and the engine
+    # refuses before it builds a record or a pair entry
+    eng = cylinder_engine
+    for kind, t in ((KIND_WAVE_PLUS, 1.0e8), (KIND_SCHRODINGER, 1.0e16)):
+        n_rec, n_pair = len(eng._records), len(eng._pair_cache)
+        with pytest.raises(DomainError):
+            eng.evolution_kernel(kind, t, 7.0, -5.0)
+        assert (len(eng._records), len(eng._pair_cache)) == (n_rec, n_pair)
+
+
 def test_time_reversal(hyperboloid_engine):
     k1 = hyperboloid_engine.evolution_kernel(KIND_SCHRODINGER, 37.0, 5.0, 1.0)
     k2 = hyperboloid_engine.evolution_kernel(KIND_SCHRODINGER, -37.0, 5.0, 1.0)
@@ -150,6 +170,15 @@ def test_cached_panel_fits_match_fresh_engine(cylinder_model):
     grown = KernelEngine(cylinder_model, xi_abs_max=warm.xi_abs_max, **coarse)
     for case in cases[:2]:
         assert same(_kernel(warm, *case), _kernel(grown, *case))
+    # a kernel that needs panels further up appends them to the pair's
+    # entry, which keeps its earlier fits
+    _kernel(grown, KIND_SCHRODINGER, None, 10.0, 5.0, -7.0)
+    data = grown._pair_cache[5.0, -7.0]
+    fits = set(data["fits"])
+    top = data["osc"][-1][1]
+    _kernel(grown, KIND_WAVE_PLUS, None, 10.0, 5.0, -7.0)
+    assert grown._pair_cache[5.0, -7.0] is data
+    assert data["osc"][-1][1] > top and fits <= set(data["fits"])
 
 
 def _s_region_by_panel(eng, amp0, cut, p, omega, lam_split):
@@ -187,6 +216,8 @@ def _s_region_by_panel(eng, amp0, cut, p, omega, lam_split):
               * np.exp(1j * omega * lam_min ** p))
     err += abs((g_end[-1] - g_end[0]) / (s_end[-1] - s_end[0])
                * lam_min * cut(lam_min))
+    # the phase is frozen at lam_min over the tail
+    err += abs(g_end[-1] * lam_min * cut(lam_min)) * abs(omega) * lam_min ** p
     return total, err, scale
 
 
