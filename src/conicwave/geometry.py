@@ -12,6 +12,7 @@ low-energy scattering laws feed on.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -326,6 +327,8 @@ class PotentialProfile:
         dr = profile.r1(x) / chart.dxi_dx(x)
         self._rho = CubicSpline(grid, rho)
         self._V = CubicSpline(grid, V)
+        # zero-copy views for V_at, which indexes them one float at a time
+        self._Vx, self._Vc = memoryview(self._V.x), memoryview(self._V.c)
         self._r = CubicSpline(grid, r)
         self._dr = CubicSpline(grid, dr)
         # integral of 1/r in arclength: antiderivative of the 1/r spline so
@@ -361,6 +364,14 @@ class PotentialProfile:
 
     def V(self, xi):
         return self._V(xi)
+
+    def V_at(self, s: float) -> float:
+        """V at one float, bit-equal to ``float(self.V(s))``: scipy's piece
+        (end pieces extrapolate) and its order of summation."""
+        x, c, s = self._Vx, self._Vc, float(s)
+        i = min(max(bisect_right(x, s) - 1, 0), len(x) - 2)
+        d = s - x[i]
+        return c[3, i] + c[2, i] * d + c[1, i] * (d * d) + c[0, i] * (d * d * d)
 
     def V1(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -403,6 +414,9 @@ class MirroredPotential:
 
     def V(self, xi):
         return self.base.V(-np.asarray(xi, dtype=float))
+
+    def V_at(self, s: float) -> float:
+        return self.base.V_at(-s)
 
     def V1(self, xi):
         return self.base.V1(-np.asarray(xi, dtype=float))

@@ -86,8 +86,9 @@ def _continue(pv, lam: float, y0, span):
     """Dense solution of f'' = (V - lam^2) f over ``span`` from y0 = (f, f')."""
 
     def rhs(s, y):
-        # a list, not an array: this runs ~300k times per spectral table
-        return [y[1], (pv.V(s) - lam * lam) * y[0]]
+        # a list and a scalar V: this runs 260,790 times per cold spectral
+        # table (the perfbench kernel op)
+        return [y[1], (pv.V_at(s) - lam * lam) * y[0]]
 
     sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-11, atol=1e-13,
                     dense_output=True)

@@ -4,9 +4,10 @@ This is the quadrature backbone shared by the arclength chart, the Volterra
 sweeps and the spectral table: a grid is a list of panels, each carrying the
 same Gauss-Legendre nodes in the scaled variable.  Partial-range integrals of
 the per-panel Lagrange basis (optionally against a fixed oscillator
-``exp(i*omega*eta)``) are precomputed once, which makes successive
-substitution sweeps and cumulative integrals O(N) and lets panels span many
-oscillation periods without losing the phase.
+``exp(i*omega*eta)``) are precomputed once per grid, for all panels at once
+as array operations, which makes successive substitution sweeps and
+cumulative integrals O(N) and lets panels span many oscillation periods
+without losing the phase.
 
 Arrays that depend only on the order and the reference nodes (the GL-route
 interpolation matrix, the omega=0 reference segments that each panel scales
@@ -88,14 +89,8 @@ class PanelGrid:
 
     @classmethod
     def build(cls, breaks, order: int = 10) -> "PanelGrid":
-        breaks = np.asarray(breaks, dtype=float)
-        if breaks.ndim != 1 or breaks.size < 2 or np.any(np.diff(breaks) <= 0):
-            raise DomainError("breaks must be strictly increasing, length >= 2")
-        xg, wg = gauss_legendre(order)
-        a = breaks[:-1, None]
-        b = breaks[1:, None]
-        nodes = 0.5 * (a + b) + 0.5 * (b - a) * xg[None, :]
-        weights = 0.5 * (b - a) * wg[None, :]
+        breaks = _checked_breaks(breaks)
+        nodes, weights = _nodes_weights(breaks, order)
         return cls(breaks=breaks, order=order, nodes=nodes, weights=weights)
 
     @property
@@ -126,6 +121,22 @@ class PanelGrid:
 
     def _bary_weights(self) -> np.ndarray:
         return _bary_weights_cached(self.order)
+
+
+def _checked_breaks(breaks) -> np.ndarray:
+    breaks = np.asarray(breaks, dtype=float)
+    if breaks.ndim != 1 or breaks.size < 2 or np.any(np.diff(breaks) <= 0):
+        raise DomainError("breaks must be strictly increasing, length >= 2")
+    return breaks
+
+
+def _nodes_weights(breaks: np.ndarray, order: int) -> tuple:
+    """GL nodes and weights, shape (panels, order), of consecutive breaks."""
+    xg, wg = gauss_legendre(order)
+    a = breaks[:-1, None]
+    b = breaks[1:, None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * xg[None, :],
+            0.5 * (b - a) * wg[None, :])
 
 
 @lru_cache(maxsize=32)
@@ -178,24 +189,6 @@ def _lagrange_to_monomial(order: int) -> np.ndarray:
     return np.linalg.inv(v)
 
 
-def _monomial_suffix_moments(w0: np.ndarray, beta: float, kmax: int) -> np.ndarray:
-    """M[i, k] = integral_{w0[i]}^{1} w^k exp(i*beta*w) dw.
-
-    Upward recursion in k; requires |beta| > kmax for stability, which the
-    caller guarantees (small |beta| uses the direct GL route instead).
-    """
-    ib = 1j * beta
-    e1 = np.exp(ib)
-    e0 = np.exp(ib * w0)
-    m = np.empty((len(w0), kmax + 1), dtype=complex)
-    m[:, 0] = (e1 - e0) / ib
-    wp = np.ones_like(w0)
-    for k in range(1, kmax + 1):
-        wp = wp * w0
-        m[:, k] = (e1 - wp * e0) / ib - (k / ib) * m[:, k - 1]
-    return m
-
-
 def suffix_basis_integrals(grid: PanelGrid, omega: float = 0.0) -> np.ndarray:
     """S[p, i, j] = integral_{x_{p,i}}^{b_p} L_{p,j}(eta) exp(i*omega*eta) deta."""
     return _basis_integrals(grid, omega, suffix=True)
@@ -211,14 +204,8 @@ def full_panel_integrals(grid: PanelGrid, omega: float = 0.0) -> np.ndarray:
     h = np.diff(grid.breaks)
     if omega == 0.0:
         return (0.5 * h)[:, None] * gauss_legendre(grid.order)[1] + 0j
-    c = 0.5 * (grid.breaks[:-1] + grid.breaks[1:])
-    out = np.empty((grid.npanels, grid.order), dtype=complex)
-    for p in range(grid.npanels):
-        s = 0.5 * h[p]
-        beta = omega * s
-        out[p] = s * np.exp(1j * omega * c[p]) * _basis_segment(
-            grid.order, np.array([-1.0]), beta)[0]
-    return out
+    seg = _basis_segments(grid.order, np.array([-1.0]), omega * (0.5 * h))
+    return _panel_phase(grid, omega)[:, None] * seg[:, 0]
 
 
 def _frozen(*arrays):
@@ -229,7 +216,7 @@ def _frozen(*arrays):
 
 @lru_cache(maxsize=32)
 def _gl_reference(order: int, w0_key: bytes):
-    """Beta-independent part of the GL route of ``_basis_segment``."""
+    """Beta-independent part of the GL route of ``_basis_segments``."""
     w0 = np.frombuffer(w0_key)
     xg, wg = gauss_legendre(24)
     mid = 0.5 * (w0[:, None] + 1.0)
@@ -239,16 +226,33 @@ def _gl_reference(order: int, w0_key: bytes):
     return _frozen(half * wg[None, :], pts, bmat)
 
 
-def _basis_segment(order: int, w0: np.ndarray, beta: float) -> np.ndarray:
-    """B[i, j] = integral_{w0[i]}^{1} L_j(w) exp(i*beta*w) dw on [-1, 1]."""
-    kmax = order - 1
-    if abs(beta) <= max(15.0, kmax + 4):
+def _basis_segments(order: int, w0: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """B[p, i, j] = integral_{w0[i]}^{1} L_j(w) exp(i*betas[p]*w) dw on [-1, 1].
+
+    Panels with |beta| <= max(15, order + 3) take the 24-point GL route; the
+    rest take the upward monomial-moment recursion in k = 0..order-1, stable
+    for |beta| > k, mapped to the Lagrange basis by one product.
+    """
+    out = np.empty((len(betas), len(w0), order), dtype=complex)
+    gl = np.abs(betas) <= max(15.0, order + 3)
+    if gl.any():
         wts, pts, bmat = _gl_reference(order, w0.tobytes())
-        phase = np.exp(1j * beta * pts)
-        return np.einsum("ig,ig,igj->ij", wts, phase, bmat)
-    mono = _monomial_suffix_moments(w0, beta, kmax)        # (i, k)
-    a = _lagrange_to_monomial(order)                       # (k, j)
-    return mono @ a
+        phase = np.exp(1j * betas[gl, None, None] * pts)    # (p, i, 24)
+        out[gl] = np.einsum("ig,pig,igj->pij", wts, phase, bmat)
+    if not gl.all():
+        b = betas[~gl, None]                                # (p, 1)
+        ib = 1j * b
+        e1, e0 = np.exp(ib), np.exp(ib * w0)
+        mono = np.empty(e0.shape + (order,), dtype=complex)  # (p, i, k)
+        mono[..., 0] = (e1 - e0) / ib
+        wp = np.ones_like(w0)
+        for k in range(1, order):
+            wp = wp * w0
+            # k/ib as the exact quotient -ik/beta, not a complex division
+            mono[..., k] = ((e1 - wp * e0) / ib
+                            - 1j * (-k / b) * mono[..., k - 1])
+        out[~gl] = mono @ _lagrange_to_monomial(order)
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -256,9 +260,9 @@ def _reference_segment(order: int, suffix: bool) -> np.ndarray:
     """Real omega=0 basis integrals on [-1, 1]; a panel scales them by h/2."""
     ref = gauss_legendre(order)[0]
     if suffix:
-        seg = _basis_segment(order, ref, 0.0)
+        seg = _basis_segments(order, ref, np.zeros(1))[0]
     else:
-        seg = _basis_segment(order, -ref[::-1], -0.0)[::-1, ::-1]
+        seg = _basis_segments(order, -ref[::-1], -np.zeros(1))[0, ::-1, ::-1]
     return _frozen(seg.real.copy())[0]
 
 
@@ -267,18 +271,19 @@ def _basis_integrals(grid: PanelGrid, omega: float, suffix: bool) -> np.ndarray:
     if omega == 0.0:
         return (0.5 * h)[:, None, None] * _reference_segment(grid.order, suffix) + 0j
     ref = gauss_legendre(grid.order)[0]
+    betas = omega * (0.5 * h)
+    if suffix:
+        seg = _basis_segments(grid.order, ref, betas)
+    else:
+        # prefix over [-1, w_i]: mirror w -> -w
+        seg = _basis_segments(grid.order, -ref[::-1], -betas)[:, ::-1, ::-1]
+    return _panel_phase(grid, omega)[:, None, None] * seg
+
+
+def _panel_phase(grid: PanelGrid, omega: float) -> np.ndarray:
+    """(h/2) exp(i*omega*c) per panel: maps [-1, 1] integrals to the panel."""
     c = 0.5 * (grid.breaks[:-1] + grid.breaks[1:])
-    out = np.empty((grid.npanels, grid.order, grid.order), dtype=complex)
-    for p in range(grid.npanels):
-        s = 0.5 * h[p]
-        beta = omega * s
-        if suffix:
-            seg = _basis_segment(grid.order, ref, beta)
-        else:
-            # prefix over [-1, w_i]: mirror w -> -w
-            seg = _basis_segment(grid.order, -ref[::-1], -beta)[::-1, ::-1]
-        out[p] = s * np.exp(1j * omega * c[p]) * seg
-    return out
+    return 0.5 * np.diff(grid.breaks) * np.exp(1j * omega * c)
 
 
 # ---------------------------------------------------------------------------
@@ -334,3 +339,34 @@ def integrate(grid: PanelGrid, fvals: np.ndarray) -> complex:
     """Plain integral of nodal values over the whole grid."""
     f = np.asarray(fvals).reshape(grid.nodes.shape)
     return (grid.weights * f).sum()
+
+
+#: panels per block of ``integrate_blocks``: 12k nodes at order 12, so each
+#: block's temporaries stay in cache
+BLOCK_PANELS = 1024
+
+
+def integrate_blocks(breaks, f, order: int = 10):
+    """Integral of a pointwise ``f`` over ``PanelGrid.build(breaks, order)``.
+
+    ``f`` maps n nodes to n values, or to (k, n) values of k integrands, and
+    is evaluated BLOCK_PANELS panels at a time.  Only the weighted values are
+    kept for the whole grid, summed per integrand in one call, so each result
+    is bit-identical to ``integrate(grid, f(grid.flat))`` without that path's
+    grid-sized nodes, weights and intermediate values.
+    """
+    breaks = _checked_breaks(breaks)
+    m = len(breaks) - 1
+    out = None
+    for p in range(0, m, BLOCK_PANELS):
+        q = min(p + BLOCK_PANELS, m)
+        x, w = _nodes_weights(breaks[p:q + 1], order)
+        fx = np.asarray(f(x.ravel()))
+        fx = fx.reshape(fx.shape[:-1] + x.shape)
+        if out is None:
+            out = np.empty(fx.shape[:-2] + (m, order),
+                           dtype=np.result_type(w, fx))
+        np.multiply(w, fx, out=out[..., p:q, :])
+    if out.ndim == 2:
+        return out.sum()
+    return np.array([o.sum() for o in out])

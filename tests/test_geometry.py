@@ -167,6 +167,27 @@ def test_potential_profile_invariants(hyp_chart):
     assert abs(pot.r_of_xi(1e5) * np.sqrt(2) / 1e5 - 1.0) <= 1e-3
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "hyperboloid", "params": {"a": 0.2}},
+    {"kind": "two-sided-cone-smoothed", "params": {"kappa": 5.0}}])
+def test_scalar_V_is_the_spline(doc):
+    """V_at, which the ODE right-hand side calls, is bit-equal to the spline
+    inside the grid, at every breakpoint and extrapolated past both ends."""
+    prof = make_profile(doc)
+    pot = PotentialProfile(prof, ArclengthChart(prof))
+    grid = pot._V.x
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([rng.uniform(grid[0], grid[-1], 2000),
+                          rng.uniform(-15.0, 15.0, 2000), grid,
+                          grid[0] - rng.uniform(0.0, 50.0, 50),
+                          grid[-1] + rng.uniform(0.0, 50.0, 50)])
+    for pv in (pot, pot.mirrored()):
+        want = pv.V(pts)
+        got = [pv.V_at(float(s)) for s in pts]
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(np.array(got), want)
+
+
 def test_conical_fit_constants(hyp_chart):
     fit = fit_conical_constants(hyp_chart, "right")
     # independent oracle: direct quadrature of sqrt(1+r'^2) - sqrt(2)

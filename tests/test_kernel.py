@@ -6,9 +6,11 @@ import pytest
 
 from conicwave import (DomainError, KernelEngine, standard_case_library,
                        stationary_phase_check)
+from conicwave import panels
 from conicwave.kernel import (KIND_SCHRODINGER, KIND_WAVE_PLUS,
                               LAM_MIN_TABLE, StationaryPhaseCase,
-                              _compact_bump, _compact_bump_d)
+                              _compact_bump, _compact_bump_d,
+                              stationary_phase_checks)
 from conicwave.panels import gauss_legendre
 
 
@@ -366,6 +368,33 @@ def test_stationary_phase_gaussian_oracle():
         lhs, rhs = stationary_phase_check(case)
         assert abs(lhs - abs(case.oracle)) <= 1e-6
         assert lhs <= 10.0 * rhs
+
+
+def _whole_grid_lhs(case):
+    """lhs on one PanelGrid of the whole support: the phase-resolved
+    quadrature without blocks or shared oscillators."""
+    a, b = case.support
+    breaks = panels.cap_phase(np.linspace(a, b, 65),
+                              lambda x: case.t * abs(case.dphase(x)) + 1.0,
+                              max_phase=1.0)
+    grid = panels.PanelGrid.build(breaks, order=12)
+    x = grid.flat
+    return float(abs(panels.integrate(
+        grid, case.amplitude(x) * np.exp(1j * case.t * case.phase(x)))))
+
+
+def test_stationary_phase_batch_is_bit_identical():
+    """The batch shares one grid and oscillator between the Gaussian and
+    x^2 Gaussian cases of each t and evaluates in blocks; every lhs is the
+    whole-grid value and every (lhs, rhs) the single-case one, bit for bit,
+    noise-level lhs (~1e-16) included."""
+    cases = standard_case_library((1e2, 1e3))
+    keys = {(c.phase, c.dphase, c.t, c.support) for c in cases}
+    assert len(keys) == len(cases) - 2
+    got = stationary_phase_checks(cases)
+    for case, (lhs, rhs) in zip(cases, got):
+        assert lhs == _whole_grid_lhs(case), case.label
+        assert (lhs, rhs) == stationary_phase_check(case), case.label
 
 
 def test_stationary_phase_zero_amplitude():

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from conicwave import panels
+from conicwave import DomainError, panels
 from conicwave.panels import (PanelGrid, full_panel_integrals,
                               geometric_breaks, linear_breaks,
                               prefix_basis_integrals, suffix_basis_integrals)
 
 ORDER = 10
-BETA_GL = 15.0          # |beta| up to which _basis_segment takes the GL route
+BETA_GL = 15.0          # |beta| up to which _basis_segments takes the GL route
 _XG, _WG = np.polynomial.legendre.leggauss(24)
 
 GRIDS = {
@@ -70,12 +70,32 @@ def test_basis_integrals_against_oracle(name, omega):
     assert worst <= 1e-13
 
 
+@pytest.mark.parametrize("w0", ["suffix", "prefix", "full"])
+def test_batched_segments_match_one_beta_calls(w0):
+    """Each row of a batch over beta equals the call with that beta alone:
+    bit for bit on the GL route, to rounding on the monomial route."""
+    ref = panels.gauss_legendre(ORDER)[0]
+    w0 = {"suffix": ref, "prefix": -ref[::-1], "full": np.array([-1.0])}[w0]
+    betas = np.array([-200.0, -16.0, -15.0, -2.5, -0.0, 0.0, 1e-3, 7.0,
+                      14.999, 15.0, 15.0001, 40.0, 1e3])
+    gl = np.abs(betas) <= BETA_GL
+    assert gl.any() and not gl.all()
+    batch = panels._basis_segments(ORDER, w0, betas)
+    for row, beta, on_gl in zip(batch, betas, gl):
+        one = panels._basis_segments(ORDER, w0, np.array([beta]))[0]
+        if on_gl:
+            assert np.array_equal(row, one)
+        else:
+            assert np.max(np.abs(row - one)) <= 1e-14 * np.max(np.abs(one))
+
+
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_zero_omega_is_scaled_reference(name):
     grid = GRIDS[name]
     ref, wg = panels.gauss_legendre(ORDER)
-    suf_ref = panels._basis_segment(ORDER, ref, 0.0)
-    pre_ref = panels._basis_segment(ORDER, -ref[::-1], -0.0)[::-1, ::-1]
+    suf_ref = panels._basis_segments(ORDER, ref, np.zeros(1))[0]
+    pre_ref = panels._basis_segments(ORDER, -ref[::-1],
+                                     -np.zeros(1))[0, ::-1, ::-1]
     suf = suffix_basis_integrals(grid)
     pre = prefix_basis_integrals(grid)
     full = full_panel_integrals(grid)
@@ -87,7 +107,7 @@ def test_zero_omega_is_scaled_reference(name):
 
 def test_cached_references_are_read_only():
     ref = panels.gauss_legendre(ORDER)[0]
-    panels._basis_segment(ORDER, ref, 1.0)
+    panels._basis_segments(ORDER, ref, np.ones(1))
     cached = panels._gl_reference(ORDER, ref.tobytes())
     cached += (panels._reference_segment(ORDER, True),
                panels._reference_segment(ORDER, False))
@@ -109,6 +129,36 @@ def _cap_phase_oracle(breaks, freq_of_x, max_phase):
         k = max(1, int(np.ceil(f * (b - a) / max_phase)))
         out.extend(np.linspace(a, b, k + 1)[1:])
     return np.asarray(out)
+
+
+@pytest.mark.parametrize("t", [3.0, 300.0])
+def test_integrate_blocks_is_the_grid_integral(t):
+    """Blockwise evaluation sums the same weighted values in one call as the
+    whole-grid path, so every integral is bit-identical to it: one block
+    (t = 3), several with a partial last one (t = 300)."""
+    breaks = panels.cap_phase(np.linspace(-4.0, 2.5, 65),
+                              lambda x: t * abs(2.0 * x) + 1.0, max_phase=1.0)
+    grid = PanelGrid.build(breaks, order=12)
+    assert (grid.npanels < panels.BLOCK_PANELS) == (t < 10.0)
+    assert grid.npanels % panels.BLOCK_PANELS != 0
+    x = grid.flat
+    amps = (np.exp(-x * x), x * x * np.exp(-x * x))
+    osc = np.exp(1j * t * x * x)
+
+    def pair(y):
+        e = np.exp(1j * t * y * y)
+        return np.stack([np.exp(-y * y) * e, y * y * np.exp(-y * y) * e])
+
+    got = panels.integrate_blocks(
+        breaks, lambda y: np.exp(-y * y) * np.exp(1j * t * y * y), order=12)
+    assert got == panels.integrate(grid, amps[0] * osc)
+    assert list(panels.integrate_blocks(breaks, pair, order=12)) == [
+        panels.integrate(grid, a * osc) for a in amps]
+    got = panels.integrate_blocks(breaks, lambda y: y * y * np.exp(-y * y),
+                                  order=12)
+    assert np.isrealobj(got) and got == panels.integrate(grid, amps[1])
+    with pytest.raises(DomainError):
+        panels.integrate_blocks([0.0, 1.0, 1.0], np.cos)
 
 
 @pytest.mark.parametrize("case", ["constant", "piecewise", "statphase"])
