@@ -12,8 +12,7 @@ from .geometry import (ArclengthChart, ConicalFit, PotentialProfile,
                        ProfileSpec, fit_conical_constants, make_profile,
                        potential_at)
 from .hankel import C0, C1, KAPPA, f0_values, hankel0_plus
-from .jost import (JostEvaluator, LowEnergyBasis, ScatteringData,
-                   ScatteringModel)
+from .jost import JostEvaluator, ScatteringData, ScatteringModel
 from .kernel import (BANDS, KINDS, DecayReport, KernelEngine, KernelSample,
                      StationaryPhaseCase, chi_low, chi_window,
                      standard_case_library, stationary_phase_check)
@@ -24,8 +23,8 @@ __all__ = [
     "ArclengthChart", "BANDS", "C0", "C1",
     "ConfigError", "ConicalFit", "ConicwaveError", "ConvergenceError",
     "DecayReport", "DomainError", "JostEvaluator", "KAPPA", "KINDS",
-    "KernelEngine", "KernelSample", "LowEnergyBasis", "PotentialProfile",
-    "ProfileSpec", "QuadratureError", "ScatteringData", "ScatteringModel",
+    "KernelEngine", "KernelSample", "PotentialProfile", "ProfileSpec",
+    "QuadratureError", "ScatteringData", "ScatteringModel",
     "StationaryPhaseCase", "chi_low", "chi_window", "f0_values",
     "fit_conical_constants", "hankel0_plus", "make_profile", "potential_at",
     "standard_case_library", "stationary_phase_check",

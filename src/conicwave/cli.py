@@ -324,10 +324,7 @@ def _cmd_kernel(cfg, out: Path) -> int:
             for i, xi in enumerate(pts) for xip in pts[: i + 1]]
     rows = []
     for t, xi, xip in jobs:
-        if cfg.band:
-            ks = eng.band_kernel(cfg.kind, cfg.band, t, xi, xip)
-        else:
-            ks = eng.evolution_kernel(cfg.kind, t, xi, xip)
+        ks = eng.band_kernel(cfg.kind, cfg.band, t, xi, xip)
         rows.append((ks.kind, ks.t, ks.xi, ks.xi_prime, ks.value.real,
                      ks.value.imag, abs(ks.value), ks.err_est))
     _write_csv(out / "kernel.csv",

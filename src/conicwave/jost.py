@@ -29,7 +29,7 @@ alpha = Wr(f_minus, conj f_plus)/(-2i*lam), so |beta|^2 - |alpha|^2 = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -51,6 +51,12 @@ _PARITY = (1.0, -1.0, -1.0, 1.0)
 def wr(u, du, v, dv):
     """Wronskian u v' - u' v."""
     return u * dv - du * v
+
+
+def check_energy(lam, where: str) -> None:
+    """Raise DomainError unless lam is a finite energy > 0 (NaN included)."""
+    if not 0.0 < lam < np.inf:
+        raise DomainError(f"{where} requires a finite lam > 0, got {lam!r}")
 
 
 def _gated(report: dict) -> dict:
@@ -102,55 +108,17 @@ def _two_sided(this, other, xi: np.ndarray):
     mirrored ``other`` side's basis with the parity signs for xi < 0."""
     neg = xi < 0
     if not np.any(neg):
-        return this.eval(xi)
+        return this.values(xi)
     out = np.empty((4,) + xi.shape)
     if not np.all(neg):
-        out[:, ~neg] = this.eval(xi[~neg])
-    out[:, neg] = [p * u for p, u in zip(_PARITY, other.eval(-xi[neg]))]
+        out[:, ~neg] = this.values(xi[~neg])
+    out[:, neg] = [p * u for p, u in zip(_PARITY, other.values(-xi[neg]))]
     return tuple(out)
-
-
-class _SideBasis:
-    """Perturbed basis of one side: exact seeds + interpolated corrections."""
-
-    __slots__ = ("pv", "grid", "c0", "cd0", "c1", "cd1")
-
-    def __init__(self, pv, grid, c0, cd0, c1, cd1):
-        self.pv = pv
-        self.grid = grid
-        self.c0 = c0
-        self.cd0 = cd0
-        self.c1 = c1
-        self.cd1 = cd1
-
-    def eval(self, xi: np.ndarray):
-        """(u0, u0', u1, u1') at lam, for side coordinates xi >= 0."""
-        xi = np.asarray(xi, dtype=float)
-        s0, ds0, s1, ds1 = _seed_values(self.pv, xi)
-        g = self.grid
-        return (s0 + g.interpolate(self.c0, xi), ds0 + g.interpolate(self.cd0, xi),
-                s1 + g.interpolate(self.c1, xi), ds1 + g.interpolate(self.cd1, xi))
 
 
 # ---------------------------------------------------------------------------
 # result types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LowEnergyBasis:
-    """Zero-energy pair and its energy-perturbed companions on a window."""
-
-    lam: float
-    window: tuple
-    u0: Callable
-    u1: Callable
-    du0: Callable
-    du1: Callable
-
-    def wronskian_residual(self, xi) -> float:
-        w = wr(self.u0(xi), self.du0(xi), self.u1(xi), self.du1(xi))
-        return float(np.max(np.abs(w - 1.0)))
-
 
 @dataclass(frozen=True)
 class ScatteringData:
@@ -168,7 +136,12 @@ class ScatteringData:
 
 
 class JostEvaluator:
-    """(f, f') on an array of xi for one energy, over a fixed window."""
+    """Solutions at one energy on an array of xi, over a fixed window.
+
+    ``values`` gives (f, f') for a Jost solution and (u0, u0', u1, u1') for
+    a basis (regime REGIME_LOW_ENERGY); xi outside the window raises
+    DomainError.
+    """
 
     def __init__(self, lam: float, fun, window, regime: str):
         self.lam = lam
@@ -177,11 +150,13 @@ class JostEvaluator:
         self.regime = regime
 
     def values(self, xi):
-        xi = np.asarray(xi, dtype=float)
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
         lo, hi = self.window
-        if np.any(xi < lo - 1e-9) or np.any(xi > hi + 1e-9):
+        # min/max costs a third of two any() scans on the one-point calls
+        # of a kernel pair entry, and a NaN xi fails it
+        if xi.size and not lo - 1e-9 <= xi.min() <= xi.max() <= hi + 1e-9:
             raise DomainError(f"xi outside evaluator window {self.window}")
-        return self._fun(np.atleast_1d(xi))
+        return self._fun(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +194,11 @@ class ScatteringModel:
     # zero-energy basis
     # ------------------------------------------------------------------
 
-    def zero_energy_basis(self) -> LowEnergyBasis:
+    def zero_energy_basis(self) -> JostEvaluator:
+        """The pair u0, u1 at lam = 0 (Wr(u0, u1) = 1) on the chart."""
         cap = 0.98 * self.pot.xi_cap
-
-        def seed(k: int):
-            return lambda xi: _seed_values(self.pot, xi)[k]
-
-        return LowEnergyBasis(lam=0.0, window=(-cap, cap), u0=seed(0),
-                              u1=seed(2), du0=seed(1), du1=seed(3))
+        return JostEvaluator(0.0, lambda xi: _seed_values(self.pot, xi),
+                             (-cap, cap), REGIME_LOW_ENERGY)
 
     # ------------------------------------------------------------------
     # energy-perturbed basis (one side)
@@ -270,32 +242,32 @@ class ScatteringModel:
             sols.append(((f.real - seed).copy(),
                          (-lam2 * (du1x * p0 - du0x * p1)).real.copy()))
         (v0, d0), (v1, d1) = sols
-        rec = _SideBasis(pv, grid, v0, d0, v1, d1)
+
+        def fun(xi):
+            s0, ds0, s1, ds1 = _seed_values(pv, xi)
+            return (s0 + grid.interpolate(v0, xi), ds0 + grid.interpolate(d0, xi),
+                    s1 + grid.interpolate(v1, xi), ds1 + grid.interpolate(d1, xi))
+
+        rec = JostEvaluator(lam, fun, (0.0, L), REGIME_LOW_ENERGY)
         self._basis_cache[key] = rec
         return rec
 
     def low_energy_basis(self, lam: float, window: Optional[float] = None
-                         ) -> LowEnergyBasis:
+                         ) -> JostEvaluator:
         """Energy-perturbed basis u_j(., lam) on [-L, L].
 
         The default L = 3/lam is the whole Volterra zone xi*lam <= 3 of
         ``_side_basis``; a window past it raises DomainError.
         """
-        if lam <= 0:
-            raise DomainError("low_energy_basis requires lam > 0")
+        check_energy(lam, "low_energy_basis")
         if lam > self.lam_low:
             raise DomainError("low_energy_basis is restricted to lam <= lam_low")
         L = window if window is not None else \
             min(3.0 / lam, 0.98 * self.pot.xi_cap)
         bp = self._side_basis("plus", lam, L)
         bm = self._side_basis("minus", lam, L)
-
-        def ev(k: int):
-            return lambda xi: _two_sided(
-                bp, bm, np.atleast_1d(np.asarray(xi, dtype=float)))[k]
-
-        return LowEnergyBasis(lam=lam, window=(-L, L), u0=ev(0), u1=ev(2),
-                              du0=ev(1), du1=ev(3))
+        return JostEvaluator(lam, lambda xi: _two_sided(bp, bm, xi), (-L, L),
+                             REGIME_LOW_ENERGY)
 
     # ------------------------------------------------------------------
     # low-energy outgoing solution on one side
@@ -521,15 +493,13 @@ class ScatteringModel:
     def jost_plus(self, lam: float, xi_min: float = 0.0, xi_hi: float = 0.0,
                   pipeline: str = "auto") -> JostEvaluator:
         """Outgoing Jost solution f_plus(., lam); evaluator over a window."""
-        if lam <= 0:
-            raise DomainError("jost_plus requires lam > 0")
+        check_energy(lam, "jost_plus")
         return self._side_evaluator("plus", lam, xi_min, xi_hi, pipeline)
 
     def jost_minus(self, lam: float, xi_max: float = 0.0,
                    xi_lo: float = 0.0) -> JostEvaluator:
         """Jost solution f_minus ~ e^{-i lam xi} at -infinity."""
-        if lam <= 0:
-            raise DomainError("jost_minus requires lam > 0")
+        check_energy(lam, "jost_minus")
         base = self._side_evaluator("minus", lam, -abs(xi_max), abs(xi_lo),
                                     "auto")
 
@@ -563,7 +533,7 @@ class ScatteringModel:
             rec = self._m_side(side, lam, xi_hi=xi_hi)
             pts = np.array([0.85 * xm, xm, min(1.15 * xm, 0.98 * L)])
             fv, fd = self._m_record_values(rec, pts)
-        u0v, du0v, u1v, du1v = basis.eval(pts)
+        u0v, du0v, u1v, du1v = basis.values(pts)
         a3 = wr(fv, fd, u1v, du1v)
         b3 = -wr(fv, fd, u0v, du0v)
         spread_a = np.max(np.abs(a3 - a3[1])) / max(abs(a3[1]), 1e-300)
@@ -578,10 +548,6 @@ class ScatteringModel:
         am, bm, res_m = self._side_coefficients("minus", lam, pipeline, xi_hi)
         # mirrored-side coefficients translate with a sign flip on b
         return ap, bp, am, -bm, max(res_p, res_m)
-
-    def connection_coefficients(self, lam: float, pipeline: str = "auto"):
-        """(a+, b+, a-, b-) in the perturbed basis, Wronskian-matched."""
-        return self._connection(lam, pipeline)[:4]
 
     def _w_alpha(self, lam: float, pipeline: str = "auto", xi_hi: float = 0.0):
         """(W, alpha): from the connection coefficients when both sides run
@@ -604,22 +570,16 @@ class ScatteringModel:
 
     def wronskian(self, lam: float, pipeline: str = "auto") -> complex:
         """W(lam) = Wr(f_plus, f_minus); cylinder convention -2i lam."""
-        if lam <= 0:
-            raise DomainError("wronskian requires lam > 0")
+        check_energy(lam, "wronskian")
         return complex(self._w_alpha(lam, pipeline)[0])
-
-    def reflection_transmission(self, lam: float):
-        """(alpha_minus, beta_minus); |beta|^2 - |alpha|^2 = 1."""
-        if lam <= 0:
-            raise DomainError("reflection_transmission requires lam > 0")
-        W, alpha = self._w_alpha(lam)
-        return complex(alpha), complex(W) / (-2j * lam)
 
     def scattering_data(self, lam: float) -> ScatteringData:
         """Full per-energy record with named consistency residuals.
 
         W, alpha and beta come from ``_w_alpha``; the connection identity
-        compares that W with the one of the basis coefficients."""
+        compares that W with the one of the basis coefficients; (a+, b+,
+        a-, b-) are the coefficients in the perturbed basis."""
+        check_energy(lam, "scattering_data")
         ap, bp, am, bm, spread = self._connection(lam)
         W, alpha = map(complex, self._w_alpha(lam))
         W_basis = ap * bm - am * bp
@@ -672,12 +632,13 @@ class ScatteringModel:
             panels.graded_breaks(0.0, xi, min(8.0, xi), 0.5, 10), order=10)
         x = grid.flat
         zb = self.zero_energy_basis()
-        u0x, u1x = zb.u0(x), zb.u1(x)
+        u0x, _, u1x, _ = zb.values(x)
         pre = panels.PrefixIntegrator(grid)
         i00 = pre.break_values(u0x * u0x)[-1].real
         i01 = pre.break_values(u0x * u1x)[-1].real
         i11 = pre.break_values(u1x * u1x)[-1].real
-        u0e, u1e = float(zb.u0(xi)), float(zb.u1(xi))
+        u0e, _, u1e, _ = zb.values(xi)
+        u0e, u1e = float(u0e[0]), float(u1e[0])
         m1 = u1e * i00 - u0e * i01
         m2 = u1e * i01 - u0e * i11
         return m1, m2

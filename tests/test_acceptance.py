@@ -42,7 +42,8 @@ def test_criterion_01_cylinder_exactness(cylinder_model):
                       float(np.max(np.abs(vm - np.exp(-1j * lam * -xs)))))
         W = cylinder_model.wronskian(lam)
         worst_w = max(worst_w, abs(abs(W) - 2 * lam))
-        alpha, beta = cylinder_model.reflection_transmission(lam)
+        sd = cylinder_model.scattering_data(lam)
+        alpha, beta = sd.alpha_minus, sd.beta_minus
         worst_ab = max(worst_ab, abs(alpha), abs(abs(beta) - 1.0))
     ok = v_ok <= 1e-12 and worst_f <= 1e-10 and worst_w <= 1e-10 \
         and worst_ab <= 1e-10
@@ -104,7 +105,7 @@ def test_criterion_04_coefficient_asymptotics(hyperboloid_model):
     lams = np.geomspace(1e-6, 1e-3, 10)
     res = []
     for lam in lams:
-        _, bp, _, _ = hyperboloid_model.connection_coefficients(lam)
+        bp = hyperboloid_model.scattering_data(lam).b_plus
         res.append(abs(bp / (1j * 2 ** -0.25 * C0 * C1 * np.sqrt(lam)) - 1.0))
     res = np.asarray(res)
     rate = float(np.polyfit(np.log(lams), np.log(res), 1)[0])
@@ -135,7 +136,8 @@ def test_criterion_05_unitarity(hyperboloid_model):
                            np.geomspace(1.0, 100.0, 5)])
     worst = 0.0
     for lam in lams:
-        alpha, beta = hyperboloid_model.reflection_transmission(lam)
+        sd = hyperboloid_model.scattering_data(lam)
+        alpha, beta = sd.alpha_minus, sd.beta_minus
         worst = max(worst, abs(abs(beta) ** 2 - abs(alpha) ** 2 - 1.0))
     ok = worst <= 1e-5
     _report(5, "unitarity identity", ok,

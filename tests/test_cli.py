@@ -203,6 +203,20 @@ def test_d2_profile_scattering_fails_loudly(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_coeffs_at_zero_energy_is_a_hard_error(tmp_path, capsys):
+    # lam = 0 from a linear grid is a hard error with a message, not a
+    # traceback
+    doc = {"profile": {"kind": "hyperboloid", "params": {"a": 1.0},
+                       "x_max": 5.0e4},
+           "command": "coeffs",
+           "lam_grid": {"min": 0.0, "max": 1.0, "count": 3,
+                        "scale": "linear"}}
+    p = _write(tmp_path, doc)
+    assert main(["coeffs", "--config", str(p),
+                 "--out", str(tmp_path / "c")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_coeffs_residual_over_gate_exits_2(tmp_path, monkeypatch, capsys):
     """A residual over its gate flags the run (exit 2) after the CSV is
     written; the same run with the true residuals exits 0."""

@@ -32,13 +32,15 @@ def test_cylinder_scattering_constants(cylinder_model):
         W = cylinder_model.wronskian(lam)
         assert abs(abs(W) - 2 * lam) <= 1e-10 * max(1.0, 2 * lam)
         assert abs(W + 2j * lam) <= 1e-10
-        alpha, beta = cylinder_model.reflection_transmission(lam)
+        sd = cylinder_model.scattering_data(lam)
+        alpha, beta = sd.alpha_minus, sd.beta_minus
         assert abs(alpha) <= 1e-10
         assert abs(abs(beta) - 1.0) <= 1e-10
 
 
 def test_cylinder_connection_coefficients(cylinder_model):
-    ap, bp, am, bm = cylinder_model.connection_coefficients(0.5)
+    sd = cylinder_model.scattering_data(0.5)
+    ap, bp, am, bm = sd.a_plus, sd.b_plus, sd.a_minus, sd.b_minus
     assert abs(ap - 1.0) <= 1e-9
     assert abs(bp - 0.5j) <= 1e-9
     assert abs(am - 1.0) <= 1e-9
@@ -48,8 +50,9 @@ def test_cylinder_connection_coefficients(cylinder_model):
 def test_cylinder_zero_energy_basis(cylinder_model):
     zb = cylinder_model.zero_energy_basis()
     xs = np.linspace(-30.0, 30.0, 13)
-    assert np.max(np.abs(zb.u0(xs) - 1.0)) <= 1e-12
-    assert np.max(np.abs(zb.u1(xs) - xs)) <= 1e-10 * (1 + np.abs(xs).max())
+    u0, _, u1, _ = zb.values(xs)
+    assert np.max(np.abs(u0 - 1.0)) <= 1e-12
+    assert np.max(np.abs(u1 - xs)) <= 1e-10 * (1 + np.abs(xs).max())
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +129,11 @@ def test_zero_energy_asymptotics(hyperboloid_model):
     zb = hyperboloid_model.zero_energy_basis()
     fit = fit_conical_constants(hyperboloid_model.chart, "right")
     xi = 1.0e4
-    ratio = zb.u0(xi) / (2 ** -0.25 * np.sqrt(xi))
+    (u0,), _, (u1,), _ = zb.values(xi)
+    ratio = u0 / (2 ** -0.25 * np.sqrt(xi))
     assert abs(ratio - (1.0 - fit.c_inf / (2 * xi))) <= 1e-3
     c2 = hyperboloid_model.fit_c2()
-    val = zb.u1(xi) / zb.u0(xi) - np.sqrt(2.0) * (np.log(xi) + c2)
+    val = u1 / u0 - np.sqrt(2.0) * (np.log(xi) + c2)
     assert abs(val) <= 1e-2
 
 
@@ -139,14 +143,14 @@ def test_zero_energy_annihilated(hyperboloid_model):
     for xi0 in (0.9, 17.0, -110.0):
         h = 1e-3
         pts = np.array([xi0 - h, xi0, xi0 + h])
-        for u in (zb.u0, zb.u1):
-            vals = u(pts)
+        u0, _, u1, _ = zb.values(pts)
+        for vals in (u0, u1):
             second = (vals[0] - 2 * vals[1] + vals[2]) / h ** 2
             resid = -second + pot.V(xi0) * vals[1]
             scale = max(abs(vals[1]), 1.0)
             assert abs(resid) <= 1e-6 * scale
     xs = np.linspace(-200.0, 200.0, 9)
-    w = wr(zb.u0(xs), zb.du0(xs), zb.u1(xs), zb.du1(xs))
+    w = wr(*zb.values(xs))
     assert np.max(np.abs(w - 1.0)) <= 1e-8
 
 
@@ -155,12 +159,14 @@ def test_low_energy_basis_limits(hyperboloid_model):
     lb = hyperboloid_model.low_energy_basis(1e-8, window=120.0)
     zb = hyperboloid_model.zero_energy_basis()
     xs = np.linspace(-100.0, 100.0, 17)
-    rel0 = np.abs(lb.u0(xs) / zb.u0(xs) - 1.0)
-    rel1 = np.abs(lb.u1(xs[np.abs(xs) > 0.5]) / zb.u1(xs[np.abs(xs) > 0.5])
-                  - 1.0)
+    lu0, _, lu1, _ = lb.values(xs)
+    zu0, _, zu1, _ = zb.values(xs)
+    rel0 = np.abs(lu0 / zu0 - 1.0)
+    away = np.abs(xs) > 0.5
+    rel1 = np.abs(lu1[away] / zu1[away] - 1.0)
     assert np.max(rel0) <= 1e-10
     assert np.max(rel1) <= 1e-10
-    assert lb.wronskian_residual(xs) <= 1e-8
+    assert np.max(np.abs(wr(*lb.values(xs)) - 1.0)) <= 1e-8
 
 
 def test_low_energy_basis_quadratic_departure(hyperboloid_model):
@@ -169,11 +175,12 @@ def test_low_energy_basis_quadratic_departure(hyperboloid_model):
     lb = hyperboloid_model.low_energy_basis(lam, window=600.0)
     zb = hyperboloid_model.zero_energy_basis()
     xs = np.geomspace(20.0, 500.0, 10)
-    dep = np.abs(lb.u0(xs) / zb.u0(xs) - 1.0)
+    dep = np.abs(lb.values(xs)[0] / zb.values(xs)[0] - 1.0)
     C = np.max(dep / (xs * lam) ** 2)
     assert dep[-1] <= C * (500.0 * lam) ** 2 * (1 + 1e-9)
     assert C < 1.0
-    assert lb.wronskian_residual(np.array([10.0, 300.0, -450.0])) <= 1e-8
+    w = wr(*lb.values(np.array([10.0, 300.0, -450.0])))
+    assert np.max(np.abs(w - 1.0)) <= 1e-8
 
 
 def test_low_energy_basis_lambda_derivative(hyperboloid_model):
@@ -184,7 +191,7 @@ def test_low_energy_basis_lambda_derivative(hyperboloid_model):
     h = 1e-5 * 0.5
     lbp = hyperboloid_model.low_energy_basis(lam + h, window=600.0)
     lbm = hyperboloid_model.low_energy_basis(lam - h, window=600.0)
-    der = (lbp.u0(np.array([xi]))[0] - lbm.u0(np.array([xi]))[0]) / (2 * h)
+    der = (lbp.values(xi)[0][0] - lbm.values(xi)[0][0]) / (2 * h)
     lead = 0.5 * 2 ** -0.25 * lam * xi ** 2.5
     assert abs(abs(der) / lead - 1.0) <= 0.10
 
@@ -199,6 +206,40 @@ def test_low_energy_basis_window_guard(hyperboloid_model):
         hyperboloid_model.low_energy_basis(1e-3, window=3500.0)
     with pytest.raises(DomainError):
         hyperboloid_model.jost_plus(1e-2, xi_min=-400.0)
+
+
+def test_bases_refuse_xi_past_their_window(hyperboloid_model):
+    # past its window a basis only extrapolates its panel grid: the lam =
+    # 1e-3 basis on [-600, 600] reads u0(2000) = 196.4 there, where the
+    # zero-energy u0 is 37.6
+    lb = hyperboloid_model.low_energy_basis(1e-3, window=600.0)
+    assert lb.window == (-600.0, 600.0)
+    lb.values(np.array([-600.0, 600.0]))
+    for xi in (2000.0, -2000.0):
+        with pytest.raises(DomainError):
+            lb.values(np.array([0.0, xi]))
+    zb = hyperboloid_model.zero_energy_basis()
+    cap = 3.0 * hyperboloid_model.pot.xi_cap
+    for xi in (cap, -cap):
+        with pytest.raises(DomainError):
+            zb.values(xi)
+    # the one-sided bases behind both pipelines check theirs too
+    side = hyperboloid_model._side_basis("plus", 1e-3, 600.0)
+    with pytest.raises(DomainError):
+        side.values(np.array([-1.0]))
+    with pytest.raises(DomainError):
+        side.values(np.array([601.0]))
+
+
+def test_energy_check_rejects_zero_negative_and_nan(hyperboloid_model):
+    m = hyperboloid_model
+    entries = (m.scattering_data, m.wronskian, m.jost_plus, m.jost_minus,
+               m.low_energy_basis,
+               lambda lam: KernelEngine(m).spectral_density(1.0, 0.0, lam))
+    for entry in entries:
+        for lam in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                entry(lam)
 
 
 def test_forced_low_pipeline_above_lam_low_raises(hyperboloid_model):
@@ -218,7 +259,8 @@ def test_forced_low_pipeline_above_lam_low_raises(hyperboloid_model):
 
 def test_symmetric_coefficient_relations(hyperboloid_model):
     for lam in (1e-3, 1e-5):
-        ap, bp, am, bm = hyperboloid_model.connection_coefficients(lam)
+        sd = hyperboloid_model.scattering_data(lam)
+        ap, bp, am, bm = sd.a_plus, sd.b_plus, sd.a_minus, sd.b_minus
         assert abs(am - ap) <= 1e-6 * abs(ap)
         assert abs(bm + bp) <= 1e-6 * abs(bp)
 
@@ -227,7 +269,7 @@ def test_b_plus_low_energy_law(hyperboloid_model):
     lams = np.geomspace(1e-6, 1e-3, 7)
     res = []
     for lam in lams:
-        _, bp, _, _ = hyperboloid_model.connection_coefficients(lam)
+        bp = hyperboloid_model.scattering_data(lam).b_plus
         res.append(abs(bp / (1j * 2 ** -0.25 * C0 * C1 * np.sqrt(lam)) - 1.0))
     res = np.asarray(res)
     rate = np.polyfit(np.log(lams), np.log(res), 1)[0]
@@ -238,7 +280,7 @@ def test_b_plus_low_energy_law(hyperboloid_model):
 def test_a_plus_log_law_constant(hyperboloid_model):
     vals = []
     for lam in (1e-6, 1e-5):
-        ap, _, _, _ = hyperboloid_model.connection_coefficients(lam)
+        ap = hyperboloid_model.scattering_data(lam).a_plus
         z = ap / (2 ** 0.25 * C0 * np.sqrt(lam)) - (1 + 1j * C1 * np.log(lam))
         vals.append(z)
     # residual converges to i*c3 with c3 = kappa - c1 c2
@@ -263,17 +305,21 @@ def test_wronskian_high_energy_bounded(hyperboloid_model):
 
 
 def test_reflection_transmission_laws(hyperboloid_model):
+    def alpha_beta(lam):
+        sd = hyperboloid_model.scattering_data(lam)
+        return sd.alpha_minus, sd.beta_minus
+
     lam = 1e-5
-    alpha, beta = hyperboloid_model.reflection_transmission(lam)
+    alpha, beta = alpha_beta(lam)
     c3 = KAPPA - C1 * hyperboloid_model.fit_c2()
     assert abs((alpha / 1j - C1 * np.log(lam)) - c3) <= 0.05 * abs(c3) \
         + 0.05 * abs(C1 * np.log(lam)) * 0 + 0.05
     # high energy: alpha = O(lam^-2), beta = 1 + O(1/lam)
-    scan = [(lam2, *hyperboloid_model.reflection_transmission(lam2))
+    scan = [(lam2, *alpha_beta(lam2))
             for lam2 in (10.0, 25.0, 50.0)]
     Ca = max(abs(a) * l ** 2 for l, a, _ in scan)
     Cb = max(abs(b - 1.0) * l for l, _, b in scan)
-    l, a, b = 50.0, *hyperboloid_model.reflection_transmission(50.0)
+    l, a, b = 50.0, *alpha_beta(50.0)
     assert abs(a) <= Ca / l ** 2 * (1 + 1e-9)
     assert abs(b - 1.0) <= Cb / l * (1 + 1e-9)
     assert Ca < 10.0 and Cb < 10.0
@@ -281,7 +327,8 @@ def test_reflection_transmission_laws(hyperboloid_model):
 
 def test_unitarity_identity(hyperboloid_model):
     for lam in (1e-6, 1e-4, 0.5, 7.0):
-        alpha, beta = hyperboloid_model.reflection_transmission(lam)
+        sd = hyperboloid_model.scattering_data(lam)
+        alpha, beta = sd.alpha_minus, sd.beta_minus
         assert abs(abs(beta) ** 2 - abs(alpha) ** 2 - 1.0) <= 1e-5
 
 

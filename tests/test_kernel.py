@@ -83,10 +83,15 @@ def test_cylinder_wave_oracle(cylinder_engine):
 
 
 def test_kernel_past_the_table_raises(cylinder_engine):
-    # t^{-1/p} at the table floor: no s-region is left, and the engine
-    # refuses before it builds a record or a pair entry
+    # the sub-table tail holds the phase t lam^p at its lam = LAM_MIN_TABLE
+    # value; past a held phase of 0.1 the engine refuses before it builds a
+    # record or a pair entry.  Beyond that bound the cylinder wave kernel at
+    # (0, 0) is 2% off at t = 2e7 and 48% off at t = 9.9e7 (err_est 71% of
+    # the value); at t = 1e8 no s-region is left at all
     eng = cylinder_engine
-    for kind, t in ((KIND_WAVE_PLUS, 1.0e8), (KIND_SCHRODINGER, 1.0e16)):
+    for kind, t in ((KIND_WAVE_PLUS, 2.0e7), (KIND_WAVE_PLUS, 9.9e7),
+                    (KIND_WAVE_PLUS, 1.0e8), (KIND_SCHRODINGER, 2.0e15),
+                    (KIND_SCHRODINGER, 1.0e16)):
         n_rec, n_pair = len(eng._records), len(eng._pair_cache)
         with pytest.raises(DomainError):
             eng.evolution_kernel(kind, t, 7.0, -5.0)
@@ -285,6 +290,24 @@ def test_band_sign_precondition(hyperboloid_engine):
                                        10.0, 5.0, 3.0)
     with pytest.raises(DomainError):
         hyperboloid_engine.evolution_kernel(KIND_SCHRODINGER, 0.0, 1.0, 0.0)
+
+
+def test_kernels_refuse_t_zero_and_nonfinite(cylinder_engine):
+    # t = 0 is no evolution: a band kernel there would read a number
+    # (0.00375 for low_low on the cylinder at (0, 0)) that means nothing
+    eng = cylinder_engine
+    for t in (0.0, float("nan"), float("inf"), -float("inf")):
+        for band in ("low_low", "osc_osc", None):
+            with pytest.raises(DomainError):
+                eng.band_kernel(KIND_WAVE_PLUS, band, t, 0.0, 0.0)
+        with pytest.raises(DomainError):
+            eng.evolution_kernel(KIND_WAVE_PLUS, t, 0.0, 0.0)
+
+
+def test_full_kernel_is_the_band_free_band_kernel(cylinder_engine):
+    full = cylinder_engine.evolution_kernel(KIND_SCHRODINGER, 50.0, 3.0, 1.0)
+    same = cylinder_engine.band_kernel(KIND_SCHRODINGER, None, 50.0, 3.0, 1.0)
+    assert same == full and same.band is None
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ PUBLIC = [
     "ArclengthChart", "BANDS", "C0", "C1",
     "ConfigError", "ConicalFit", "ConicwaveError", "ConvergenceError",
     "DecayReport", "DomainError", "JostEvaluator", "KAPPA", "KINDS",
-    "KernelEngine", "KernelSample", "LowEnergyBasis", "PotentialProfile",
-    "ProfileSpec", "QuadratureError", "ScatteringData", "ScatteringModel",
+    "KernelEngine", "KernelSample", "PotentialProfile", "ProfileSpec",
+    "QuadratureError", "ScatteringData", "ScatteringModel",
     "StationaryPhaseCase", "chi_low", "chi_window", "f0_values",
     "fit_conical_constants", "hankel0_plus", "make_profile", "potential_at",
     "standard_case_library", "stationary_phase_check",
@@ -20,7 +20,7 @@ ORACLES = ("VolterraProblem", "VolterraSolution", "estimate_mu",
 
 def test_all_is_pinned():
     assert sorted(conicwave.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == 31
+    assert len(PUBLIC) == 30
 
 
 def test_every_public_name_resolves():
