@@ -140,7 +140,9 @@ class JostEvaluator:
 
     ``values`` gives (f, f') for a Jost solution and (u0, u0', u1, u1') for
     a basis (regime REGIME_LOW_ENERGY); xi outside the window raises
-    DomainError.
+    DomainError.  What it evaluates is kept as data (``_Basis``,
+    ``_LowSide``, ``_OscSide``, ``_Mirrored``), so that ``f_at`` can read f
+    of many Jost solutions at one xi.
     """
 
     def __init__(self, lam: float, fun, window, regime: str):
@@ -152,11 +154,163 @@ class JostEvaluator:
     def values(self, xi):
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         lo, hi = self.window
-        # min/max costs a third of two any() scans on the one-point calls
-        # of a kernel pair entry, and a NaN xi fails it
+        # a NaN xi fails the min/max test
         if xi.size and not lo - 1e-9 <= xi.min() <= xi.max() <= hi + 1e-9:
             raise DomainError(f"xi outside evaluator window {self.window}")
         return self._fun(xi)
+
+
+def _check_windows(evaluators, xi: float) -> None:
+    """``JostEvaluator.values``'s window test of each evaluator at xi."""
+    lo = np.array([ev.window[0] for ev in evaluators])
+    hi = np.array([ev.window[1] for ev in evaluators])
+    if not np.all((lo - 1e-9 <= xi) & (xi <= hi + 1e-9)):
+        raise DomainError(f"xi = {xi!r} outside an evaluator window")
+
+
+# ---------------------------------------------------------------------------
+# what an evaluator is made of: the ``fun`` of a JostEvaluator, kept as data
+# so that ``f_at`` can read many of them at one xi
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _Basis:
+    """One side's perturbed basis on [0, L]: the zero-energy seed, evaluated
+    exactly, plus the O(lam^2) corrections of (u0, u0', u1, u1'), stacked
+    (4, n) on ``grid``."""
+
+    pv: object
+    grid: panels.PanelGrid
+    corr: np.ndarray
+
+    def __call__(self, xi):
+        seed = _seed_values(self.pv, xi)
+        corr = self.grid.interpolate(self.corr, xi)
+        return tuple(s + c for s, c in zip(seed, corr))
+
+
+@dataclass(frozen=True, eq=False)
+class _LowSide:
+    """Low-pipeline f on one side: (f, f') stacked on the V1 grid from
+    ``xi_lo`` up, a*u0 + b*u1 of the matching basis below it (``basis`` for
+    xi >= 0, the mirrored ``basis_o`` of the other side for xi < 0)."""
+
+    grid: panels.PanelGrid
+    f_df: np.ndarray
+    xi_lo: float
+    a: complex
+    b: complex
+    basis: JostEvaluator
+    basis_o: JostEvaluator
+
+    def __call__(self, xi):
+        out_v = np.empty(xi.shape, dtype=complex)
+        out_d = np.empty(xi.shape, dtype=complex)
+        direct = xi >= self.xi_lo
+        if np.any(direct):
+            out_v[direct], out_d[direct] = self.grid.interpolate(
+                self.f_df, xi[direct])
+        if not np.all(direct):
+            u0, du0, u1, du1 = _two_sided(self.basis, self.basis_o,
+                                          xi[~direct])
+            out_v[~direct] = self.a * u0 + self.b * u1
+            out_d[~direct] = self.a * du0 + self.b * du1
+        return out_v, out_d
+
+
+@dataclass(frozen=True, eq=False)
+class _OscSide:
+    """Oscillatory-pipeline f on one side, from an ``_m_side`` record."""
+
+    rec: dict
+
+    def __call__(self, xi):
+        return ScatteringModel._m_record_values(self.rec, xi)
+
+
+@dataclass(frozen=True, eq=False)
+class _Mirrored:
+    """f_minus(xi) = g(-xi), g the mirrored side's solution ``base``."""
+
+    base: JostEvaluator
+
+    def __call__(self, xi):
+        v, d = self.base.values(-xi)
+        return v, -d
+
+
+def f_at(evaluators, xi: float) -> np.ndarray:
+    """f(xi) of each Jost solution in ``evaluators``, bit-equal to
+    ``ev.values([xi])[0][0]`` of each and refused where that is.
+
+    The evaluators are sorted into branches: the V1 grid and the matching
+    basis (at xi >= 0, or mirrored at xi < 0) of the low pipeline, the m
+    grid and the ODE below xi_v of the oscillatory one.  Each branch but
+    the ODE is one barycentric pass over the stacked rows of its records;
+    the ODE is read record by record.
+    """
+    xi = float(xi)
+    _check_windows(evaluators, xi)
+    branches: dict = {}
+    for i, ev in enumerate(evaluators):
+        side, x = ev._fun, xi
+        if isinstance(side, _Mirrored):
+            side, x = side.base._fun, -xi
+        if isinstance(side, _LowSide):
+            if x >= side.xi_lo:
+                key = (_low_v1, x, None)
+            else:
+                # one zero-energy seed per side view of the bases
+                basis = side.basis_o if x < 0 else side.basis
+                key = (_low_basis, x, id(basis._fun.pv))
+        elif isinstance(side, _OscSide):
+            key = (_osc_m if x >= side.rec["xi_v"] else _osc_ode, x, None)
+        else:
+            raise DomainError("f_at reads Jost solutions, not bases")
+        idx, sides = branches.setdefault(key, ([], []))
+        idx.append(i)
+        sides.append(side)
+    out = np.empty(len(evaluators), dtype=complex)
+    for (branch, x, _), (idx, sides) in branches.items():
+        out[idx] = branch(sides, x)
+    return out
+
+
+def _low_v1(sides, x):
+    return panels.interpolate_at([s.grid for s in sides],
+                                 [s.f_df for s in sides], x)[0]
+
+
+def _low_basis(sides, x):
+    # u0, u1 of each side's basis at |x| (the other side's for x < 0, with
+    # the parity signs): one seed, which does not depend on lam, plus the
+    # corrections
+    neg = x < 0
+    ax = -x if neg else x
+    bases = [s.basis_o if neg else s.basis for s in sides]
+    _check_windows(bases, ax)
+    funs = [b._fun for b in bases]
+    corr = panels.interpolate_at([f.grid for f in funs],
+                                 [f.corr for f in funs], ax)
+    s0, _, s1, _ = _seed_values(funs[0].pv, np.array([ax]))
+    u0, u1 = s0 + corr[0], s1 + corr[2]
+    if neg:
+        u0, u1 = _PARITY[0] * u0, _PARITY[2] * u1
+    a = np.array([s.a for s in sides])
+    b = np.array([s.b for s in sides])
+    return a * u0 + b * u1
+
+
+def _osc_m(sides, x):
+    mv = panels.interpolate_at([s.rec["grid"] for s in sides],
+                               [s.rec["mdm"] for s in sides], x)[0]
+    lams = np.array([s.rec["lam"] for s in sides])
+    return np.exp(1j * lams * x) * mv
+
+
+def _osc_ode(sides, x):
+    # a scalar t takes OdeSolution's one-segment path, same arithmetic
+    return np.array([s.rec["ode"](x)[0] for s in sides])
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +396,8 @@ class ScatteringModel:
             sols.append(((f.real - seed).copy(),
                          (-lam2 * (du1x * p0 - du0x * p1)).real.copy()))
         (v0, d0), (v1, d1) = sols
-
-        def fun(xi):
-            s0, ds0, s1, ds1 = _seed_values(pv, xi)
-            return (s0 + grid.interpolate(v0, xi), ds0 + grid.interpolate(d0, xi),
-                    s1 + grid.interpolate(v1, xi), ds1 + grid.interpolate(d1, xi))
-
-        rec = JostEvaluator(lam, fun, (0.0, L), REGIME_LOW_ENERGY)
+        rec = JostEvaluator(lam, _Basis(pv, grid, np.stack([v0, d0, v1, d1])),
+                            (0.0, L), REGIME_LOW_ENERGY)
         self._basis_cache[key] = rec
         return rec
 
@@ -278,8 +427,9 @@ class ScatteringModel:
 
         B >= 1.1 * xi_hi + 10 (capped at 0.98 xi_cap), so the grid serves
         every xi up to ``xi_hi``.  Returns (grid, values, dvalues, diag) on
-        [xi0, B], xi0 = max(xi_tail, 0.75 lam^-1/2); diag carries the sweep
-        count, the tail constants, B and xi0.
+        [xi0, B], xi0 = max(xi_tail, 0.75 lam^-1/2), the values (f, f')
+        stacked (2, n); diag carries the sweep count, the tail constants, B
+        and xi0.
         """
         pv = self._pv(side)
         xm = lam ** -0.5
@@ -315,7 +465,7 @@ class ScatteringModel:
         df = df0 + np.conj(df0) * (s1 + t1 * inv2il) \
             - df0 * (s2 + t2 * inv2il)
         diag = {"sweeps": sweeps, "s1": s1, "s2": s2, "B": B, "xi0": xi0}
-        rec = (grid, f, df, diag)
+        rec = (grid, np.stack([f, df]), diag)
         self._low_cache[key] = rec
         return rec
 
@@ -393,12 +543,12 @@ class ScatteringModel:
         # inward ODE continuation for xi below xi_v
         lo = min(xi_floor, 0.0)
         fv = np.exp(1j * lam * xi_v)
-        m_v = grid.interpolate(m, [xi_v])[0]
-        y0 = [fv * m_v,
-              fv * (1j * lam * m_v + grid.interpolate(dm, [xi_v])[0])]
+        mdm = np.stack([m, dm])
+        m_v, dm_v = grid.interpolate(mdm, [xi_v])[:, 0]
+        y0 = [fv * m_v, fv * (1j * lam * m_v + dm_v)]
         ode = _continue(pv, lam, np.asarray(y0, dtype=complex),
                         (xi_v, lo - 1e-9))
-        rec = {"grid": grid, "m": m, "dm": dm, "xi_v": xi_v, "B": B,
+        rec = {"grid": grid, "mdm": mdm, "xi_v": xi_v, "B": B,
                "ode": ode, "lam": lam, "sweeps": sweeps, "lo": lo}
         self._osc_cache[key] = rec
         return rec
@@ -418,7 +568,8 @@ class ScatteringModel:
             + A * _exp_moment(-2j * lam, B, 3)
         return c0t, c1tp
 
-    def _m_record_values(self, rec, xi):
+    @staticmethod
+    def _m_record_values(rec, xi):
         """f, f' from an m record, any xi in [lo, B]."""
         lam = rec["lam"]
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -427,8 +578,7 @@ class ScatteringModel:
         hi = xi >= rec["xi_v"]
         if np.any(hi):
             xv = xi[hi]
-            mv = rec["grid"].interpolate(rec["m"], xv)
-            dv = rec["grid"].interpolate(rec["dm"], xv)
+            mv, dv = rec["grid"].interpolate(rec["mdm"], xv)
             ph = np.exp(1j * lam * xv)
             out_v[hi] = ph * mv
             out_d[hi] = ph * (1j * lam * mv + dv)
@@ -461,34 +611,17 @@ class ScatteringModel:
         if pipe == "low":
             # two pieces: the matching basis below xi_lo (mirrored for
             # xi < 0), the V1 grid from xi_lo to B
-            grid, f, df, diag = self._f_low_side(side, lam, xi_hi)
+            grid, f_df, diag = self._f_low_side(side, lam, xi_hi)
             a, b, _ = self._side_coefficients(side, lam, pipe, xi_hi)
             L = max(1.3 * lam ** -0.5, abs(xi_min) + 1.0)
             other = "minus" if side == "plus" else "plus"
-            basis = self._side_basis(side, lam, L)
-            basis_o = self._side_basis(other, lam, L)
-            xi_lo = diag["xi0"] * 1.05
-
-            def fun(xi):
-                out_v = np.empty(xi.shape, dtype=complex)
-                out_d = np.empty(xi.shape, dtype=complex)
-                direct = xi >= xi_lo
-                if np.any(direct):
-                    out_v[direct] = grid.interpolate(f, xi[direct])
-                    out_d[direct] = grid.interpolate(df, xi[direct])
-                if not np.all(direct):
-                    u0, du0, u1, du1 = _two_sided(basis, basis_o, xi[~direct])
-                    out_v[~direct] = a * u0 + b * u1
-                    out_d[~direct] = a * du0 + b * du1
-                return out_v, out_d
-
+            fun = _LowSide(grid, f_df, diag["xi0"] * 1.05, a, b,
+                           self._side_basis(side, lam, L),
+                           self._side_basis(other, lam, L))
             return JostEvaluator(lam, fun, (-L, diag["B"]), REGIME_LOW_ENERGY)
         rec = self._m_side(side, lam, xi_floor=xi_min, xi_hi=xi_hi)
-
-        def fun(xi):
-            return self._m_record_values(rec, xi)
-
-        return JostEvaluator(lam, fun, (rec["lo"], rec["B"]), REGIME_OSCILLATORY)
+        return JostEvaluator(lam, _OscSide(rec), (rec["lo"], rec["B"]),
+                             REGIME_OSCILLATORY)
 
     def jost_plus(self, lam: float, xi_min: float = 0.0, xi_hi: float = 0.0,
                   pipeline: str = "auto") -> JostEvaluator:
@@ -502,13 +635,8 @@ class ScatteringModel:
         check_energy(lam, "jost_minus")
         base = self._side_evaluator("minus", lam, -abs(xi_max), abs(xi_lo),
                                     "auto")
-
-        def fun(xi):
-            v, d = base.values(-np.asarray(xi, dtype=float))
-            return v, -d
-
         lo, hi = base.window
-        return JostEvaluator(lam, fun, (-hi, -lo), base.regime)
+        return JostEvaluator(lam, _Mirrored(base), (-hi, -lo), base.regime)
 
     # ------------------------------------------------------------------
     # coefficients, Wronskian, reflection/transmission
@@ -521,11 +649,10 @@ class ScatteringModel:
         pipe = self._pipeline_for(side, lam, pipeline)
         if pipe == "low":
             xm = lam ** -0.5
-            grid, f, df, diag = self._f_low_side(side, lam, xi_hi)
+            grid, f_df, diag = self._f_low_side(side, lam, xi_hi)
             basis = self._side_basis(side, lam, 1.3 * xm)
             pts = np.array([0.85 * xm, xm, 1.15 * xm])
-            fv = grid.interpolate(f, pts)
-            fd = grid.interpolate(df, pts)
+            fv, fd = grid.interpolate(f_df, pts)
         else:
             xm = min(lam ** -0.5, 2.5 / lam)
             L = min(1.3 * xm + 1.0, 3.0 / lam)

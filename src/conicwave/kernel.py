@@ -14,7 +14,10 @@ kernel evaluation reduces to polynomial work against that table:
   channel amplitudes on one geometric ladder from LAM_MIN_TABLE up through
   lam_low; panels below lam_low read them off the s-grid samples (one
   table per lam range), panels above sample the table directly and are
-  appended to a pair's entry as kernels reach higher; the quadratic/linear
+  appended to a pair's entry as kernels reach higher; a pair reads
+  f+-(xi) from all the records it samples with one ``jost.f_at`` call per
+  (side, xi), kept per (side, xi) for the other pairs at that xi, and
+  forms m and the channel amplitudes from those arrays; the quadratic/linear
   phase exp(i(t lam^p + theta lam)) is integrated exactly per panel
   (oscquad), against polynomial fits that each pair caches per band, so
   that kernels at another t or kind refit only the panels cut at lam_split
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import oscquad, panels
 from .errors import DomainError, QuadratureError
-from .jost import ScatteringModel, check_energy
+from .jost import ScatteringModel, check_energy, f_at
 
 KIND_SCHRODINGER = "schrodinger"
 KIND_WAVE_PLUS = "wave_plus"
@@ -142,27 +145,30 @@ class StationaryPhaseCase:
 # spectral table
 # ---------------------------------------------------------------------------
 
-class _NodeRecord:
-    """(W, alpha, beta) at one lam and the phase-stripped Jost solutions
-    m(side, xi) = e^{-+i lam xi} f_side(xi), cached per (side, xi)."""
+def _mul(a, b):
+    """a * b rounded as scalar complex arithmetic rounds it; numpy's array
+    complex multiply fuses multiply-adds and differs in the last bit."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
-    __slots__ = ("lam", "W", "alpha", "beta", "_ev", "_m")
+
+class _NodeRecord:
+    """(W, alpha, beta) at one lam and the Jost evaluators ``ev[side]``.
+
+    A record holds no values at any xi: a new pair reads f_side at its xi
+    from all the records it needs at once (``KernelEngine._m_values``, one
+    ``jost.f_at`` call per (side, xi))."""
+
+    __slots__ = ("lam", "W", "alpha", "beta", "ev")
 
     def __init__(self, lam, W, alpha, beta, ev_plus, ev_minus):
         self.lam = lam
         self.W = W
         self.alpha = alpha
         self.beta = beta
-        self._ev = {"plus": (ev_plus, -1j), "minus": (ev_minus, 1j)}
-        self._m: dict = {}
-
-    def m(self, side: str, xi: float) -> complex:
-        v = self._m.get((side, xi))
-        if v is None:
-            ev, ph = self._ev[side]
-            v = ev.values(np.array([xi]))[0][0] * np.exp(ph * self.lam * xi)
-            self._m[side, xi] = v
-        return v
+        self.ev = {"plus": ev_plus, "minus": ev_minus}
 
 
 class KernelEngine:
@@ -192,6 +198,8 @@ class KernelEngine:
             down.append(max(down[-1] / self.panel_ratio, LAM_MIN_TABLE))
         self._osc_edges = list(reversed(down))
         self._records: dict = {}
+        # (side, xi) -> {lam: m_side(xi)}, shared by the pairs of a scan
+        self._m_cache: dict = {}
         self._pair_cache: dict = {}
 
     # -- table plumbing -----------------------------------------------------
@@ -209,22 +217,45 @@ class KernelEngine:
             self._records[lam] = rec
         return rec
 
+    def _m_values(self, recs, side: str, xi: float) -> np.ndarray:
+        """m_side(xi) = e^{-+i lam xi} f_side(xi) of each record; the records
+        not read at (side, xi) before are read in one ``f_at`` call."""
+        memo = self._m_cache.setdefault((side, xi), {})
+        new = [r for r in recs if r.lam not in memo]
+        if new:
+            f = f_at([r.ev[side] for r in new], xi)
+            lams = np.array([r.lam for r in new])
+            ph = np.exp((-1j if side == "plus" else 1j) * lams * xi)
+            memo.update(zip(lams.tolist(), _mul(f, ph)))
+        return np.array([memo[r.lam] for r in recs])
+
     # -- channels ------------------------------------------------------------
 
-    def _channels(self, hi: float, lo: float):
-        """[(theta, amp(record) -> complex)] for an ordered pair hi >= lo."""
+    @staticmethod
+    def _channels(hi: float, lo: float):
+        """((side of hi, side of lo), thetas, amps) for an ordered pair
+        hi >= lo: channel k has the phase e^{i thetas[k] lam} and the
+        amplitude amps[k](a, b, W, alpha, beta) of the arrays a = m(hi),
+        b = m(lo) and the records' columns."""
         if hi >= 0.0 >= lo:
-            return [(hi - lo,
-                     lambda r: r.m("plus", hi) * r.m("minus", lo) / r.W)]
+            return ("plus", "minus"), [hi - lo], [
+                lambda a, b, W, al, be: _mul(a, b) / W]
         if lo > 0.0:
-            return [(hi + lo, lambda r: r.alpha * r.m("plus", hi)
-                     * r.m("plus", lo) / r.W),
-                    (hi - lo, lambda r: r.beta * r.m("plus", hi)
-                     * np.conj(r.m("plus", lo)) / r.W)]
-        return [(-hi - lo, lambda r: -np.conj(r.alpha) * r.m("minus", hi)
-                 * r.m("minus", lo) / r.W),
-                (hi - lo, lambda r: r.beta * np.conj(r.m("minus", hi))
-                 * r.m("minus", lo) / r.W)]
+            return ("plus", "plus"), [hi + lo, hi - lo], [
+                lambda a, b, W, al, be: _mul(_mul(al, a), b) / W,
+                lambda a, b, W, al, be: _mul(_mul(be, a), np.conj(b)) / W]
+        return ("minus", "minus"), [-hi - lo, hi - lo], [
+            lambda a, b, W, al, be: _mul(_mul(-np.conj(al), a), b) / W,
+            lambda a, b, W, al, be: _mul(_mul(be, np.conj(a)), b) / W]
+
+    def _amplitudes(self, hi: float, lo: float, recs) -> list:
+        """Each channel's amplitude at the records ``recs``."""
+        (s_hi, s_lo), _, amps = self._channels(hi, lo)
+        a = self._m_values(recs, s_hi, hi)
+        b = self._m_values(recs, s_lo, lo)
+        cols = [np.array([getattr(r, k) for r in recs])
+                for k in ("W", "alpha", "beta")]
+        return [amp(a, b, *cols) for amp in amps]
 
     def _pair_data(self, hi: float, lo: float, lam_top: float):
         """The pair's channel amplitudes on the s-grid and the osc panels.
@@ -234,11 +265,8 @@ class KernelEngine:
         the s-grid samples.  Later calls only append panels above lam_low,
         sampled from table records, until they reach lam_top; the panel fits
         cached under ``fits`` stay valid, since panel indices never move."""
-        chans = self._channels(hi, lo)
-
         def sample(lams):
-            recs = [self._record(l) for l in lams]
-            return [np.array([amp(r) for r in recs]) for _, amp in chans]
+            return self._amplitudes(hi, lo, [self._record(l) for l in lams])
 
         edges = self._osc_edges
         data = self._pair_cache.get((hi, lo))
@@ -247,21 +275,21 @@ class KernelEngine:
             s_vals = sample(lam_s)
             sub = list(zip(edges, edges[1: edges.index(self.lam_low) + 1]))
             nodes = [oscquad.cheb_nodes(a, b) for a, b in sub]
-            # one interpolation per channel serves every sub-threshold panel
+            # one interpolation serves every channel and sub-threshold panel
             s_sub = np.log(1.0 / np.concatenate(nodes))
-            vals = [np.split(self._sgrid.interpolate(v, s_sub), len(sub))
-                    for v in s_vals]
-            osc = [(a, b, x, [v[i] for v in vals])
-                   for i, ((a, b), x) in enumerate(zip(sub, nodes))]
+            vals = np.split(self._sgrid.interpolate(np.stack(s_vals), s_sub),
+                            len(sub), axis=1)
+            osc = [(a, b, x, list(v))
+                   for (a, b), x, v in zip(sub, nodes, vals)]
             # the cut-free s-region density lam^2 Im[sum e^{i theta lam} amp]
             # (one lam is the Jacobian of lam = e^{-s})
+            thetas = self._channels(hi, lo)[1]
             amp0 = np.zeros(len(lam_s))
-            for (th, _), v in zip(chans, s_vals):
+            for th, v in zip(thetas, s_vals):
                 amp0 += (np.exp(1j * th * lam_s) * v).imag
             amp0 *= lam_s * lam_s
             data = self._pair_cache[hi, lo] = {
-                "thetas": [th for th, _ in chans], "osc": osc, "amp0": amp0,
-                "fits": {}}
+                "thetas": thetas, "osc": osc, "amp0": amp0, "fits": {}}
         osc = data["osc"]
         while osc[-1][1] < lam_top * 0.999999:
             i = len(osc)
@@ -324,8 +352,7 @@ class KernelEngine:
         tt = abs(float(t))
         wave_sign = -1.0 if kind == KIND_WAVE_MINUS else 1.0
         lam_split = self._lam_split(kind, tt)
-        chans_probe = self._channels(hi, lo)
-        lam_top = self._lam_top(kind, tt, [th for th, _ in chans_probe])
+        lam_top = self._lam_top(kind, tt, self._channels(hi, lo)[1])
         if band is not None and band != "high_energy":
             lam_top = min(lam_top, 1.05 * self.lam_low)
         data = self._pair_data(hi, lo, lam_top)
@@ -464,6 +491,7 @@ class KernelEngine:
         if need > self.xi_abs_max:
             self.xi_abs_max = 1.05 * need
             self._records.clear()
+            self._m_cache.clear()
             self._pair_cache.clear()
 
     def spectral_density(self, xi: float, xi_prime: float, lam: float) -> float:
@@ -471,9 +499,10 @@ class KernelEngine:
         check_energy(lam, "spectral_density")
         hi, lo = max(xi, xi_prime), min(xi, xi_prime)
         self._ensure_span(hi, lo)
-        rec = self._record(lam)
-        return float(2.0 * lam * sum((np.exp(1j * th * lam) * amp(rec)).imag
-                                     for th, amp in self._channels(hi, lo)))
+        amps = self._amplitudes(hi, lo, [self._record(lam)])
+        return float(2.0 * lam * sum(
+            (np.exp(1j * th * lam) * amp[0]).imag
+            for th, amp in zip(self._channels(hi, lo)[1], amps)))
 
     def evolution_kernel(self, kind: str, t: float, xi: float,
                          xi_prime: float) -> KernelSample:

@@ -1,12 +1,14 @@
 """Spectral density, dispersive kernels, bands and the stationary-phase
 majorant."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conicwave import (DomainError, KernelEngine, standard_case_library,
                        stationary_phase_check)
-from conicwave import panels
+from conicwave import jost, panels
 from conicwave.kernel import (KIND_SCHRODINGER, KIND_WAVE_PLUS,
                               LAM_MIN_TABLE, StationaryPhaseCase,
                               _compact_bump, _compact_bump_d,
@@ -254,16 +256,135 @@ def test_subthreshold_panels_match_direct_samples(hyperboloid_engine):
     eng = hyperboloid_engine
     for xi, xip in [(300.0, -1000.0), (1000.0, 0.5)]:
         hi, lo = max(xi, xip), min(xi, xip)
-        chans = eng._channels(hi, lo)
         data = eng._pair_data(hi, lo, 30.0)
         below = [panel for panel in data["osc"] if panel[1] <= eng.lam_low]
         assert below
         for _, _, lam_nodes, vals in below:
             recs = [eng._record(lam) for lam in lam_nodes]
-            for (_, amp), v in zip(chans, vals):
-                direct = np.array([amp(r) for r in recs])
+            for v, direct in zip(vals, eng._amplitudes(hi, lo, recs)):
                 assert (np.max(np.abs(v - direct))
                         <= 1e-8 * np.max(np.abs(direct)))
+
+
+def _m_one_point(rec, side, xi):
+    """m_side(xi) of one record by a one-point ``values`` call and scalar
+    products: the read that ``jost.f_at`` batches over records."""
+    ph = -1j if side == "plus" else 1j
+    return (rec.ev[side].values(np.array([xi]))[0][0]
+            * np.exp(ph * rec.lam * xi))
+
+
+def _amps_one_point(rec, hi, lo):
+    """The channel amplitudes of one record, product by scalar product."""
+    def m(side, xi):
+        return _m_one_point(rec, side, xi)
+    if hi >= 0.0 >= lo:
+        return [m("plus", hi) * m("minus", lo) / rec.W]
+    if lo > 0.0:
+        return [rec.alpha * m("plus", hi) * m("plus", lo) / rec.W,
+                rec.beta * m("plus", hi) * np.conj(m("plus", lo)) / rec.W]
+    return [-np.conj(rec.alpha) * m("minus", hi) * m("minus", lo) / rec.W,
+            rec.beta * np.conj(m("minus", hi)) * m("minus", lo) / rec.W]
+
+
+def _branch(ev, xi):
+    """The piece of a Jost evaluator that serves xi."""
+    side, x = ev._fun, xi
+    if isinstance(side, jost._Mirrored):
+        side, x = side.base._fun, -xi
+    if isinstance(side, jost._LowSide):
+        if x >= side.xi_lo:
+            return "V1 grid"
+        return "basis" if x >= 0 else "mirrored basis"
+    return "m grid" if x >= side.rec["xi_v"] else "ODE"
+
+
+@pytest.mark.parametrize("name, branches", [
+    ("hyperboloid_engine",
+     {"V1 grid", "basis", "mirrored basis", "m grid", "ODE"}),
+    ("cylinder_engine", {"m grid", "ODE"})])
+def test_batched_read_equals_one_point_values(name, branches, request):
+    """``jost.f_at`` and every pair entry sampled through it equal, bit for
+    bit, the one-point ``values`` read with scalar products: f on each
+    branch and side, the s-grid samples and amp0, and the Filon panel
+    samples (read off the s-grid below lam_low)."""
+    eng = request.getfixturevalue(name)
+    recs = ([eng._record(lam) for lam in eng._s_lam]
+            + [eng._record(lam) for lam in (0.02, 0.3, 3.0, 40.0)])
+    hit = set()
+    for side, sign in (("plus", 1.0), ("minus", -1.0)):
+        for xi in (0.0, 0.5, -5.0, 5.0, 300.0, 1000.0):
+            xi *= sign
+            evs = [r.ev[side] for r in recs
+                   if r.ev[side].window[0] <= xi <= r.ev[side].window[1]]
+            want = [ev.values(np.array([xi]))[0][0] for ev in evs]
+            assert np.array_equal(jost.f_at(evs, xi), want), (side, xi)
+            hit |= {_branch(ev, xi) for ev in evs}
+    assert hit == branches
+    s_recs = recs[:len(eng._s_lam)]
+    for xi, xip in [(300.0, -1000.0), (0.5, 0.0), (1000.0, 0.5),
+                    (-0.5, -300.0)]:
+        hi, lo = max(xi, xip), min(xi, xip)
+        data = eng._pair_data(hi, lo, 0.05)
+        s_vals = [np.array(v)
+                  for v in zip(*(_amps_one_point(r, hi, lo) for r in s_recs))]
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(eng._amplitudes(hi, lo, s_recs), s_vals))
+        lam_s = eng._s_lam
+        amp0 = np.zeros(len(lam_s))
+        for th, v in zip(data["thetas"], s_vals):
+            amp0 += (np.exp(1j * th * lam_s) * v).imag
+        assert np.array_equal(data["amp0"], amp0 * (lam_s * lam_s))
+        for a, b, lam_nodes, vals in data["osc"]:
+            if b <= eng.lam_low:
+                want = [eng._sgrid.interpolate(v, np.log(1.0 / lam_nodes))
+                        for v in s_vals]
+            else:
+                want = [np.array(v) for v in zip(
+                    *(_amps_one_point(eng._record(lam), hi, lo)
+                      for lam in lam_nodes))]
+            assert all(np.array_equal(v, w) for v, w in zip(vals, want))
+
+
+def test_batched_read_refuses_what_values_refuses(hyperboloid_model):
+    """``jost.f_at`` raises DomainError wherever one of its evaluators'
+    ``values`` does: a xi outside one record's window, a NaN xi, and a xi
+    outside the window (0, L) of the matching basis behind a low-pipeline
+    record, which no built record reaches, so it is shrunk in a copy."""
+    # an engine of its own: the windows follow the span, which decay scans
+    # grow on the shared one
+    eng = KernelEngine(hyperboloid_model, xi_abs_max=1.1e3)
+    recs = [eng._record(lam) for lam in eng._s_lam[::20]] + [eng._record(0.5)]
+
+    def refuses(fun, *args):
+        try:
+            fun(*args)
+        except DomainError:
+            return True
+        return False
+
+    for side, xi in (("plus", -20.0), ("plus", 2.0e3), ("minus", 20.0)):
+        evs = [r.ev[side] for r in recs]
+        # some of the records serve xi, the others refuse it
+        n_refused = sum(refuses(ev.values, np.array([xi])) for ev in evs)
+        assert 0 < n_refused < len(evs)
+        assert refuses(jost.f_at, evs, xi)
+        assert refuses(eng._m_values, recs, side, xi)
+    for side in ("plus", "minus"):
+        assert refuses(jost.f_at, [r.ev[side] for r in recs], float("nan"))
+    lam = 1e-3
+    ev = eng._record(lam).ev["plus"]
+    low = ev._fun
+    assert low.xi_lo > 15.0
+    narrow = {"basis": eng.model._side_basis("plus", lam, 10.0),
+              "basis_o": eng.model._side_basis("minus", lam, 10.0)}
+    for field, xi in (("basis", 15.0), ("basis_o", -15.0)):
+        shrunk = jost.JostEvaluator(
+            lam, dataclasses.replace(low, **{field: narrow[field]}),
+            ev.window, ev.regime)
+        assert not refuses(ev.values, np.array([xi]))
+        assert refuses(shrunk.values, np.array([xi]))
+        assert refuses(jost.f_at, [ev, shrunk], xi)
 
 
 def test_one_table_below_the_threshold(cylinder_model):

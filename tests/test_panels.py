@@ -191,3 +191,31 @@ def test_cap_phase_matches_per_panel_linspace(case):
         assert got.dtype == want.dtype and np.array_equal(got, want)
         split += len(got) > len(breaks)
     assert split >= 20
+
+
+def test_stacked_interpolation_matches_one_array_calls():
+    """Stacked value arrays share one locate and one weight row per point,
+    and ``interpolate_at`` reads many grids at one point; every row equals
+    its own one-array ``interpolate`` call bit for bit, at GL nodes (the
+    exact-hit branch), breaks and points past the grid included."""
+    rng = np.random.default_rng(7)
+    grids = list(GRIDS.values()) + [
+        PanelGrid.build(geometric_breaks(0.5, 30.0, 9), order=ORDER)]
+    values = [rng.normal(size=(4, g.flat.size))
+              + 1j * rng.normal(size=(4, g.flat.size)) for g in grids]
+    for g, v in zip(grids, values):
+        x = np.concatenate([rng.uniform(g.breaks[0], g.breaks[-1], 200),
+                            g.flat[::7], g.breaks, [g.breaks[-1] + 0.5]])
+        got = g.interpolate(v, x)
+        assert got.shape == (4, x.size)
+        for k in range(4):
+            assert np.array_equal(got[k], g.interpolate(v[k], x))
+    for x in (0.1, 0.5, 1.7, float(grids[0].flat[13]), 4.999, 5.0, 30.0):
+        got = panels.interpolate_at(grids, values, x)
+        assert got.shape == (4, len(grids))
+        for r, (g, v) in enumerate(zip(grids, values)):
+            assert np.array_equal(got[:, r], g.interpolate(v, x)[:, 0])
+    with pytest.raises(DomainError):
+        panels.interpolate_at(
+            [grids[0], PanelGrid.build(grids[0].breaks, order=6)],
+            [values[0], values[0][:, :grids[0].npanels * 6]], 1.0)
