@@ -16,6 +16,7 @@ by its half-width) are built once per order and cached read-only.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -367,31 +368,71 @@ def integrate(grid: PanelGrid, fvals: np.ndarray) -> complex:
 
 
 #: panels per block of ``integrate_blocks``: 12k nodes at order 12, so each
-#: block's temporaries stay in cache
+#: block's temporaries stay in cache; blocks, not the grid, bound its memory
 BLOCK_PANELS = 1024
+
+#: longest run of values that ``integrate_blocks`` hands to one ``.sum()``;
+#: a leaf may cut through blocks, so at most one leaf and one block of
+#: weighted values are held at once
+_LEAF_VALUES = 8 * BLOCK_PANELS
 
 
 def integrate_blocks(breaks, f, order: int = 10):
     """Integral of a pointwise ``f`` over ``PanelGrid.build(breaks, order)``.
 
     ``f`` maps n nodes to n values, or to (k, n) values of k integrands, and
-    is evaluated BLOCK_PANELS panels at a time.  Only the weighted values are
-    kept for the whole grid, summed per integrand in one call, so each result
-    is bit-identical to ``integrate(grid, f(grid.flat))`` without that path's
-    grid-sized nodes, weights and intermediate values.
+    is evaluated BLOCK_PANELS panels at a time.  The weighted values are
+    summed per integrand along numpy's pairwise-summation tree as they come
+    (``_pairwise_sums``), so each result is bit-identical to
+    ``integrate(grid, f(grid.flat))`` while only one block and one leaf of
+    values are held, never the whole grid.
     """
     breaks = _checked_breaks(breaks)
     m = len(breaks) - 1
-    out = None
-    for p in range(0, m, BLOCK_PANELS):
-        q = min(p + BLOCK_PANELS, m)
-        x, w = _nodes_weights(breaks[p:q + 1], order)
+
+    def weighted(p):
+        x, w = _nodes_weights(breaks[p:min(p + BLOCK_PANELS, m) + 1], order)
         fx = np.asarray(f(x.ravel()))
-        fx = fx.reshape(fx.shape[:-1] + x.shape)
-        if out is None:
-            out = np.empty(fx.shape[:-2] + (m, order),
-                           dtype=np.result_type(w, fx))
-        np.multiply(w, fx, out=out[..., p:q, :])
-    if out.ndim == 2:
-        return out.sum()
-    return np.array([o.sum() for o in out])
+        return w * fx.reshape(fx.shape[:-1] + x.shape)
+
+    first = weighted(0)
+    lead = first.shape[:-2]
+    blocks = itertools.chain(
+        [first], map(weighted, range(BLOCK_PANELS, m, BLOCK_PANELS)))
+    take = _taker(v.reshape(-1, v.shape[-2] * order) for v in blocks)
+    unit = 2 if np.iscomplexobj(first) else 1
+    return _pairwise_sums(take, m * order, unit).reshape(lead)[()]
+
+
+def _taker(blocks):
+    """``take(n)``: the next n columns of a stream of (k, *) blocks."""
+    buf = next(blocks)
+
+    def take(n: int) -> np.ndarray:
+        nonlocal buf
+        while buf.shape[-1] < n:
+            block = next(blocks)
+            buf = np.concatenate([buf, block], axis=-1) if buf.size else block
+        out, buf = buf[:, :n], buf[:, n:]
+        return out
+
+    return take
+
+
+def _pairwise_sums(take, n: int, unit: int, leaf: int = _LEAF_VALUES):
+    """Row sums of the next n columns of ``take``, each bit-equal to numpy's
+    ``.sum()`` of that row as one contiguous array.
+
+    numpy sums a contiguous run pairwise (N. J. Higham, SIAM J. Sci. Comput.
+    14, 1993): it splits n values at n/2, rounded down to a multiple of 8
+    floats, a complex value counting as ``unit`` = 2 floats, and sums runs
+    of at most 128 floats in one unrolled loop.  Any subtree is therefore
+    numpy's ``.sum()`` of its own run, so this recursion hands every subtree
+    of at most ``leaf`` values (``leaf`` >= 128 / unit) to numpy and adds
+    the two halves above it as numpy does.
+    """
+    if n <= leaf:
+        return np.array([row.sum() for row in take(n)])
+    half = unit * n // 2 // 8 * 8 // unit
+    left = _pairwise_sums(take, half, unit, leaf)
+    return left + _pairwise_sums(take, n - half, unit, leaf)

@@ -8,8 +8,8 @@ fitted.
 
 import numpy as np
 
-from conicwave import (C0, C1, ArclengthChart, PotentialProfile,
-                       make_profile, standard_case_library,
+from conicwave import (C0, C1, ArclengthChart, KernelEngine,
+                       PotentialProfile, make_profile, standard_case_library,
                        stationary_phase_check)
 from conicwave.kernel import KIND_SCHRODINGER, KIND_WAVE_PLUS, SUP_GRID
 
@@ -285,8 +285,11 @@ def test_criterion_08_band_decay_suite(hyperboloid_engine):
 # 7. Schrodinger decay exponent (the long scan, last)
 # --------------------------------------------------------------------------
 
-def test_criterion_07_schrodinger_decay(hyperboloid_engine):
-    rep = hyperboloid_engine.decay_scan(
+def test_criterion_07_schrodinger_decay(hyperboloid_model):
+    # its own engine: the scan's light-cone probes grow the span to 1.05e4
+    # and clear the table, which must not leak into the session engine
+    eng = KernelEngine(hyperboloid_model, xi_abs_max=1.1e3)
+    rep = eng.decay_scan(
         KIND_SCHRODINGER, np.geomspace(10.0, 1.0e4, 13),
         spatial_grid=np.asarray(SUP_GRID))
     ok = abs(rep.fit_alpha - 1.0) <= 0.15 and rep.fit_R2 >= 0.95

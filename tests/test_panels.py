@@ -131,16 +131,20 @@ def _cap_phase_oracle(breaks, freq_of_x, max_phase):
     return np.asarray(out)
 
 
-@pytest.mark.parametrize("t", [3.0, 300.0])
-def test_integrate_blocks_is_the_grid_integral(t):
-    """Blockwise evaluation sums the same weighted values in one call as the
-    whole-grid path, so every integral is bit-identical to it: one block
-    (t = 3), several with a partial last one (t = 300)."""
+@pytest.mark.parametrize("t,order", [(3.0, 12), (300.0, 12), (300.0, 7)],
+                         ids=["3.0", "300.0", "300.0-order7"])
+def test_integrate_blocks_is_the_grid_integral(t, order):
+    """Blockwise evaluation sums the weighted values along numpy's pairwise
+    tree, so every integral is bit-identical to the whole-grid path: one
+    block (t = 3); several with a partial last one and many leaves over a
+    value count that is no multiple of 8 (t = 300)."""
     breaks = panels.cap_phase(np.linspace(-4.0, 2.5, 65),
                               lambda x: t * abs(2.0 * x) + 1.0, max_phase=1.0)
-    grid = PanelGrid.build(breaks, order=12)
+    grid = PanelGrid.build(breaks, order=order)
     assert (grid.npanels < panels.BLOCK_PANELS) == (t < 10.0)
     assert grid.npanels % panels.BLOCK_PANELS != 0
+    n = grid.npanels * order
+    assert t < 10.0 or (n > 4 * panels._LEAF_VALUES and n % 8 != 0)
     x = grid.flat
     amps = (np.exp(-x * x), x * x * np.exp(-x * x))
     osc = np.exp(1j * t * x * x)
@@ -150,15 +154,48 @@ def test_integrate_blocks_is_the_grid_integral(t):
         return np.stack([np.exp(-y * y) * e, y * y * np.exp(-y * y) * e])
 
     got = panels.integrate_blocks(
-        breaks, lambda y: np.exp(-y * y) * np.exp(1j * t * y * y), order=12)
+        breaks, lambda y: np.exp(-y * y) * np.exp(1j * t * y * y), order=order)
     assert got == panels.integrate(grid, amps[0] * osc)
-    assert list(panels.integrate_blocks(breaks, pair, order=12)) == [
+    assert list(panels.integrate_blocks(breaks, pair, order=order)) == [
         panels.integrate(grid, a * osc) for a in amps]
     got = panels.integrate_blocks(breaks, lambda y: y * y * np.exp(-y * y),
-                                  order=12)
+                                  order=order)
     assert np.isrealobj(got) and got == panels.integrate(grid, amps[1])
     with pytest.raises(DomainError):
         panels.integrate_blocks([0.0, 1.0, 1.0], np.cos)
+
+
+def _chunks(a, rng):
+    """(1, *) pieces of a of random lengths, as a block stream."""
+    cuts = np.cumsum(rng.integers(1, 3 * panels.BLOCK_PANELS,
+                                  a.size // panels.BLOCK_PANELS + 1))
+    return iter(np.split(a[None, :], cuts[cuts < a.size], axis=1))
+
+
+def _halving_sum(a):
+    """A pairwise sum split at n // 2, not numpy's rule."""
+    if a.size <= 128:
+        return a.sum()
+    return _halving_sum(a[:a.size // 2]) + _halving_sum(a[a.size // 2:])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 129, 65537, 1000003])
+def test_pairwise_sums_are_numpy_sum(n):
+    """numpy's ``.sum()`` of a contiguous run is the pairwise tree that
+    ``_pairwise_sums`` follows, at numpy's own leaves (128 floats) and at
+    ``_LEAF_VALUES``, fed in pieces that cut through its leaves.  A numpy
+    release that sums another way fails here, not in a moved CSV cell."""
+    rng = np.random.default_rng(n)
+    r = rng.standard_normal(n) * np.exp(rng.uniform(-10.0, 10.0, n))
+    c = r + 1j * rng.standard_normal(n) * np.exp(rng.uniform(-10.0, 10.0, n))
+    for a, unit in ((r, 1), (c, 2)):
+        for leaf in (128 // unit, panels._LEAF_VALUES):
+            got = panels._pairwise_sums(panels._taker(_chunks(a, rng)), n,
+                                        unit, leaf)
+            assert got.shape == (1,) and got[0] == a.sum(), (unit, leaf)
+        if n == 1000003:
+            # these values tell numpy's split from a plain halving
+            assert _halving_sum(a) != a.sum()
 
 
 @pytest.mark.parametrize("case", ["constant", "piecewise", "statphase"])
