@@ -103,19 +103,6 @@ def _continue(pv, lam: float, y0, span):
     return sol.sol
 
 
-def _two_sided(this, other, xi: np.ndarray):
-    """(u0, u0', u1, u1') at any xi: ``this`` side's basis for xi >= 0, the
-    mirrored ``other`` side's basis with the parity signs for xi < 0."""
-    neg = xi < 0
-    if not np.any(neg):
-        return this.values(xi)
-    out = np.empty((4,) + xi.shape)
-    if not np.all(neg):
-        out[:, ~neg] = this.values(xi[~neg])
-    out[:, neg] = [p * u for p, u in zip(_PARITY, other.values(-xi[neg]))]
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # result types
 # ---------------------------------------------------------------------------
@@ -135,46 +122,76 @@ class ScatteringData:
     residuals: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True, eq=False)
 class JostEvaluator:
     """Solutions at one energy on an array of xi, over a fixed window.
 
     ``values`` gives (f, f') for a Jost solution and (u0, u0', u1, u1') for
-    a basis (regime REGIME_LOW_ENERGY); xi outside the window raises
-    DomainError.  What it evaluates is kept as data (``_Basis``,
-    ``_LowSide``, ``_OscSide``, ``_Mirrored``), so that ``f_at`` can read f
-    of many Jost solutions at one xi.
+    a basis, stacked (2 or 4, len(xi)); xi outside the window raises
+    DomainError.  Each subclass is one kind of evaluator that holds its own
+    data, and its ``read(evaluators, x)`` reads a list of evaluators of
+    that kind at one point each: ``values`` is that read over
+    ``[self] * len(xi)``, and ``f_at`` reads many Jost solutions at one xi
+    with one read per kind.
     """
 
-    def __init__(self, lam: float, fun, window, regime: str):
-        self.lam = lam
-        self._fun = fun
-        self.window = window
-        self.regime = regime
+    lam: float
+    window: tuple
+    regime = REGIME_LOW_ENERGY
 
     def values(self, xi):
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        lo, hi = self.window
-        # a NaN xi fails the min/max test
-        if xi.size and not lo - 1e-9 <= xi.min() <= xi.max() <= hi + 1e-9:
-            raise DomainError(f"xi outside evaluator window {self.window}")
-        return self._fun(xi)
+        _check_windows(*self.window, xi)
+        return self.read([self] * xi.size, xi)
 
 
-def _check_windows(evaluators, xi: float) -> None:
-    """``JostEvaluator.values``'s window test of each evaluator at xi."""
-    lo = np.array([ev.window[0] for ev in evaluators])
-    hi = np.array([ev.window[1] for ev in evaluators])
-    if not np.all((lo - 1e-9 <= xi) & (xi <= hi + 1e-9)):
-        raise DomainError(f"xi = {xi!r} outside an evaluator window")
+def _check_windows(lo, hi, xi) -> None:
+    """DomainError unless each xi lies in its window [lo, hi] (1e-9
+    slack); a NaN xi fails."""
+    if not ((lo - 1e-9 <= xi) & (xi <= hi + 1e-9)).all():
+        raise DomainError("xi outside an evaluator window")
 
 
-# ---------------------------------------------------------------------------
-# what an evaluator is made of: the ``fun`` of a JostEvaluator, kept as data
-# so that ``f_at`` can read many of them at one xi
-# ---------------------------------------------------------------------------
+def _groups(objs) -> list:
+    """(object, positions) of each distinct object in ``objs``, by
+    identity, in order of first appearance; the positions are a list, or
+    slice(None) when all are one object."""
+    objs = list(objs)
+    ids = list(map(id, objs))
+    if objs and ids.count(ids[0]) == len(ids):
+        return [(objs[0], slice(None))]
+    out: dict = {}
+    for r, (i, o) in enumerate(zip(ids, objs)):
+        out.setdefault(i, (o, []))[1].append(r)
+    return list(out.values())
+
+
+def _seeds(pvs, x: np.ndarray) -> np.ndarray:
+    """The zero-energy (u0, u0', u1, u1') of side view pvs[i] at x[i], (4,
+    n): one evaluation per side view, at one point where all its points
+    coincide (as in ``f_at``)."""
+    out = np.empty((4, x.size))
+    for pv, idx in _groups(pvs):
+        xs = x[idx]
+        if xs.min() == xs.max():
+            xs = xs[:1]
+        out[:, idx] = _seed_values(pv, xs)
+    return out
+
 
 @dataclass(frozen=True, eq=False)
-class _Basis:
+class _Seed(JostEvaluator):
+    """The zero-energy pair u0, u1 of the side view ``pv``."""
+
+    pv: object
+
+    @staticmethod
+    def read(evs, x):
+        return _seeds([e.pv for e in evs], x)
+
+
+@dataclass(frozen=True, eq=False)
+class _Basis(JostEvaluator):
     """One side's perturbed basis on [0, L]: the zero-energy seed, evaluated
     exactly, plus the O(lam^2) corrections of (u0, u0', u1, u1'), stacked
     (4, n) on ``grid``."""
@@ -183,134 +200,140 @@ class _Basis:
     grid: panels.PanelGrid
     corr: np.ndarray
 
-    def __call__(self, xi):
-        seed = _seed_values(self.pv, xi)
-        corr = self.grid.interpolate(self.corr, xi)
-        return tuple(s + c for s, c in zip(seed, corr))
+    @staticmethod
+    def read(evs, x):
+        out = panels.interpolate_at([e.grid for e in evs],
+                                    [e.corr for e in evs], x)
+        out += _seeds([e.pv for e in evs], x)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
-class _LowSide:
+class _TwoSided(JostEvaluator):
+    """A basis at any xi: the ``plus`` side's for xi >= 0, the mirrored
+    ``minus`` side's with the parity signs for xi < 0."""
+
+    plus: _Basis
+    minus: _Basis
+
+    @staticmethod
+    def read(evs, x):
+        neg = x < 0
+        sides = [e.minus if n else e.plus for e, n in zip(evs, neg.tolist())]
+        ax = np.where(neg, -x, x)
+        _check_windows(np.array([s.window[0] for s in sides]),
+                       np.array([s.window[1] for s in sides]), ax)
+        out = _Basis.read(sides, ax)
+        out[:, neg] *= np.array(_PARITY)[:, None]
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class _LowSide(JostEvaluator):
     """Low-pipeline f on one side: (f, f') stacked on the V1 grid from
-    ``xi_lo`` up, a*u0 + b*u1 of the matching basis below it (``basis`` for
-    xi >= 0, the mirrored ``basis_o`` of the other side for xi < 0)."""
+    ``xi_lo`` up, a*u0 + b*u1 of the matching ``basis`` below it."""
 
     grid: panels.PanelGrid
     f_df: np.ndarray
     xi_lo: float
     a: complex
     b: complex
-    basis: JostEvaluator
-    basis_o: JostEvaluator
+    basis: _TwoSided
 
-    def __call__(self, xi):
-        out_v = np.empty(xi.shape, dtype=complex)
-        out_d = np.empty(xi.shape, dtype=complex)
-        direct = xi >= self.xi_lo
-        if np.any(direct):
-            out_v[direct], out_d[direct] = self.grid.interpolate(
-                self.f_df, xi[direct])
-        if not np.all(direct):
-            u0, du0, u1, du1 = _two_sided(self.basis, self.basis_o,
-                                          xi[~direct])
-            out_v[~direct] = self.a * u0 + self.b * u1
-            out_d[~direct] = self.a * du0 + self.b * du1
-        return out_v, out_d
-
-
-@dataclass(frozen=True, eq=False)
-class _OscSide:
-    """Oscillatory-pipeline f on one side, from an ``_m_side`` record."""
-
-    rec: dict
-
-    def __call__(self, xi):
-        return ScatteringModel._m_record_values(self.rec, xi)
+    @staticmethod
+    def read(evs, x):
+        out = np.empty((2, x.size), dtype=complex)
+        direct = x >= np.array([e.xi_lo for e in evs])
+        i = np.flatnonzero(direct)
+        if i.size:
+            sub = [evs[k] for k in i]
+            out[:, i] = panels.interpolate_at([e.grid for e in sub],
+                                              [e.f_df for e in sub], x[i])
+        i = np.flatnonzero(~direct)
+        if i.size:
+            sub = [evs[k] for k in i]
+            u0, du0, u1, du1 = _TwoSided.read([e.basis for e in sub], x[i])
+            a = np.array([e.a for e in sub])
+            b = np.array([e.b for e in sub])
+            out[0, i] = a * u0 + b * u1
+            out[1, i] = a * du0 + b * du1
+        return out
 
 
 @dataclass(frozen=True, eq=False)
-class _Mirrored:
+class _OscSide(JostEvaluator):
+    """Oscillatory-pipeline f on one side: m = e^{-i lam xi} f and m',
+    stacked (2, n) on ``grid`` from ``xi_v`` up, the inward ODE solution
+    ``ode`` of (f, f') below it."""
+
+    grid: panels.PanelGrid
+    mdm: np.ndarray
+    xi_v: float
+    ode: object
+    regime = REGIME_OSCILLATORY
+
+    @staticmethod
+    def read(evs, x):
+        out = np.empty((2, x.size), dtype=complex)
+        on_grid = x >= np.array([e.xi_v for e in evs])
+        i = np.flatnonzero(on_grid)
+        if i.size:
+            sub = [evs[k] for k in i]
+            xv = x[i]
+            mv, dv = panels.interpolate_at([e.grid for e in sub],
+                                           [e.mdm for e in sub], xv)
+            il = 1j * np.array([e.lam for e in sub])
+            ph = np.exp(il * xv)
+            out[0, i] = ph * mv
+            out[1, i] = ph * (il * mv + dv)
+        for k in np.flatnonzero(~on_grid):
+            # a scalar t takes OdeSolution's one-segment path, the same
+            # arithmetic as an array of t
+            out[:, k] = evs[k].ode(x[k])
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Mirrored(JostEvaluator):
     """f_minus(xi) = g(-xi), g the mirrored side's solution ``base``."""
 
     base: JostEvaluator
 
-    def __call__(self, xi):
-        v, d = self.base.values(-xi)
-        return v, -d
+    @property
+    def regime(self):
+        return self.base.regime
+
+    @staticmethod
+    def read(evs, x):
+        out = _read([e.base for e in evs], -x)
+        out[1] = -out[1]
+        return out
+
+
+_BASES = (_Seed, _Basis, _TwoSided)
+
+
+def _read(evs, x: np.ndarray) -> np.ndarray:
+    """(f, f') of Jost solutions of any kinds, evs[i] at x[i]: one ``read``
+    per kind."""
+    kinds = _groups(map(type, evs))
+    if any(kind in _BASES for kind, _ in kinds):
+        raise DomainError("f_at reads Jost solutions, not bases")
+    if len(kinds) == 1:
+        return kinds[0][0].read(evs, x)
+    out = np.empty((2, x.size), dtype=complex)
+    for kind, idx in kinds:
+        out[:, idx] = kind.read([evs[i] for i in idx], x[idx])
+    return out
 
 
 def f_at(evaluators, xi: float) -> np.ndarray:
     """f(xi) of each Jost solution in ``evaluators``, bit-equal to
-    ``ev.values([xi])[0][0]`` of each and refused where that is.
-
-    The evaluators are sorted into branches: the V1 grid and the matching
-    basis (at xi >= 0, or mirrored at xi < 0) of the low pipeline, the m
-    grid and the ODE below xi_v of the oscillatory one.  Each branch but
-    the ODE is one barycentric pass over the stacked rows of its records;
-    the ODE is read record by record.
-    """
-    xi = float(xi)
-    _check_windows(evaluators, xi)
-    branches: dict = {}
-    for i, ev in enumerate(evaluators):
-        side, x = ev._fun, xi
-        if isinstance(side, _Mirrored):
-            side, x = side.base._fun, -xi
-        if isinstance(side, _LowSide):
-            if x >= side.xi_lo:
-                key = (_low_v1, x, None)
-            else:
-                # one zero-energy seed per side view of the bases
-                basis = side.basis_o if x < 0 else side.basis
-                key = (_low_basis, x, id(basis._fun.pv))
-        elif isinstance(side, _OscSide):
-            key = (_osc_m if x >= side.rec["xi_v"] else _osc_ode, x, None)
-        else:
-            raise DomainError("f_at reads Jost solutions, not bases")
-        idx, sides = branches.setdefault(key, ([], []))
-        idx.append(i)
-        sides.append(side)
-    out = np.empty(len(evaluators), dtype=complex)
-    for (branch, x, _), (idx, sides) in branches.items():
-        out[idx] = branch(sides, x)
-    return out
-
-
-def _low_v1(sides, x):
-    return panels.interpolate_at([s.grid for s in sides],
-                                 [s.f_df for s in sides], x)[0]
-
-
-def _low_basis(sides, x):
-    # u0, u1 of each side's basis at |x| (the other side's for x < 0, with
-    # the parity signs): one seed, which does not depend on lam, plus the
-    # corrections
-    neg = x < 0
-    ax = -x if neg else x
-    bases = [s.basis_o if neg else s.basis for s in sides]
-    _check_windows(bases, ax)
-    funs = [b._fun for b in bases]
-    corr = panels.interpolate_at([f.grid for f in funs],
-                                 [f.corr for f in funs], ax)
-    s0, _, s1, _ = _seed_values(funs[0].pv, np.array([ax]))
-    u0, u1 = s0 + corr[0], s1 + corr[2]
-    if neg:
-        u0, u1 = _PARITY[0] * u0, _PARITY[2] * u1
-    a = np.array([s.a for s in sides])
-    b = np.array([s.b for s in sides])
-    return a * u0 + b * u1
-
-
-def _osc_m(sides, x):
-    mv = panels.interpolate_at([s.rec["grid"] for s in sides],
-                               [s.rec["mdm"] for s in sides], x)[0]
-    lams = np.array([s.rec["lam"] for s in sides])
-    return np.exp(1j * lams * x) * mv
-
-
-def _osc_ode(sides, x):
-    # a scalar t takes OdeSolution's one-segment path, same arithmetic
-    return np.array([s.rec["ode"](x)[0] for s in sides])
+    ``ev.values([xi])[0][0]`` of each and refused where that is."""
+    x = np.full(len(evaluators), float(xi))
+    _check_windows(np.array([ev.window[0] for ev in evaluators]),
+                   np.array([ev.window[1] for ev in evaluators]), x)
+    return _read(evaluators, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +374,7 @@ class ScatteringModel:
     def zero_energy_basis(self) -> JostEvaluator:
         """The pair u0, u1 at lam = 0 (Wr(u0, u1) = 1) on the chart."""
         cap = 0.98 * self.pot.xi_cap
-        return JostEvaluator(0.0, lambda xi: _seed_values(self.pot, xi),
-                             (-cap, cap), REGIME_LOW_ENERGY)
+        return _Seed(0.0, (-cap, cap), self.pot)
 
     # ------------------------------------------------------------------
     # energy-perturbed basis (one side)
@@ -396,8 +418,7 @@ class ScatteringModel:
             sols.append(((f.real - seed).copy(),
                          (-lam2 * (du1x * p0 - du0x * p1)).real.copy()))
         (v0, d0), (v1, d1) = sols
-        rec = JostEvaluator(lam, _Basis(pv, grid, np.stack([v0, d0, v1, d1])),
-                            (0.0, L), REGIME_LOW_ENERGY)
+        rec = _Basis(lam, (0.0, L), pv, grid, np.stack([v0, d0, v1, d1]))
         self._basis_cache[key] = rec
         return rec
 
@@ -413,10 +434,8 @@ class ScatteringModel:
             raise DomainError("low_energy_basis is restricted to lam <= lam_low")
         L = window if window is not None else \
             min(3.0 / lam, 0.98 * self.pot.xi_cap)
-        bp = self._side_basis("plus", lam, L)
-        bm = self._side_basis("minus", lam, L)
-        return JostEvaluator(lam, lambda xi: _two_sided(bp, bm, xi), (-L, L),
-                             REGIME_LOW_ENERGY)
+        return _TwoSided(lam, (-L, L), self._side_basis("plus", lam, L),
+                         self._side_basis("minus", lam, L))
 
     # ------------------------------------------------------------------
     # low-energy outgoing solution on one side
@@ -509,8 +528,8 @@ class ScatteringModel:
 
         The kernel is (exp(2i lam (eta - xi)) - 1)/(2i lam) V(eta), the
         phase-stripped form of the sine-kernel equation; truncation at B is
-        compensated by the analytic conical-tail forcing.  Returns a record
-        with m and f evaluators for xi in [min(xi_floor, 0), B].
+        compensated by the analytic conical-tail forcing.  Returns the
+        evaluator of f (an ``_OscSide``) for xi in [min(xi_floor, 0), B].
         """
         key = (side, lam, round(min(xi_floor, 0.0), 3), round(xi_hi, 3))
         if key in self._osc_cache:
@@ -537,8 +556,8 @@ class ScatteringModel:
         ph = np.exp(-2j * lam * e)
         g = 1.0 + inv2il * (ph * c1tp - c0t)
         integ = separable_integrators(grid, "backward", [0.0, 2.0 * lam])
-        m, (_, t2), sweeps = sweep(integ, (-inv2il, ph * inv2il), (V, V), g,
-                                   SWEEP_TOL)
+        m, (_, t2), _ = sweep(integ, (-inv2il, ph * inv2il), (V, V), g,
+                              SWEEP_TOL)
         dm = -ph * (t2 + c1tp)
         # inward ODE continuation for xi below xi_v
         lo = min(xi_floor, 0.0)
@@ -548,10 +567,9 @@ class ScatteringModel:
         y0 = [fv * m_v, fv * (1j * lam * m_v + dm_v)]
         ode = _continue(pv, lam, np.asarray(y0, dtype=complex),
                         (xi_v, lo - 1e-9))
-        rec = {"grid": grid, "mdm": mdm, "xi_v": xi_v, "B": B,
-               "ode": ode, "lam": lam, "sweeps": sweeps, "lo": lo}
-        self._osc_cache[key] = rec
-        return rec
+        ev = _OscSide(lam, (lo, B), grid, mdm, xi_v, ode)
+        self._osc_cache[key] = ev
+        return ev
 
     def _m_tail_constants(self, side: str, pv, lam: float, B: float):
         """Analytic tail forcing of the m equation past the truncation B.
@@ -567,26 +585,6 @@ class ScatteringModel:
         c1tp = -0.25 * _exp_moment(-2j * lam, B, 2) \
             + A * _exp_moment(-2j * lam, B, 3)
         return c0t, c1tp
-
-    @staticmethod
-    def _m_record_values(rec, xi):
-        """f, f' from an m record, any xi in [lo, B]."""
-        lam = rec["lam"]
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out_v = np.empty(xi.shape, dtype=complex)
-        out_d = np.empty(xi.shape, dtype=complex)
-        hi = xi >= rec["xi_v"]
-        if np.any(hi):
-            xv = xi[hi]
-            mv, dv = rec["grid"].interpolate(rec["mdm"], xv)
-            ph = np.exp(1j * lam * xv)
-            out_v[hi] = ph * mv
-            out_d[hi] = ph * (1j * lam * mv + dv)
-        if np.any(~hi):
-            ys = rec["ode"](xi[~hi])
-            out_v[~hi] = ys[0]
-            out_d[~hi] = ys[1]
-        return out_v, out_d
 
     # ------------------------------------------------------------------
     # public Jost evaluators
@@ -615,13 +613,11 @@ class ScatteringModel:
             a, b, _ = self._side_coefficients(side, lam, pipe, xi_hi)
             L = max(1.3 * lam ** -0.5, abs(xi_min) + 1.0)
             other = "minus" if side == "plus" else "plus"
-            fun = _LowSide(grid, f_df, diag["xi0"] * 1.05, a, b,
-                           self._side_basis(side, lam, L),
-                           self._side_basis(other, lam, L))
-            return JostEvaluator(lam, fun, (-L, diag["B"]), REGIME_LOW_ENERGY)
-        rec = self._m_side(side, lam, xi_floor=xi_min, xi_hi=xi_hi)
-        return JostEvaluator(lam, _OscSide(rec), (rec["lo"], rec["B"]),
-                             REGIME_OSCILLATORY)
+            basis = _TwoSided(lam, (-L, L), self._side_basis(side, lam, L),
+                              self._side_basis(other, lam, L))
+            return _LowSide(lam, (-L, diag["B"]), grid, f_df,
+                            diag["xi0"] * 1.05, a, b, basis)
+        return self._m_side(side, lam, xi_floor=xi_min, xi_hi=xi_hi)
 
     def jost_plus(self, lam: float, xi_min: float = 0.0, xi_hi: float = 0.0,
                   pipeline: str = "auto") -> JostEvaluator:
@@ -636,7 +632,7 @@ class ScatteringModel:
         base = self._side_evaluator("minus", lam, -abs(xi_max), abs(xi_lo),
                                     "auto")
         lo, hi = base.window
-        return JostEvaluator(lam, _Mirrored(base), (-hi, -lo), base.regime)
+        return _Mirrored(lam, (-hi, -lo), base)
 
     # ------------------------------------------------------------------
     # coefficients, Wronskian, reflection/transmission
@@ -657,9 +653,8 @@ class ScatteringModel:
             xm = min(lam ** -0.5, 2.5 / lam)
             L = min(1.3 * xm + 1.0, 3.0 / lam)
             basis = self._side_basis(side, lam, L)
-            rec = self._m_side(side, lam, xi_hi=xi_hi)
             pts = np.array([0.85 * xm, xm, min(1.15 * xm, 0.98 * L)])
-            fv, fd = self._m_record_values(rec, pts)
+            fv, fd = self._m_side(side, lam, xi_hi=xi_hi).values(pts)
         u0v, du0v, u1v, du1v = basis.values(pts)
         a3 = wr(fv, fd, u1v, du1v)
         b3 = -wr(fv, fd, u0v, du0v)
@@ -678,19 +673,18 @@ class ScatteringModel:
 
     def _w_alpha(self, lam: float, pipeline: str = "auto", xi_hi: float = 0.0):
         """(W, alpha): from the connection coefficients when both sides run
-        the low pipeline, else from the Wronskians at xi = 0 of the m records;
-        either way from the side solutions built with ``xi_hi``.  Callers
-        form beta = W/(-2i lam) themselves."""
+        the low pipeline, else from the Wronskians at xi = 0 of the
+        oscillatory solutions (``_m_side``); either way from the side
+        solutions built with ``xi_hi``.  Callers form beta = W/(-2i lam)
+        themselves."""
         if (self._pipeline_for("plus", lam, pipeline) == "low"
                 and self._pipeline_for("minus", lam, pipeline) == "low"):
             ap, bp, am, bm, _ = self._connection(lam, pipeline, xi_hi)
             return (ap * bm - am * bp,
                     (am * np.conj(bp) - bm * np.conj(ap)) / (-2j * lam))
         zero = np.array([0.0])
-        (fp,), (dfp,) = self._m_record_values(
-            self._m_side("plus", lam, xi_hi=xi_hi), zero)
-        (fm,), (dfm,) = self._m_record_values(
-            self._m_side("minus", lam, xi_hi=xi_hi), zero)
+        (fp,), (dfp,) = self._m_side("plus", lam, xi_hi=xi_hi).values(zero)
+        (fm,), (dfm,) = self._m_side("minus", lam, xi_hi=xi_hi).values(zero)
         dfm = -dfm      # f_-(xi) = g(-xi), g the mirrored plus solution
         return (wr(fp, dfp, fm, dfm),
                 wr(fm, dfm, np.conj(fp), np.conj(dfp)) / (-2j * lam))
@@ -972,8 +966,7 @@ class ScatteringModel:
 
     def _m_scan(self, side: str, lam: float, xis: np.ndarray):
         """m, dm/dxi, d2m/dxi2 on an array of xi > 0."""
-        rec = self._m_side(side, lam, xi_hi=float(np.max(xis)))
-        f, df = self._m_record_values(rec, xis)
+        f, df = self._m_side(side, lam, xi_hi=float(np.max(xis))).values(xis)
         ph = np.exp(-1j * lam * xis)
         m = ph * f
         dm = ph * (df - 1j * lam * f)

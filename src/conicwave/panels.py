@@ -103,9 +103,9 @@ class PanelGrid:
         return self.nodes.ravel()
 
     def locate(self, x) -> np.ndarray:
-        idx = np.searchsorted(self.breaks, x, side="right") - 1
-        # np.clip costs ten times more on the one-point calls of interpolate_at
-        return np.minimum(np.maximum(idx, 0), self.npanels - 1)
+        """Index of the panel holding each x; points past the grid take
+        the end panels, so only the inner breaks are searched."""
+        return self.breaks[1:-1].searchsorted(x, side="right")
 
     def interpolate(self, values: np.ndarray, x) -> np.ndarray:
         """Panel-wise barycentric interpolation of nodal values at x.
@@ -119,14 +119,7 @@ class PanelGrid:
         a = self.breaks[p]
         b = self.breaks[p + 1]
         w = (2.0 * x - a - b) / (b - a)
-        return _bary_eval(self._ref_nodes(), self._bary_weights(),
-                          vals[..., p, :], w)
-
-    def _ref_nodes(self) -> np.ndarray:
-        return gauss_legendre(self.order)[0]
-
-    def _bary_weights(self) -> np.ndarray:
-        return _bary_weights_cached(self.order)
+        return _bary_eval(self.order, vals[..., p, :], w)
 
 
 def _checked_breaks(breaks) -> np.ndarray:
@@ -154,35 +147,43 @@ def _bary_weights_cached(order: int) -> np.ndarray:
     return w
 
 
-def interpolate_at(grids, values, x: float) -> np.ndarray:
-    """Each ``values[r]``, nodal values (k, n) on ``grids[r]``, at the one
-    point x: shape (k, len(grids)).
+def interpolate_at(grids, values, x) -> np.ndarray:
+    """Each ``values[r]``, nodal values (k, n) on ``grids[r]``, at its own
+    point ``x[r]``: shape (k, len(grids)).
 
-    x is located once per grid, and one barycentric pass covers the rows of
-    all grids, bit-equal to ``grids[r].interpolate(values[r], x)``.  The
-    grids must share one order.
+    The points of each distinct grid are located in one call, and one
+    barycentric pass covers the rows of all of them, bit-equal to
+    ``grids[r].interpolate(values[r], x[r])``.  The grids must share one
+    order.
     """
+    x = np.asarray(x, dtype=float)
     order = grids[0].order
-    if any(g.order != order for g in grids):
-        raise DomainError("interpolate_at needs grids of one order")
-    p = [g.locate(x) for g in grids]
-    a = np.array([g.breaks[i] for g, i in zip(grids, p)])
-    b = np.array([g.breaks[i + 1] for g, i in zip(grids, p)])
-    w = (2.0 * x - a - b) / (b - a)
-    rows = np.stack([v.reshape(v.shape[:-1] + g.nodes.shape)[..., i, :]
-                     for g, v, i in zip(grids, values, p)], axis=-2)
-    return _bary_eval(gauss_legendre(order)[0], _bary_weights_cached(order),
-                      rows, w)
+    on: dict = {}
+    for r, g in enumerate(grids):
+        on.setdefault(id(g), (g, []))[1].append(r)
+    # each point's panel as a slice of its flat nodal values: views,
+    # gathered by one concatenate
+    cols, a, b = [None] * x.size, [0.0] * x.size, [0.0] * x.size
+    for g, idx in on.values():
+        if g.order != order:
+            raise DomainError("interpolate_at needs grids of one order")
+        for r, p in zip(idx, g.locate(x[idx]).tolist()):
+            cols[r] = values[r][..., p * order:(p + 1) * order]
+            a[r], b[r] = g.breaks[p], g.breaks[p + 1]
+    vals = np.concatenate(cols, axis=-1)
+    vals = vals.reshape(vals.shape[:-1] + (x.size, order))
+    a, b = np.array(a), np.array(b)
+    return _bary_eval(order, vals, (2.0 * x - a - b) / (b - a))
 
 
-def _bary_eval(ref: np.ndarray, bw: np.ndarray, vals: np.ndarray,
-               w: np.ndarray) -> np.ndarray:
-    # vals: (..., k, order) per-point panel values; w: (k,) scaled
-    # coordinates, whose weight row every stacked leading row shares
-    d = w[:, None] - ref[None, :]
+def _bary_eval(order: int, vals: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Barycentric interpolation on the GL(order) nodes: vals (..., k,
+    order) holds each point's nodal values, w (k,) the points in [-1, 1],
+    whose weight row every stacked leading row shares."""
+    d = w[:, None] - gauss_legendre(order)[0][None, :]
     exact = np.abs(d) <= 1e-15
     d = np.where(exact, 1.0, d)
-    c = bw[None, :] / d
+    c = _bary_weights_cached(order)[None, :] / d
     out = (c * vals).sum(axis=-1) / c.sum(axis=1)
     hit = np.nonzero(exact.any(axis=1))[0]
     if hit.size:
@@ -191,20 +192,11 @@ def _bary_eval(ref: np.ndarray, bw: np.ndarray, vals: np.ndarray,
 
 
 def interp_matrix(order: int, w_eval: np.ndarray) -> np.ndarray:
-    """Matrix mapping nodal values on GL(order) nodes to values at w_eval."""
-    ref = gauss_legendre(order)[0]
-    bw = _bary_weights_cached(order)
-    d = w_eval[:, None] - ref[None, :]
-    exact = np.abs(d) <= 1e-15
-    d = np.where(exact, 1.0, d)
-    m = bw[None, :] / d
-    m /= m.sum(axis=1, keepdims=True)
-    if np.any(exact):
-        rows = np.nonzero(exact.any(axis=1))[0]
-        for i in rows:
-            m[i] = 0.0
-            m[i, exact[i].argmax()] = 1.0
-    return m
+    """Matrix mapping nodal values on GL(order) nodes to values at w_eval:
+    ``_bary_eval`` of the identity's rows, the Lagrange basis."""
+    eye = np.broadcast_to(np.eye(order)[:, None, :],
+                          (order, len(w_eval), order))
+    return np.ascontiguousarray(_bary_eval(order, eye, w_eval).T)
 
 
 @lru_cache(maxsize=32)

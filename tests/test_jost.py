@@ -98,10 +98,10 @@ def test_m_plus_decay_law(hyperboloid_model):
     lam = 0.5
     rec = hyperboloid_model._m_side("plus", lam, xi_hi=500.0)
     xis = np.geomspace(4.0, 500.0, 15)
-    v, _ = hyperboloid_model._m_record_values(rec, xis)
+    v, _ = rec.values(xis)
     m = v * np.exp(-1j * lam * xis)
     C = np.max(lam * xis * np.abs(m - 1.0))
-    v40, _ = hyperboloid_model._m_record_values(rec, np.array([40.0]))
+    v40, _ = rec.values(np.array([40.0]))
     m40 = v40[0] * np.exp(-1j * lam * 40.0)
     assert abs(m40 - 1.0) <= C / (lam * 40.0) * (1 + 1e-9)
     assert C < 0.5
@@ -407,8 +407,8 @@ def test_wronskian_pipeline_agreement(hyperboloid_model):
         Wl = m.wronskian(lam, pipeline="low")
         rp = m._m_side("plus", lam)
         rm = m._m_side("minus", lam)
-        fp, dfp = m._m_record_values(rp, np.array([0.0]))
-        fmv, dfmv = m._m_record_values(rm, np.array([0.0]))
+        fp, dfp = rp.values(np.array([0.0]))
+        fmv, dfmv = rm.values(np.array([0.0]))
         Wo = complex(wr(fp[0], dfp[0], fmv[0], -dfmv[0]))
         assert abs(Wl - Wo) <= 1e-5 * abs(Wo)
 

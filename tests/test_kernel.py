@@ -290,14 +290,14 @@ def _amps_one_point(rec, hi, lo):
 
 def _branch(ev, xi):
     """The piece of a Jost evaluator that serves xi."""
-    side, x = ev._fun, xi
+    side, x = ev, xi
     if isinstance(side, jost._Mirrored):
-        side, x = side.base._fun, -xi
+        side, x = side.base, -xi
     if isinstance(side, jost._LowSide):
         if x >= side.xi_lo:
             return "V1 grid"
         return "basis" if x >= 0 else "mirrored basis"
-    return "m grid" if x >= side.rec["xi_v"] else "ODE"
+    return "m grid" if x >= side.xi_v else "ODE"
 
 
 @pytest.mark.parametrize("name, branches", [
@@ -322,6 +322,8 @@ def test_batched_read_equals_one_point_values(name, branches, request):
             assert np.array_equal(jost.f_at(evs, xi), want), (side, xi)
             hit |= {_branch(ev, xi) for ev in evs}
     assert hit == branches
+    empty = jost.f_at([], 0.5)
+    assert empty.shape == (0,) and empty.dtype == complex
     s_recs = recs[:len(eng._s_lam)]
     for xi, xip in [(300.0, -1000.0), (0.5, 0.0), (1000.0, 0.5),
                     (-0.5, -300.0)]:
@@ -375,14 +377,12 @@ def test_batched_read_refuses_what_values_refuses(hyperboloid_model):
         assert refuses(jost.f_at, [r.ev[side] for r in recs], float("nan"))
     lam = 1e-3
     ev = eng._record(lam).ev["plus"]
-    low = ev._fun
-    assert low.xi_lo > 15.0
-    narrow = {"basis": eng.model._side_basis("plus", lam, 10.0),
-              "basis_o": eng.model._side_basis("minus", lam, 10.0)}
-    for field, xi in (("basis", 15.0), ("basis_o", -15.0)):
-        shrunk = jost.JostEvaluator(
-            lam, dataclasses.replace(low, **{field: narrow[field]}),
-            ev.window, ev.regime)
+    assert ev.xi_lo > 15.0
+    narrow = {"plus": eng.model._side_basis("plus", lam, 10.0),
+              "minus": eng.model._side_basis("minus", lam, 10.0)}
+    for field, xi in (("plus", 15.0), ("minus", -15.0)):
+        shrunk = dataclasses.replace(ev, basis=dataclasses.replace(
+            ev.basis, **{field: narrow[field]}))
         assert not refuses(ev.values, np.array([xi]))
         assert refuses(shrunk.values, np.array([xi]))
         assert refuses(jost.f_at, [ev, shrunk], xi)

@@ -232,9 +232,9 @@ def test_cap_phase_matches_per_panel_linspace(case):
 
 def test_stacked_interpolation_matches_one_array_calls():
     """Stacked value arrays share one locate and one weight row per point,
-    and ``interpolate_at`` reads many grids at one point; every row equals
-    its own one-array ``interpolate`` call bit for bit, at GL nodes (the
-    exact-hit branch), breaks and points past the grid included."""
+    and ``interpolate_at`` reads each grid at its own point; every row
+    equals its own one-array ``interpolate`` call bit for bit, at GL nodes
+    (the exact-hit branch), breaks and points past the grid included."""
     rng = np.random.default_rng(7)
     grids = list(GRIDS.values()) + [
         PanelGrid.build(geometric_breaks(0.5, 30.0, 9), order=ORDER)]
@@ -248,11 +248,21 @@ def test_stacked_interpolation_matches_one_array_calls():
         for k in range(4):
             assert np.array_equal(got[k], g.interpolate(v[k], x))
     for x in (0.1, 0.5, 1.7, float(grids[0].flat[13]), 4.999, 5.0, 30.0):
-        got = panels.interpolate_at(grids, values, x)
+        got = panels.interpolate_at(grids, values, np.full(len(grids), x))
         assert got.shape == (4, len(grids))
         for r, (g, v) in enumerate(zip(grids, values)):
             assert np.array_equal(got[:, r], g.interpolate(v, x)[:, 0])
+    # a different point for each grid, the middle grid repeated (one
+    # locate for its three points)
+    at = [0, 1, 2, 1, 1]
+    x = np.array([1.7, float(grids[1].flat[5]), 30.0, 0.3, 50.0])
+    got = panels.interpolate_at([grids[r] for r in at],
+                                [values[r] for r in at], x)
+    assert got.shape == (4, len(at))
+    for j, r in enumerate(at):
+        assert np.array_equal(got[:, j], grids[r].interpolate(values[r],
+                                                              x[j])[:, 0])
     with pytest.raises(DomainError):
         panels.interpolate_at(
             [grids[0], PanelGrid.build(grids[0].breaks, order=6)],
-            [values[0], values[0][:, :grids[0].npanels * 6]], 1.0)
+            [values[0], values[0][:, :grids[0].npanels * 6]], [1.0, 1.0])
