@@ -671,15 +671,18 @@ class ScatteringModel:
         # mirrored-side coefficients translate with a sign flip on b
         return ap, bp, am, -bm, max(res_p, res_m)
 
-    def _w_alpha(self, lam: float, pipeline: str = "auto", xi_hi: float = 0.0):
+    def _w_alpha(self, lam: float, pipeline: str = "auto", xi_hi: float = 0.0,
+                 connection=None):
         """(W, alpha): from the connection coefficients when both sides run
         the low pipeline, else from the Wronskians at xi = 0 of the
         oscillatory solutions (``_m_side``); either way from the side
-        solutions built with ``xi_hi``.  Callers form beta = W/(-2i lam)
-        themselves."""
+        solutions built with ``xi_hi``.  ``connection`` passes in the
+        ``_connection`` result of the same arguments where the caller has
+        it.  Callers form beta = W/(-2i lam) themselves."""
         if (self._pipeline_for("plus", lam, pipeline) == "low"
                 and self._pipeline_for("minus", lam, pipeline) == "low"):
-            ap, bp, am, bm, _ = self._connection(lam, pipeline, xi_hi)
+            ap, bp, am, bm, _ = (connection
+                                 or self._connection(lam, pipeline, xi_hi))
             return (ap * bm - am * bp,
                     (am * np.conj(bp) - bm * np.conj(ap)) / (-2j * lam))
         zero = np.array([0.0])
@@ -701,8 +704,9 @@ class ScatteringModel:
         compares that W with the one of the basis coefficients; (a+, b+,
         a-, b-) are the coefficients in the perturbed basis."""
         check_energy(lam, "scattering_data")
-        ap, bp, am, bm, spread = self._connection(lam)
-        W, alpha = map(complex, self._w_alpha(lam))
+        connection = self._connection(lam)
+        ap, bp, am, bm, spread = connection
+        W, alpha = map(complex, self._w_alpha(lam, connection=connection))
         W_basis = ap * bm - am * bp
         beta = W / (-2j * lam)
         residuals = {

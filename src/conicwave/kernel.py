@@ -19,9 +19,9 @@ kernel evaluation reduces to polynomial work against that table:
   (side, xi), kept per (side, xi) for the other pairs at that xi, and
   forms m and the channel amplitudes from those arrays; the quadratic/linear
   phase exp(i(t lam^p + theta lam)) is integrated exactly per panel
-  (oscquad), against polynomial fits that each pair caches per band, so
-  that kernels at another t or kind refit only the panels cut at lam_split
-  or lam_top;
+  (oscquad), all panels of a kernel in one level-wise batched pass,
+  against polynomial fits that each pair caches per band, so that kernels
+  at another t or kind refit only the panels cut at lam_split or lam_top;
 * the upper truncation is an Abel-regularised boundary series whose first
   neglected term is reported in the error estimate.
 
@@ -367,8 +367,10 @@ class KernelEngine:
         # the cut depends on the band and on which of xi, xi' is the larger
         # (osc_low is not symmetric), so that names the pair's fits
         fit_key = (band, xi >= xi_prime)
+        beta_base = wave_sign * tt if p == 1 else 0.0
+        # (lo_edge, hi_edge, coef, beta) rows; each + row, then its - row
+        rows = []
         for chan_idx, th in enumerate(data["thetas"]):
-            beta_base = wave_sign * tt if p == 1 else 0.0
             for i, (a, b, _, _) in enumerate(data["osc"]):
                 if b <= lam_split or a >= lam_top:
                     continue
@@ -382,11 +384,8 @@ class KernelEngine:
                         oscquad.eval_poly(coef_plus, w))
                     coef_minus = oscquad.fit_poly(
                         oscquad.eval_poly(coef_minus, w))
-                ia = oscquad.panel_osc_integral(lo_edge, hi_edge, coef_plus,
-                                                alpha, beta_base + th)
-                ib = oscquad.panel_osc_integral(lo_edge, hi_edge, coef_minus,
-                                                alpha, beta_base - th)
-                total += (ia - ib) / 2j
+                rows += [(lo_edge, hi_edge, coef_plus, beta_base + th),
+                         (lo_edge, hi_edge, coef_minus, beta_base - th)]
                 err += fit_err * (hi_edge - lo_edge)
             # Abel tail past lam_top (full kernel and high_energy band only)
             if band is None or band == "high_energy":
@@ -394,6 +393,9 @@ class KernelEngine:
                                         lam_top, alpha, beta_base, th)
                 total += tail
                 err += terr
+        lo_e, hi_e, coefs, betas = map(np.array, zip(*rows))
+        vals = oscquad.panel_osc_integral(lo_e, hi_e, coefs, alpha, betas)
+        total += (vals[0::2] - vals[1::2]).sum() / 2j
         if t < 0:
             total = np.conj(total)
         return total, err

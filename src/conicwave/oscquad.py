@@ -11,8 +11,10 @@ oscillator is integrated exactly against it.  Four terminal regimes:
 * strongly one-sided phase -> three-term integration-by-parts boundary
   series.
 
-Panels falling between regimes are bisected; bisection re-uses the already
-fitted polynomial, so the amplitude is never re-sampled.  Each step on the
+All panels of a call go through one level-wise batched pass: each level
+evaluates every regime as one array computation over its panels and bisects
+the panels falling between regimes in one step, re-using the already fitted
+polynomial, so the amplitude is never re-sampled.  Each step on the
 coefficients that does not depend on the panel is a constant matrix built at
 import: the two half-panel maps of a bisection, the weighted Gauss-node
 values of the mild regime, the derivatives of the boundary series and the
@@ -71,87 +73,116 @@ def eval_poly(coef: np.ndarray, w) -> np.ndarray:
     return out
 
 
-def panel_osc_integral(a: float, b: float, coef: np.ndarray,
-                       alpha: float, beta: float, depth: int = 0) -> complex:
-    """integral_a^b p(w(lam)) exp(i(alpha lam^2 + beta lam)) dlam."""
-    s = 0.5 * (b - a)
-    m0 = 0.5 * (a + b)
-    at = alpha * s * s
-    bt = (2.0 * alpha * m0 + beta) * s
-    phase0 = alpha * m0 * m0 + beta * m0
+def panel_osc_integral(a, b, coef, alpha, beta) -> np.ndarray:
+    """integral_a^b p(w(lam)) exp(i(alpha lam^2 + beta lam)) dlam per panel.
 
-    if at + 2.0 * abs(bt) <= 80.0:
-        n = _GL_MILD if at + 2.0 * abs(bt) <= 25.0 else _GL_WIDE
-        xg, wv = _GAUSS[n]
-        lam = m0 + s * xg
-        ph = np.exp(1j * (alpha * lam * lam + beta * lam))
-        return s * (ph @ (wv @ coef))
+    ``a``, ``b`` and ``beta`` have shape (n,), ``coef`` (n, DEG + 1), and
+    ``alpha`` is one number or one per panel.
+    One pass per bisection level classifies every live panel, evaluates
+    each regime as one array computation, adds the finished values to the
+    panels they came from and halves the rest with one ``_SPLIT`` product.
+    """
+    a, b, alpha, beta = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (a, b, alpha, beta)))
+    coef = np.asarray(coef, dtype=complex)
+    out = np.zeros(len(a), dtype=complex)
+    owner = np.arange(len(a))
+    for depth in range(27):
+        s = 0.5 * (b - a)
+        m0 = 0.5 * (a + b)
+        at = alpha * s * s
+        bt = (2.0 * alpha * m0 + beta) * s
+        size = at + 2.0 * np.abs(bt)
+        mild = size <= 80.0
+        lin = ~mild & (at <= 0.15)
+        rest = ~(mild | lin)
+        # complex-erfc moments while the shifted monomials stay
+        # well-conditioned, the boundary series once every term ratio is
+        # small; w0 = |-bt / (2 at)| is used only where rest holds
+        w0 = np.abs(bt) / (2.0 * np.where(rest, at, 1.0))
+        erf = rest & ((1.0 + w0) ** DEG * np.maximum(w0 - 1.0, 0.1) * at
+                      <= 3.0e6)
+        K = 4.0 * at * (w0 - 1.0)
+        far = K >= 3200.0
+        far[far] = 16.0 * at[far] / K[far] ** 2 <= 5.6e-3
+        ibp = rest & ~erf & (far | (depth >= 26))
+        split = rest & ~(erf | ibp)
 
-    if at <= 0.15:
-        return s * np.exp(1j * phase0) * _linear_filon(coef, at, bt)
+        val = np.zeros(len(a), dtype=complex)
+        for n, sel in ((_GL_MILD, mild & (size <= 25.0)),
+                       (_GL_WIDE, mild & (size > 25.0))):
+            if sel.any():
+                xg, wv = _GAUSS[n]
+                lam = m0[sel, None] + s[sel, None] * xg
+                ph = np.exp(1j * (alpha[sel, None] * lam * lam
+                                  + beta[sel, None] * lam))
+                val[sel] = s[sel] * np.sum(ph * (coef[sel] @ wv.T), axis=1)
+        for sel, rule in ((lin, _linear_filon), (erf, _erfc_moments)):
+            if sel.any():
+                val[sel] = (s[sel] * np.exp(1j * (alpha[sel] * m0[sel] ** 2
+                                                  + beta[sel] * m0[sel]))
+                            * rule(coef[sel], at[sel], bt[sel]))
+        if ibp.any():
+            val[ibp] = _ibp_panel(a[ibp], b[ibp], coef[ibp], alpha[ibp],
+                                  beta[ibp])
+        np.add.at(out, owner[~split], val[~split])
+        if not split.any():
+            break
+        halves = coef[split] @ _SPLIT.T
+        a, b = (np.concatenate([a[split], m0[split]]),
+                np.concatenate([m0[split], b[split]]))
+        coef = np.concatenate([halves[:, : DEG + 1], halves[:, DEG + 1:]])
+        alpha, beta, owner = (np.tile(x[split], 2)
+                              for x in (alpha, beta, owner))
+    return out
 
-    w0 = -bt / (2.0 * at)
-    # complex-erfc moments while the shifted monomials stay well-conditioned
-    if (1.0 + abs(w0)) ** DEG * max(abs(w0) - 1.0, 0.1) * at <= 3.0e6:
-        return s * np.exp(1j * phase0) * _erfc_moments(coef, at, bt)
 
-    # boundary series once every term ratio is small
-    K = 4.0 * at * (abs(w0) - 1.0)
-    if (K >= 3200.0 and 16.0 * at / K ** 2 <= 5.6e-3) or depth >= 26:
-        return _ibp_panel(a, b, coef, alpha, beta, s)
-
-    halves = _SPLIT @ coef
-    return (panel_osc_integral(a, m0, halves[: DEG + 1], alpha, beta,
-                               depth + 1)
-            + panel_osc_integral(m0, b, halves[DEG + 1:], alpha, beta,
-                                 depth + 1))
-
-
-def _linear_filon(coef: np.ndarray, at: float, bt: float) -> complex:
-    """integral_-1^1 p(w) e^{i(at w^2 + bt w)} dw with at Taylor-expanded."""
-    nc = len(coef)
-    work = np.zeros(nc + 18, dtype=complex)
-    work[:nc] = coef
-    fac = 1.0 + 0j
+def _linear_filon(coef: np.ndarray, at, bt) -> np.ndarray:
+    """integral_-1^1 p(w) e^{i(at w^2 + bt w)} dw per row of ``coef``, with
+    at Taylor-expanded."""
+    n, nc = coef.shape
+    work = np.zeros((n, nc + 18), dtype=complex)
+    work[:, :nc] = coef
+    fac = np.ones(n, dtype=complex)
     for k in range(1, 9):
         fac *= 1j * at / k
-        work[2 * k: 2 * k + nc] += fac * coef
-    # moments M_j = int_-1^1 w^j e^{i bt w} dw by upward recursion
+        work[:, 2 * k: 2 * k + nc] += fac[:, None] * coef
+    # moments M_j = int_-1^1 w^j e^{i bt w} dw by upward recursion from the
+    # boundary terms of even and odd j
     ib = 1j * bt
     e1 = np.exp(ib)
     em = np.exp(-ib)
-    # boundary terms of M_j for even and odd j; the recursion runs in Python
-    # complex numbers, faster than numpy scalars and bit-identical to them
-    ends = (complex((e1 - em) / ib), complex((e1 + em) / ib))
-    M = [ends[0]]
-    for j in range(1, len(work)):
-        M.append(ends[j % 2] - (j / ib) * M[-1])
-    return complex(np.dot(work, M))
+    ends = ((e1 - em) / ib, (e1 + em) / ib)
+    M = np.empty_like(work)
+    M[:, 0] = ends[0]
+    for j in range(1, work.shape[1]):
+        M[:, j] = ends[j % 2] - (j / ib) * M[:, j - 1]
+    return np.sum(work * M, axis=1)
 
 
-def _erfc_moments(coef: np.ndarray, at: float, bt: float) -> complex:
-    """Complete-the-square moments, stationary point within |w0| <= 1.5.
+def _erfc_moments(coef: np.ndarray, at, bt) -> np.ndarray:
+    """Complete-the-square moments per row, stationary point near [-1, 1].
 
     With v = w - w0 the phase is at*v^2 (plus a constant); the v-monomial
     moments start from a complex erfc difference and recurse upward.
     """
     w0 = -bt / (2.0 * at)
-    shifted = (_BINOM * w0 ** _SHIFT_POW) @ coef
+    shift = _BINOM * w0[:, None, None] ** _SHIFT_POW
+    shifted = (shift @ coef[:, :, None])[:, :, 0]
     va, vb = -1.0 - w0, 1.0 - w0
     phase_c = np.exp(-1j * at * w0 * w0)
-    n = len(shifted)
-    M = np.empty(n, dtype=complex)
+    M = np.empty(coef.shape, dtype=complex)
     root = np.sqrt(-1j * at)           # principal branch, arg = -pi/4
-    M[0] = _SQRT_PI / (2.0 * root) * (erfc(root * va) - erfc(root * vb))
+    M[:, 0] = _SQRT_PI / (2.0 * root) * (erfc(root * va) - erfc(root * vb))
     ea = np.exp(1j * at * va * va)
     eb = np.exp(1j * at * vb * vb)
     pa, pb = 1.0, 1.0                  # v^(j-1) at the endpoints
-    for j in range(1, n):
-        prev = M[j - 2] if j >= 2 else 0.0
-        M[j] = (pb * eb - pa * ea - (j - 1) * prev) / (2j * at)
+    for j in range(1, coef.shape[1]):
+        prev = M[:, j - 2] if j >= 2 else 0.0
+        M[:, j] = (pb * eb - pa * ea - (j - 1) * prev) / (2j * at)
         pa *= va
         pb *= vb
-    return phase_c * complex(np.dot(shifted, M))
+    return phase_c * np.sum(shifted * M, axis=1)
 
 
 def derivatives(coef: np.ndarray, w, s: float) -> list:
@@ -160,15 +191,15 @@ def derivatives(coef: np.ndarray, w, s: float) -> list:
     return list((_DERIV @ coef) @ w ** _POW / s ** _POW[:5])
 
 
-def _ibp_panel(a: float, b: float, coef: np.ndarray, alpha: float,
-               beta: float, s: float) -> complex:
-    """Four-term boundary series for a strongly oscillatory panel."""
-    m0 = 0.5 * (a + b)
-    total = 0.0 + 0j
-    for lam, sign in ((b, 1.0), (a, -1.0)):
-        val, _ = ibp_boundary_terms(*derivatives(coef, (lam - m0) / s, s),
-                                    2.0 * alpha * lam + beta, 2.0 * alpha)
-        total += sign * np.exp(1j * (alpha * lam * lam + beta * lam)) * val
+def _ibp_panel(a, b, coef: np.ndarray, alpha, beta) -> np.ndarray:
+    """Four-term boundary series per panel, for strongly oscillatory ones."""
+    s = 0.5 * (b - a)
+    total = np.zeros(len(a), dtype=complex)
+    for lam, w in ((b, 1.0), (a, -1.0)):
+        # the polynomial and its first four lam-derivatives at w = +-1
+        p = coef @ _DERIV.transpose(0, 2, 1) @ w ** _POW / s ** _POW[:5, None]
+        val, _ = ibp_boundary_terms(*p, 2.0 * alpha * lam + beta, 2.0 * alpha)
+        total += w * np.exp(1j * (alpha * lam * lam + beta * lam)) * val
     return total
 
 

@@ -28,19 +28,48 @@ def _brute(a, b, coef, alpha, beta, block=200_000):
     return total
 
 
-def test_panel_integral_regime_sweep():
+def _sweep_panels():
+    """60 random panels (a, b, coef, alpha, beta) over all regimes."""
     rng = np.random.default_rng(7)
-    worst = 0.0
+    rows = []
     for trial in range(60):
         a = 10 ** rng.uniform(-2, 1.3)
         b = a * (1 + rng.uniform(0.05, 0.4))
         alpha = 10 ** rng.uniform(-2, 4.3) if trial % 5 else 0.0
         beta = rng.choice([-1, 1]) * 10 ** rng.uniform(-1, 3.2)
         coef = rng.normal(size=10) + 1j * rng.normal(size=10)
-        got = OQ.panel_osc_integral(a, b, coef, alpha, beta)
+        rows.append((a, b, coef, alpha, beta))
+    return rows
+
+
+def test_panel_integral_regime_sweep():
+    rows = _sweep_panels()
+    # one call mixes every regime and bisection depth
+    batch = OQ.panel_osc_integral(*map(np.array, zip(*rows)))
+    worst = 0.0
+    for (a, b, coef, alpha, beta), got_batch in zip(rows, batch):
+        got = OQ.panel_osc_integral([a], [b], [coef], alpha, [beta])[0]
         ref = _brute(a, b, coef, alpha, beta)
-        worst = max(worst, abs(got - ref) / max(abs(ref), 1e-3 * (b - a)))
+        for g in (got, got_batch):
+            worst = max(worst, abs(g - ref) / max(abs(ref), 1e-3 * (b - a)))
     assert worst <= 1e-8
+
+
+def test_batch_matches_one_panel_calls():
+    # the sweep plus stationary points inside a panel (the erfc regime)
+    rng = np.random.default_rng(3)
+    rows = _sweep_panels() + [
+        (1.4, 2.0, rng.normal(size=10) + 1j * rng.normal(size=10), alpha,
+         -2 * alpha * 1.7) for alpha in (1e2, 1e4, 1e6)]
+    a, b, coef, alpha, beta = map(np.array, zip(*rows))
+    order = np.random.default_rng(13).permutation(len(rows))
+    batch = OQ.panel_osc_integral(a[order], b[order], coef[order],
+                                  alpha[order], beta[order])
+    for k, i in enumerate(order):
+        one = OQ.panel_osc_integral(a[i: i + 1], b[i: i + 1], coef[i: i + 1],
+                                    alpha[i], beta[i: i + 1])[0]
+        scale = (b[i] - a[i]) * np.max(np.abs(coef[i]))
+        assert abs(batch[k] - one) <= 1e-13 * scale
 
 
 def test_stationary_point_inside_panel():
@@ -50,7 +79,7 @@ def test_stationary_point_inside_panel():
         a, b = 1.4, 2.0
         beta = -2 * alpha * lam0
         coef = rng.normal(size=10) + 1j * rng.normal(size=10)
-        got = OQ.panel_osc_integral(a, b, coef, alpha, beta)
+        got = OQ.panel_osc_integral([a], [b], [coef], alpha, [beta])[0]
         ref = _brute(a, b, coef, alpha, beta)
         assert abs(got - ref) <= 1e-9 * abs(ref) + 1e-14
 
@@ -90,14 +119,15 @@ def test_constant_maps_match_generic_polynomial_calls():
 
 
 def test_linear_filon_small_curvature():
-    # on [-1, 1] the panel variables are the phase coefficients themselves
+    # on [-1, 1] the panel variables are the phase coefficients themselves;
+    # all cases go through the array form in one call
     rng = np.random.default_rng(5)
-    for coef in _random_coefs(rng, 3):
-        for at in (0.0, 0.04, 0.15):
-            for bt in (40.0, 1.0e3):
-                got = OQ._linear_filon(coef, at, bt)
-                ref = _brute(-1.0, 1.0, coef, at, bt)
-                assert abs(got - ref) <= 2e-12 * max(abs(ref), 1e-3)
+    cases = [(coef, at, bt) for coef in _random_coefs(rng, 3)
+             for at in (0.0, 0.04, 0.15) for bt in (40.0, 1.0e3)]
+    coefs, ats, bts = map(np.array, zip(*cases))
+    for (coef, at, bt), got in zip(cases, OQ._linear_filon(coefs, ats, bts)):
+        ref = _brute(-1.0, 1.0, coef, at, bt)
+        assert abs(got - ref) <= 2e-12 * max(abs(ref), 1e-3)
 
 
 def test_abel_tail_against_exponential_integral():
