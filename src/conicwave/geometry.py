@@ -343,8 +343,10 @@ class PotentialProfile:
         tail_l = grid[grid <= -XI_TAIL]
         v1l = self._V(tail_l) - cfac / tail_l ** 2
         self._V1_left = CubicSpline(tail_l, v1l)
-        win = (grid >= 10.0) & (grid <= xi_hi)
-        self.C2 = float(np.max(np.abs(grid[win] ** 2 * self._V(grid[win]))))
+        # sup xi^2 |V| on 10 <= |xi| <= xi_hi per end (a symmetric grid)
+        win = grid[(grid >= 10.0) & (grid <= xi_hi)]
+        self.C2, self.C2_left = (float(np.max(np.abs(g ** 2 * self._V(g))))
+                                 for g in (win, -win))
         self.C3 = float(max(np.max(np.abs(tail[tail >= 10] ** 3
                                           * v1r[tail >= 10])),
                             np.max(np.abs(tail_l[tail_l <= -10] ** 3
@@ -406,7 +408,7 @@ class MirroredPotential:
         self.base = base
         self.xi_tail = base.xi_tail
         self.xi_cap = base.xi_cap
-        self.C2 = base.C2
+        self.C2 = base.C2_left
         self.tail_coeff_right = base.tail_coeff_left
 
     # the tail model reads only tail_coeff_right, the mirrored left end

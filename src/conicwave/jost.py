@@ -88,6 +88,18 @@ def _seed_values(pv, x: np.ndarray):
     return sq, dsq, sq * iv, dsq * iv + 1.0 / sq
 
 
+def _match(f_df, basis, pts):
+    """(a, b, spread) of f = a u0 + b u1 from (f, f') at the three points
+    ``pts``: Wronskians against ``basis`` there, read at the middle point;
+    spread is their worse relative spread over the three."""
+    fv, fd = f_df
+    u0v, du0v, u1v, du1v = basis.values(pts)
+    a3, b3 = wr(fv, fd, u1v, du1v), -wr(fv, fd, u0v, du0v)
+    spread = max(np.max(np.abs(c - c[1])) / max(abs(c[1]), 1e-300)
+                 for c in (a3, b3))
+    return complex(a3[1]), complex(b3[1]), float(spread)
+
+
 def _continue(pv, lam: float, y0, span):
     """Dense solution of f'' = (V - lam^2) f over ``span`` from y0 = (f, f')."""
 
@@ -445,10 +457,10 @@ class ScatteringModel:
         """Solve the V1 Volterra equation from the matching point out to B.
 
         B >= 1.1 * xi_hi + 10 (capped at 0.98 xi_cap), so the grid serves
-        every xi up to ``xi_hi``.  Returns (grid, values, dvalues, diag) on
-        [xi0, B], xi0 = max(xi_tail, 0.75 lam^-1/2), the values (f, f')
-        stacked (2, n); diag carries the sweep count, the tail constants, B
-        and xi0.
+        every xi up to ``xi_hi``.  Returns (grid, f_df, B, xi0, a, b,
+        spread): (f, f') stacked (2, n) on the grid over [xi0, B], xi0 =
+        max(xi_tail, 0.75 lam^-1/2), and the one ``_match`` of f against
+        the side's perturbed basis, at 0.85, 1 and 1.15 lam^-1/2.
         """
         pv = self._pv(side)
         xm = lam ** -0.5
@@ -479,12 +491,15 @@ class ScatteringModel:
         A2 = -f0 * inv2il
         B2 = np.conj(f0) * v1
         integ = separable_integrators(grid, "backward", [0.0, 0.0])
-        f, (t1, t2), sweeps = sweep(integ, (A1, A2), (B1, B2), g,
-                                    SWEEP_TOL * float(np.max(np.abs(g))))
+        f, (t1, t2), _ = sweep(integ, (A1, A2), (B1, B2), g,
+                               SWEEP_TOL * float(np.max(np.abs(g))))
         df = df0 + np.conj(df0) * (s1 + t1 * inv2il) \
             - df0 * (s2 + t2 * inv2il)
-        diag = {"sweeps": sweeps, "s1": s1, "s2": s2, "B": B, "xi0": xi0}
-        rec = (grid, np.stack([f, df]), diag)
+        f_df = np.stack([f, df])
+        pts = np.array([0.85 * xm, xm, 1.15 * xm])
+        rec = (grid, f_df, B, xi0,
+               *_match(grid.interpolate(f_df, pts),
+                       self._side_basis(side, lam, 1.3 * xm), pts))
         self._low_cache[key] = rec
         return rec
 
@@ -605,19 +620,22 @@ class ScatteringModel:
 
     def _side_evaluator(self, side: str, lam: float, xi_min: float,
                         xi_hi: float, pipeline: str) -> JostEvaluator:
+        """f_side; for the minus side the mirrored view of the left end's
+        solution, whose own coordinate is -xi (``xi_min`` is in it)."""
         pipe = self._pipeline_for(side, lam, pipeline)
         if pipe == "low":
             # two pieces: the matching basis below xi_lo (mirrored for
             # xi < 0), the V1 grid from xi_lo to B
-            grid, f_df, diag = self._f_low_side(side, lam, xi_hi)
-            a, b, _ = self._side_coefficients(side, lam, pipe, xi_hi)
+            grid, f_df, B, xi0, a, b, _ = self._f_low_side(side, lam, xi_hi)
             L = max(1.3 * lam ** -0.5, abs(xi_min) + 1.0)
             other = "minus" if side == "plus" else "plus"
             basis = _TwoSided(lam, (-L, L), self._side_basis(side, lam, L),
                               self._side_basis(other, lam, L))
-            return _LowSide(lam, (-L, diag["B"]), grid, f_df,
-                            diag["xi0"] * 1.05, a, b, basis)
-        return self._m_side(side, lam, xi_floor=xi_min, xi_hi=xi_hi)
+            ev = _LowSide(lam, (-L, B), grid, f_df, xi0 * 1.05, a, b, basis)
+        else:
+            ev = self._m_side(side, lam, xi_floor=xi_min, xi_hi=xi_hi)
+        return ev if side == "plus" else \
+            _Mirrored(lam, (-ev.window[1], -ev.window[0]), ev)
 
     def jost_plus(self, lam: float, xi_min: float = 0.0, xi_hi: float = 0.0,
                   pipeline: str = "auto") -> JostEvaluator:
@@ -629,68 +647,45 @@ class ScatteringModel:
                    xi_lo: float = 0.0) -> JostEvaluator:
         """Jost solution f_minus ~ e^{-i lam xi} at -infinity."""
         check_energy(lam, "jost_minus")
-        base = self._side_evaluator("minus", lam, -abs(xi_max), abs(xi_lo),
+        return self._side_evaluator("minus", lam, -abs(xi_max), abs(xi_lo),
                                     "auto")
-        lo, hi = base.window
-        return _Mirrored(lam, (-hi, -lo), base)
 
     # ------------------------------------------------------------------
     # coefficients, Wronskian, reflection/transmission
     # ------------------------------------------------------------------
 
-    def _side_coefficients(self, side: str, lam: float,
-                           pipeline: str = "auto", xi_hi: float = 0.0):
-        """(a, b) of the chosen side against its perturbed basis, matched
-        to the side solution built with ``xi_hi``."""
-        pipe = self._pipeline_for(side, lam, pipeline)
-        if pipe == "low":
-            xm = lam ** -0.5
-            grid, f_df, diag = self._f_low_side(side, lam, xi_hi)
-            basis = self._side_basis(side, lam, 1.3 * xm)
-            pts = np.array([0.85 * xm, xm, 1.15 * xm])
-            fv, fd = grid.interpolate(f_df, pts)
-        else:
-            xm = min(lam ** -0.5, 2.5 / lam)
-            L = min(1.3 * xm + 1.0, 3.0 / lam)
-            basis = self._side_basis(side, lam, L)
-            pts = np.array([0.85 * xm, xm, min(1.15 * xm, 0.98 * L)])
-            fv, fd = self._m_side(side, lam, xi_hi=xi_hi).values(pts)
-        u0v, du0v, u1v, du1v = basis.values(pts)
-        a3 = wr(fv, fd, u1v, du1v)
-        b3 = -wr(fv, fd, u0v, du0v)
-        spread_a = np.max(np.abs(a3 - a3[1])) / max(abs(a3[1]), 1e-300)
-        spread_b = np.max(np.abs(b3 - b3[1])) / max(abs(b3[1]), 1e-300)
-        return complex(a3[1]), complex(b3[1]), float(max(spread_a, spread_b))
+    def _side_coefficients(self, side: str, lam: float):
+        """(a, b, spread) of the chosen side's solution against its
+        perturbed basis, in the side's own coordinate; a low-pipeline side
+        carries them with its solve."""
+        if self._pipeline_for(side, lam, "auto") == "low":
+            return self._f_low_side(side, lam)[-3:]
+        xm = min(lam ** -0.5, 2.5 / lam)
+        L = min(1.3 * xm + 1.0, 3.0 / lam)
+        pts = np.array([0.85 * xm, xm, min(1.15 * xm, 0.98 * L)])
+        return _match(self._m_side(side, lam).values(pts),
+                      self._side_basis(side, lam, L), pts)
 
-    def _connection(self, lam: float, pipeline: str = "auto",
-                    xi_hi: float = 0.0):
-        """(a+, b+, a-, b-, spread): both sides against their perturbed
-        bases; spread is the worse side's three-point coefficient spread."""
-        ap, bp, res_p = self._side_coefficients("plus", lam, pipeline, xi_hi)
-        am, bm, res_m = self._side_coefficients("minus", lam, pipeline, xi_hi)
-        # mirrored-side coefficients translate with a sign flip on b
-        return ap, bp, am, -bm, max(res_p, res_m)
-
-    def _w_alpha(self, lam: float, pipeline: str = "auto", xi_hi: float = 0.0,
-                 connection=None):
-        """(W, alpha): from the connection coefficients when both sides run
-        the low pipeline, else from the Wronskians at xi = 0 of the
-        oscillatory solutions (``_m_side``); either way from the side
-        solutions built with ``xi_hi``.  ``connection`` passes in the
-        ``_connection`` result of the same arguments where the caller has
-        it.  Callers form beta = W/(-2i lam) themselves."""
-        if (self._pipeline_for("plus", lam, pipeline) == "low"
-                and self._pipeline_for("minus", lam, pipeline) == "low"):
-            ap, bp, am, bm, _ = (connection
-                                 or self._connection(lam, pipeline, xi_hi))
+    def _w_alpha(self, lam: float, pipeline: str = "auto",
+                 xi_hi: float = 0.0):
+        """(W, alpha, f_plus, f_minus): the side evaluators that
+        ``jost_plus``/``jost_minus`` give for ``xi_hi``, and W, alpha from
+        their basis coefficients when both run the low pipeline, else from
+        their Wronskians at xi = 0.  Callers form beta = W/(-2i lam)
+        themselves."""
+        fp = self._side_evaluator("plus", lam, 0.0, xi_hi, pipeline)
+        fm = self._side_evaluator("minus", lam, 0.0, xi_hi, pipeline)
+        if fp.regime == fm.regime == REGIME_LOW_ENERGY:
+            # mirrored-side coefficients translate with a sign flip on b
+            ap, bp, am, bm = fp.a, fp.b, fm.base.a, -fm.base.b
             return (ap * bm - am * bp,
-                    (am * np.conj(bp) - bm * np.conj(ap)) / (-2j * lam))
+                    (am * np.conj(bp) - bm * np.conj(ap)) / (-2j * lam),
+                    fp, fm)
         zero = np.array([0.0])
-        (fp,), (dfp,) = self._m_side("plus", lam, xi_hi=xi_hi).values(zero)
-        (fm,), (dfm,) = self._m_side("minus", lam, xi_hi=xi_hi).values(zero)
-        dfm = -dfm      # f_-(xi) = g(-xi), g the mirrored plus solution
-        return (wr(fp, dfp, fm, dfm),
-                wr(fm, dfm, np.conj(fp), np.conj(dfp)) / (-2j * lam))
+        (f1,), (df1,) = fp.values(zero)
+        (f2,), (df2,) = fm.values(zero)
+        return (wr(f1, df1, f2, df2),
+                wr(f2, df2, np.conj(f1), np.conj(df1)) / (-2j * lam), fp, fm)
 
     def wronskian(self, lam: float, pipeline: str = "auto") -> complex:
         """W(lam) = Wr(f_plus, f_minus); cylinder convention -2i lam."""
@@ -704,13 +699,14 @@ class ScatteringModel:
         compares that W with the one of the basis coefficients; (a+, b+,
         a-, b-) are the coefficients in the perturbed basis."""
         check_energy(lam, "scattering_data")
-        connection = self._connection(lam)
-        ap, bp, am, bm, spread = connection
-        W, alpha = map(complex, self._w_alpha(lam, connection=connection))
+        ap, bp, spread_p = self._side_coefficients("plus", lam)
+        am, bm, spread_m = self._side_coefficients("minus", lam)
+        bm = -bm        # the mirrored side's b flips sign, as in _w_alpha
+        W, alpha = map(complex, self._w_alpha(lam)[:2])
         W_basis = ap * bm - am * bp
         beta = W / (-2j * lam)
         residuals = {
-            "wronskian_constancy": spread,
+            "wronskian_constancy": max(spread_p, spread_m),
             "connection_identity": abs(W - W_basis) / abs(W),
             "beta_from_W": abs(beta - W / (-2j * lam)) / abs(beta),
             "unitarity": abs(abs(beta) ** 2 - abs(alpha) ** 2 - 1.0),

@@ -207,13 +207,11 @@ class KernelEngine:
     def _record(self, lam: float) -> _NodeRecord:
         rec = self._records.get(lam)
         if rec is None:
-            m, span = self.model, self.xi_abs_max
-            W, alpha = m._w_alpha(lam, xi_hi=span)
+            W, alpha, f_plus, f_minus = self.model._w_alpha(
+                lam, xi_hi=self.xi_abs_max)
             # beta divides the raw numpy W (complex(W) rounds differently)
             rec = _NodeRecord(lam, complex(W), complex(alpha),
-                              complex(W / (-2j * lam)),
-                              m.jost_plus(lam, xi_hi=span),
-                              m.jost_minus(lam, xi_lo=-span))
+                              complex(W / (-2j * lam)), f_plus, f_minus)
             self._records[lam] = rec
         return rec
 

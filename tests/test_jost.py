@@ -382,12 +382,29 @@ def test_low_table_record_reads_matching_basis_only(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(jost, "solve_ivp", counting)
+    matches = []
+    real_match = jost._match
+
+    def counting_match(*args):
+        matches.append(args)
+        return real_match(*args)
+
+    monkeypatch.setattr(jost, "_match", counting_match)
     lam = 8e-3
     KernelEngine(model, xi_abs_max=1.1e3)._record(lam)
     keys = sorted(model._basis_cache)
     assert [k[0] for k in keys] == ["minus", "plus"]
     assert all(k[2] == round(1.3 * lam ** -0.5, 6) for k in keys)
     assert calls == []
+    # one match per side solve: the record's two sides, then the two of
+    # scattering_data, whose own B (xi_hi = 0) is a new solve; a repeat of
+    # either reads the matches its solves carry
+    assert len(matches) == 2
+    model.scattering_data(lam)
+    assert len(matches) == 4
+    KernelEngine(model, xi_abs_max=1.1e3)._record(lam)
+    model.scattering_data(lam)
+    assert len(matches) == 4
 
 
 def test_scattering_data_unaffected_by_table_records():
@@ -431,6 +448,16 @@ def test_one_sided_profile_w_agrees_with_beta():
     assert abs(sd.beta_minus - sd.W / (-2j * lam)) <= 1e-15 * abs(sd.beta_minus)
     # W and the basis-coefficient W come from different pipelines here
     assert sd.residuals["connection_identity"] > 0.0
+    # W is the Wronskian at xi = 0 of the very evaluators jost_plus and
+    # jost_minus return; at lam = 2e-3 the minus side's oscillatory solve
+    # needs the cylinder end's own C2 (the right end's refuses it)
+    zero = np.array([0.0])
+    for lam in (2e-3, 5e-3, 1e-2):
+        sd = m.scattering_data(lam)
+        (fp,), (dfp,) = m.jost_plus(lam).values(zero)
+        (fm,), (dfm,) = m.jost_minus(lam).values(zero)
+        assert sd.W == complex(wr(fp, dfp, fm, dfm))
+        assert sd.residuals["unitarity"] <= 1e-9
 
 
 # ---------------------------------------------------------------------------
