@@ -9,8 +9,7 @@ the Schrodinger and wave evolutions to verify dispersive decay rates.
 from .errors import (ConfigError, ConicwaveError, ConvergenceError,
                      DomainError, QuadratureError)
 from .geometry import (ArclengthChart, ConicalFit, PotentialProfile,
-                       ProfileSpec, fit_conical_constants, make_profile,
-                       potential_at)
+                       ProfileSpec, fit_conical_constants, make_profile)
 from .hankel import C0, C1, KAPPA, f0_values, hankel0_plus
 from .jost import JostEvaluator, ScatteringData, ScatteringModel
 from .kernel import (BANDS, KINDS, DecayReport, KernelEngine, KernelSample,
@@ -26,6 +25,6 @@ __all__ = [
     "KernelEngine", "KernelSample", "PotentialProfile", "ProfileSpec",
     "QuadratureError", "ScatteringData", "ScatteringModel",
     "StationaryPhaseCase", "chi_low", "chi_window", "f0_values",
-    "fit_conical_constants", "hankel0_plus", "make_profile", "potential_at",
+    "fit_conical_constants", "hankel0_plus", "make_profile",
     "standard_case_library", "stationary_phase_check",
 ]

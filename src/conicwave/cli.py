@@ -177,15 +177,20 @@ def _build_model(cfg: RunConfig) -> ScatteringModel:
 def _cmd_describe(cfg, out: Path) -> int:
     pot = _build_potential(cfg)
     prof, chart = pot.profile, pot.chart
+    # a table's arrays are summarised by their point count and range
+    params = {k: float(v) if np.ndim(v) == 0 else
+              f"{np.size(v)} points on [{_fmt(np.min(v))}, {_fmt(np.max(v))}]"
+              for k, v in prof.params.items()}
     lines = [
         f"profile kind: {prof.kind}",
-        f"params: {json.dumps(prof.params, default=float, sort_keys=True)}",
+        f"params: {json.dumps(params, sort_keys=True)}",
         f"d: {prof.d}",
         f"symmetric: {prof.symmetric}",
         f"conical: left={prof.conical_left} right={prof.conical_right}",
         f"x_max: {_fmt(chart.x_max)}",
         f"xi image: [{_fmt(chart.xi_min)}, {_fmt(chart.xi_max)}]",
-        f"C2 (sup xi^2 |V|): {_fmt(pot.C2)}",
+        f"C2[right] (sup xi^2 |V|): {_fmt(pot.C2)}",
+        f"C2[left] (sup xi^2 |V|): {_fmt(pot.C2_left)}",
         f"C3 (sup |xi^3 V1|): {_fmt(pot.C3)}",
     ]
     for side in ("right", "left"):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import (CubicSpline, PchipInterpolator,
+                               make_interp_spline)
 
 from . import panels
 from .errors import ConfigError, DomainError
@@ -56,7 +57,8 @@ def make_profile(config: dict) -> ProfileSpec:
 
     Recognised kinds: cylinder (param ``radius``), hyperboloid (param ``a``),
     two-sided-cone-smoothed (param ``kappa``), custom-tabulated (params
-    ``x``, ``r`` arrays on a uniform grid).
+    ``x``, ``r`` arrays on any strictly increasing grid; r, r' and r'' come
+    from one quintic interpolating spline of the table).
     """
     if not isinstance(config, dict):
         raise ConfigError("profile config must be a mapping")
@@ -127,33 +129,14 @@ def _tabulated_profile(params, d, conical_left, conical_right) -> ProfileSpec:
                           "x, r with at least 7 points")
     if np.any(np.diff(x) <= 0):
         raise ConfigError("tabulated x grid must be strictly increasing")
-    h = np.diff(x)
-    if not np.allclose(h, h[0], rtol=1e-8):
-        raise ConfigError("tabulated grid must be uniform (5-point stencils)")
     if np.any(r <= 0):
         raise ConfigError("tabulated profile must satisfy r > 0")
-    d1 = _stencil5(r, h[0], 1)
-    d2 = _stencil5(r, h[0], 2)
-    sp = CubicSpline(x, r)
-    sp1 = CubicSpline(x, d1)
-    sp2 = CubicSpline(x, d2)
+    sp = make_interp_spline(x, r, k=5)
     return ProfileSpec(kind="custom-tabulated",
                        params={"x": x, "r": r}, d=d,
                        conical_left=conical_left, conical_right=conical_right,
-                       r=sp, r1=sp1, r2=sp2, deriv_tol=1e-4)
-
-
-def _stencil5(y: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Interior 5-point stencil derivative, one-sided copies at the edges."""
-    out = np.empty(len(y))
-    if order == 1:
-        out[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
-    else:
-        out[2:-2] = (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2]
-                     + 16 * y[3:-1] - y[4:]) / (12 * h * h)
-    out[:2] = out[2]
-    out[-2:] = out[-3]
-    return out
+                       r=sp, r1=sp.derivative(1), r2=sp.derivative(2),
+                       deriv_tol=1e-4)
 
 
 def _validate_profile(prof: ProfileSpec) -> None:
@@ -279,17 +262,6 @@ class ArclengthChart:
 # ---------------------------------------------------------------------------
 # potential
 # ---------------------------------------------------------------------------
-
-def potential_at(profile: ProfileSpec, chart: ArclengthChart, xi):
-    """(rho, V) at arclength xi, by the chain rule through the chart."""
-    xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 0
-    x = chart.x_of_xi(np.atleast_1d(xi))
-    rho, V = _rho_v_from_x(profile, x)
-    if scalar:
-        return float(rho[0]), float(V[0])
-    return rho, V
-
 
 def _rho_v_from_x(profile: ProfileSpec, x: np.ndarray):
     d = profile.d
@@ -454,8 +426,6 @@ class ConicalFit:
     c_inf: float
     resid_coeff: float        # fitted C with |xi - sqrt2 x - c_inf| <= C/x
     max_resid: float          # worst residual of the 1/x law on [100, x_max]
-    C2: float
-    C3: float
     fit_rms: float
 
 
@@ -486,12 +456,5 @@ def fit_conical_constants(chart: ArclengthChart, side: str = "right") -> Conical
     if tail > 0.5 * head + 10 * abs(c_inf) * 1e-9 + 1e-12:
         raise DomainError("conical-end residual does not decay; "
                           "x_max is too small for the tail fit")
-    xi_hi = (chart.xi_max if side == "right" else -chart.xi_min) * 0.98
-    grid = np.geomspace(10.0, xi_hi, 200)
-    rho, V = potential_at(prof, chart, sgn * grid)
-    d = prof.d
-    cfac = (d * d / 4.0 - d / 2.0)
-    C2 = float(np.max(np.abs(grid ** 2 * V)))
-    C3 = float(np.max(np.abs(grid ** 3 * (V - cfac / grid ** 2))))
     return ConicalFit(side=side, c_inf=c_inf, resid_coeff=resid_coeff,
-                      max_resid=float(np.max(resid)), C2=C2, C3=C3, fit_rms=rms)
+                      max_resid=float(np.max(resid)), fit_rms=rms)

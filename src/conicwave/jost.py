@@ -399,7 +399,7 @@ class ScatteringModel:
         series pays off; past it the two solutions oscillate, and a window
         with L > 3/lam raises DomainError.
         """
-        key = (side, lam, round(L, 6))
+        key = (side, lam, L)
         if key in self._basis_cache:
             return self._basis_cache[key]
         pv = self._pv(side)
@@ -546,9 +546,6 @@ class ScatteringModel:
         compensated by the analytic conical-tail forcing.  Returns the
         evaluator of f (an ``_OscSide``) for xi in [min(xi_floor, 0), B].
         """
-        key = (side, lam, round(min(xi_floor, 0.0), 3), round(xi_hi, 3))
-        if key in self._osc_cache:
-            return self._osc_cache[key]
         pv = self._pv(side)
         xi_max = 0.98 * pv.xi_cap
         raw_trunc = pv.C2 / max(lam * xi_max, 1e-300)
@@ -562,6 +559,10 @@ class ScatteringModel:
         B = min(xi_max, max(400.0 / lam, 3.0 * xi_v,
                             1.1 * max(abs(xi_floor), xi_hi) + 10.0))
         B = max(B, xi_v * 1.5)
+        lo = min(xi_floor, 0.0)
+        key = (side, lam, lo, B)
+        if key in self._osc_cache:
+            return self._osc_cache[key]
         breaks = panels.geometric_breaks(xi_v, B, 12)
         grid = panels.PanelGrid.build(breaks, order=10)
         e = grid.flat
@@ -575,7 +576,6 @@ class ScatteringModel:
                               SWEEP_TOL)
         dm = -ph * (t2 + c1tp)
         # inward ODE continuation for xi below xi_v
-        lo = min(xi_floor, 0.0)
         fv = np.exp(1j * lam * xi_v)
         mdm = np.stack([m, dm])
         m_v, dm_v = grid.interpolate(mdm, [xi_v])[:, 0]

@@ -143,6 +143,28 @@ def test_describe_conical_profile(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_describe_one_sided_table(tmp_path, capsys):
+    # r = sqrt(1 + softplus(x)^2): conical on the right, a cylinder on the
+    # left; the table's arrays are summarised, and C2 is given per end
+    x = np.linspace(-400.0, 400.0, 8001)
+    r = np.sqrt(1.0 + np.logaddexp(0.0, x) ** 2)
+    doc = {"profile": {"kind": "custom-tabulated", "conical_right": True,
+                       "params": {"x": x.tolist(), "r": r.tolist()},
+                       "x_max": 300.0},
+           "command": "describe"}
+    assert main(["describe", "--config", str(_write(tmp_path, doc)),
+                 "--out", str(tmp_path / "d")]) == 0
+    lines = dict(line.split(": ", 1) for line in
+                 (tmp_path / "d" / "describe.txt").read_text().splitlines())
+    assert json.loads(lines["params"]) == {
+        "r": "8001 points on [1, 400.00124999804689]",
+        "x": "8001 points on [-400, 400]"}
+    assert abs(float(lines["C2[right] (sup xi^2 |V|)"]) - 0.25) <= 0.01
+    assert float(lines["C2[left] (sup xi^2 |V|)"]) <= 1e-6
+    assert "c_inf[right]" in lines and "c_inf[left]" not in lines
+    capsys.readouterr()
+
+
 def test_jost_and_coeffs_commands(tmp_path):
     base = {"profile": {"kind": "hyperboloid", "params": {"a": 1.0},
                         "x_max": 5.0e4}}

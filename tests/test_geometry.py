@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicwave import (ConfigError, DomainError, fit_conical_constants,
-                       make_profile, potential_at)
+                       make_profile)
 from conicwave.geometry import ArclengthChart, PotentialProfile
 
 
@@ -38,13 +38,18 @@ def test_make_profile_rejections():
 
 
 def test_tabulated_profile_roundtrip():
-    x = np.linspace(-60.0, 60.0, 2401)
-    r = np.sqrt(1.0 + x ** 2)
-    prof = make_profile({"kind": "custom-tabulated",
-                         "params": {"x": x, "r": r}})
-    xs = np.linspace(-40, 40, 17)
-    assert np.max(np.abs(prof.r(xs) - np.sqrt(1 + xs ** 2))) <= 1e-8
-    assert np.max(np.abs(prof.r1(xs) - xs / np.sqrt(1 + xs ** 2))) <= 1e-4
+    xs = np.linspace(-40, 40, 8001)
+    s = np.sqrt(1 + xs ** 2)
+    # any strictly increasing grid: uniform, and sinh-spaced (6x denser at
+    # x = 0 than at the ends)
+    for x in (np.linspace(-60.0, 60.0, 2401),
+              60.0 * np.sinh(2.5 * np.linspace(-1.0, 1.0, 2401))
+              / np.sinh(2.5)):
+        prof = make_profile({"kind": "custom-tabulated",
+                             "params": {"x": x, "r": np.sqrt(1.0 + x ** 2)}})
+        assert np.max(np.abs(prof.r(xs) - s)) <= 1e-9
+        assert np.max(np.abs(prof.r1(xs) - xs / s)) <= 1e-7
+        assert np.max(np.abs(prof.r2(xs) - s ** -3)) <= 2e-6
 
 
 def _one_sided_table(scale=1.0, x_end=3000.0):
@@ -131,20 +136,18 @@ def _module_chart():
 
 def test_potential_cylinder_zero():
     prof = make_profile({"kind": "cylinder"})
-    chart = ArclengthChart(prof, x_max=1e4)
-    rho, V = potential_at(prof, chart, 17.3)
-    assert rho == 0.0 and V == 0.0
+    pot = PotentialProfile(prof, ArclengthChart(prof, x_max=1e4))
+    assert pot.rho(17.3) == 0.0 and pot.V(17.3) == 0.0
 
 
 def test_potential_inverse_square_tail(hyp_chart):
-    _, V = potential_at(hyp_chart.profile, hyp_chart, 50.0)
+    V = PotentialProfile(hyp_chart.profile, hyp_chart).V(50.0)
     assert -0.27 <= 50.0 ** 2 * V <= -0.23
 
 
 def test_potential_d2_inverse_cubic():
     prof = make_profile({"kind": "hyperboloid", "params": {"a": 1.0}, "d": 2})
-    chart = ArclengthChart(prof, x_max=1e4)
-    _, V = potential_at(prof, chart, 50.0)
+    V = PotentialProfile(prof, ArclengthChart(prof, x_max=1e4)).V(50.0)
     assert abs(50.0 ** 2 * V) <= 0.05
 
 
@@ -225,6 +228,8 @@ def test_conical_fit_rejects_cylinder():
 def test_conical_fit_left_side(hyp_chart):
     left = fit_conical_constants(hyp_chart, "left")
     right = fit_conical_constants(hyp_chart, "right")
-    assert np.isfinite([left.C2, left.C3, left.c_inf]).all()
+    assert np.isfinite(left.c_inf)
     assert left.c_inf == pytest.approx(right.c_inf, abs=1e-9)
-    assert left.C3 == pytest.approx(right.C3, rel=1e-6)
+    pot = PotentialProfile(hyp_chart.profile, hyp_chart)
+    assert np.isfinite([pot.C2_left, pot.C3]).all()
+    assert pot.C2_left == pytest.approx(pot.C2, rel=1e-6)

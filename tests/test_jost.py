@@ -394,7 +394,7 @@ def test_low_table_record_reads_matching_basis_only(monkeypatch):
     KernelEngine(model, xi_abs_max=1.1e3)._record(lam)
     keys = sorted(model._basis_cache)
     assert [k[0] for k in keys] == ["minus", "plus"]
-    assert all(k[2] == round(1.3 * lam ** -0.5, 6) for k in keys)
+    assert all(k[2] == 1.3 * lam ** -0.5 for k in keys)
     assert calls == []
     # one match per side solve: the record's two sides, then the two of
     # scattering_data, whose own B (xi_hi = 0) is a new solve; a repeat of
@@ -416,6 +416,24 @@ def test_scattering_data_unaffected_by_table_records():
         engine._record(lam)
         assert repr(used.scattering_data(lam)) == \
             repr(fresh.scattering_data(lam))
+
+
+def test_solves_do_not_depend_on_earlier_calls():
+    # the oscillatory solve and the perturbed basis are cached on exactly
+    # the window they are built on, so a nearby earlier request is no hit
+    fresh = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    used = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    used.jost_plus(2.0, xi_hi=1000.0)
+    got = used.jost_plus(2.0, xi_hi=1000.0004)
+    want = fresh.jost_plus(2.0, xi_hi=1000.0004)
+    assert got.window == want.window == (0.0, 1.1 * 1000.0004 + 10.0)
+    assert used.wronskian(2.0) == fresh.wronskian(2.0)
+    pts = np.array([0.0, 3.0, 1100.0])
+    assert repr(got.values(pts)) == repr(want.values(pts))
+    used.low_energy_basis(1e-3, window=13.0000001)
+    L = 13.0000003
+    assert repr(used.low_energy_basis(1e-3, window=L).values([L])) == \
+        repr(fresh.low_energy_basis(1e-3, window=L).values([L]))
 
 
 def test_wronskian_pipeline_agreement(hyperboloid_model):
@@ -458,6 +476,10 @@ def test_one_sided_profile_w_agrees_with_beta():
         (fm,), (dfm,) = m.jost_minus(lam).values(zero)
         assert sd.W == complex(wr(fp, dfp, fm, dfm))
         assert sd.residuals["unitarity"] <= 1e-9
+        # the coeffs gates: r, r' and r'' of the table come from one spline,
+        # so the zero-energy seeds and V describe one surface
+        assert sd.residuals["connection_identity"] <= 1e-6
+        assert sd.residuals["wronskian_constancy"] <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ PUBLIC = [
     "KernelEngine", "KernelSample", "PotentialProfile", "ProfileSpec",
     "QuadratureError", "ScatteringData", "ScatteringModel",
     "StationaryPhaseCase", "chi_low", "chi_window", "f0_values",
-    "fit_conical_constants", "hankel0_plus", "make_profile", "potential_at",
+    "fit_conical_constants", "hankel0_plus", "make_profile",
     "standard_case_library", "stationary_phase_check",
 ]
 
@@ -20,7 +20,7 @@ ORACLES = ("VolterraProblem", "VolterraSolution", "estimate_mu",
 
 def test_all_is_pinned():
     assert sorted(conicwave.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == 30
+    assert len(PUBLIC) == 29
 
 
 def test_every_public_name_resolves():
