@@ -191,14 +191,14 @@ def _cmd_describe(cfg, out: Path) -> int:
         f"xi image: [{_fmt(chart.xi_min)}, {_fmt(chart.xi_max)}]",
         f"C2[right] (sup xi^2 |V|): {_fmt(pot.C2)}",
         f"C2[left] (sup xi^2 |V|): {_fmt(pot.C2_left)}",
-        f"C3 (sup |xi^3 V1|): {_fmt(pot.C3)}",
     ]
-    for side in ("right", "left"):
-        flag = prof.conical_right if side == "right" else prof.conical_left
+    for side, flag, c3 in (("right", prof.conical_right, pot.C3),
+                           ("left", prof.conical_left, pot.C3_left)):
         if flag:
             fit = fit_conical_constants(chart, side)
             lines.append(f"c_inf[{side}]: {_fmt(fit.c_inf)} "
                          f"(resid_coeff {_fmt(fit.resid_coeff)})")
+            lines.append(f"C3[{side}] (sup |xi^3 V1|): {_fmt(c3)}")
     text = "\n".join(lines) + "\n"
     (out / "describe.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)

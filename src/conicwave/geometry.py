@@ -315,14 +315,14 @@ class PotentialProfile:
         tail_l = grid[grid <= -XI_TAIL]
         v1l = self._V(tail_l) - cfac / tail_l ** 2
         self._V1_left = CubicSpline(tail_l, v1l)
-        # sup xi^2 |V| on 10 <= |xi| <= xi_hi per end (a symmetric grid)
+        # sup xi^2 |V| and sup |xi^3 V1| on 10 <= |xi| <= xi_hi per end (a
+        # symmetric grid); C3 means something on a conical end only
         win = grid[(grid >= 10.0) & (grid <= xi_hi)]
         self.C2, self.C2_left = (float(np.max(np.abs(g ** 2 * self._V(g))))
                                  for g in (win, -win))
-        self.C3 = float(max(np.max(np.abs(tail[tail >= 10] ** 3
-                                          * v1r[tail >= 10])),
-                            np.max(np.abs(tail_l[tail_l <= -10] ** 3
-                                          * v1l[tail_l <= -10]))))
+        self.C3, self.C3_left = (
+            float(np.max(np.abs(g ** 3 * self._V(g) - cfac * g)))
+            for g in (win, -win))
         # cubic tail coefficients per side, for beyond-chart continuations
         top = grid[(grid >= xi_hi / 10) & (grid <= xi_hi)]
         self.tail_coeff_right = float(np.mean((self._V(top) - cfac / top ** 2)

@@ -10,8 +10,9 @@ reflection, transmission) then lives in the basis coefficients.
 
 Oscillatory (lam above lam_low, or any lam when the potential is summable
 enough): the phase-stripped function m = exp(-i*lam*xi) f solves a backward
-Volterra equation with a bounded kernel; it is solved on [2/lam, xi_max]
-with an analytic tail correction and continued inward as an ODE.
+Volterra equation with a bounded kernel; it is solved on the conical tail
+[min(2/lam, 2), xi_max] with an analytic tail correction and continued inward
+through the core as an ODE.
 
 Conventions
 -----------
@@ -104,8 +105,8 @@ def _continue(pv, lam: float, y0, span):
     """Dense solution of f'' = (V - lam^2) f over ``span`` from y0 = (f, f')."""
 
     def rhs(s, y):
-        # a list and a scalar V: this runs 260,790 times per cold spectral
-        # table (the perfbench kernel op)
+        # a list and a scalar V: this runs 142,842 times per cold spectral
+        # table (the perfbench kernel op), inward from xi_v <= 2
         return [y[1], (pv.V_at(s) - lam * lam) * y[0]]
 
     sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-11, atol=1e-13,
@@ -539,11 +540,14 @@ class ScatteringModel:
 
     def _m_side(self, side: str, lam: float, xi_floor: float = 0.0,
                 xi_hi: float = 0.0):
-        """Backward Volterra for m on [2/lam, B], ODE continuation below.
+        """Backward Volterra for m on [xi_v, B], ODE continuation below.
 
         The kernel is (exp(2i lam (eta - xi)) - 1)/(2i lam) V(eta), the
         phase-stripped form of the sine-kernel equation; truncation at B is
-        compensated by the analytic conical-tail forcing.  Returns the
+        compensated by the analytic conical-tail forcing.  The kernel is
+        bounded by min(eta - xi, 1/lam)|V(eta)|, so the sweep covers the
+        conical tail down to xi_v = min(2/lam, 2) and the ODE the core,
+        whose V is too sharp for the geometric grid.  Returns the
         evaluator of f (an ``_OscSide``) for xi in [min(xi_floor, 0), B].
         """
         pv = self._pv(side)
@@ -555,10 +559,9 @@ class ScatteringModel:
         if 0.5 * raw_trunc * raw_trunc + 1e-12 > 2e-4:
             raise DomainError("oscillatory pipeline truncation error too "
                               "large at this lam; use the low-energy path")
-        xi_v = min(2.0 / lam, 0.45 * xi_max)
-        B = min(xi_max, max(400.0 / lam, 3.0 * xi_v,
+        xi_v = min(2.0 / max(lam, 1.0), 0.45 * xi_max)
+        B = min(xi_max, max(400.0 / lam,
                             1.1 * max(abs(xi_floor), xi_hi) + 10.0))
-        B = max(B, xi_v * 1.5)
         lo = min(xi_floor, 0.0)
         key = (side, lam, lo, B)
         if key in self._osc_cache:
@@ -572,8 +575,12 @@ class ScatteringModel:
         ph = np.exp(-2j * lam * e)
         g = 1.0 + inv2il * (ph * c1tp - c0t)
         integ = separable_integrators(grid, "backward", [0.0, 2.0 * lam])
+        # |e^{2i lam (eta - xi)} - 1|/(2 lam) <= min(eta - xi_v, 1/lam) for
+        # xi >= xi_v; the separable sup|A| int|B| would be int|V|/lam
+        mu = float(panels.integrate(
+            grid, np.minimum(e - xi_v, 1.0 / lam) * np.abs(V)).real)
         m, (_, t2), _ = sweep(integ, (-inv2il, ph * inv2il), (V, V), g,
-                              SWEEP_TOL)
+                              SWEEP_TOL, mu=mu)
         dm = -ph * (t2 + c1tp)
         # inward ODE continuation for xi below xi_v
         fv = np.exp(1j * lam * xi_v)

@@ -13,7 +13,7 @@ pass until successive iterates agree, then checks the a-priori bound
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,8 @@ def separable_integrators(grid: panels.PanelGrid, direction: str,
     return [cls(grid, omega) for omega in omegas]
 
 
-def sweep(integ, A, B, g, atol: float, max_sweeps: int = MAX_SWEEPS):
+def sweep(integ, A, B, g, atol: float, max_sweeps: int = MAX_SWEEPS,
+          mu: Optional[float] = None):
     """Solve f = g + sum_r A_r * I_r[B_r f] by successive substitution.
 
     ``integ`` holds one cumulative integrator I_r per term (see
@@ -42,13 +43,15 @@ def sweep(integ, A, B, g, atol: float, max_sweeps: int = MAX_SWEEPS):
     (sup norm) of its predecessor comes back as (f, [I_r[B_r f]], sweeps)
     and callers assemble derivatives from the integrals of f itself.
     Raises ConvergenceError when the sweeps stall or when ||f|| exceeds the
-    a-priori bound exp(mu) ||g|| with the separable
-    mu = sum_r sup|A_r| * integral |B_r|.
+    a-priori bound exp(mu) ||g||.  ``mu`` bounds the integral of the
+    kernel's modulus over the grid; a caller that knows a sharper one than
+    the separable sum_r sup|A_r| * integral |B_r| (the default) passes it.
     """
-    grid = integ[0].grid
-    mu = sum(float(np.max(np.abs(Ar)))
-             * float(panels.integrate(grid, np.abs(Br)).real)
-             for Ar, Br in zip(A, B))
+    if mu is None:
+        grid = integ[0].grid
+        mu = sum(float(np.max(np.abs(Ar)))
+                 * float(panels.integrate(grid, np.abs(Br)).real)
+                 for Ar, Br in zip(A, B))
     f = g
     ints = [I.node_values(Br * f) for I, Br in zip(integ, B)]
     for n in range(1, max_sweeps + 1):

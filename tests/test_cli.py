@@ -145,7 +145,8 @@ def test_describe_conical_profile(tmp_path, capsys):
 
 def test_describe_one_sided_table(tmp_path, capsys):
     # r = sqrt(1 + softplus(x)^2): conical on the right, a cylinder on the
-    # left; the table's arrays are summarised, and C2 is given per end
+    # left; the table's arrays are summarised, C2 is given per end and C3
+    # for the conical end only (xi^3 V1 grows like xi/4 on the cylinder)
     x = np.linspace(-400.0, 400.0, 8001)
     r = np.sqrt(1.0 + np.logaddexp(0.0, x) ** 2)
     doc = {"profile": {"kind": "custom-tabulated", "conical_right": True,
@@ -162,6 +163,8 @@ def test_describe_one_sided_table(tmp_path, capsys):
     assert abs(float(lines["C2[right] (sup xi^2 |V|)"]) - 0.25) <= 0.01
     assert float(lines["C2[left] (sup xi^2 |V|)"]) <= 1e-6
     assert "c_inf[right]" in lines and "c_inf[left]" not in lines
+    assert float(lines["C3[right] (sup |xi^3 V1|)"]) < 1.0
+    assert "C3[left] (sup |xi^3 V1|)" not in lines
     capsys.readouterr()
 
 

@@ -231,5 +231,6 @@ def test_conical_fit_left_side(hyp_chart):
     assert np.isfinite(left.c_inf)
     assert left.c_inf == pytest.approx(right.c_inf, abs=1e-9)
     pot = PotentialProfile(hyp_chart.profile, hyp_chart)
-    assert np.isfinite([pot.C2_left, pot.C3]).all()
+    assert np.isfinite([pot.C2_left, pot.C3, pot.C3_left]).all()
     assert pot.C2_left == pytest.approx(pot.C2, rel=1e-6)
+    assert pot.C3_left == pytest.approx(pot.C3, rel=1e-6)

@@ -80,6 +80,24 @@ def test_wronskian_constancy_of_jost_pair(hyperboloid_model):
     assert np.max(np.abs(W - W.mean())) <= 1e-7 * abs(W.mean())
 
 
+@pytest.mark.parametrize("profile", [
+    {"kind": "hyperboloid", "params": {"a": 0.2}}, HYPERBOLOID_A1,
+    {"kind": "hyperboloid", "params": {"a": 10.0}},
+    {"kind": "two-sided-cone-smoothed", "params": {"kappa": 5.0}}],
+    ids=["a0.2", "a1", "a10", "cone-k5"])
+def test_oscillatory_flux_constant_across_handover(profile):
+    # for real V, w = Wr(f+, conj f+)/(-2i lam) is constant; [0, 300]
+    # reads the core ODE below xi_v = min(2/lam, 2) and the m sweep above
+    # it.  w itself sits ~1e-7 off 1 (the truncation at B), so the spread
+    # is what is gated.
+    m = ScatteringModel(make_profile(profile))
+    xs = np.linspace(0.0, 300.0, 601)
+    for lam in (0.011, 0.05, 0.3, 0.9, 3.0):
+        f, df = m.jost_plus(lam, xi_hi=300.0).values(xs)
+        w = wr(f, df, f.conj(), df.conj()) / (-2j * lam)
+        assert np.max(np.abs(w - w[-1])) <= 1e-9, lam
+
+
 def test_wave_sample_h_residual(hyperboloid_model):
     # interior finite differences reproduce lam^2 f - V f to 1e-5 relative
     lam = 0.7

@@ -155,6 +155,12 @@ def test_sweep_contract_and_guards():
     assert np.max(np.abs(g + 2.0 * t - f)) <= 1e-13
     with pytest.raises(ConvergenceError):
         sweep(integ, [2.0], [np.ones_like(g)], g, 1e-13, max_sweeps=n - 1)
+    # a caller's mu replaces the separable one (2 here): |f| <= e^{2x}
+    # holds under mu = 2 and breaks a bound of e^1.9
+    assert np.array_equal(
+        sweep(integ, [2.0], [np.ones_like(g)], g, 1e-13, mu=2.0)[0], f)
+    with pytest.raises(ConvergenceError):
+        sweep(integ, [2.0], [np.ones_like(g)], g, 1e-13, mu=1.9)
 
     class Tripled:
         # an integrator three times too large breaks the exp(mu) bound
