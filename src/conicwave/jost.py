@@ -409,7 +409,8 @@ class ScatteringModel:
         if L > 3.0 / lam:
             raise DomainError("basis window exceeds the Volterra zone "
                               "xi*lam <= 3")
-        breaks = panels.graded_breaks(0.0, L, min(4.0, L), 0.5, 12)
+        # 0.25-wide panels resolve a sharp neck (0.5 left 7e-10 in u0'(0))
+        breaks = panels.graded_breaks(0.0, L, min(4.0, L), 0.25, 12)
         breaks = panels.cap_phase(breaks, lambda s: lam, max_phase=0.8)
         grid = panels.PanelGrid.build(breaks, order=10)
         x = grid.flat

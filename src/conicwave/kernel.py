@@ -4,24 +4,24 @@ The density 2*lam*Im[f+(xi>) f-(xi<)/W] is assembled once per run into a
 lambda table (scattering solves are by far the dominant cost) and every
 kernel evaluation reduces to polynomial work against that table:
 
-* the sub-threshold region lam <= lam_low is parametrised as lam = e^{-s},
-  resolving the 1/(lam log^2 lam) structure, down to LAM_MIN_TABLE, and
-  integrated by plain Gauss rules while t lam^p stays below one radian;
-  past the table's lowest lam the density is extrapolated with e^{-s}
-  decay under a phase held at its LAM_MIN_TABLE value, so a kernel whose
-  held phase |t| LAM_MIN_TABLE^p exceeds MAX_HELD_PHASE = 0.1 is refused;
-* the oscillatory region carries Chebyshev panels of the phase-stripped
-  channel amplitudes on one geometric ladder from LAM_MIN_TABLE up through
-  lam_low; panels below lam_low read them off the s-grid samples (one
-  table per lam range), panels above sample the table directly and are
-  appended to a pair's entry as kernels reach higher; a pair reads
-  f+-(xi) from all the records it samples with one ``jost.f_at`` call per
-  (side, xi), kept per (side, xi) for the other pairs at that xi, and
-  forms m and the channel amplitudes from those arrays; the quadratic/linear
-  phase exp(i(t lam^p + theta lam)) is integrated exactly per panel
-  (oscquad), all panels of a kernel in one level-wise batched pass,
-  against polynomial fits that each pair caches per band, so that kernels
-  at another t or kind refit only the panels cut at lam_split or lam_top;
+* the lambda table below lam_low is parametrised as lam = e^{-s},
+  resolving the 1/(lam log^2 lam) structure, down to LAM_MIN_TABLE; past
+  the table's lowest lam the density is extrapolated with e^{-s} decay
+  under a phase held at its LAM_MIN_TABLE value, so a kernel whose held
+  phase |t| LAM_MIN_TABLE^p exceeds MAX_HELD_PHASE = 0.1 is refused;
+* the integral from LAM_MIN_TABLE up to lam_top runs on one geometric
+  ladder of Chebyshev panels of the phase-stripped channel amplitudes;
+  panels below lam_low read them off the s-grid samples (one table per lam
+  range), panels above sample the table directly and are appended to a
+  pair's entry as kernels reach higher; a pair reads f+-(xi) from all the
+  records it samples with one ``jost.f_at`` call per (side, xi), kept per
+  (side, xi) for the other pairs at that xi, and forms m and the channel
+  amplitudes from those arrays; the quadratic/linear phase
+  exp(i(t lam^p + theta lam)) is integrated exactly per panel (oscquad),
+  all panels of a kernel in one level-wise batched pass, against
+  polynomial fits that each pair caches per band as arrays over its
+  panels, so that kernels at another t or kind refit only the panel cut
+  at lam_top;
 * the upper truncation is an Abel-regularised boundary series whose first
   neglected term is reported in the error estimate.
 
@@ -60,7 +60,7 @@ _WINDOWED = {"low_low": (True, True), "osc_osc": (False, False),
 #: default spatial magnitudes of the sup grids (plus the moving light-cone
 #: probe added per t)
 SUP_GRID = (0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
-#: lowest lam of the s-region table (lam = e^{-s}) and of the Filon panels
+#: lowest lam of the s-grid table (lam = e^{-s}) and of the Filon panels
 LAM_MIN_TABLE = 1.0e-8
 #: largest phase |t| LAM_MIN_TABLE^p that the sub-table tail may hold
 #: constant; on the cylinder wave kernel at (0, 0) the error is 0.5% at a
@@ -184,7 +184,7 @@ class KernelEngine:
         self.lam_low = model.lam_low
         self.xi_abs_max = float(xi_abs_max)
         self.panel_ratio = float(panel_ratio)
-        # s-region grid (lam = e^{-s})
+        # s-grid table below lam_low (lam = e^{-s})
         s0 = np.log(1.0 / self.lam_low)
         s1 = np.log(1.0 / LAM_MIN_TABLE)
         n = int(np.ceil((s1 - s0) / s_panel))
@@ -258,28 +258,29 @@ class KernelEngine:
     def _pair_data(self, hi: float, lo: float, lam_top: float):
         """The pair's channel amplitudes on the s-grid and the osc panels.
 
-        The entry is built once: the s-grid samples, the cut-free s-region
-        density ``amp0`` and the osc panels below lam_low, which interpolate
-        the s-grid samples.  Later calls only append panels above lam_low,
-        sampled from table records, until they reach lam_top; the panel fits
-        cached under ``fits`` stay valid, since panel indices never move."""
-        def sample(lams):
-            return self._amplitudes(hi, lo, [self._record(l) for l in lams])
+        The entry is built once: the s-grid samples, the cut-free density
+        ``amp0`` of the sub-table tail and the osc panels below lam_low,
+        which interpolate the s-grid samples.  Later calls only append
+        panels above lam_low, sampled from table records, until they reach
+        lam_top.  The panels are arrays: ``edges`` (n + 1), ``nodes``
+        (n, 10) and ``vals``, one (n, 10) array per channel; the fits cached
+        under ``fits`` stay valid, since panel indices never move."""
+        def sample(nodes):
+            recs = [self._record(l) for l in nodes.ravel()]
+            return [v.reshape(nodes.shape)
+                    for v in self._amplitudes(hi, lo, recs)]
 
-        edges = self._osc_edges
+        ladder = self._osc_edges
         data = self._pair_cache.get((hi, lo))
         if data is None:
             lam_s = self._s_lam
             s_vals = sample(lam_s)
-            sub = list(zip(edges, edges[1: edges.index(self.lam_low) + 1]))
-            nodes = [oscquad.cheb_nodes(a, b) for a, b in sub]
+            edges = np.array(ladder[: ladder.index(self.lam_low) + 1])
+            nodes = oscquad.cheb_nodes(edges[:-1, None], edges[1:, None])
             # one interpolation serves every channel and sub-threshold panel
-            s_sub = np.log(1.0 / np.concatenate(nodes))
-            vals = np.split(self._sgrid.interpolate(np.stack(s_vals), s_sub),
-                            len(sub), axis=1)
-            osc = [(a, b, x, list(v))
-                   for (a, b), x, v in zip(sub, nodes, vals)]
-            # the cut-free s-region density lam^2 Im[sum e^{i theta lam} amp]
+            vals = self._sgrid.interpolate(np.stack(s_vals),
+                                           np.log(1.0 / nodes.ravel()))
+            # the cut-free s-grid density lam^2 Im[sum e^{i theta lam} amp]
             # (one lam is the Jacobian of lam = e^{-s})
             thetas = self._channels(hi, lo)[1]
             amp0 = np.zeros(len(lam_s))
@@ -287,14 +288,20 @@ class KernelEngine:
                 amp0 += (np.exp(1j * th * lam_s) * v).imag
             amp0 *= lam_s * lam_s
             data = self._pair_cache[hi, lo] = {
-                "thetas": thetas, "osc": osc, "amp0": amp0, "fits": {}}
-        osc = data["osc"]
-        while osc[-1][1] < lam_top * 0.999999:
-            i = len(osc)
-            if i + 1 == len(edges):
-                edges.append(edges[-1] * self.panel_ratio)
-            nodes = oscquad.cheb_nodes(edges[i], edges[i + 1])
-            osc.append((edges[i], edges[i + 1], nodes, sample(nodes)))
+                "thetas": thetas, "edges": edges, "nodes": nodes,
+                "vals": list(vals.reshape((len(thetas),) + nodes.shape)),
+                "amp0": amp0, "fits": {}}
+        need = lam_top * 0.999999
+        while ladder[-1] < need:
+            ladder.append(ladder[-1] * self.panel_ratio)
+        n, top = len(data["edges"]), int(np.searchsorted(ladder, need))
+        if top >= n:
+            edges = np.array(ladder[n - 1: top + 1])
+            nodes = oscquad.cheb_nodes(edges[:-1, None], edges[1:, None])
+            data["edges"] = np.concatenate([data["edges"], edges[1:]])
+            data["nodes"] = np.concatenate([data["nodes"], nodes])
+            data["vals"] = [np.concatenate([old, new]) for old, new
+                            in zip(data["vals"], sample(nodes))]
         return data
 
     # -- integration ----------------------------------------------------------
@@ -326,15 +333,16 @@ class KernelEngine:
             return lambda lam: 1.0 - chi_low(lam, ll)
         raise DomainError(f"unknown band {band!r}")
 
-    def _lam_split(self, kind: str, t: float) -> float:
+    def _check_held_phase(self, kind: str, t: float) -> int:
+        """The phase power p, once |t| LAM_MIN_TABLE^p is known to be small
+        enough to hold over the sub-table tail."""
         p = self._phase_power(kind)
         if abs(t) * LAM_MIN_TABLE ** p > MAX_HELD_PHASE:
             raise DomainError(
                 f"{kind} kernel at t={t:g}: the phase t*lam^{p} held over "
                 f"the sub-table tail lam < {LAM_MIN_TABLE:g} exceeds "
                 f"{MAX_HELD_PHASE:g}")
-        return float(min(self.lam_low,
-                         (1.0 / max(abs(t), 1e-12)) ** (1.0 / p)))
+        return p
 
     def _lam_top(self, kind: str, t: float, thetas) -> float:
         if kind == KIND_SCHRODINGER:
@@ -346,138 +354,120 @@ class KernelEngine:
                         xi: float, xi_prime: float):
         """Unweighted integral over lam of e^{i t lam^p} lam Im[F] cut."""
         hi, lo = max(xi, xi_prime), min(xi, xi_prime)
-        p = self._phase_power(kind)
         tt = abs(float(t))
+        p = self._check_held_phase(kind, tt)
         wave_sign = -1.0 if kind == KIND_WAVE_MINUS else 1.0
-        lam_split = self._lam_split(kind, tt)
         lam_top = self._lam_top(kind, tt, self._channels(hi, lo)[1])
         if band is not None and band != "high_energy":
             lam_top = min(lam_top, 1.05 * self.lam_low)
         data = self._pair_data(hi, lo, lam_top)
         cut = self._cut_factory(band, xi, xi_prime)
+        total, err = self._sub_table_tail(data["amp0"], cut, p,
+                                          wave_sign * tt)
 
-        # --- slow region: refined sums on the s-grid ---
-        total, err = self._s_region(data["amp0"], cut, p, wave_sign * tt,
-                                    lam_split)
-
-        # --- oscillatory region: Filon panels from lam_split to lam_top ---
+        # Filon panels from LAM_MIN_TABLE to lam_top: panels 0..k-1 start
+        # below lam_top, and the last of them is refitted if cut there
         alpha = wave_sign * tt if p == 2 else 0.0
+        beta_base = wave_sign * tt if p == 1 else 0.0
         # the cut depends on the band and on which of xi, xi' is the larger
         # (osc_low is not symmetric), so that names the pair's fits
         fit_key = (band, xi >= xi_prime)
-        beta_base = wave_sign * tt if p == 1 else 0.0
-        # (lo_edge, hi_edge, coef, beta) rows; each + row, then its - row
-        rows = []
+        edges = data["edges"]
+        k = min(int(np.searchsorted(edges, lam_top)), len(edges) - 1)
+        a, b = edges[:k], np.minimum(edges[1:k + 1], lam_top)
+        w_cut = (2.0 * oscquad.cheb_nodes(a[-1], b[-1]) - a[-1]
+                 - edges[k]) / (edges[k] - a[-1])
+        coefs, betas = [], []
         for chan_idx, th in enumerate(data["thetas"]):
-            for i, (a, b, _, _) in enumerate(data["osc"]):
-                if b <= lam_split or a >= lam_top:
-                    continue
-                lo_edge, hi_edge = max(a, lam_split), min(b, lam_top)
-                coef_plus, coef_minus, fit_err = self._panel_fit(
-                    data, fit_key, chan_idx, i, cut)
-                if lo_edge > a or hi_edge < b:
-                    w = (2.0 * oscquad.cheb_nodes(lo_edge, hi_edge)
-                         - a - b) / (b - a)
-                    coef_plus = oscquad.fit_poly(
-                        oscquad.eval_poly(coef_plus, w))
-                    coef_minus = oscquad.fit_poly(
-                        oscquad.eval_poly(coef_minus, w))
-                rows += [(lo_edge, hi_edge, coef_plus, beta_base + th),
-                         (lo_edge, hi_edge, coef_minus, beta_base - th)]
-                err += fit_err * (hi_edge - lo_edge)
+            cp, cm, fit_err = self._fits(data, fit_key, chan_idx, cut)
             # Abel tail past lam_top (full kernel and high_energy band only)
             if band is None or band == "high_energy":
-                tail, terr = self._tail(data, fit_key, chan_idx, cut,
+                tail, terr = self._tail(data, chan_idx, k - 1, cp, cm, cut,
                                         lam_top, alpha, beta_base, th)
                 total += tail
                 err += terr
-        lo_e, hi_e, coefs, betas = map(np.array, zip(*rows))
-        vals = oscquad.panel_osc_integral(lo_e, hi_e, coefs, alpha, betas)
+            for c in (cp[:k], cm[:k]):
+                if b[-1] < edges[k]:
+                    c = c.copy()
+                    c[-1] = oscquad.fit_poly(oscquad.eval_poly(c[-1], w_cut))
+                coefs.append(c)
+            betas += [beta_base + th, beta_base - th]
+            err += float(np.sum(fit_err[:k] * (b - a)))
+        n_rows = len(coefs)
+        vals = oscquad.panel_osc_integral(
+            np.tile(a, n_rows), np.tile(b, n_rows), np.concatenate(coefs),
+            alpha, np.repeat(betas, k)).reshape(n_rows, k)
         total += (vals[0::2] - vals[1::2]).sum() / 2j
         if t < 0:
             total = np.conj(total)
         return total, err
 
-    def _s_region(self, amp0, cut, p: int, omega: float, lam_split: float):
-        """(integral, err) of e^{i omega lam^p} amp0 cut over lam < lam_split
-        in s = log(1/lam), amp0 being the pair's cut-free s-grid density.
+    def _sub_table_tail(self, amp0, cut, p: int, omega: float):
+        """(integral, err) of e^{i omega lam^p} amp0 cut over lam <
+        LAM_MIN_TABLE in s = log(1/lam), amp0 being the pair's cut-free
+        s-grid density.
 
-        The density is polynomial-smooth per panel; the cutoff is applied
-        exactly on the refined halves of each panel above s_split, and on
-        whole panels the plain-vs-refined difference goes into err."""
-        s_split = np.log(1.0 / lam_split)
-        lam_s = self._s_lam
+        amp0 = lam g(s) with g slowly varying, so its integral over s >
+        s_min is g(s_min) LAM_MIN_TABLE up to g'(s_min) LAM_MIN_TABLE, g'
+        taken across the last s-panel; the phase is held at its lam =
+        LAM_MIN_TABLE value."""
         g = self._sgrid
-        used = g.breaks[1:] > s_split + 1e-14
-        a_s, b_s = g.breaks[:-1][used], g.breaks[1:][used]
-        lo_s = np.maximum(a_s, s_split)
-        whole = lo_s <= a_s + 1e-14
-        mid = 0.5 * (lo_s + b_s)
-        h = np.stack([0.5 * (mid - lo_s), 0.5 * (b_s - mid)], axis=1)
-        c = np.stack([0.5 * (lo_s + mid), 0.5 * (mid + b_s)], axis=1)
-        xg, wg = panels.gauss_legendre(12)
-        ss = c[:, :, None] + h[:, :, None] * xg
-        lam_sub = np.exp(-ss)
-        amp_sub = g.interpolate(amp0, ss.ravel()).reshape(ss.shape)
-        ref = (h[:, :, None] * wg * np.exp(1j * omega * lam_sub ** p)
-               * amp_sub * cut(lam_sub)).reshape(len(mid), -1).sum(axis=1)
-        plain_int = np.exp(1j * omega * lam_s ** p) * amp0 * cut(lam_s)
-        plain = (g.weights * plain_int.reshape(g.nodes.shape))[used].sum(axis=1)
-        err = np.abs(ref - plain)[whole].sum()
-        # sub-table tail lam < LAM_MIN_TABLE: amp0 = lam g(s) with g slowly
-        # varying, so its integral over s > s_min is g(s_min) LAM_MIN_TABLE
-        # up to g'(s_min) LAM_MIN_TABLE, g' taken across the last panel
+        lam_s = self._s_lam
         g_end = amp0[-g.order:] / lam_s[-g.order:]
         s_end = g.nodes[-1]
         slope = (g_end[-1] - g_end[0]) / (s_end[-1] - s_end[0])
         edge = LAM_MIN_TABLE * cut(LAM_MIN_TABLE)
         tail = g_end[-1] * edge * np.exp(1j * omega * LAM_MIN_TABLE ** p)
-        # the phase is held at its lam = LAM_MIN_TABLE value over the tail
-        err += abs(slope * edge) + abs(tail) * abs(omega) * LAM_MIN_TABLE ** p
-        return ref.sum() + tail, err
+        return tail, abs(slope * edge) + abs(tail * omega) * LAM_MIN_TABLE ** p
 
     @staticmethod
-    def _panel_fit(data, fit_key, chan_idx, i, cut):
-        """Fitted p(lam) = lam * G(lam) * cut(lam) on osc panel i, its
-        conjugate-G twin, and a pointwise estimate of the product-fit error
-        (the cutoff factor is the only inexactly-resolved ingredient).
+    def _fits(data, fit_key, chan_idx, cut):
+        """(cp, cm, fit_err), one row per osc panel: the fitted p(lam) =
+        lam * G(lam) * cut(lam), its conjugate-G twin, and a pointwise
+        estimate of the product-fit error (the cutoff factor is the only
+        inexactly-resolved ingredient).
 
-        Cached in the pair's data under ``fit_key``, which names the cut."""
-        key = (fit_key, chan_idx, i)
+        Cached in the pair's data under (``fit_key``, channel), ``fit_key``
+        naming the cut, and extended to the panels appended since; each
+        row is fitted on its own, so it does not depend on that history."""
+        key = (fit_key, chan_idx)
         fit = data["fits"].get(key)
-        if fit is not None:
+        done = 0 if fit is None else len(fit[2])
+        if done == len(data["nodes"]):
             return fit
-        a, b, lam_nodes, vals = data["osc"][i]
-        vals = vals[chan_idx]
-        cut_nodes = cut(lam_nodes)
-        amp_plus = lam_nodes * vals * cut_nodes
-        amp_minus = lam_nodes * np.conj(vals) * cut_nodes
-        g_coef = oscquad.fit_poly(lam_nodes * vals)
-        cp = oscquad.fit_poly(amp_plus)
-        cm = oscquad.fit_poly(amp_minus)
+        lam = data["nodes"][done:]
+        ga, gb = data["edges"][done:-1, None], data["edges"][done + 1:, None]
+        g = lam * data["vals"][chan_idx][done:]
+        cut_nodes = cut(lam)
+        g_coef = oscquad.fit_poly(g)
+        cp = oscquad.fit_poly(g * cut_nodes)
+        cm = oscquad.fit_poly(np.conj(g) * cut_nodes)
         # probe the fit between nodes against (interpolated G) * exact cutoff
-        probe = 0.5 * (lam_nodes[:-1] + lam_nodes[1:])
-        wprobe = (2.0 * probe - a - b) / (b - a)
-        truth = oscquad.eval_poly(g_coef, wprobe) * cut(probe)
-        fit_err = float(np.max(np.abs(oscquad.eval_poly(cp, wprobe) - truth)))
-        fit = data["fits"][key] = (cp, cm, fit_err)
+        probe = 0.5 * (lam[:, :-1] + lam[:, 1:])
+        wprobe = (2.0 * probe - ga - gb) / (gb - ga)
+        # eval_poly runs over the leading axis: one polynomial per row
+        truth = oscquad.eval_poly(g_coef.T[..., None], wprobe) * cut(probe)
+        fit_err = np.max(np.abs(oscquad.eval_poly(cp.T[..., None], wprobe)
+                                - truth), axis=1)
+        fit = (cp, cm, fit_err) if fit is None else tuple(
+            map(np.concatenate, zip(fit, (cp, cm, fit_err))))
+        data["fits"][key] = fit
         return fit
 
-    def _tail(self, data, fit_key, chan_idx, cut, lam_top, alpha, beta_base,
-              th):
+    @staticmethod
+    def _tail(data, chan_idx, i, cp, cm, cut, lam_top, alpha, beta_base, th):
+        """Abel tail of channel ``chan_idx`` past lam_top, from the full fit
+        of panel i, the one that lam_top falls in."""
+        a, b = data["edges"][i], data["edges"][i + 1]
         if alpha == 0.0 and min(abs(beta_base + th), abs(beta_base - th)) < 0.05:
             # wave channel on the light cone: the Abel tail degenerates
-            a, b, lam_nodes, vals = data["osc"][-1]
-            scale = float(np.max(np.abs(lam_nodes * vals[chan_idx]
-                                        * cut(lam_nodes))))
-            return 0.0 + 0j, 40.0 * scale
-        i = max(k for k, panel in enumerate(data["osc"]) if panel[0] < lam_top)
-        a, b = data["osc"][i][:2]
-        cp, cm, _ = self._panel_fit(data, fit_key, chan_idx, i, cut)
+            lam = data["nodes"][i]
+            return 0j, 40.0 * float(np.max(np.abs(
+                lam * data["vals"][chan_idx][i] * cut(lam))))
         w_top = (2.0 * lam_top - a - b) / (b - a)
         s = 0.5 * (b - a)
-        derivs_p = oscquad.derivatives(cp, w_top, s)
-        derivs_m = oscquad.derivatives(cm, w_top, s)
+        derivs_p = oscquad.derivatives(cp[i], w_top, s)
+        derivs_m = oscquad.derivatives(cm[i], w_top, s)
         va, ea = oscquad.tail_integral(*derivs_p, alpha, beta_base + th,
                                        lam_top)
         vb, eb = oscquad.tail_integral(*derivs_m, alpha, beta_base - th,

@@ -61,8 +61,10 @@ def cheb_nodes(a: float, b: float) -> np.ndarray:
 
 
 def fit_poly(values: np.ndarray) -> np.ndarray:
-    """Monomial coefficients (in w) through the panel's Chebyshev nodes."""
-    return _FIT @ values
+    """Monomial coefficients (in w) through the panel's Chebyshev nodes, one
+    panel per row of ``values``, each row summed on its own (a matrix
+    product's blocking could move its last bit with the rows beside it)."""
+    return np.sum(_FIT * np.asarray(values)[..., None, :], axis=-1)
 
 
 def eval_poly(coef: np.ndarray, w) -> np.ndarray:

@@ -214,6 +214,25 @@ def test_low_energy_basis_lambda_derivative(hyperboloid_model):
     assert abs(abs(der) / lead - 1.0) <= 0.10
 
 
+@pytest.mark.parametrize("profile", [
+    {"kind": "two-sided-cone-smoothed", "params": {"kappa": 5.0}},
+    {"kind": "hyperboloid", "params": {"a": 0.2}}], ids=["cone-k5", "a0.2"])
+def test_low_energy_basis_resolves_a_sharp_neck(profile):
+    # u0 is even, so u0'(0) = 0 as for the zero-energy seed; and W from
+    # the basis coefficients is the Wronskian at xi = 0 of the evaluators
+    # read off that basis.  First panels of width 0.5 left 4e-10 to 7e-10
+    # in u0'(0) and 2e-9 in W on these necks
+    m = ScatteringModel(make_profile(profile))
+    lam = 1e-2
+    zero = np.array([0.0])
+    assert abs(m.low_energy_basis(lam).values(zero)[1][0]) <= 1e-10
+    W, _, fp, fm = m._w_alpha(lam)
+    assert fp.regime == fm.regime == jost.REGIME_LOW_ENERGY
+    (f1,), (df1,) = fp.values(zero)
+    (f2,), (df2,) = fm.values(zero)
+    assert abs(wr(f1, df1, f2, df2) - W) <= 2e-10 * abs(W)
+
+
 def test_low_energy_basis_window_guard(hyperboloid_model):
     with pytest.raises(DomainError):
         hyperboloid_model.low_energy_basis(1e-3, window=1.0e6)

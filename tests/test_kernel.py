@@ -61,25 +61,33 @@ def test_density_of_states_slope(cylinder_engine):
 # ---------------------------------------------------------------------------
 
 def test_cylinder_fresnel_oracle(cylinder_engine):
-    # closed-form free kernel, symmetrised over the half-line spectrum; at
-    # t >= 1e5 lam_split = t^{-1/2} < lam_low, so the Filon panels below
-    # lam_low and the sub-table tail lam < LAM_MIN_TABLE are both in play
+    # closed-form free kernel, symmetrised over the half-line spectrum; the
+    # Filon panels run from LAM_MIN_TABLE up, those below lam_low read off
+    # the s-grid, and the sub-table tail lam < LAM_MIN_TABLE is added
+    def closed(ks):
+        th = ks.xi - ks.xi_prime
+        return 0.25 * np.sqrt(np.pi / ks.t) * np.exp(1j * np.pi / 4) \
+            * np.exp(-1j * th ** 2 / (4 * ks.t)) * ks.weight
+
     for (t, xi, xip) in [(10.0, 3.0, -2.0), (100.0, 0.0, 0.0),
                          (1000.0, 30.0, 10.0), (1.0e5, 30.0, 10.0),
                          (1.0e6, 0.0, 0.0)]:
         ks = cylinder_engine.evolution_kernel(KIND_SCHRODINGER, t, xi, xip)
-        th = xi - xip
-        closed = 0.25 * np.sqrt(np.pi / t) * np.exp(1j * np.pi / 4) \
-            * np.exp(-1j * th ** 2 / (4 * t)) * ks.weight
-        assert abs(ks.value - closed) <= 1e-4
-        assert abs(ks.value - closed) <= ks.err_est
+        assert abs(ks.value - closed(ks)) <= 1e-4
+        assert abs(ks.value - closed(ks)) <= ks.err_est
         assert ks.err_est <= 1e-4 * max(1.0, abs(ks.value))
+    # far pairs: the channel phase e^{i theta lam}, theta = 2000, is
+    # integrated exactly on every panel, down to LAM_MIN_TABLE
+    for t in (1.0e4, 1.0e5):
+        ks = cylinder_engine.evolution_kernel(KIND_SCHRODINGER, t, 1000.0,
+                                              -1000.0)
+        assert abs(ks.value - closed(ks)) <= 1e-11 * abs(closed(ks))
 
 
 def test_cylinder_wave_oracle(cylinder_engine):
-    # the cylinder's wave kernel at xi = xi' = 0 is i/(2t) (Abel); for
-    # t > 1.3e5 lam_split = 1/t lies below 1e-5, where the Filon panels go
-    # down to the table floor LAM_MIN_TABLE
+    # the cylinder's wave kernel at xi = xi' = 0 is i/(2t) (Abel); at these
+    # t the phase t lam turns by a radian only below 1e-5, where the Filon
+    # panels still run, down to the table floor LAM_MIN_TABLE
     for t in (2.0e5, 1.0e6, 1.0e7):
         ks = cylinder_engine.evolution_kernel(KIND_WAVE_PLUS, t, 0.0, 0.0)
         assert abs(ks.value - 0.5j / t) <= ks.err_est
@@ -90,7 +98,7 @@ def test_kernel_past_the_table_raises(cylinder_engine):
     # value; past a held phase of 0.1 the engine refuses before it builds a
     # record or a pair entry.  Beyond that bound the cylinder wave kernel at
     # (0, 0) is 2% off at t = 2e7 and 48% off at t = 9.9e7 (err_est 71% of
-    # the value); at t = 1e8 no s-region is left at all
+    # the value); at t = 1e8 the held phase is a whole radian
     eng = cylinder_engine
     for kind, t in ((KIND_WAVE_PLUS, 2.0e7), (KIND_WAVE_PLUS, 9.9e7),
                     (KIND_WAVE_PLUS, 1.0e8), (KIND_SCHRODINGER, 2.0e15),
@@ -158,7 +166,7 @@ def test_cached_panel_fits_match_fresh_engine(cylinder_model):
     # repeat kernels read each pair's cached Filon panel fits, so they must
     # equal, bit for bit, the same kernel on an engine that fits anew
     cases = [(KIND_SCHRODINGER, None, 20.0, 3.0, -2.0),
-             # lam_split = 1/500 falls inside a panel: the partial-panel path
+             # lam_top = 30.48 falls inside a panel: the refitted top panel
              (KIND_WAVE_PLUS, None, 500.0, 3.0, -2.0),
              # the osc_low cut is not symmetric in (xi, xi')
              (KIND_WAVE_PLUS, "osc_low", 500.0, 300.0, 2.0),
@@ -181,74 +189,54 @@ def test_cached_panel_fits_match_fresh_engine(cylinder_model):
     for case in cases[:2]:
         assert same(_kernel(warm, *case), _kernel(grown, *case))
     # a kernel that needs panels further up appends them to the pair's
-    # entry, which keeps its earlier fits
+    # entry, and its fits are extended: the earlier rows stay as they were
     _kernel(grown, KIND_SCHRODINGER, None, 10.0, 5.0, -7.0)
     data = grown._pair_cache[5.0, -7.0]
-    fits = set(data["fits"])
-    top = data["osc"][-1][1]
+    fits = dict(data["fits"])
+    top = data["edges"][-1]
     _kernel(grown, KIND_WAVE_PLUS, None, 10.0, 5.0, -7.0)
     assert grown._pair_cache[5.0, -7.0] is data
-    assert data["osc"][-1][1] > top and fits <= set(data["fits"])
+    assert data["edges"][-1] > top and set(fits) <= set(data["fits"])
+    n = len(data["nodes"])
+    for key, old in fits.items():
+        new = data["fits"][key]
+        assert all(len(o) < len(x) == n for o, x in zip(old, new))
+        assert all(np.array_equal(o, x[:len(o)]) for o, x in zip(old, new))
 
 
-def _s_region_by_panel(eng, amp0, cut, p, omega, lam_split):
-    # reference: the s-region sums one panel at a time
-    g = eng._sgrid
-    lam_s = eng._s_lam
-    s_split = np.log(1.0 / lam_split)
-    plain_int = np.exp(1j * omega * lam_s ** p) * amp0 * cut(lam_s)
-    w = g.weights.ravel()
-    xg, wg = gauss_legendre(12)
-    total, err, scale = 0j, 0.0, 0.0
-    for i in range(g.npanels):
-        a, b = g.breaks[i], g.breaks[i + 1]
-        if b <= s_split + 1e-14:
-            continue
-        lo = max(a, s_split)
-        mid = 0.5 * (lo + b)
-        h1, h2 = 0.5 * (mid - lo), 0.5 * (b - mid)
-        ss = np.concatenate([0.5 * (lo + mid) + h1 * xg,
-                             0.5 * (mid + b) + h2 * xg])
-        lam = np.exp(-ss)
-        ref = np.sum(np.concatenate([h1 * wg, h2 * wg])
-                     * np.exp(1j * omega * lam ** p)
-                     * g.interpolate(amp0, ss) * cut(lam))
-        total += ref
-        scale += abs(ref)
-        if lo <= a + 1e-14:
-            err += abs(ref - np.sum(w[i * g.order:(i + 1) * g.order]
-                                    * plain_int[i * g.order:(i + 1) * g.order]))
-    # sub-table tail, extrapolated from the last panel with e^{-s} decay
-    g_end = amp0[-g.order:] / lam_s[-g.order:]
-    s_end = g.nodes[-1]
-    lam_min = LAM_MIN_TABLE
-    total += (g_end[-1] * lam_min * cut(lam_min)
-              * np.exp(1j * omega * lam_min ** p))
-    err += abs((g_end[-1] - g_end[0]) / (s_end[-1] - s_end[0])
-               * lam_min * cut(lam_min))
-    # the phase is frozen at lam_min over the tail
-    err += abs(g_end[-1] * lam_min * cut(lam_min)) * abs(omega) * lam_min ** p
-    return total, err, scale
-
-
-def test_s_region_matches_panel_loop(cylinder_model):
+def test_sub_table_tail(cylinder_model):
+    # the sub-table tail lam < LAM_MIN_TABLE: amp0 = lam g(s) extrapolated
+    # from the last s-panel with e^{-s} decay, under a phase held at its
+    # LAM_MIN_TABLE value, each reference line written out on its own
     eng = KernelEngine(cylinder_model, xi_abs_max=400.0, s_panel=2.0,
                        panel_ratio=2.0)
+    g, lam_s, lam_min = eng._sgrid, eng._s_lam, LAM_MIN_TABLE
+    xg, wg = gauss_legendre(12)
     cases = [(KIND_SCHRODINGER, None, 20.0, 3.0, -2.0),
-             # lam_split = 1/500 cuts an s-panel
              (KIND_WAVE_PLUS, None, 500.0, 3.0, -2.0),
+             (KIND_WAVE_PLUS, None, 9.0e6, 300.0, 2.0),
              (KIND_WAVE_PLUS, "osc_low", 150.0, 300.0, 2.0),
              (KIND_SCHRODINGER, "low_low", 1.0e6, 3.0, -2.0)]
     for kind, band, t, xi, xip in cases:
         p = eng._phase_power(kind)
-        data = eng._pair_data(max(xi, xip), min(xi, xip), 30.0)
+        amp0 = eng._pair_data(max(xi, xip), min(xi, xip), 30.0)["amp0"]
         cut = eng._cut_factory(band, xi, xip)
-        lam_split = eng._lam_split(kind, t)
-        got = eng._s_region(data["amp0"], cut, p, t, lam_split)
-        want = _s_region_by_panel(eng, data["amp0"], cut, p, t, lam_split)
-        # the panel sums are added in another order
-        assert abs(got[0] - want[0]) <= 1e-13 * want[2]
-        assert abs(got[1] - want[1]) <= 1e-13 * want[1]
+        g_end = amp0[-g.order:] / lam_s[-g.order:]
+        s_end = g.nodes[-1]
+        tail = (g_end[-1] * lam_min * cut(lam_min)
+                * np.exp(1j * t * lam_min ** p))
+        err = abs((g_end[-1] - g_end[0]) / (s_end[-1] - s_end[0])
+                  * lam_min * cut(lam_min))
+        err += abs(g_end[-1] * lam_min * cut(lam_min)) * abs(t) * lam_min ** p
+        got = eng._sub_table_tail(amp0, cut, p, t)
+        assert abs(got[0] - tail) <= 1e-13 * abs(tail)
+        assert abs(got[1] - err) <= 1e-13 * err
+        if band is None:
+            # on the cylinder lam Im F = cos(lam (xi - xi')) / 2 exactly
+            lam = 0.5 * lam_min * (xg + 1.0)
+            exact = 0.5 * lam_min * np.sum(
+                wg * np.exp(1j * t * lam ** p) * 0.5 * np.cos(lam * (xi - xip)))
+            assert abs(tail - exact) <= err <= 0.1 * abs(exact)
 
 
 def test_subthreshold_panels_match_direct_samples(hyperboloid_engine):
@@ -258,12 +246,12 @@ def test_subthreshold_panels_match_direct_samples(hyperboloid_engine):
     for xi, xip in [(300.0, -1000.0), (1000.0, 0.5)]:
         hi, lo = max(xi, xip), min(xi, xip)
         data = eng._pair_data(hi, lo, 30.0)
-        below = [panel for panel in data["osc"] if panel[1] <= eng.lam_low]
-        assert below
-        for _, _, lam_nodes, vals in below:
-            recs = [eng._record(lam) for lam in lam_nodes]
-            for v, direct in zip(vals, eng._amplitudes(hi, lo, recs)):
-                assert (np.max(np.abs(v - direct))
+        below = data["edges"][1:] <= eng.lam_low
+        assert below.any()
+        for i in np.flatnonzero(below):
+            recs = [eng._record(lam) for lam in data["nodes"][i]]
+            for v, direct in zip(data["vals"], eng._amplitudes(hi, lo, recs)):
+                assert (np.max(np.abs(v[i] - direct))
                         <= 1e-8 * np.max(np.abs(direct)))
 
 
@@ -338,7 +326,8 @@ def test_batched_read_equals_one_point_values(name, branches, request):
         for th, v in zip(data["thetas"], s_vals):
             amp0 += (np.exp(1j * th * lam_s) * v).imag
         assert np.array_equal(data["amp0"], amp0 * (lam_s * lam_s))
-        for a, b, lam_nodes, vals in data["osc"]:
+        for b, lam_nodes, *vals in zip(data["edges"][1:], data["nodes"],
+                                       *data["vals"]):
             if b <= eng.lam_low:
                 want = [eng._sgrid.interpolate(v, np.log(1.0 / lam_nodes))
                         for v in s_vals]
@@ -396,8 +385,8 @@ def test_one_table_below_the_threshold(cylinder_model):
     # below it)
     below = {lam for lam in eng._records if lam < eng.lam_low * (1 - 1e-12)}
     assert below and below <= set(eng._s_lam.tolist())
-    # lam_split = 1e-3 < lam_low: the sub-threshold panels are integrated,
-    # from values already in hand
+    # another kind and t integrate the same sub-threshold panels, from
+    # values already in hand
     n = len(eng._records)
     eng.evolution_kernel(KIND_WAVE_PLUS, 1.0e3, 3.0, -2.0)
     assert len(eng._records) == n
