@@ -187,8 +187,10 @@ class ArclengthChart:
     """
 
     def __init__(self, profile: ProfileSpec, x_max: float = DEFAULT_X_MAX):
-        if x_max <= 0:
-            raise ConfigError("x_max must be positive")
+        # json reads NaN and Infinity; NaN passes x_max <= 0
+        if not (np.isfinite(x_max) and x_max > 0):
+            raise ConfigError(f"x_max must be finite and positive, got "
+                              f"{x_max!r}")
         self.profile = profile
         self.x_max = float(x_max)
         breaks = self._build_breaks()

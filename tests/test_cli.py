@@ -105,6 +105,18 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_nonfinite_x_max_is_a_config_error(tmp_path, capsys):
+    # json reads NaN and Infinity; both must end on the error: line, not in
+    # a traceback
+    for x_max in (float("nan"), float("inf")):
+        p = _write(tmp_path, {"profile": {"kind": "cylinder", "x_max": x_max},
+                              "command": "describe"})
+        assert main(["describe", "--config", str(p),
+                     "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x_max" in err
+
+
 def test_kernel_csv_contract(tmp_path):
     doc = {"profile": {"kind": "cylinder"}, "command": "kernel",
            "kind": "schrodinger",

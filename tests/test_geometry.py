@@ -78,6 +78,15 @@ def hyp_chart():
     return ArclengthChart(prof, x_max=1e5)
 
 
+def test_chart_rejects_nonfinite_x_max():
+    # NaN passes a bare x_max <= 0 check and would build a chart over
+    # |x| <= 16 only; Infinity overflows while grading the breaks
+    prof = make_profile({"kind": "cylinder"})
+    for x_max in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ConfigError, match="x_max"):
+            ArclengthChart(prof, x_max=x_max)
+
+
 def test_cylinder_chart_is_identity():
     chart = ArclengthChart(make_profile({"kind": "cylinder"}), x_max=1e4)
     assert chart.xi_of_x(2.0) == pytest.approx(2.0, abs=1e-13)

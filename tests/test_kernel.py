@@ -9,7 +9,8 @@ import pytest
 
 from conicwave import (DomainError, KernelEngine, standard_case_library,
                        stationary_phase_check)
-from conicwave import jost, panels
+from conicwave import ScatteringModel, jost, make_profile, panels
+from conicwave.geometry import ArclengthChart, PotentialProfile
 from conicwave.kernel import (KIND_SCHRODINGER, KIND_WAVE_PLUS,
                               LAM_MIN_TABLE, StationaryPhaseCase,
                               _compact_bump, _compact_bump_d,
@@ -156,6 +157,33 @@ def test_quadrature_self_consistency(cylinder_model):
             assert abs(k1.value - k2.value) <= max(k1.err_est, k2.err_est)
 
 
+def test_subthreshold_table_self_consistency(hyperboloid_model):
+    # the default s-grid and sub-threshold ladder (s-panels of width 2,
+    # step panel_ratio^2) against a finer table; the low_low band stops at
+    # 1.05 lam_low, so this compares the sub-threshold tables alone
+    fine = KernelEngine(hyperboloid_model, xi_abs_max=50.0, s_panel=1.0,
+                        panel_ratio=7.0 / 6.0)
+    default = KernelEngine(hyperboloid_model, xi_abs_max=50.0)
+    k1 = default.band_kernel(KIND_SCHRODINGER, "low_low", 100.0, 3.0, -2.0)
+    k2 = fine.band_kernel(KIND_SCHRODINGER, "low_low", 100.0, 3.0, -2.0)
+    assert abs(k1.value - k2.value) <= max(k1.err_est, k2.err_est)
+
+
+def test_engine_rejects_bad_table_parameters(cylinder_model):
+    # unchecked, panel_ratio <= 1 never reaches the table floor, a NaN
+    # ratio leaves NaN ladder edges, s_panel = 0 divides by zero and a NaN
+    # xi_abs_max never grows (need > nan is false)
+    nan, inf = float("nan"), float("inf")
+    for kw in ({"panel_ratio": 1.0}, {"panel_ratio": 0.5},
+               {"panel_ratio": -2.0}, {"panel_ratio": nan},
+               {"panel_ratio": inf}, {"s_panel": 0.0}, {"s_panel": -1.0},
+               {"s_panel": nan}, {"s_panel": inf}, {"xi_abs_max": -1.0},
+               {"xi_abs_max": nan}, {"xi_abs_max": inf}):
+        with pytest.raises(DomainError, match=next(iter(kw))):
+            KernelEngine(cylinder_model, **kw)
+    KernelEngine(cylinder_model, xi_abs_max=0.0)
+
+
 def _kernel(eng, kind, band, t, xi, xip):
     if band is None:
         return eng.evolution_kernel(kind, t, xi, xip)
@@ -239,10 +267,21 @@ def test_sub_table_tail(cylinder_model):
             assert abs(tail - exact) <= err <= 0.1 * abs(exact)
 
 
-def test_subthreshold_panels_match_direct_samples(hyperboloid_engine):
+@pytest.fixture(scope="module")
+def hyperboloid_a10_engine():
+    prof = make_profile({"kind": "hyperboloid", "params": {"a": 10.0}})
+    chart = ArclengthChart(prof)
+    model = ScatteringModel(prof, chart, PotentialProfile(prof, chart))
+    return KernelEngine(model, xi_abs_max=1.1e3)
+
+
+@pytest.mark.parametrize("name", ["hyperboloid_engine",
+                                  "hyperboloid_a10_engine"])
+def test_subthreshold_panels_match_direct_samples(name, request):
     # the Filon panels below lam_low read their channel values off the
-    # s-grid; a table record at each panel node must agree with them
-    eng = hyperboloid_engine
+    # s-grid; a table record at each panel node must agree with them (the
+    # s-panels of width 2 read 4.3e-10 on a = 1 and 1.3e-9 on a = 10)
+    eng = request.getfixturevalue(name)
     for xi, xip in [(300.0, -1000.0), (1000.0, 0.5)]:
         hi, lo = max(xi, xip), min(xi, xip)
         data = eng._pair_data(hi, lo, 30.0)
