@@ -5,10 +5,7 @@ lambda table (scattering solves are by far the dominant cost) and every
 kernel evaluation reduces to polynomial work against that table:
 
 * the lambda table below lam_low is parametrised as lam = e^{-s},
-  resolving the 1/(lam log^2 lam) structure, down to LAM_MIN_TABLE; past
-  the table's lowest lam the density is extrapolated with e^{-s} decay
-  under a phase held at its LAM_MIN_TABLE value, so a kernel whose held
-  phase |t| LAM_MIN_TABLE^p exceeds MAX_HELD_PHASE = 0.1 is refused;
+  resolving the 1/(lam log^2 lam) structure, down to LAM_MIN_TABLE;
 * the s-grid has 12-node panels of width 2 in s (7 panels for lam_low =
   1e-2); at the sub-threshold Filon nodes its interpolation error is at
   most 1.3e-9 of the channel amplitudes on the hyperboloids a = 0.2, 1,
@@ -30,8 +27,12 @@ kernel evaluation reduces to polynomial work against that table:
   polynomial fits that each pair caches per band as arrays over its
   panels, so that kernels at another t or kind refit only the panel cut
   at lam_top;
-* the upper truncation is an Abel-regularised boundary series whose first
-  neglected term is reported in the error estimate.
+* both tails read the fits of the ladder's end panels: below LAM_MIN_TABLE
+  the density and its slope at the first panel's start, held constant in s
+  under a phase held at its LAM_MIN_TABLE value (a kernel whose held phase
+  |t| LAM_MIN_TABLE^p exceeds MAX_HELD_PHASE = 0.1 is refused); past
+  lam_top the Abel-regularised boundary series of the panel holding it,
+  whose first neglected term enters the error estimate.
 
 Channel decomposition: with both arguments ordered (xi> >= xi<),
 
@@ -113,13 +114,13 @@ def chi_window(u):
 class KernelSample:
     """One weighted kernel value with its quadrature error estimate.
 
-    ``err_est`` sums three terms: the cut-product fit error of the Filon
-    panels, the first neglected term of the Abel tail past lam_top and the
-    sub-table tail below LAM_MIN_TABLE.  It has no term for how finely the
-    table samples lam (the s-grid width and the panel ratio): on the
-    hyperboloid a = 1, panel_ratio 1.6 moved values by up to 40 times
-    their err_est (2.2e-6 relative) and 1.5 by 1.1 times, against the
-    default 4/3."""
+    ``err_est`` sums three terms, all read off the Filon panels' fits: their
+    cut-product fit error, the first neglected term of the Abel tail past
+    lam_top and the slope and held phase of the sub-table tail below
+    LAM_MIN_TABLE.  It has no term for how finely the table samples lam
+    (the s-grid width and the panel ratio): on the hyperboloid a = 1,
+    panel_ratio 1.6 moved values by up to 40 times their err_est (2.2e-6
+    relative) and 1.5 by 1.1 times, against the default 4/3."""
 
     kind: str
     t: float
@@ -293,9 +294,8 @@ class KernelEngine:
     def _pair_data(self, hi: float, lo: float, lam_top: float):
         """The pair's channel amplitudes on the s-grid and the osc panels.
 
-        The entry is built once: the s-grid samples, the cut-free density
-        ``amp0`` of the sub-table tail and the osc panels below lam_low,
-        which interpolate the s-grid samples.  Later calls only append
+        The entry is built once: the s-grid samples and the osc panels
+        below lam_low, which interpolate them.  Later calls only append
         panels above lam_low, sampled from table records, until they reach
         lam_top.  The panels are arrays: ``edges`` (n + 1), ``nodes``
         (n, 10) and ``vals``, one (n, 10) array per channel; the fits cached
@@ -308,24 +308,17 @@ class KernelEngine:
         ladder = self._osc_edges
         data = self._pair_cache.get((hi, lo))
         if data is None:
-            lam_s = self._s_lam
-            s_vals = sample(lam_s)
+            s_vals = sample(self._s_lam)
             edges = np.array(ladder[: ladder.index(self.lam_low) + 1])
             nodes = oscquad.cheb_nodes(edges[:-1, None], edges[1:, None])
             # one interpolation serves every channel and sub-threshold panel
             vals = self._sgrid.interpolate(np.stack(s_vals),
                                            np.log(1.0 / nodes.ravel()))
-            # the cut-free s-grid density lam^2 Im[sum e^{i theta lam} amp]
-            # (one lam is the Jacobian of lam = e^{-s})
             thetas = self._channels(hi, lo)[1]
-            amp0 = np.zeros(len(lam_s))
-            for th, v in zip(thetas, s_vals):
-                amp0 += (np.exp(1j * th * lam_s) * v).imag
-            amp0 *= lam_s * lam_s
             data = self._pair_cache[hi, lo] = {
                 "thetas": thetas, "edges": edges, "nodes": nodes,
                 "vals": list(vals.reshape((len(thetas),) + nodes.shape)),
-                "amp0": amp0, "fits": {}}
+                "fits": {}}
         need = lam_top * 0.999999
         while ladder[-1] < need:
             ladder.append(ladder[-1] * self.panel_ratio)
@@ -397,31 +390,24 @@ class KernelEngine:
             lam_top = min(lam_top, 1.05 * self.lam_low)
         data = self._pair_data(hi, lo, lam_top)
         cut = self._cut_factory(band, xi, xi_prime)
-        total, err = self._sub_table_tail(data["amp0"], cut, p,
-                                          wave_sign * tt)
+        # the cut depends on the band and on which of xi, xi' is the larger
+        # (osc_low is not symmetric), so that names the pair's fits
+        fits = [self._fits(data, (band, xi >= xi_prime), j, cut)
+                for j in range(len(data["thetas"]))]
+        total, err = self._sub_table_tail(data, fits, p, wave_sign * tt)
 
         # Filon panels from LAM_MIN_TABLE to lam_top: panels 0..k-1 start
         # below lam_top, and the last of them is refitted if cut there
         alpha = wave_sign * tt if p == 2 else 0.0
         beta_base = wave_sign * tt if p == 1 else 0.0
-        # the cut depends on the band and on which of xi, xi' is the larger
-        # (osc_low is not symmetric), so that names the pair's fits
-        fit_key = (band, xi >= xi_prime)
         edges = data["edges"]
         k = min(int(np.searchsorted(edges, lam_top)), len(edges) - 1)
         a, b = edges[:k], np.minimum(edges[1:k + 1], lam_top)
         w_cut = (2.0 * oscquad.cheb_nodes(a[-1], b[-1]) - a[-1]
                  - edges[k]) / (edges[k] - a[-1])
         coefs, betas = [], []
-        for chan_idx, th in enumerate(data["thetas"]):
-            cp, cm, fit_err = self._fits(data, fit_key, chan_idx, cut)
-            # Abel tail past lam_top (full kernel and high_energy band only)
-            if band is None or band == "high_energy":
-                tail, terr = self._tail(data, chan_idx, k - 1, cp, cm, cut,
-                                        lam_top, alpha, beta_base, th)
-                total += tail
-                err += terr
-            for c in (cp[:k], cm[:k]):
+        for (cp, fit_err), th in zip(fits, data["thetas"]):
+            for c in (cp[:k], np.conj(cp[:k])):
                 if b[-1] < edges[k]:
                     c = c.copy()
                     c[-1] = oscquad.fit_poly(oscquad.eval_poly(c[-1], w_cut))
@@ -433,33 +419,42 @@ class KernelEngine:
             np.tile(a, n_rows), np.tile(b, n_rows), np.concatenate(coefs),
             alpha, np.repeat(betas, k)).reshape(n_rows, k)
         total += (vals[0::2] - vals[1::2]).sum() / 2j
+        # Abel tail past lam_top (full kernel and high_energy band only)
+        if band is None or band == "high_energy":
+            tail, tail_err = self._abel_tail(data, fits, k - 1, cut, lam_top,
+                                             alpha, beta_base)
+            total += tail
+            err += tail_err
         if t < 0:
             total = np.conj(total)
         return total, err
 
-    def _sub_table_tail(self, amp0, cut, p: int, omega: float):
-        """(integral, err) of e^{i omega lam^p} amp0 cut over lam <
-        LAM_MIN_TABLE in s = log(1/lam), amp0 being the pair's cut-free
-        s-grid density.
-
-        amp0 = lam g(s) with g slowly varying, so its integral over s >
-        s_min is g(s_min) LAM_MIN_TABLE up to g'(s_min) LAM_MIN_TABLE, g'
-        taken across the last s-panel; the phase is held at its lam =
-        LAM_MIN_TABLE value."""
-        g = self._sgrid
-        lam_s = self._s_lam
-        g_end = amp0[-g.order:] / lam_s[-g.order:]
-        s_end = g.nodes[-1]
-        slope = (g_end[-1] - g_end[0]) / (s_end[-1] - s_end[0])
-        edge = LAM_MIN_TABLE * cut(LAM_MIN_TABLE)
-        tail = g_end[-1] * edge * np.exp(1j * omega * LAM_MIN_TABLE ** p)
-        return tail, abs(slope * edge) + abs(tail * omega) * LAM_MIN_TABLE ** p
+    @staticmethod
+    def _sub_table_tail(data, fits, p: int, omega: float):
+        """(integral, err) of e^{i omega lam^p} d over lam < LAM_MIN_TABLE,
+        d = lam Im[F] cut and d' = dd/dlam read off the channels' fits at w
+        = -1 of the first panel, which starts at LAM_MIN_TABLE.  d varies
+        slowly in s = log(1/lam), so the integral is LAM_MIN_TABLE d up to
+        LAM_MIN_TABLE |dd/ds| = LAM_MIN_TABLE^2 |d'|, under a phase held at
+        its LAM_MIN_TABLE value."""
+        lam = LAM_MIN_TABLE
+        c = np.array([cp[0] for cp, _ in fits]).T
+        v = oscquad.eval_poly(c, -1.0)
+        v1 = oscquad.eval_poly(c[1:] * np.arange(1, len(c))[:, None], -1.0) \
+            / (0.5 * (data["edges"][1] - data["edges"][0]))
+        # d sums Im[e^{i theta lam} cp] over the channels
+        th = np.array(data["thetas"])
+        e = np.exp(1j * th * lam)
+        d, d1 = np.sum((e * v).imag), np.sum((e * (v1 + 1j * th * v)).imag)
+        tail = lam * d * np.exp(1j * omega * lam ** p)
+        return tail, float(lam * lam * abs(d1) + abs(tail * omega) * lam ** p)
 
     @staticmethod
     def _fits(data, fit_key, chan_idx, cut):
-        """(cp, cm, fit_err), one row per osc panel: the fitted p(lam) =
-        lam * G(lam) * cut(lam), its conjugate-G twin, and a pointwise
-        estimate of the product-fit error (the cutoff factor is the only
+        """(cp, fit_err), one row per osc panel: the fitted p(lam) = lam *
+        G(lam) * cut(lam), whose conjugate fits the conjugate-G twin (the
+        fit is real-linear and the cut real), and a pointwise estimate of
+        the product-fit error (the cutoff factor is the only
         inexactly-resolved ingredient).
 
         Cached in the pair's data under (``fit_key``, channel), ``fit_key``
@@ -467,16 +462,14 @@ class KernelEngine:
         row is fitted on its own, so it does not depend on that history."""
         key = (fit_key, chan_idx)
         fit = data["fits"].get(key)
-        done = 0 if fit is None else len(fit[2])
+        done = 0 if fit is None else len(fit[1])
         if done == len(data["nodes"]):
             return fit
         lam = data["nodes"][done:]
         ga, gb = data["edges"][done:-1, None], data["edges"][done + 1:, None]
         g = lam * data["vals"][chan_idx][done:]
-        cut_nodes = cut(lam)
         g_coef = oscquad.fit_poly(g)
-        cp = oscquad.fit_poly(g * cut_nodes)
-        cm = oscquad.fit_poly(np.conj(g) * cut_nodes)
+        cp = oscquad.fit_poly(g * cut(lam))
         # probe the fit between nodes against (interpolated G) * exact cutoff
         probe = 0.5 * (lam[:, :-1] + lam[:, 1:])
         wprobe = (2.0 * probe - ga - gb) / (gb - ga)
@@ -484,30 +477,34 @@ class KernelEngine:
         truth = oscquad.eval_poly(g_coef.T[..., None], wprobe) * cut(probe)
         fit_err = np.max(np.abs(oscquad.eval_poly(cp.T[..., None], wprobe)
                                 - truth), axis=1)
-        fit = (cp, cm, fit_err) if fit is None else tuple(
-            map(np.concatenate, zip(fit, (cp, cm, fit_err))))
+        fit = (cp, fit_err) if fit is None else tuple(
+            map(np.concatenate, zip(fit, (cp, fit_err))))
         data["fits"][key] = fit
         return fit
 
     @staticmethod
-    def _tail(data, chan_idx, i, cp, cm, cut, lam_top, alpha, beta_base, th):
-        """Abel tail of channel ``chan_idx`` past lam_top, from the full fit
-        of panel i, the one that lam_top falls in."""
+    def _abel_tail(data, fits, i, cut, lam_top, alpha, beta_base):
+        """Abel tail past lam_top from the full fits of panel i, the one
+        that lam_top falls in: the (cp, conj cp) rows of every channel off
+        the light cone in one ``tail_integral`` call."""
+        rows, betas, err = [], [], 0.0
+        for j, ((cp, _), th) in enumerate(zip(fits, data["thetas"])):
+            if alpha == 0.0 and min(abs(beta_base + th),
+                                    abs(beta_base - th)) < 0.05:
+                # wave channel on the light cone: the Abel tail degenerates
+                lam = data["nodes"][i]
+                err += 40.0 * float(np.max(np.abs(
+                    lam * data["vals"][j][i] * cut(lam))))
+            else:
+                rows += [cp[i], np.conj(cp[i])]
+                betas += [beta_base + th, beta_base - th]
+        if not rows:
+            return 0j, err
         a, b = data["edges"][i], data["edges"][i + 1]
-        if alpha == 0.0 and min(abs(beta_base + th), abs(beta_base - th)) < 0.05:
-            # wave channel on the light cone: the Abel tail degenerates
-            lam = data["nodes"][i]
-            return 0j, 40.0 * float(np.max(np.abs(
-                lam * data["vals"][chan_idx][i] * cut(lam))))
-        w_top = (2.0 * lam_top - a - b) / (b - a)
-        s = 0.5 * (b - a)
-        derivs_p = oscquad.derivatives(cp[i], w_top, s)
-        derivs_m = oscquad.derivatives(cm[i], w_top, s)
-        va, ea = oscquad.tail_integral(*derivs_p, alpha, beta_base + th,
-                                       lam_top)
-        vb, eb = oscquad.tail_integral(*derivs_m, alpha, beta_base - th,
-                                       lam_top)
-        return (va - vb) / 2j, 0.5 * (ea + eb)
+        vals, errs = oscquad.tail_integral(
+            np.array(rows), (2.0 * lam_top - a - b) / (b - a), 0.5 * (b - a),
+            alpha, np.array(betas), lam_top)
+        return (vals[0::2] - vals[1::2]).sum() / 2j, err + 0.5 * errs.sum()
 
     # -- public operations ---------------------------------------------------
 

@@ -8,8 +8,11 @@ oscillator is integrated exactly against it.  Four terminal regimes:
 * tiny curvature      -> linear-phase Filon, curvature Taylor-expanded;
 * stationary point in/near the panel -> complete the square, complex-erfc
   moments (uniformly valid through the critical point);
-* strongly one-sided phase -> three-term integration-by-parts boundary
-  series.
+* strongly one-sided phase -> four-term integration-by-parts boundary
+  series at both panel ends.
+
+One batched routine, ``_boundary_series``, evaluates that series for those
+panels and for ``tail_integral``, the Abel tail past a kernel's last panel.
 
 All panels of a call go through one level-wise batched pass: each level
 evaluates every regime as one array computation over its panels and bisects
@@ -187,30 +190,28 @@ def _erfc_moments(coef: np.ndarray, at, bt) -> np.ndarray:
     return phase_c * np.sum(shifted * M, axis=1)
 
 
-def derivatives(coef: np.ndarray, w, s: float) -> list:
-    """The polynomial and its first four derivatives in lam at w, for a
-    panel of half-width s (lam = mid + s*w)."""
-    return list((_DERIV @ coef) @ w ** _POW / s ** _POW[:5])
-
-
 def _ibp_panel(a, b, coef: np.ndarray, alpha, beta) -> np.ndarray:
     """Four-term boundary series per panel, for strongly oscillatory ones."""
     s = 0.5 * (b - a)
-    total = np.zeros(len(a), dtype=complex)
-    for lam, w in ((b, 1.0), (a, -1.0)):
-        # the polynomial and its first four lam-derivatives at w = +-1
-        p = coef @ _DERIV.transpose(0, 2, 1) @ w ** _POW / s ** _POW[:5, None]
-        val, _ = ibp_boundary_terms(*p, 2.0 * alpha * lam + beta, 2.0 * alpha)
-        total += w * np.exp(1j * (alpha * lam * lam + beta * lam)) * val
-    return total
+    return (_boundary_series(coef, 1.0, s, b, alpha, beta)[0]
+            - _boundary_series(coef, -1.0, s, a, alpha, beta)[0])
+
+
+def _boundary_series(coef: np.ndarray, w: float, s, lam, alpha, beta):
+    """(e^{i phi} (B0 - B1 + B2 - B3), |B4| max(1, |phi'|)) per row of
+    ``coef`` at the point lam = mid + s w of its panel of half-width s,
+    phi = alpha lam^2 + beta lam (``ibp_boundary_terms``)."""
+    # the polynomial and its first four lam-derivatives at w
+    p = coef @ _DERIV.transpose(0, 2, 1) @ w ** _POW / s ** _POW[:5, None]
+    phi1 = 2.0 * alpha * lam + beta
+    val, b4 = ibp_boundary_terms(*p, phi1, 2.0 * alpha)
+    return (np.exp(1j * (alpha * lam * lam + beta * lam)) * val,
+            b4 * np.maximum(1.0, np.abs(phi1)))
 
 
 def ibp_boundary_terms(p, p1, p2, p3, p4, phi1, phi2):
-    """(B0 - B1 + B2 - B3, |B4|) for amplitude derivatives at one point.
-
-    B0 = p/(i phi'), B_{k+1} = B_k'/(i phi'); used for the strongly
-    oscillatory panels and the Abel-regularised tails.
-    """
+    """(B0 - B1 + B2 - B3, |B4|) for amplitude derivatives at one point,
+    B0 = p/(i phi'), B_{k+1} = B_k'/(i phi')."""
     D = 1j * phi1
     Dp = 1j * phi2
     B0 = p / D
@@ -223,13 +224,10 @@ def ibp_boundary_terms(p, p1, p2, p3, p4, phi1, phi2):
     return B0 - B1 + B2 - B3, abs(B4)
 
 
-def tail_integral(p, p1, p2, p3, p4, alpha: float, beta: float,
-                  lam0: float) -> tuple:
-    """Abel-regularised integral_lam0^inf p exp(i(alpha lam^2+beta lam)) dlam.
-
-    Amplitude derivatives are supplied at lam0; returns (value, err_est).
-    """
-    phi1 = 2.0 * alpha * lam0 + beta
-    val, b4 = ibp_boundary_terms(p, p1, p2, p3, p4, phi1, 2.0 * alpha)
-    phase = np.exp(1j * (alpha * lam0 * lam0 + beta * lam0))
-    return -phase * val, 2.0 * b4 * max(1.0, abs(phi1))
+def tail_integral(coef: np.ndarray, w: float, s: float, alpha: float,
+                  beta, lam0: float) -> tuple:
+    """Abel-regularised integral_lam0^inf p exp(i(alpha lam^2+beta lam))
+    dlam per row of ``coef`` (one beta per row), each p fitted on a panel
+    of half-width s in which lam0 sits at w; returns (values, err_est)."""
+    val, err = _boundary_series(coef, w, s, lam0, alpha, beta)
+    return -val, 2.0 * err

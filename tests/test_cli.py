@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conicwave import ConfigError, ScatteringModel
-from conicwave.cli import load_config, main, run
+from conicwave.cli import DECAY_ALPHA_WINDOW, load_config, main, run
 
 
 def _write(tmp_path, doc, name="cfg.json"):
@@ -117,6 +117,35 @@ def test_nonfinite_x_max_is_a_config_error(tmp_path, capsys):
         assert err.startswith("error: ") and "x_max" in err
 
 
+def _one_sided_table():
+    """r = sqrt(1 + softplus(x)^2): conical on the right, a cylinder on the
+    left."""
+    x = np.linspace(-400.0, 400.0, 8001)
+    r = np.sqrt(1.0 + np.logaddexp(0.0, x) ** 2)
+    return {"kind": "custom-tabulated", "conical_right": True,
+            "params": {"x": x.tolist(), "r": r.tolist()}, "x_max": 300.0}
+
+
+@pytest.mark.parametrize("profile, key", [
+    ({"kind": "cylinder", "x_max": "abc"}, "x_max"),
+    ({"kind": "hyperboloid", "params": {"a": "abc"}}, "params"),
+    ({"kind": "hyperboloid", "params": [1]}, "params"),
+    ({"kind": "cylinder", "d": 1.7}, "d must be an integer"),
+    (dict(_one_sided_table(), conical_right="false"), "conical_right")],
+    ids=["x_max-string", "param-string", "params-list", "d-float",
+         "conical-string"])
+def test_mistyped_profile_value_is_a_config_error(tmp_path, capsys, profile,
+                                                  key):
+    # a value of the wrong JSON type ends on the error: line (exit 1), not
+    # in a traceback and not in a run of a silently different profile
+    p = _write(tmp_path, {"profile": profile, "command": "describe"})
+    assert main(["describe", "--config", str(p),
+                 "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_kernel_csv_contract(tmp_path):
     doc = {"profile": {"kind": "cylinder"}, "command": "kernel",
            "kind": "schrodinger",
@@ -132,6 +161,39 @@ def test_kernel_csv_contract(tmp_path):
     val = complex(float(row[4]), float(row[5]))
     assert abs(float(row[6]) - abs(val)) <= 1e-15
     assert float(row[7]) <= 1e-4
+
+
+def test_decay_command(tmp_path, capsys):
+    doc = {"profile": {"kind": "cylinder"}, "command": "decay",
+           "t_grid": {"min": 10.0, "max": 1000.0, "count": 3, "scale": "log"},
+           "xi_grid": {"min": 0.0, "max": 1.0, "count": 2,
+                       "scale": "linear"}}
+    code = run(load_config(_write(tmp_path, doc)), tmp_path / "dc")
+    lines = (tmp_path / "dc" / "decay.csv").read_text().strip().splitlines()
+    assert lines[0] == "kind,t,sup_abs,fit_alpha,fit_C,fit_R2"
+    assert len(lines) == 1 + 3
+    # the exit status is the CSV's fit against the d = 1 Schrodinger
+    # target (d + 1)/2
+    row = lines[1].split(",")
+    alpha, r2 = float(row[3]), float(row[5])
+    ok = abs(alpha - 1.0) <= DECAY_ALPHA_WINDOW and r2 >= 0.95
+    assert code == (0 if ok else 2)
+    capsys.readouterr()
+
+
+def test_validate_low_command(tmp_path, capsys):
+    doc = {"profile": {"kind": "hyperboloid", "params": {"a": 1.0},
+                       "x_max": 5.0e4},
+           "command": "validate-low"}
+    assert run(load_config(_write(tmp_path, doc)), tmp_path / "vl") == 0
+    lines = (tmp_path / "vl" / "validate_low.csv").read_text().strip() \
+        .splitlines()
+    assert lines[0] == "check,law,constants,worst_residual,threshold,status"
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "wronskian_low_law", "a_plus_law", "c3_cross_check", "b_plus_law",
+        "db_plus_law", "da_plus_law", "f_plus_low_rep", "gamma_constants",
+        "moment_m1", "moment_m2"]
+    capsys.readouterr()
 
 
 def test_statphase_command(tmp_path):
@@ -156,15 +218,9 @@ def test_describe_conical_profile(tmp_path, capsys):
 
 
 def test_describe_one_sided_table(tmp_path, capsys):
-    # r = sqrt(1 + softplus(x)^2): conical on the right, a cylinder on the
-    # left; the table's arrays are summarised, C2 is given per end and C3
-    # for the conical end only (xi^3 V1 grows like xi/4 on the cylinder)
-    x = np.linspace(-400.0, 400.0, 8001)
-    r = np.sqrt(1.0 + np.logaddexp(0.0, x) ** 2)
-    doc = {"profile": {"kind": "custom-tabulated", "conical_right": True,
-                       "params": {"x": x.tolist(), "r": r.tolist()},
-                       "x_max": 300.0},
-           "command": "describe"}
+    # the table's arrays are summarised, C2 is given per end and C3 for the
+    # conical end only (xi^3 V1 grows like xi/4 on the cylinder)
+    doc = {"profile": _one_sided_table(), "command": "describe"}
     assert main(["describe", "--config", str(_write(tmp_path, doc)),
                  "--out", str(tmp_path / "d")]) == 0
     lines = dict(line.split(": ", 1) for line in

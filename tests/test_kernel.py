@@ -5,6 +5,7 @@ import dataclasses
 import tracemalloc
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 import pytest
 
 from conicwave import (DomainError, KernelEngine, standard_case_library,
@@ -233,12 +234,13 @@ def test_cached_panel_fits_match_fresh_engine(cylinder_model):
 
 
 def test_sub_table_tail(cylinder_model):
-    # the sub-table tail lam < LAM_MIN_TABLE: amp0 = lam g(s) extrapolated
-    # from the last s-panel with e^{-s} decay, under a phase held at its
-    # LAM_MIN_TABLE value, each reference line written out on its own
+    # the sub-table tail lam < LAM_MIN_TABLE: d = lam Im[F] cut and d' read
+    # off the channels' fits at w = -1 of the first panel, d held constant
+    # in s = log(1/lam) under a phase held at its LAM_MIN_TABLE value, each
+    # reference line written out on its own
     eng = KernelEngine(cylinder_model, xi_abs_max=400.0, s_panel=2.0,
                        panel_ratio=2.0)
-    g, lam_s, lam_min = eng._sgrid, eng._s_lam, LAM_MIN_TABLE
+    lam_min = LAM_MIN_TABLE
     xg, wg = gauss_legendre(12)
     cases = [(KIND_SCHRODINGER, None, 20.0, 3.0, -2.0),
              (KIND_WAVE_PLUS, None, 500.0, 3.0, -2.0),
@@ -247,16 +249,23 @@ def test_sub_table_tail(cylinder_model):
              (KIND_SCHRODINGER, "low_low", 1.0e6, 3.0, -2.0)]
     for kind, band, t, xi, xip in cases:
         p = eng._phase_power(kind)
-        amp0 = eng._pair_data(max(xi, xip), min(xi, xip), 30.0)["amp0"]
+        data = eng._pair_data(max(xi, xip), min(xi, xip), 30.0)
         cut = eng._cut_factory(band, xi, xip)
-        g_end = amp0[-g.order:] / lam_s[-g.order:]
-        s_end = g.nodes[-1]
-        tail = (g_end[-1] * lam_min * cut(lam_min)
-                * np.exp(1j * t * lam_min ** p))
-        err = abs((g_end[-1] - g_end[0]) / (s_end[-1] - s_end[0])
-                  * lam_min * cut(lam_min))
-        err += abs(g_end[-1] * lam_min * cut(lam_min)) * abs(t) * lam_min ** p
-        got = eng._sub_table_tail(amp0, cut, p, t)
+        fits = [eng._fits(data, (band, xi >= xip), j, cut)
+                for j in range(len(data["thetas"]))]
+        assert data["edges"][0] == lam_min
+        s = 0.5 * (data["edges"][1] - data["edges"][0])
+        d = d1 = 0.0
+        for th, (cp, _) in zip(data["thetas"], fits):
+            # cp fits lam G cut of a channel with the phase e^{i th lam}
+            e = np.exp(1j * th * lam_min)
+            v = P.polyval(-1.0, cp[0])
+            v1 = P.polyval(-1.0, P.polyder(cp[0])) / s
+            d += (e * v).imag
+            d1 += (e * (v1 + 1j * th * v)).imag
+        tail = lam_min * d * np.exp(1j * t * lam_min ** p)
+        err = lam_min ** 2 * abs(d1) + abs(tail * t) * lam_min ** p
+        got = eng._sub_table_tail(data, fits, p, t)
         assert abs(got[0] - tail) <= 1e-13 * abs(tail)
         assert abs(got[1] - err) <= 1e-13 * err
         if band is None:
@@ -334,8 +343,8 @@ def _branch(ev, xi):
 def test_batched_read_equals_one_point_values(name, branches, request):
     """``jost.f_at`` and every pair entry sampled through it equal, bit for
     bit, the one-point ``values`` read with scalar products: f on each
-    branch and side, the s-grid samples and amp0, and the Filon panel
-    samples (read off the s-grid below lam_low)."""
+    branch and side, the s-grid samples, and the Filon panel samples (read
+    off the s-grid below lam_low)."""
     eng = request.getfixturevalue(name)
     recs = ([eng._record(lam) for lam in eng._s_lam]
             + [eng._record(lam) for lam in (0.02, 0.3, 3.0, 40.0)])
@@ -360,11 +369,6 @@ def test_batched_read_equals_one_point_values(name, branches, request):
                   for v in zip(*(_amps_one_point(r, hi, lo) for r in s_recs))]
         assert all(np.array_equal(a, b) for a, b in
                    zip(eng._amplitudes(hi, lo, s_recs), s_vals))
-        lam_s = eng._s_lam
-        amp0 = np.zeros(len(lam_s))
-        for th, v in zip(data["thetas"], s_vals):
-            amp0 += (np.exp(1j * th * lam_s) * v).imag
-        assert np.array_equal(data["amp0"], amp0 * (lam_s * lam_s))
         for b, lam_nodes, *vals in zip(data["edges"][1:], data["nodes"],
                                        *data["vals"]):
             if b <= eng.lam_low:

@@ -102,14 +102,25 @@ def test_constant_maps_match_generic_polynomial_calls():
             ref = P.polyval(0.5 * (w + shift), coef)
             got = P.polyval(w, halves[k * n1: (k + 1) * n1])
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-        # derivatives against polyder, scaled by sum_j |c_j| |w|^j
+        # the boundary series' lam-derivatives against polyder, each scaled
+        # by sum_j |c_j| |w|^j / s^k: at alpha = 0 and lam = 0 the series is
+        # sum_k (-1)^k p_k / D^(k+1), D = i beta, and its error term
+        # |p_4| / |D|^5 max(1, |beta|), so the bound carries over
         wq, s = rng.uniform(-1.0, 1.0), 10 ** rng.uniform(-3.0, 1.0)
-        der = coef
-        for k, got in enumerate(OQ.derivatives(coef, wq, s)):
-            ref = P.polyval(wq, der) / s ** k
-            scale = P.polyval(abs(wq), np.abs(der)) / s ** k
-            assert abs(got - ref) <= 1e-14 * scale
+        beta = rng.uniform(0.5, 2.0)
+        refs, scales, der = [], [], coef
+        for k in range(5):
+            refs.append(P.polyval(wq, der) / s ** k)
+            scales.append(P.polyval(abs(wq), np.abs(der)) / s ** k)
             der = P.polyder(der)
+        (got,), (got_err,) = OQ._boundary_series(coef[None], wq, s, 0.0, 0.0,
+                                                 np.array([beta]))
+        ref = sum((-1) ** k * refs[k] / (1j * beta) ** (k + 1)
+                  for k in range(4))
+        assert abs(got - ref) <= 1e-14 * sum(scales[k] / beta ** (k + 1)
+                                             for k in range(4))
+        amp = max(1.0, beta) / beta ** 5
+        assert abs(got_err - abs(refs[4]) * amp) <= 1e-14 * scales[4] * amp
         # weighted Gauss-node values of the mild regime
         for n, (xg, wv) in OQ._GAUSS.items():
             ref = np.polynomial.legendre.leggauss(n)[1] * P.polyval(xg, coef)
@@ -131,15 +142,14 @@ def test_linear_filon_small_curvature():
 
 
 def test_abel_tail_against_exponential_integral():
-    # integral_L^inf e^{i beta lam} / lam dlam = E1(-i beta L) exactly
+    # integral_L^inf e^{i beta lam} / lam dlam = E1(-i beta L) exactly; the
+    # Taylor coefficients of 1/lam about L, on a panel of half-width 1
+    # centred there
     from scipy.special import exp1
     L, beta = 5.0, 7.0
-    p = 1.0 / L
-    p1 = -1.0 / L ** 2
-    p2 = 2.0 / L ** 3
-    p3 = -6.0 / L ** 4
-    p4 = 24.0 / L ** 5
-    val, err = OQ.tail_integral(p, p1, p2, p3, p4, 0.0, beta, L)
+    k = np.arange(OQ.DEG + 1)
+    (val,), (err,) = OQ.tail_integral((-1.0) ** k[None] / L ** (k + 1), 0.0,
+                                      1.0, 0.0, np.array([beta]), L)
     ref = exp1(-1j * beta * L)
     assert abs(val - ref) <= 1e-5
     assert abs(val - ref) <= 10 * err + 1e-12
