@@ -111,7 +111,8 @@ _PROFILE_TYPES = {
         _is_number(x) or isinstance(x, list) and all(map(_is_number, x))
         for x in v.values()), "an object of numbers or lists of numbers"),
     "x_max": (_is_number, "a number"),
-    "d": (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+    "d": (lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+          "an integer"),
     "conical_left": (lambda v: isinstance(v, bool), "true or false"),
     "conical_right": (lambda v: isinstance(v, bool), "true or false"),
 }
@@ -146,17 +147,20 @@ def load_config(path) -> RunConfig:
     command = doc["command"]
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    cfg = RunConfig(profile=profile, command=command, out=doc.get("out"),
-                    kind=doc.get("kind", "schrodinger"), band=doc.get("band"))
+    cfg = RunConfig(profile=profile, command=command, out=doc.get("out"))
     defaults = _GRID_DEFAULTS.get(command, {})
     for gname in ("lam_grid", "t_grid", "xi_grid"):
         src = doc.get(gname, defaults.get(gname))
         if src is not None:
             setattr(cfg, gname, _parse_grid(src, gname))
-    if cfg.kind not in KINDS:
-        raise ConfigError(f"unknown kernel kind {cfg.kind!r}")
-    if cfg.band is not None and cfg.band not in BANDS:
-        raise ConfigError(f"unknown band {cfg.band!r}")
+    kind = doc.get("kind", "schrodinger")
+    if kind not in KINDS:
+        raise ConfigError(f"unknown kernel kind {kind!r}")
+    cfg.kind = kind
+    band = doc.get("band")
+    if band is not None and band not in BANDS:
+        raise ConfigError(f"unknown band {band!r}")
+    cfg.band = band
     return cfg
 
 
@@ -260,8 +264,6 @@ def _cmd_coeffs(cfg, out: Path) -> int:
     model = _build_model(cfg)
     if cfg.lam_grid is None:
         raise ConfigError("coeffs command requires lam_grid")
-    coef_names = ["a_plus", "b_plus", "a_minus", "b_minus", "W",
-                  "alpha_minus", "beta_minus"]
     res_names = ["wronskian_constancy", "connection_identity", "beta_from_W",
                  "unitarity", "lower_bound"]
     rows, flagged = [], []
@@ -271,11 +273,19 @@ def _cmd_coeffs(cfg, out: Path) -> int:
         flagged += [f"[flag] {k} = {_fmt(sd.residuals[k])} at lambda "
                     f"{_fmt(lam)}\n" for k, gate in _COEFFS_GATES.items()
                     if not sd.residuals[k] <= gate]
-        parts = [getattr(sd, k) for k in coef_names]
-        rows.append((lam, *[x for z in parts for x in (z.real, z.imag)],
+        rows.append((lam,
+                     sd.a_plus.real, sd.a_plus.imag,
+                     sd.b_plus.real, sd.b_plus.imag,
+                     sd.a_minus.real, sd.a_minus.imag,
+                     sd.b_minus.real, sd.b_minus.imag,
+                     sd.W.real, sd.W.imag,
+                     sd.alpha_minus.real, sd.alpha_minus.imag,
+                     sd.beta_minus.real, sd.beta_minus.imag,
                      *[sd.residuals[k] for k in res_names]))
-    hdr = (["lambda"] + [f"{p}_{k}" for k in coef_names for p in ("re", "im")]
-           + [f"res_{k}" for k in res_names])
+    hdr = ["lambda", "re_a_plus", "im_a_plus", "re_b_plus", "im_b_plus",
+           "re_a_minus", "im_a_minus", "re_b_minus", "im_b_minus",
+           "re_W", "im_W", "re_alpha_minus", "im_alpha_minus",
+           "re_beta_minus", "im_beta_minus"] + [f"res_{k}" for k in res_names]
     _write_csv(out / "coeffs.csv", hdr, rows)
     sys.stdout.write("".join(flagged))
     return 2 if flagged else 0
@@ -286,19 +296,28 @@ def _emit_summary(report: dict, out: Path, stem: str) -> int:
     when any check is flagged."""
     hdr = ["check", "law", "constants", "worst_residual", "threshold",
            "status"]
-    rows = [(name, rec.get("law", ""),
-             json.dumps({k: float(v) for k, v in
-                         rec.get("constants", {}).items()}, sort_keys=True),
-             rec["value"], rec.get("threshold", np.nan),
-             "pass" if rec["ok"] else "flag")
-            for name, rec in report.items()]
-    _write_csv(out / f"{stem}.csv", hdr, rows)
-    text = "".join(f"[{status:>4}] {name}: residual {_fmt(value)} "
-                   f"(threshold {_fmt(gate)})  {law}\n"
-                   for name, law, _, value, gate, status in rows)
+    rows = []
+    for name, rec in report.items():
+        consts = rec.get("constants", {})
+        rows.append({
+            "check": name,
+            "law": rec.get("law", ""),
+            "constants": json.dumps({k: float(v) for k, v in consts.items()},
+                                    sort_keys=True),
+            "worst_residual": rec["value"],
+            "threshold": rec.get("threshold", np.nan),
+            "status": "pass" if rec["ok"] else "flag",
+        })
+    _write_csv(out / f"{stem}.csv", hdr, [[r[k] for k in hdr] for r in rows])
+    lines = []
+    for r in rows:
+        lines.append(f"[{r['status']:>4}] {r['check']}: "
+                     f"residual {_fmt(r['worst_residual'])} "
+                     f"(threshold {_fmt(r['threshold'])})  {r['law']}")
+    text = "\n".join(lines) + "\n"
     (out / f"{stem}.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-    return 0 if all(row[-1] == "pass" for row in rows) else 2
+    return 0 if all(r["status"] == "pass" for r in rows) else 2
 
 
 def _cmd_validate_low(cfg, out: Path) -> int:

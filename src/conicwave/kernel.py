@@ -438,10 +438,9 @@ class KernelEngine:
         LAM_MIN_TABLE |dd/ds| = LAM_MIN_TABLE^2 |d'|, under a phase held at
         its LAM_MIN_TABLE value."""
         lam = LAM_MIN_TABLE
-        c = np.array([cp[0] for cp, _ in fits]).T
-        v = oscquad.eval_poly(c, -1.0)
-        v1 = oscquad.eval_poly(c[1:] * np.arange(1, len(c))[:, None], -1.0) \
-            / (0.5 * (data["edges"][1] - data["edges"][0]))
+        v, v1 = oscquad._lam_derivatives(
+            np.array([cp[0] for cp, _ in fits]), -1.0,
+            0.5 * (data["edges"][1] - data["edges"][0]))[:2]
         # d sums Im[e^{i theta lam} cp] over the channels
         th = np.array(data["thetas"])
         e = np.exp(1j * th * lam)

@@ -197,23 +197,20 @@ def _ibp_panel(a, b, coef: np.ndarray, alpha, beta) -> np.ndarray:
             - _boundary_series(coef, -1.0, s, a, alpha, beta)[0])
 
 
+def _lam_derivatives(coef: np.ndarray, w: float, s) -> np.ndarray:
+    """(5, rows): each row's polynomial and its first four lam-derivatives
+    at w, for panels of half-width s (lam = mid + s w)."""
+    return coef @ _DERIV.transpose(0, 2, 1) @ w ** _POW / s ** _POW[:5, None]
+
+
 def _boundary_series(coef: np.ndarray, w: float, s, lam, alpha, beta):
     """(e^{i phi} (B0 - B1 + B2 - B3), |B4| max(1, |phi'|)) per row of
     ``coef`` at the point lam = mid + s w of its panel of half-width s,
-    phi = alpha lam^2 + beta lam (``ibp_boundary_terms``)."""
-    # the polynomial and its first four lam-derivatives at w
-    p = coef @ _DERIV.transpose(0, 2, 1) @ w ** _POW / s ** _POW[:5, None]
+    phi = alpha lam^2 + beta lam, B0 = p/(i phi'), B_{k+1} = B_k'/(i phi')."""
+    p, p1, p2, p3, p4 = _lam_derivatives(coef, w, s)
     phi1 = 2.0 * alpha * lam + beta
-    val, b4 = ibp_boundary_terms(*p, phi1, 2.0 * alpha)
-    return (np.exp(1j * (alpha * lam * lam + beta * lam)) * val,
-            b4 * np.maximum(1.0, np.abs(phi1)))
-
-
-def ibp_boundary_terms(p, p1, p2, p3, p4, phi1, phi2):
-    """(B0 - B1 + B2 - B3, |B4|) for amplitude derivatives at one point,
-    B0 = p/(i phi'), B_{k+1} = B_k'/(i phi')."""
     D = 1j * phi1
-    Dp = 1j * phi2
+    Dp = 2j * alpha
     B0 = p / D
     B1 = p1 / D ** 2 - p * Dp / D ** 3
     B2 = p2 / D ** 3 - 3.0 * p1 * Dp / D ** 4 + 3.0 * p * Dp ** 2 / D ** 5
@@ -221,7 +218,8 @@ def ibp_boundary_terms(p, p1, p2, p3, p4, phi1, phi2):
           + 15.0 * p1 * Dp ** 2 / D ** 6 - 15.0 * p * Dp ** 3 / D ** 7)
     B4 = (p4 / D ** 5 - 10.0 * p3 * Dp / D ** 6 + 45.0 * p2 * Dp ** 2 / D ** 7
           - 105.0 * p1 * Dp ** 3 / D ** 8 + 105.0 * p * Dp ** 4 / D ** 9)
-    return B0 - B1 + B2 - B3, abs(B4)
+    return (np.exp(1j * (alpha * lam * lam + beta * lam)) * (B0 - B1 + B2 - B3),
+            abs(B4) * np.maximum(1.0, np.abs(phi1)))
 
 
 def tail_integral(coef: np.ndarray, w: float, s: float, alpha: float,

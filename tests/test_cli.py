@@ -146,6 +146,15 @@ def test_mistyped_profile_value_is_a_config_error(tmp_path, capsys, profile,
     assert not (tmp_path / "d").exists()
 
 
+def test_integral_float_d_is_accepted(tmp_path, capsys):
+    # JSON writers may emit d = 2 as 2.0: it runs as d = 2 (1.7 is refused
+    # above)
+    doc = {"profile": {"kind": "cylinder", "d": 2.0}, "command": "describe"}
+    assert main(["describe", "--config", str(_write(tmp_path, doc)),
+                 "--out", str(tmp_path / "d")]) == 0
+    assert "d: 2\n" in capsys.readouterr().out
+
+
 def test_kernel_csv_contract(tmp_path):
     doc = {"profile": {"kind": "cylinder"}, "command": "kernel",
            "kind": "schrodinger",

@@ -102,17 +102,19 @@ def test_constant_maps_match_generic_polynomial_calls():
             ref = P.polyval(0.5 * (w + shift), coef)
             got = P.polyval(w, halves[k * n1: (k + 1) * n1])
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-        # the boundary series' lam-derivatives against polyder, each scaled
-        # by sum_j |c_j| |w|^j / s^k: at alpha = 0 and lam = 0 the series is
-        # sum_k (-1)^k p_k / D^(k+1), D = i beta, and its error term
-        # |p_4| / |D|^5 max(1, |beta|), so the bound carries over
+        # lam-derivatives against polyder, each within 1e-14 of its own
+        # scale sum_j |c_j| |w|^j / s^k
         wq, s = rng.uniform(-1.0, 1.0), 10 ** rng.uniform(-3.0, 1.0)
-        beta = rng.uniform(0.5, 2.0)
         refs, scales, der = [], [], coef
-        for k in range(5):
+        for k, got in enumerate(OQ._lam_derivatives(coef[None], wq, s)[:, 0]):
             refs.append(P.polyval(wq, der) / s ** k)
             scales.append(P.polyval(abs(wq), np.abs(der)) / s ** k)
+            assert abs(got - refs[k]) <= 1e-14 * scales[k]
             der = P.polyder(der)
+        # the boundary series built from them: at alpha = 0 and lam = 0 it
+        # is sum_k (-1)^k p_k / D^(k+1), D = i beta, with error term
+        # |p_4| / |D|^5 max(1, |beta|); beta ~ 1/s keeps the terms alike
+        beta = rng.uniform(0.5, 2.0) / s
         (got,), (got_err,) = OQ._boundary_series(coef[None], wq, s, 0.0, 0.0,
                                                  np.array([beta]))
         ref = sum((-1) ** k * refs[k] / (1j * beta) ** (k + 1)
