@@ -71,9 +71,7 @@ def make_profile(config: dict) -> ProfileSpec:
         raise ConfigError("cross-section dimension d must be a positive integer")
 
     if kind == "cylinder":
-        radius = float(params.get("radius", 1.0))
-        if radius <= 0:
-            raise ConfigError("cylinder radius must be positive")
+        radius = _positive(params, "radius", "cylinder radius")
         prof = ProfileSpec(
             kind=kind, params={"radius": radius}, d=d,
             conical_left=False, conical_right=False,
@@ -81,9 +79,7 @@ def make_profile(config: dict) -> ProfileSpec:
             r1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             r2=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     elif kind == "hyperboloid":
-        a = float(params.get("a", 1.0))
-        if a <= 0:
-            raise ConfigError("hyperboloid scale a must be positive")
+        a = _positive(params, "a", "hyperboloid scale")
         a2 = a * a
         prof = ProfileSpec(
             kind=kind, params={"a": a}, d=d,
@@ -92,9 +88,7 @@ def make_profile(config: dict) -> ProfileSpec:
             r1=lambda x: x / np.sqrt(a2 + np.asarray(x, dtype=float) ** 2),
             r2=lambda x: a2 * (a2 + np.asarray(x, dtype=float) ** 2) ** -1.5)
     elif kind == "two-sided-cone-smoothed":
-        kappa = float(params.get("kappa", 1.0))
-        if kappa <= 0:
-            raise ConfigError("smoothing rate kappa must be positive")
+        kappa = _positive(params, "kappa", "smoothing rate")
 
         def _r(x):
             x = np.asarray(x, dtype=float)
@@ -121,12 +115,25 @@ def make_profile(config: dict) -> ProfileSpec:
     return prof
 
 
+def _positive(params: dict, name: str, what: str) -> float:
+    """params[name] (default 1) as a finite float > 0, else ConfigError;
+    json reads NaN and Infinity, and NaN <= 0 is false."""
+    v = float(params.get(name, 1.0))
+    if not (np.isfinite(v) and v > 0):
+        raise ConfigError(f"{what} {name} must be finite and positive, "
+                          f"got {v!r}")
+    return v
+
+
 def _tabulated_profile(params, d, conical_left, conical_right) -> ProfileSpec:
     x = np.asarray(params.get("x"), dtype=float)
     r = np.asarray(params.get("r"), dtype=float)
     if x is None or r is None or x.ndim != 1 or x.shape != r.shape or len(x) < 7:
         raise ConfigError("custom-tabulated profile needs matching 1-d arrays "
                           "x, r with at least 7 points")
+    for name, v in (("x", x), ("r", r)):
+        if not np.isfinite(v).all():
+            raise ConfigError(f"tabulated {name} has a non-finite entry")
     if np.any(np.diff(x) <= 0):
         raise ConfigError("tabulated x grid must be strictly increasing")
     if np.any(r <= 0):

@@ -10,9 +10,11 @@ reflection, transmission) then lives in the basis coefficients.
 
 Oscillatory (lam above lam_low, or any lam when the potential is summable
 enough): the phase-stripped function m = exp(-i*lam*xi) f solves a backward
-Volterra equation with a bounded kernel; it is solved on the conical tail
-[min(2/lam, 2), xi_max] with an analytic tail correction and continued inward
-through the core as an ODE.
+Volterra equation with a bounded kernel, truncated at B with an analytic
+tail correction.  For lam <= 1 one panel-wise sweep solves it over the whole
+window, core included (Greengard-Rokhlin, CPAM 44, 1991); for lam > 1 it is
+solved on the conical tail [2/lam, B] and continued inward through the core
+as an ODE.
 
 Conventions
 -----------
@@ -45,6 +47,8 @@ from .volterra import separable_integrators, sweep
 
 LAM_LOW = 1.0e-2
 SWEEP_TOL = 1e-12
+#: width of the linear core panels of the oscillatory m sweep (lam <= 1)
+CORE_PANEL = 0.05
 #: sign of (u0, u0', u1, u1') under xi -> -xi: u0 even-type, u1 odd-type
 _PARITY = (1.0, -1.0, -1.0, 1.0)
 
@@ -101,12 +105,28 @@ def _match(f_df, basis, pts):
     return complex(a3[1]), complex(b3[1]), float(spread)
 
 
+def _core_breaks(lam: float, lo: float, xi_v: float) -> np.ndarray:
+    """Breaks of the m sweep's core [lo, xi_v], lo <= 0 < xi_v.
+
+    CORE_PANEL-wide panels on [0, xi_v]; below 0 the mirror of
+    ``graded_breaks`` (the same width out to -xi_v, geometric beyond, so
+    the node count grows with log|lo|), split where m's e^{-2i lam xi}
+    part would turn by more than 1 rad per panel.
+    """
+    right = panels.linear_breaks(0.0, xi_v, int(np.ceil(xi_v / CORE_PANEL)))
+    if lo == 0.0:
+        return right
+    left = -panels.graded_breaks(0.0, -lo, xi_v, CORE_PANEL, 12)[::-1]
+    left = panels.cap_phase(left, lambda s: 2.0 * lam, max_phase=1.0)
+    return np.concatenate([left[:-1], right])
+
+
 def _continue(pv, lam: float, y0, span):
     """Dense solution of f'' = (V - lam^2) f over ``span`` from y0 = (f, f')."""
 
     def rhs(s, y):
-        # a list and a scalar V: this runs 142,842 times per cold spectral
-        # table (the perfbench kernel op), inward from xi_v <= 2
+        # a list and a scalar V: this runs 45,154 times per cold spectral
+        # table (the perfbench kernel op), inward from xi_v = 2/lam < 2
         return [y[1], (pv.V_at(s) - lam * lam) * y[0]]
 
     sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-11, atol=1e-13,
@@ -276,8 +296,10 @@ class _LowSide(JostEvaluator):
 @dataclass(frozen=True, eq=False)
 class _OscSide(JostEvaluator):
     """Oscillatory-pipeline f on one side: m = e^{-i lam xi} f and m',
-    stacked (2, n) on ``grid`` from ``xi_v`` up, the inward ODE solution
-    ``ode`` of (f, f') below it."""
+    stacked (2, n) on ``grid``.  For lam <= 1 (``ode`` None) the grid
+    spans the whole window, the core below ``xi_v`` included; above that
+    it starts at ``xi_v`` and the inward ODE solution ``ode`` of (f, f')
+    serves the core."""
 
     grid: panels.PanelGrid
     mdm: np.ndarray
@@ -288,7 +310,8 @@ class _OscSide(JostEvaluator):
     @staticmethod
     def read(evs, x):
         out = np.empty((2, x.size), dtype=complex)
-        on_grid = x >= np.array([e.xi_v for e in evs])
+        on_grid = x >= np.array([-np.inf if e.ode is None else e.xi_v
+                                 for e in evs])
         i = np.flatnonzero(on_grid)
         if i.size:
             sub = [evs[k] for k in i]
@@ -541,15 +564,18 @@ class ScatteringModel:
 
     def _m_side(self, side: str, lam: float, xi_floor: float = 0.0,
                 xi_hi: float = 0.0):
-        """Backward Volterra for m on [xi_v, B], ODE continuation below.
+        """Backward Volterra for m on [lo, B], lo = min(xi_floor, 0).
 
         The kernel is (exp(2i lam (eta - xi)) - 1)/(2i lam) V(eta), the
         phase-stripped form of the sine-kernel equation; truncation at B is
         compensated by the analytic conical-tail forcing.  The kernel is
-        bounded by min(eta - xi, 1/lam)|V(eta)|, so the sweep covers the
-        conical tail down to xi_v = min(2/lam, 2) and the ODE the core,
-        whose V is too sharp for the geometric grid.  Returns the
-        evaluator of f (an ``_OscSide``) for xi in [min(xi_floor, 0), B].
+        bounded by min(eta - xi, 1/lam)|V(eta)|, so one sweep can run
+        through the core as well as the conical tail.  The tail down to
+        xi_v = min(2/max(lam, 1), 0.45 xi_max) takes geometric panels;
+        for lam <= 1 the core [lo, xi_v] takes ``_core_breaks`` in front of
+        them and the sweep covers the whole window.  For lam > 1 the core
+        is left to the inward ODE continuation ``_continue`` from xi_v.
+        Returns the evaluator of f (an ``_OscSide``) for xi in [lo, B].
         """
         pv = self._pv(side)
         xi_max = 0.98 * pv.xi_cap
@@ -568,6 +594,10 @@ class ScatteringModel:
         if key in self._osc_cache:
             return self._osc_cache[key]
         breaks = panels.geometric_breaks(xi_v, B, 12)
+        core = lam <= 1.0
+        if core:
+            breaks = np.concatenate([_core_breaks(lam, lo, xi_v), breaks[1:]])
+        start = lo if core else xi_v
         grid = panels.PanelGrid.build(breaks, order=10)
         e = grid.flat
         V = pv.V(e)
@@ -576,20 +606,22 @@ class ScatteringModel:
         ph = np.exp(-2j * lam * e)
         g = 1.0 + inv2il * (ph * c1tp - c0t)
         integ = separable_integrators(grid, "backward", [0.0, 2.0 * lam])
-        # |e^{2i lam (eta - xi)} - 1|/(2 lam) <= min(eta - xi_v, 1/lam) for
-        # xi >= xi_v; the separable sup|A| int|B| would be int|V|/lam
+        # |e^{2i lam (eta - xi)} - 1|/(2 lam) <= min(eta - start, 1/lam)
+        # for xi >= start; the separable sup|A| int|B| would be int|V|/lam
         mu = float(panels.integrate(
-            grid, np.minimum(e - xi_v, 1.0 / lam) * np.abs(V)).real)
+            grid, np.minimum(e - start, 1.0 / lam) * np.abs(V)).real)
         m, (_, t2), _ = sweep(integ, (-inv2il, ph * inv2il), (V, V), g,
                               SWEEP_TOL, mu=mu)
         dm = -ph * (t2 + c1tp)
-        # inward ODE continuation for xi below xi_v
-        fv = np.exp(1j * lam * xi_v)
         mdm = np.stack([m, dm])
-        m_v, dm_v = grid.interpolate(mdm, [xi_v])[:, 0]
-        y0 = [fv * m_v, fv * (1j * lam * m_v + dm_v)]
-        ode = _continue(pv, lam, np.asarray(y0, dtype=complex),
-                        (xi_v, lo - 1e-9))
+        ode = None
+        if not core:
+            # inward ODE continuation for xi below xi_v
+            fv = np.exp(1j * lam * xi_v)
+            m_v, dm_v = grid.interpolate(mdm, [xi_v])[:, 0]
+            y0 = [fv * m_v, fv * (1j * lam * m_v + dm_v)]
+            ode = _continue(pv, lam, np.asarray(y0, dtype=complex),
+                            (xi_v, lo - 1e-9))
         ev = _OscSide(lam, (lo, B), grid, mdm, xi_v, ode)
         self._osc_cache[key] = ev
         return ev

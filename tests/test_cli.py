@@ -117,6 +117,32 @@ def test_nonfinite_x_max_is_a_config_error(tmp_path, capsys):
         assert err.startswith("error: ") and "x_max" in err
 
 
+@pytest.mark.parametrize("kind, name", [
+    ("cylinder", "radius"), ("hyperboloid", "a"),
+    ("two-sided-cone-smoothed", "kappa")])
+def test_nonfinite_profile_parameter_is_a_config_error(tmp_path, capsys,
+                                                       kind, name):
+    # NaN passes a "<= 0" check; the error: line names the parameter
+    for v in (float("nan"), float("inf"), -float("inf")):
+        p = _write(tmp_path, {"profile": {"kind": kind, "params": {name: v}},
+                              "command": "describe"})
+        assert main(["describe", "--config", str(p),
+                     "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f" {name} must be finite" in err
+
+
+@pytest.mark.parametrize("name", ["x", "r"])
+def test_nonfinite_table_entry_is_a_config_error(tmp_path, capsys, name):
+    profile = _one_sided_table()
+    profile["params"][name][4000] = float("nan")
+    p = _write(tmp_path, {"profile": profile, "command": "describe"})
+    assert main(["describe", "--config", str(p),
+                 "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"tabulated {name} " in err
+
+
 def _one_sided_table():
     """r = sqrt(1 + softplus(x)^2): conical on the right, a cylinder on the
     left."""

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from conicwave import (C0, C1, KAPPA, ArclengthChart, DomainError,
-                       KernelEngine, ScatteringModel, f0_values, make_profile)
+                       KernelEngine, PotentialProfile, ScatteringModel,
+                       f0_values, make_profile)
 from conicwave import jost
 from conicwave.jost import wr
 
@@ -87,15 +89,76 @@ def test_wronskian_constancy_of_jost_pair(hyperboloid_model):
     ids=["a0.2", "a1", "a10", "cone-k5"])
 def test_oscillatory_flux_constant_across_handover(profile):
     # for real V, w = Wr(f+, conj f+)/(-2i lam) is constant; [0, 300]
-    # reads the core ODE below xi_v = min(2/lam, 2) and the m sweep above
-    # it.  w itself sits ~1e-7 off 1 (the truncation at B), so the spread
-    # is what is gated.
+    # reads the m sweep, which runs through the core for lam <= 1 and
+    # hands the core below xi_v = 2/lam to the ODE at lam = 3.  w itself
+    # sits ~1e-7 off 1 (the truncation at B), so the spread is what is
+    # gated.
     m = ScatteringModel(make_profile(profile))
     xs = np.linspace(0.0, 300.0, 601)
     for lam in (0.011, 0.05, 0.3, 0.9, 3.0):
         f, df = m.jost_plus(lam, xi_hi=300.0).values(xs)
         w = wr(f, df, f.conj(), df.conj()) / (-2j * lam)
         assert np.max(np.abs(w - w[-1])) <= 1e-9, lam
+
+
+@pytest.mark.parametrize("profile, rtol", [
+    (HYPERBOLOID_A1, 2e-12),
+    ({"kind": "hyperboloid", "params": {"a": 0.2}}, 1e-8),
+    ({"kind": "two-sided-cone-smoothed", "params": {"kappa": 5.0}}, 1e-8)],
+    ids=["a1", "a0.2", "cone-k5"])
+def test_core_sweep_panel_halving(profile, rtol, monkeypatch):
+    # for lam <= 1 the m sweep covers the core on CORE_PANEL-wide panels;
+    # halving them moves W by rounding on a=1 and, on the two sharp necks,
+    # by the interpolation error of the V spline (~1e-9)
+    prof = make_profile(profile)
+    chart = ArclengthChart(prof)
+    pot = PotentialProfile(prof, chart)
+    for lam in (0.05, 0.5):
+        W = ScatteringModel(prof, chart, pot).wronskian(lam)
+        with monkeypatch.context() as mp:
+            mp.setattr(jost, "CORE_PANEL", 0.5 * jost.CORE_PANEL)
+            W_half = ScatteringModel(prof, chart, pot).wronskian(lam)
+        assert abs(W - W_half) <= rtol * abs(W_half), lam
+
+
+def test_ode_continues_the_core_only_above_lam_one(monkeypatch):
+    # for lam <= 1 the m sweep covers the core; above, each side's core is
+    # one ODE continuation, shared by the coefficients and W
+    calls = []
+    real = jost.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jost, "solve_ivp", counting)
+    model = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    model.scattering_data(0.5)
+    assert calls == []
+    model.scattering_data(3.0)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.5])
+def test_core_sweep_far_left_window(hyperboloid_model, lam):
+    # a window reaching xi = -1e3 grows the core grid geometrically below
+    # -2, phase-capped at 1 rad of e^{-2i lam xi} per panel (at lam = 0.5
+    # about 1.1e4 nodes), and f there agrees with a tight ODE continuation
+    # inward from xi = 2
+    ev = hyperboloid_model.jost_plus(lam, xi_min=-1e3)
+    assert ev.grid.flat.size <= 12000
+    pot = hyperboloid_model.pot
+
+    def rhs(s, y):
+        return [y[1], (float(pot.V(s)) - lam * lam) * y[0]]
+
+    pts = np.array([-1e3, -20.0, -0.5])
+    sol = solve_ivp(rhs, (2.0, -1e3 - 1e-9), ev.values([2.0])[:, 0],
+                    method="DOP853", rtol=1e-12, atol=1e-14,
+                    dense_output=True)
+    want = np.array([sol.sol(x)[0] for x in pts])
+    f = ev.values(pts)[0]
+    assert np.max(np.abs(f - want) / np.abs(want)) <= 1e-7
 
 
 def test_wave_sample_h_residual(hyperboloid_model):

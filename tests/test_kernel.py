@@ -333,13 +333,15 @@ def _branch(ev, xi):
         if x >= side.xi_lo:
             return "V1 grid"
         return "basis" if x >= 0 else "mirrored basis"
-    return "m grid" if x >= side.xi_v else "ODE"
+    if x >= side.xi_v:
+        return "m grid"
+    return "core grid" if side.ode is None else "ODE"
 
 
 @pytest.mark.parametrize("name, branches", [
     ("hyperboloid_engine",
-     {"V1 grid", "basis", "mirrored basis", "m grid", "ODE"}),
-    ("cylinder_engine", {"m grid", "ODE"})])
+     {"V1 grid", "basis", "mirrored basis", "m grid", "core grid", "ODE"}),
+    ("cylinder_engine", {"m grid", "core grid", "ODE"})])
 def test_batched_read_equals_one_point_values(name, branches, request):
     """``jost.f_at`` and every pair entry sampled through it equal, bit for
     bit, the one-point ``values`` read with scalar products: f on each
