@@ -440,6 +440,12 @@ class ScatteringModel:
         u0x, du0x, u1x, du1x = _seed_values(pv, x)
         lam2 = lam * lam
         integ = separable_integrators(grid, "forward", [0.0, 0.0])
+        # |K(xi, eta)| = lam^2 u0(xi) u0(eta) (I(xi) - I(eta)) with I = u1/u0
+        # increasing (I' = 1/u0^2): for xi >= eta it is at most lam^2
+        # u0(eta) R(eta) (I(L) - I(eta)), R(eta) the max of u0 on [eta, L]
+        iv = u1x / u0x
+        R = np.maximum.accumulate(u0x[::-1])[::-1]
+        mu = lam2 * float(panels.integrate(grid, u0x * R * (iv[-1] - iv)))
         sols = []
         for seed in (u0x, u1x):
             # u(xi,lam) = u_j(xi) - lam^2 int_0^xi [u1(xi)u0 - u0(xi)u1] u(.,lam);
@@ -448,7 +454,7 @@ class ScatteringModel:
             f, (p0, p1), _ = sweep(
                 integ, (-lam2 * u1x, lam2 * u0x), (u0x, u1x),
                 seed.astype(complex),
-                SWEEP_TOL * max(1.0, float(np.max(np.abs(seed)))))
+                SWEEP_TOL * max(1.0, float(np.max(np.abs(seed)))), mu)
             # corrections relative to the zero-energy seed: the seed is
             # evaluated exactly at interpolation time, so the panel
             # interpolation error only touches the O(lam^2) part
@@ -516,8 +522,12 @@ class ScatteringModel:
         A2 = -f0 * inv2il
         B2 = np.conj(f0) * v1
         integ = separable_integrators(grid, "backward", [0.0, 0.0])
+        # the separable bound sum_r sup|A_r| int|B_r|
+        mu = sum(float(np.max(np.abs(Ar)))
+                 * float(panels.integrate(grid, np.abs(Br)))
+                 for Ar, Br in ((A1, B1), (A2, B2)))
         f, (t1, t2), _ = sweep(integ, (A1, A2), (B1, B2), g,
-                               SWEEP_TOL * float(np.max(np.abs(g))))
+                               SWEEP_TOL * float(np.max(np.abs(g))), mu)
         df = df0 + np.conj(df0) * (s1 + t1 * inv2il) \
             - df0 * (s2 + t2 * inv2il)
         f_df = np.stack([f, df])
@@ -611,7 +621,7 @@ class ScatteringModel:
         mu = float(panels.integrate(
             grid, np.minimum(e - start, 1.0 / lam) * np.abs(V)).real)
         m, (_, t2), _ = sweep(integ, (-inv2il, ph * inv2il), (V, V), g,
-                              SWEEP_TOL, mu=mu)
+                              SWEEP_TOL, mu)
         dm = -ph * (t2 + c1tp)
         mdm = np.stack([m, dm])
         ode = None

@@ -6,33 +6,34 @@ kernel evaluation reduces to polynomial work against that table:
 
 * the lambda table below lam_low is parametrised as lam = e^{-s},
   resolving the 1/(lam log^2 lam) structure, down to LAM_MIN_TABLE;
-* the s-grid has 12-node panels of width 2 in s (7 panels for lam_low =
-  1e-2); at the sub-threshold Filon nodes its interpolation error is at
-  most 1.3e-9 of the channel amplitudes on the hyperboloids a = 0.2, 1,
-  10 and the smoothed cone kappa = 5 (4.3e-10 on a = 1);
-* the integral from LAM_MIN_TABLE up to lam_top runs on one geometric
-  ladder of Chebyshev panels of the phase-stripped channel amplitudes;
-  below lam_low the ladder steps by panel_ratio^2 (25 panels at the
-  default ratio 4/3 and lam_low = 1e-2; against 0.85-wide s-panels and a
-  step of panel_ratio there, 17 and 49 panels, no benchmark kernel value
-  moved by more than 1.8e-9 relative); those panels read the amplitudes
-  off the s-grid samples (one table per lam range), panels above sample
-  the table directly and are appended to a
-  pair's entry as kernels reach higher; a pair reads f+-(xi) from all the
-  records it samples with one ``jost.f_at`` call per (side, xi), kept per
-  (side, xi) for the other pairs at that xi, and forms m and the channel
-  amplitudes from those arrays; the quadratic/linear phase
-  exp(i(t lam^p + theta lam)) is integrated exactly per panel (oscquad),
-  all panels of a kernel in one level-wise batched pass, against
-  polynomial fits that each pair caches per band as arrays over its
-  panels, so that kernels at another t or kind refit only the panel cut
-  at lam_top;
+* the s-grid has 12-node panels of width S_PANEL = 2 in s (7 panels for
+  lam_low = 1e-2); at the sub-threshold Filon nodes its interpolation
+  error is at most 1.3e-9 of the channel amplitudes on the hyperboloids
+  a = 0.2, 1, 10 and the smoothed cone kappa = 5 (4.3e-10 on a = 1);
+* the integral from LAM_MIN_TABLE up to lam_top runs on one fixed
+  geometric ladder of Chebyshev panels of the phase-stripped channel
+  amplitudes, built per engine up to the first edge >= LAM_TOP_MAX: below
+  lam_low it steps by PANEL_RATIO^2 (25 panels at PANEL_RATIO = 4/3 and
+  lam_low = 1e-2; against 0.85-wide s-panels and a step of PANEL_RATIO
+  there, 17 and 49 panels, no benchmark kernel value moved by more than
+  1.8e-9 relative), above it by PANEL_RATIO; the panels below lam_low
+  read the amplitudes off the s-grid samples (one table per lam range),
+  panels above sample the table directly and are appended to a pair's
+  entry as kernels reach higher; a kernel integrates whole panels, up to
+  the right edge of the panel that holds its lam_top; a pair reads
+  f+-(xi) from all the records it samples with one ``jost.f_at`` call per
+  (side, xi), kept per (side, xi) for the other pairs at that xi, and
+  forms m and the channel amplitudes from those arrays; the
+  quadratic/linear phase exp(i(t lam^p + theta lam)) is integrated exactly
+  per panel (oscquad), all panels of a kernel in one level-wise batched
+  pass, against polynomial fits that each pair caches per band as arrays
+  over its panels, so that kernels at another t or kind fit no panel anew;
 * both tails read the fits of the ladder's end panels: below LAM_MIN_TABLE
   the density and its slope at the first panel's start, held constant in s
   under a phase held at its LAM_MIN_TABLE value (a kernel whose held phase
-  |t| LAM_MIN_TABLE^p exceeds MAX_HELD_PHASE = 0.1 is refused); past
-  lam_top the Abel-regularised boundary series of the panel holding it,
-  whose first neglected term enters the error estimate.
+  |t| LAM_MIN_TABLE^p exceeds MAX_HELD_PHASE = 0.1 is refused); past the
+  top panel the Abel-regularised boundary series at its right edge, whose
+  first neglected term enters the error estimate.
 
 Channel decomposition: with both arguments ordered (xi> >= xi<),
 
@@ -71,6 +72,14 @@ _WINDOWED = {"low_low": (True, True), "osc_osc": (False, False),
 SUP_GRID = (0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
 #: lowest lam of the s-grid table (lam = e^{-s}) and of the Filon panels
 LAM_MIN_TABLE = 1.0e-8
+#: width in s = log(1/lam) of the s-grid panels below lam_low
+S_PANEL = 2.0
+#: step of the Filon ladder above lam_low; below it the ladder steps by
+#: PANEL_RATIO^2.  err_est does not see S_PANEL or PANEL_RATIO
+#: (``KernelSample``)
+PANEL_RATIO = 4.0 / 3.0
+#: largest lam_top of any kernel; the ladder ends at its first edge above
+LAM_TOP_MAX = 2500.0
 #: largest phase |t| LAM_MIN_TABLE^p that the sub-table tail may hold
 #: constant; on the cylinder wave kernel at (0, 0) the error is 0.5% at a
 #: held phase of 0.1 and 48% at 0.99
@@ -116,11 +125,11 @@ class KernelSample:
 
     ``err_est`` sums three terms, all read off the Filon panels' fits: their
     cut-product fit error, the first neglected term of the Abel tail past
-    lam_top and the slope and held phase of the sub-table tail below
-    LAM_MIN_TABLE.  It has no term for how finely the table samples lam
-    (the s-grid width and the panel ratio): on the hyperboloid a = 1,
-    panel_ratio 1.6 moved values by up to 40 times their err_est (2.2e-6
-    relative) and 1.5 by 1.1 times, against the default 4/3."""
+    the panel that holds lam_top and the slope and held phase of the
+    sub-table tail below LAM_MIN_TABLE.  It has no term for how finely the table samples lam
+    (S_PANEL and PANEL_RATIO): on the hyperboloid a = 1, PANEL_RATIO 1.6
+    moved values by up to 40 times their err_est (2.2e-6 relative) and 1.5
+    by 1.1 times, against 4/3."""
 
     kind: str
     t: float
@@ -193,46 +202,38 @@ class KernelEngine:
 
     ``xi_abs_max`` caps the spatial points the lambda table must serve; it
     is grown automatically by decay scans that use moving light-cone probes.
-    ``s_panel`` is the width in s = log(1/lam) of the s-grid panels below
-    lam_low; the default 2.0 interpolates the channel amplitudes within
-    1.3e-9 of their size on the benchmark profiles.  ``panel_ratio`` is the
-    Filon ladder's step above lam_low; below it the ladder steps by
-    panel_ratio^2.  The table samples lam finely enough only by these
-    choices: ``err_est`` does not see them (``KernelSample``).
+    The table's lam sampling is fixed by the module constants S_PANEL (the
+    s-grid below lam_low, within 1.3e-9 of the channel amplitudes on the
+    benchmark profiles) and PANEL_RATIO (the Filon ladder, built once up to
+    LAM_TOP_MAX); ``err_est`` does not see them (``KernelSample``).
     """
 
-    def __init__(self, model: ScatteringModel, xi_abs_max: float = 1.0e3,
-                 s_panel: float = 2.0, panel_ratio: float = 4.0 / 3.0):
-        xi_abs_max, s_panel, panel_ratio = (
-            float(xi_abs_max), float(s_panel), float(panel_ratio))
-        # each check also rejects NaN, which compares false to everything
-        if not (np.isfinite(panel_ratio) and panel_ratio > 1.0):
-            raise DomainError(f"panel_ratio must be finite and > 1, got "
-                              f"{panel_ratio!r}")
-        if not (np.isfinite(s_panel) and s_panel > 0.0):
-            raise DomainError(f"s_panel must be finite and > 0, got "
-                              f"{s_panel!r}")
+    def __init__(self, model: ScatteringModel, xi_abs_max: float = 1.0e3):
+        xi_abs_max = float(xi_abs_max)
+        # the check also rejects NaN, which compares false to everything
         if not (np.isfinite(xi_abs_max) and xi_abs_max >= 0.0):
             raise DomainError(f"xi_abs_max must be finite and >= 0, got "
                               f"{xi_abs_max!r}")
         self.model = model
         self.lam_low = model.lam_low
         self.xi_abs_max = xi_abs_max
-        self.panel_ratio = panel_ratio
         # s-grid table below lam_low (lam = e^{-s})
         s0 = np.log(1.0 / self.lam_low)
         s1 = np.log(1.0 / LAM_MIN_TABLE)
-        n = int(np.ceil((s1 - s0) / s_panel))
+        n = int(np.ceil((s1 - s0) / S_PANEL))
         self._sgrid = panels.PanelGrid.build(np.linspace(s0, s1, n + 1),
                                              order=12)
         self._s_lam = np.exp(-self._sgrid.flat)
-        # oscillatory panel edges, geometric from lam_low down to the table
-        # floor by panel_ratio^2 (the last panel is cut there) and grown
-        # upward by panel_ratio on demand
-        down = [self.lam_low]
+        # Filon panel edges, geometric from lam_low down to the table floor
+        # by PANEL_RATIO^2 (the last panel is cut there) and up by
+        # PANEL_RATIO to the first edge >= LAM_TOP_MAX
+        down, up = [self.lam_low], [self.lam_low]
         while down[-1] > LAM_MIN_TABLE:
-            down.append(max(down[-1] / self.panel_ratio ** 2, LAM_MIN_TABLE))
-        self._osc_edges = list(reversed(down))
+            down.append(max(down[-1] / PANEL_RATIO ** 2, LAM_MIN_TABLE))
+        while up[-1] < LAM_TOP_MAX:
+            up.append(up[-1] * PANEL_RATIO)
+        self._n_sub = len(down) - 1
+        self._ladder = np.array(down[::-1] + up[1:])
         self._records: dict = {}
         # (side, xi) -> {lam: m_side(xi)}, shared by the pairs of a scan
         self._m_cache: dict = {}
@@ -296,20 +297,21 @@ class KernelEngine:
 
         The entry is built once: the s-grid samples and the osc panels
         below lam_low, which interpolate them.  Later calls only append
-        panels above lam_low, sampled from table records, until they reach
-        lam_top.  The panels are arrays: ``edges`` (n + 1), ``nodes``
-        (n, 10) and ``vals``, one (n, 10) array per channel; the fits cached
-        under ``fits`` stay valid, since panel indices never move."""
+        ladder panels above lam_low, sampled from table records, up to the
+        panel that holds lam_top.  The panels are arrays: ``edges`` (n + 1),
+        ``nodes`` (n, 10) and ``vals``, one (n, 10) array per channel; the
+        fits cached under ``fits`` stay valid, since panel indices never
+        move."""
         def sample(nodes):
             recs = [self._record(l) for l in nodes.ravel()]
             return [v.reshape(nodes.shape)
                     for v in self._amplitudes(hi, lo, recs)]
 
-        ladder = self._osc_edges
+        ladder = self._ladder
         data = self._pair_cache.get((hi, lo))
         if data is None:
             s_vals = sample(self._s_lam)
-            edges = np.array(ladder[: ladder.index(self.lam_low) + 1])
+            edges = ladder[: self._n_sub + 1]
             nodes = oscquad.cheb_nodes(edges[:-1, None], edges[1:, None])
             # one interpolation serves every channel and sub-threshold panel
             vals = self._sgrid.interpolate(np.stack(s_vals),
@@ -319,14 +321,11 @@ class KernelEngine:
                 "thetas": thetas, "edges": edges, "nodes": nodes,
                 "vals": list(vals.reshape((len(thetas),) + nodes.shape)),
                 "fits": {}}
-        need = lam_top * 0.999999
-        while ladder[-1] < need:
-            ladder.append(ladder[-1] * self.panel_ratio)
-        n, top = len(data["edges"]), int(np.searchsorted(ladder, need))
+        n, top = len(data["edges"]), int(np.searchsorted(ladder, lam_top))
         if top >= n:
-            edges = np.array(ladder[n - 1: top + 1])
+            edges = ladder[n - 1: top + 1]
             nodes = oscquad.cheb_nodes(edges[:-1, None], edges[1:, None])
-            data["edges"] = np.concatenate([data["edges"], edges[1:]])
+            data["edges"] = ladder[: top + 1]
             data["nodes"] = np.concatenate([data["nodes"], nodes])
             data["vals"] = [np.concatenate([old, new]) for old, new
                             in zip(data["vals"], sample(nodes))]
@@ -375,7 +374,7 @@ class KernelEngine:
     def _lam_top(self, kind: str, t: float, thetas) -> float:
         if kind == KIND_SCHRODINGER:
             lam0 = max(abs(th) for th in thetas) / (2.0 * max(abs(t), 1e-12))
-            return float(min(max(30.0, 2.0 * lam0 + 10.0), 2500.0))
+            return float(min(max(30.0, 2.0 * lam0 + 10.0), LAM_TOP_MAX))
         return float(max(30.0, min(240.0 / max(abs(t), 1.0), 240.0) + 30.0))
 
     def _integrate_pair(self, kind: str, band: Optional[str], t: float,
@@ -396,22 +395,16 @@ class KernelEngine:
                 for j in range(len(data["thetas"]))]
         total, err = self._sub_table_tail(data, fits, p, wave_sign * tt)
 
-        # Filon panels from LAM_MIN_TABLE to lam_top: panels 0..k-1 start
-        # below lam_top, and the last of them is refitted if cut there
+        # Filon panels from LAM_MIN_TABLE up to the right edge of panel
+        # k - 1, the one that holds lam_top
         alpha = wave_sign * tt if p == 2 else 0.0
         beta_base = wave_sign * tt if p == 1 else 0.0
         edges = data["edges"]
-        k = min(int(np.searchsorted(edges, lam_top)), len(edges) - 1)
-        a, b = edges[:k], np.minimum(edges[1:k + 1], lam_top)
-        w_cut = (2.0 * oscquad.cheb_nodes(a[-1], b[-1]) - a[-1]
-                 - edges[k]) / (edges[k] - a[-1])
+        k = int(np.searchsorted(edges, lam_top))
+        a, b = edges[:k], edges[1:k + 1]
         coefs, betas = [], []
         for (cp, fit_err), th in zip(fits, data["thetas"]):
-            for c in (cp[:k], np.conj(cp[:k])):
-                if b[-1] < edges[k]:
-                    c = c.copy()
-                    c[-1] = oscquad.fit_poly(oscquad.eval_poly(c[-1], w_cut))
-                coefs.append(c)
+            coefs += [cp[:k], np.conj(cp[:k])]
             betas += [beta_base + th, beta_base - th]
             err += float(np.sum(fit_err[:k] * (b - a)))
         n_rows = len(coefs)
@@ -419,10 +412,10 @@ class KernelEngine:
             np.tile(a, n_rows), np.tile(b, n_rows), np.concatenate(coefs),
             alpha, np.repeat(betas, k)).reshape(n_rows, k)
         total += (vals[0::2] - vals[1::2]).sum() / 2j
-        # Abel tail past lam_top (full kernel and high_energy band only)
+        # Abel tail past that edge (full kernel and high_energy band only)
         if band is None or band == "high_energy":
-            tail, tail_err = self._abel_tail(data, fits, k - 1, cut, lam_top,
-                                             alpha, beta_base)
+            tail, tail_err = self._abel_tail(data, fits, k - 1, cut, alpha,
+                                             beta_base)
             total += tail
             err += tail_err
         if t < 0:
@@ -482,10 +475,10 @@ class KernelEngine:
         return fit
 
     @staticmethod
-    def _abel_tail(data, fits, i, cut, lam_top, alpha, beta_base):
-        """Abel tail past lam_top from the full fits of panel i, the one
-        that lam_top falls in: the (cp, conj cp) rows of every channel off
-        the light cone in one ``tail_integral`` call."""
+    def _abel_tail(data, fits, i, cut, alpha, beta_base):
+        """Abel tail past the right edge of panel i (w = 1) from its fits:
+        the (cp, conj cp) rows of every channel off the light cone in one
+        ``tail_integral`` call."""
         rows, betas, err = [], [], 0.0
         for j, ((cp, _), th) in enumerate(zip(fits, data["thetas"])):
             if alpha == 0.0 and min(abs(beta_base + th),
@@ -501,8 +494,7 @@ class KernelEngine:
             return 0j, err
         a, b = data["edges"][i], data["edges"][i + 1]
         vals, errs = oscquad.tail_integral(
-            np.array(rows), (2.0 * lam_top - a - b) / (b - a), 0.5 * (b - a),
-            alpha, np.array(betas), lam_top)
+            np.array(rows), 1.0, 0.5 * (b - a), alpha, np.array(betas), b)
         return (vals[0::2] - vals[1::2]).sum() / 2j, err + 0.5 * errs.sum()
 
     # -- public operations ---------------------------------------------------

@@ -8,12 +8,12 @@ with the integral running from x to the end of the grid (backward) or from
 its start to x (forward).  ``separable_integrators`` builds one cumulative
 panel integrator per term, and ``sweep`` iterates the equation in O(N) per
 pass until successive iterates agree, then checks the a-priori bound
-||f|| <= exp(mu) ||g||.
+||f|| <= exp(mu) ||g|| under the caller's mu.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +32,7 @@ def separable_integrators(grid: panels.PanelGrid, direction: str,
     return [cls(grid, omega) for omega in omegas]
 
 
-def sweep(integ, A, B, g, atol: float, max_sweeps: int = MAX_SWEEPS,
-          mu: Optional[float] = None):
+def sweep(integ, A, B, g, atol: float, mu: float):
     """Solve f = g + sum_r A_r * I_r[B_r f] by successive substitution.
 
     ``integ`` holds one cumulative integrator I_r per term (see
@@ -42,19 +41,15 @@ def sweep(integ, A, B, g, atol: float, max_sweeps: int = MAX_SWEEPS,
     last one and then integrates it, so the first iterate f within ``atol``
     (sup norm) of its predecessor comes back as (f, [I_r[B_r f]], sweeps)
     and callers assemble derivatives from the integrals of f itself.
-    Raises ConvergenceError when the sweeps stall or when ||f|| exceeds the
-    a-priori bound exp(mu) ||g||.  ``mu`` bounds the integral of the
-    kernel's modulus over the grid; a caller that knows a sharper one than
-    the separable sum_r sup|A_r| * integral |B_r| (the default) passes it.
+    Raises ConvergenceError when MAX_SWEEPS sweeps do not converge or when
+    ||f|| exceeds the a-priori bound exp(mu) ||g||.  ``mu`` is the
+    caller's bound on the integral over the grid of the kernel's sup over
+    the integration range; the separable sum_r sup|A_r| * integral |B_r|
+    is always one, but can be far looser than the kernel's own.
     """
-    if mu is None:
-        grid = integ[0].grid
-        mu = sum(float(np.max(np.abs(Ar)))
-                 * float(panels.integrate(grid, np.abs(Br)).real)
-                 for Ar, Br in zip(A, B))
     f = g
     ints = [I.node_values(Br * f) for I, Br in zip(integ, B)]
-    for n in range(1, max_sweeps + 1):
+    for n in range(1, MAX_SWEEPS + 1):
         new = sum((Ar * t for Ar, t in zip(A, ints)), g)
         ints = [I.node_values(Br * new) for I, Br in zip(integ, B)]
         delta = float(np.max(np.abs(new - f)))
@@ -62,7 +57,7 @@ def sweep(integ, A, B, g, atol: float, max_sweeps: int = MAX_SWEEPS,
         if delta <= atol:
             break
     else:
-        raise ConvergenceError(f"no convergence within {max_sweeps} sweeps")
+        raise ConvergenceError(f"no convergence within {MAX_SWEEPS} sweeps")
     bound = np.exp(mu) * float(np.max(np.abs(g))) * (1.0 + 1e-9) + 10 * atol
     if float(np.max(np.abs(f))) > bound:
         raise ConvergenceError("solution violates the exp(mu) a-priori bound; "

@@ -172,6 +172,60 @@ def test_mistyped_profile_value_is_a_config_error(tmp_path, capsys, profile,
     assert not (tmp_path / "d").exists()
 
 
+_CYL = {"kind": "cylinder"}
+_GRID = {"min": 1.0, "max": 2.0, "count": 3}
+
+
+def _table(x, x_max):
+    x = np.asarray(x, dtype=float)
+    return {"kind": "custom-tabulated", "x_max": x_max,
+            "params": {"x": x.tolist(), "r": np.sqrt(1.0 + x * x).tolist()}}
+
+
+@pytest.mark.parametrize("doc, needle", [
+    ({"profile": _CYL, "command": "coeffs", "lam_grid": [1.0, 2.0]},
+     "lam_grid must be an object"),
+    ({"profile": _CYL, "command": "coeffs",
+      "lam_grid": dict(_GRID, step=0.5)}, "unknown keys in lam_grid"),
+    ({"profile": _CYL, "command": "coeffs",
+      "lam_grid": dict(_GRID, min="one")}, "numeric min/max/count"),
+    ({"profile": _CYL, "command": "coeffs", "lam_grid": dict(_GRID, count=0)},
+     "count must be >= 1"),
+    ({"profile": _CYL, "command": "coeffs",
+      "lam_grid": dict(_GRID, scale="cubic")}, "scale must be"),
+    ([_CYL, "describe"], "config root must be an object"),
+    ({"profile": _CYL}, "requires 'profile' and 'command'"),
+    ({"profile": "cylinder", "command": "describe"},
+     "profile must be an object"),
+    ({"profile": _CYL, "command": "kernel", "band": "mid_energy"},
+     "unknown band"),
+    ({"profile": _CYL, "command": "potential"}, "requires xi_grid"),
+    ({"profile": _CYL, "command": "jost", "lam_grid": _GRID},
+     "requires lam_grid and xi_grid"),
+    ({"profile": _CYL, "command": "coeffs"}, "requires lam_grid"),
+    ({"profile": _CYL, "command": "kernel", "xi_grid": _GRID},
+     "requires t_grid and xi_grid"),
+    ({"profile": dict(_CYL, d=0), "command": "describe"},
+     "dimension d must be a positive integer"),
+    ({"profile": _table([0.0, 1, 2, 4, 3, 5, 6, 7], 5.0),
+      "command": "describe"}, "strictly increasing"),
+    ({"profile": _table(np.linspace(-50.0, 50.0, 201), 80.0),
+      "command": "describe"}, "x_max exceeds the tabulated grid")],
+    ids=["grid-list", "grid-key", "grid-min-string", "grid-count-0",
+         "grid-scale", "root-list", "no-command", "profile-string",
+         "band", "potential-no-grid", "jost-no-xi-grid", "coeffs-no-grid",
+         "kernel-no-t-grid", "d-zero", "table-x-order", "x_max-past-table"])
+def test_config_error_exits_1(tmp_path, capsys, doc, needle):
+    # every config fault ends on one error: line with exit status 1
+    command = doc.get("command", "describe") if isinstance(doc, dict) \
+        else "describe"
+    p = _write(tmp_path, doc)
+    assert main([command, "--config", str(p),
+                 "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+
+
 def test_integral_float_d_is_accepted(tmp_path, capsys):
     # JSON writers may emit d = 2 as 2.0: it runs as d = 2 (1.7 is refused
     # above)
@@ -214,6 +268,24 @@ def test_decay_command(tmp_path, capsys):
     ok = abs(alpha - 1.0) <= DECAY_ALPHA_WINDOW and r2 >= 0.95
     assert code == (0 if ok else 2)
     capsys.readouterr()
+
+
+def test_wave_decay_command(tmp_path, capsys):
+    # the wave kernels' target is d/2; on the cylinder the sup over this
+    # grid falls as 0.5/t, so the fit reads 1 and the command exits 2
+    doc = {"profile": {"kind": "cylinder"}, "command": "decay",
+           "kind": "wave_plus",
+           "t_grid": {"min": 10.0, "max": 1000.0, "count": 3, "scale": "log"},
+           "xi_grid": {"min": 0.0, "max": 1.0, "count": 2,
+                       "scale": "linear"}}
+    code = run(load_config(_write(tmp_path, doc)), tmp_path / "dc")
+    assert "(target 0.5)" in capsys.readouterr().out
+    lines = (tmp_path / "dc" / "decay.csv").read_text().strip().splitlines()
+    row = lines[1].split(",")
+    assert row[0] == "wave_plus"
+    alpha, r2 = float(row[3]), float(row[5])
+    ok = abs(alpha - 0.5) <= DECAY_ALPHA_WINDOW and r2 >= 0.95
+    assert code == (0 if ok else 2)
 
 
 def test_validate_low_command(tmp_path, capsys):

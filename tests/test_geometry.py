@@ -28,6 +28,10 @@ def test_make_profile_hyperboloid():
 def test_make_profile_rejections():
     with pytest.raises(ConfigError):
         make_profile({"kind": "hyperboloid", "params": {"a": 0.0}})
+    # load_config refuses a profile that is not an object before this
+    for doc in (["cylinder"], "cylinder", None):
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            make_profile(doc)
     with pytest.raises(ConfigError):
         make_profile({"kind": "torus"})
     with pytest.raises(ConfigError):

@@ -9,6 +9,7 @@ from conicwave import (C0, C1, KAPPA, ArclengthChart, DomainError,
                        f0_values, make_profile)
 from conicwave import jost
 from conicwave.jost import wr
+from conicwave.volterra import sweep
 
 HYPERBOLOID_A1 = {"kind": "hyperboloid", "params": {"a": 1.0}}
 
@@ -296,6 +297,34 @@ def test_low_energy_basis_resolves_a_sharp_neck(profile):
     assert abs(wr(f1, df1, f2, df2) - W) <= 2e-10 * abs(W)
 
 
+@pytest.mark.parametrize("profile", [
+    {"kind": "hyperboloid", "params": {"a": 0.2}}, HYPERBOLOID_A1,
+    {"kind": "hyperboloid", "params": {"a": 10.0}},
+    {"kind": "two-sided-cone-smoothed", "params": {"kappa": 5.0}}],
+    ids=["a0.2", "a1", "a10", "cone-k5"])
+def test_side_basis_mu_bounds_its_solutions(profile, monkeypatch):
+    # the basis sweep's mu bounds the integral of its kernel's sup over
+    # xi >= eta, so it must hold both solutions, ||f|| <= e^mu ||g||, and
+    # stay small: the separable bound sum_r sup|A_r| int|B_r| reached 117
+    # on the cone at lam = 1e-3
+    m = ScatteringModel(make_profile(profile))
+    seen = []
+
+    def recording(integ, A, B, g, atol, mu):
+        out = sweep(integ, A, B, g, atol, mu)
+        seen.append((mu, np.max(np.abs(out[0])) / np.max(np.abs(g))))
+        return out
+
+    monkeypatch.setattr(jost, "sweep", recording)
+    for lam in (1e-6, 1e-3, 1e-2):
+        L = min(3.0 / lam, 0.98 * m.pot.xi_cap)
+        for side in ("plus", "minus"):
+            m._side_basis(side, lam, L)
+    assert len(seen) == 12               # 3 lam x 2 sides x 2 seeds
+    for mu, ratio in seen:
+        assert np.log(ratio) <= mu <= 5.0
+
+
 def test_low_energy_basis_window_guard(hyperboloid_model):
     with pytest.raises(DomainError):
         hyperboloid_model.low_energy_basis(1e-3, window=1.0e6)
@@ -351,6 +380,15 @@ def test_forced_low_pipeline_above_lam_low_raises(hyperboloid_model):
         hyperboloid_model.jost_plus(lam, pipeline="low")
     with pytest.raises(DomainError):
         hyperboloid_model.wronskian(lam, pipeline="low")
+
+
+def test_unknown_or_unsupported_pipeline_raises(hyperboloid_model,
+                                                cylinder_model):
+    with pytest.raises(DomainError, match="unknown pipeline"):
+        hyperboloid_model.jost_plus(0.5, pipeline="fast")
+    # the low pipeline matches onto a conical end, which the cylinder lacks
+    with pytest.raises(DomainError, match="needs a conical right end"):
+        cylinder_model.jost_plus(1e-3, pipeline="low")
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +665,16 @@ def test_validate_high_energy_suite(hyperboloid_model):
     for name, rec in report.items():
         assert rec["ok"], f"{name}: {rec}"
     assert report["m_minus_one"]["constants"]["C"] < 1.0
+
+
+def test_validation_grids_are_checked(hyperboloid_model):
+    m = hyperboloid_model
+    with pytest.raises(DomainError, match="lam_low"):
+        m.validate_low_energy(np.geomspace(1e-5, 2.0 * m.lam_low, 9))
+    with pytest.raises(DomainError, match="two decades"):
+        m.validate_low_energy(np.geomspace(1e-4, 5e-3, 9))
+    with pytest.raises(DomainError, match="lam >= 1"):
+        m.validate_high_energy(np.geomspace(0.5, 100.0, 8))
 
 
 def test_jost_rejects_bad_lambda(hyperboloid_model):

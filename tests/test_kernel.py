@@ -8,9 +8,9 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 import pytest
 
-from conicwave import (DomainError, KernelEngine, standard_case_library,
-                       stationary_phase_check)
-from conicwave import ScatteringModel, jost, make_profile, panels
+from conicwave import (DomainError, KernelEngine, QuadratureError,
+                       standard_case_library, stationary_phase_check)
+from conicwave import ScatteringModel, jost, kernel, make_profile, panels
 from conicwave.geometry import ArclengthChart, PotentialProfile
 from conicwave.kernel import (KIND_SCHRODINGER, KIND_WAVE_PLUS,
                               LAM_MIN_TABLE, StationaryPhaseCase,
@@ -143,10 +143,18 @@ def test_band_partition_of_unity(hyperboloid_engine, rng):
     assert worst <= 1e-5
 
 
-def test_quadrature_self_consistency(cylinder_model):
+def _table_engine(monkeypatch, model, xi_abs_max, s_panel, panel_ratio):
+    """An engine whose lam table is built with other S_PANEL and
+    PANEL_RATIO; the engine reads both only while it is constructed."""
+    with monkeypatch.context() as mp:
+        mp.setattr(kernel, "S_PANEL", s_panel)
+        mp.setattr(kernel, "PANEL_RATIO", panel_ratio)
+        return KernelEngine(model, xi_abs_max=xi_abs_max)
+
+
+def test_quadrature_self_consistency(cylinder_model, monkeypatch):
     e1 = KernelEngine(cylinder_model, xi_abs_max=50.0)
-    e2 = KernelEngine(cylinder_model, xi_abs_max=50.0, panel_ratio=7.0 / 6.0,
-                      s_panel=0.45)
+    e2 = _table_engine(monkeypatch, cylinder_model, 50.0, 0.45, 7.0 / 6.0)
     for band in ("low_low", "high_energy", None):
         for (t, xi, xip) in [(100.0, 3.0, -2.0), (20.0, 0.5, -0.1)]:
             if band:
@@ -158,12 +166,13 @@ def test_quadrature_self_consistency(cylinder_model):
             assert abs(k1.value - k2.value) <= max(k1.err_est, k2.err_est)
 
 
-def test_subthreshold_table_self_consistency(hyperboloid_model):
+def test_subthreshold_table_self_consistency(hyperboloid_model,
+                                             monkeypatch):
     # the default s-grid and sub-threshold ladder (s-panels of width 2,
-    # step panel_ratio^2) against a finer table; the low_low band stops at
-    # 1.05 lam_low, so this compares the sub-threshold tables alone
-    fine = KernelEngine(hyperboloid_model, xi_abs_max=50.0, s_panel=1.0,
-                        panel_ratio=7.0 / 6.0)
+    # step PANEL_RATIO^2) against a finer table; the low_low band stops in
+    # the first panel above lam_low, where its cut is 0, so this compares
+    # the sub-threshold tables alone
+    fine = _table_engine(monkeypatch, hyperboloid_model, 50.0, 1.0, 7.0 / 6.0)
     default = KernelEngine(hyperboloid_model, xi_abs_max=50.0)
     k1 = default.band_kernel(KIND_SCHRODINGER, "low_low", 100.0, 3.0, -2.0)
     k2 = fine.band_kernel(KIND_SCHRODINGER, "low_low", 100.0, 3.0, -2.0)
@@ -171,17 +180,11 @@ def test_subthreshold_table_self_consistency(hyperboloid_model):
 
 
 def test_engine_rejects_bad_table_parameters(cylinder_model):
-    # unchecked, panel_ratio <= 1 never reaches the table floor, a NaN
-    # ratio leaves NaN ladder edges, s_panel = 0 divides by zero and a NaN
-    # xi_abs_max never grows (need > nan is false)
+    # unchecked, a NaN xi_abs_max never grows (need > nan is false)
     nan, inf = float("nan"), float("inf")
-    for kw in ({"panel_ratio": 1.0}, {"panel_ratio": 0.5},
-               {"panel_ratio": -2.0}, {"panel_ratio": nan},
-               {"panel_ratio": inf}, {"s_panel": 0.0}, {"s_panel": -1.0},
-               {"s_panel": nan}, {"s_panel": inf}, {"xi_abs_max": -1.0},
-               {"xi_abs_max": nan}, {"xi_abs_max": inf}):
-        with pytest.raises(DomainError, match=next(iter(kw))):
-            KernelEngine(cylinder_model, **kw)
+    for x in (-1.0, nan, inf):
+        with pytest.raises(DomainError, match="xi_abs_max"):
+            KernelEngine(cylinder_model, xi_abs_max=x)
     KernelEngine(cylinder_model, xi_abs_max=0.0)
 
 
@@ -191,30 +194,32 @@ def _kernel(eng, kind, band, t, xi, xip):
     return eng.band_kernel(kind, band, t, xi, xip)
 
 
-def test_cached_panel_fits_match_fresh_engine(cylinder_model):
+def test_cached_panel_fits_match_fresh_engine(cylinder_model, monkeypatch):
     # repeat kernels read each pair's cached Filon panel fits, so they must
     # equal, bit for bit, the same kernel on an engine that fits anew
     cases = [(KIND_SCHRODINGER, None, 20.0, 3.0, -2.0),
-             # lam_top = 30.48 falls inside a panel: the refitted top panel
+             # lam_top = 30.48 falls inside a panel, integrated whole
              (KIND_WAVE_PLUS, None, 500.0, 3.0, -2.0),
              # the osc_low cut is not symmetric in (xi, xi')
              (KIND_WAVE_PLUS, "osc_low", 500.0, 300.0, 2.0),
              (KIND_WAVE_PLUS, "osc_low", 500.0, 2.0, 300.0)]
-    coarse = {"s_panel": 2.0, "panel_ratio": 2.0}     # a cheap table
+    def coarse(xi_abs_max):                # a cheap table
+        return _table_engine(monkeypatch, cylinder_model, xi_abs_max, 2.0,
+                             2.0)
 
     def same(a, b):
         return (a.value, a.err_est) == (b.value, b.err_est)
 
-    warm = KernelEngine(cylinder_model, xi_abs_max=400.0, **coarse)
+    warm = coarse(400.0)
     for case in cases:
         _kernel(warm, *case)
-    fresh = KernelEngine(cylinder_model, xi_abs_max=400.0, **coarse)
+    fresh = coarse(400.0)
     for case in cases:
         fresh._pair_cache.clear()          # same table, every fit redone
         assert same(_kernel(warm, *case), _kernel(fresh, *case))
     # a wider span rebuilds the table; no fit of the old one may survive
     _kernel(warm, KIND_SCHRODINGER, None, 20.0, 3.0, -450.0)
-    grown = KernelEngine(cylinder_model, xi_abs_max=warm.xi_abs_max, **coarse)
+    grown = coarse(warm.xi_abs_max)
     for case in cases[:2]:
         assert same(_kernel(warm, *case), _kernel(grown, *case))
     # a kernel that needs panels further up appends them to the pair's
@@ -233,13 +238,12 @@ def test_cached_panel_fits_match_fresh_engine(cylinder_model):
         assert all(np.array_equal(o, x[:len(o)]) for o, x in zip(old, new))
 
 
-def test_sub_table_tail(cylinder_model):
+def test_sub_table_tail(cylinder_model, monkeypatch):
     # the sub-table tail lam < LAM_MIN_TABLE: d = lam Im[F] cut and d' read
     # off the channels' fits at w = -1 of the first panel, d held constant
     # in s = log(1/lam) under a phase held at its LAM_MIN_TABLE value, each
     # reference line written out on its own
-    eng = KernelEngine(cylinder_model, xi_abs_max=400.0, s_panel=2.0,
-                       panel_ratio=2.0)
+    eng = _table_engine(monkeypatch, cylinder_model, 400.0, 2.0, 2.0)
     lam_min = LAM_MIN_TABLE
     xg, wg = gauss_legendre(12)
     cases = [(KIND_SCHRODINGER, None, 20.0, 3.0, -2.0),
@@ -422,9 +426,8 @@ def test_batched_read_refuses_what_values_refuses(hyperboloid_model):
         assert refuses(jost.f_at, [ev, shrunk], xi)
 
 
-def test_one_table_below_the_threshold(cylinder_model):
-    eng = KernelEngine(cylinder_model, xi_abs_max=400.0, s_panel=2.0,
-                       panel_ratio=2.0)
+def test_one_table_below_the_threshold(cylinder_model, monkeypatch):
+    eng = _table_engine(monkeypatch, cylinder_model, 400.0, 2.0, 2.0)
     eng.evolution_kernel(KIND_SCHRODINGER, 10.0, 3.0, -2.0)
     # (the lowest node of the first panel above lam_low rounds to a hair
     # below it)
@@ -435,6 +438,22 @@ def test_one_table_below_the_threshold(cylinder_model):
     n = len(eng._records)
     eng.evolution_kernel(KIND_WAVE_PLUS, 1.0e3, 3.0, -2.0)
     assert len(eng._records) == n
+
+
+def test_unknown_kind_and_short_scan_raise(cylinder_engine):
+    with pytest.raises(DomainError, match="unknown kernel kind"):
+        cylinder_engine.evolution_kernel("heat", 10.0, 1.0, 0.0)
+    with pytest.raises(DomainError, match="two decades"):
+        cylinder_engine.decay_scan(KIND_SCHRODINGER, [10.0, 100.0, 500.0])
+
+
+@pytest.mark.parametrize("t", [5.01, 5.04])
+def test_wave_kernel_gives_up_at_the_light_cone(hyperboloid_engine, t):
+    # at (3, -2) the channel with theta = 5 sits within 0.05 of t, where
+    # the Abel tail degenerates: its bound (err_est 7.52) is refused; 5.1
+    # and 5.2 pass
+    with pytest.raises(QuadratureError, match="err_est=7.52e"):
+        hyperboloid_engine.evolution_kernel(KIND_WAVE_PLUS, t, 3.0, -2.0)
 
 
 def test_band_sign_precondition(hyperboloid_engine):

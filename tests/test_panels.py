@@ -230,6 +230,12 @@ def test_cap_phase_matches_per_panel_linspace(case):
     assert split >= 20
 
 
+def test_geometric_breaks_needs_an_increasing_positive_range():
+    for a, b in ((0.0, 1.0), (-1.0, 1.0), (2.0, 2.0), (2.0, 1.0)):
+        with pytest.raises(DomainError, match="0 < a < b"):
+            panels.geometric_breaks(a, b, 12)
+
+
 def test_stacked_interpolation_matches_one_array_calls():
     """Stacked value arrays share one locate and one weight row per point,
     and ``interpolate_at`` reads each grid at its own point; every row

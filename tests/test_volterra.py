@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conicwave import ConvergenceError, QuadratureError
+from conicwave import ConvergenceError, QuadratureError, volterra
 from conicwave.panels import PanelGrid
 from conicwave.volterra import separable_integrators, sweep
 from oracles import VolterraProblem, estimate_mu, volterra_solve
@@ -140,27 +140,26 @@ def test_separable_matches_dense():
     g = np.exp(-x) + 0j
     integ = separable_integrators(a.grid, "backward", [0.0])
     b, _, _ = sweep(integ, [0.4 * np.ones_like(x)], [np.exp(-np.abs(x))], g,
-                    1e-12 * float(np.max(np.abs(g))))
+                    1e-12 * float(np.max(np.abs(g))), 0.4 * (1 - np.exp(-2.5)))
     assert np.max(np.abs(a.values - b)) <= 1e-10
 
 
-def test_sweep_contract_and_guards():
+def test_sweep_contract_and_guards(monkeypatch):
     # f = 1 + 2 int_0^x f = e^{2x}; the integrals belong to the returned f
     grid = PanelGrid.build(np.linspace(0.0, 1.0, 9))
     integ = separable_integrators(grid, "forward", [0.0])
     g = np.ones(grid.flat.shape, dtype=complex)
-    f, (t,), n = sweep(integ, [2.0], [np.ones_like(g)], g, 1e-13)
+    f, (t,), n = sweep(integ, [2.0], [np.ones_like(g)], g, 1e-13, 2.0)
     assert np.max(np.abs(f - np.exp(2.0 * grid.flat))) <= 1e-11
     assert np.max(np.abs(t - integ[0].node_values(f))) == 0.0
     assert np.max(np.abs(g + 2.0 * t - f)) <= 1e-13
+    with monkeypatch.context() as mp:
+        mp.setattr(volterra, "MAX_SWEEPS", n - 1)
+        with pytest.raises(ConvergenceError, match=f"within {n - 1} sweeps"):
+            sweep(integ, [2.0], [np.ones_like(g)], g, 1e-13, 2.0)
+    # |f| <= e^{2x} holds under mu = 2 and breaks a bound of e^1.9
     with pytest.raises(ConvergenceError):
-        sweep(integ, [2.0], [np.ones_like(g)], g, 1e-13, max_sweeps=n - 1)
-    # a caller's mu replaces the separable one (2 here): |f| <= e^{2x}
-    # holds under mu = 2 and breaks a bound of e^1.9
-    assert np.array_equal(
-        sweep(integ, [2.0], [np.ones_like(g)], g, 1e-13, mu=2.0)[0], f)
-    with pytest.raises(ConvergenceError):
-        sweep(integ, [2.0], [np.ones_like(g)], g, 1e-13, mu=1.9)
+        sweep(integ, [2.0], [np.ones_like(g)], g, 1e-13, 1.9)
 
     class Tripled:
         # an integrator three times too large breaks the exp(mu) bound
@@ -170,7 +169,7 @@ def test_sweep_contract_and_guards():
             return 3.0 * integ[0].node_values(h)
 
     with pytest.raises(ConvergenceError):
-        sweep([Tripled()], [1.0], [np.ones_like(g)], g, 1e-13)
+        sweep([Tripled()], [1.0], [np.ones_like(g)], g, 1e-13, 1.0)
 
 
 @settings(max_examples=15, deadline=None)
