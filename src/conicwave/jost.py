@@ -16,6 +16,13 @@ window, core included (Greengard-Rokhlin, CPAM 44, 1991); for lam > 1 it is
 solved on the conical tail [2/lam, B] and continued inward through the core
 as an ODE.
 
+Both ends' solves at one energy use the same panel grid and the same
+oscillator; only V differs.  The side-independent arrays (the grid, its
+suffix integrators, e^{-2i lam xi} for the m sweep; the V1 grid with f0,
+f0' and the Filon tail grid with its f0 for the low pipeline) are built by
+``_m_arrays`` and ``_low_arrays`` once per energy and held in one slot per
+model and pipeline, which the second side reads.
+
 Conventions
 -----------
 Wr(u, v) = u v' - u' v, and the scattering Wronskian is
@@ -119,6 +126,39 @@ def _core_breaks(lam: float, lo: float, xi_v: float) -> np.ndarray:
     left = -panels.graded_breaks(0.0, -lo, xi_v, CORE_PANEL, 12)[::-1]
     left = panels.cap_phase(left, lambda s: 2.0 * lam, max_phase=1.0)
     return np.concatenate([left[:-1], right])
+
+
+def _m_arrays(lam: float, lo: float, B: float, xi_v: float):
+    """The side-independent part of the m sweep at one energy: its grid on
+    [lo, B] (for lam <= 1 ``_core_breaks`` in front of the geometric tail
+    panels from xi_v, above that the tail panels alone), the omega = 0 and
+    2 lam suffix integrators, and e^{-2i lam xi} at the nodes."""
+    breaks = panels.geometric_breaks(xi_v, B, 12)
+    if lam <= 1.0:
+        breaks = np.concatenate([_core_breaks(lam, lo, xi_v), breaks[1:]])
+    grid = panels.PanelGrid.build(breaks, order=10)
+    return (grid, separable_integrators(grid, "backward", [0.0, 2.0 * lam]),
+            *panels._frozen(np.exp(-2j * lam * grid.flat)))
+
+
+def _low_arrays(lam: float, xi0: float, B: float):
+    """The side-independent part of the low pipeline at one energy: the V1
+    grid on [xi0, B] with f0 and f0' at its nodes and its omega = 0 suffix
+    integrators, and (B2, grid, f0) of the Filon stage of
+    ``_low_tail_constants`` on [B, B2], B2 = max(40/lam, 2B)."""
+    breaks = panels.geometric_breaks(xi0, B, 12)
+    breaks = panels.cap_phase(
+        breaks, lambda s: np.where(s * lam > 0.5, lam, 0.0), max_phase=1.0)
+    grid = panels.PanelGrid.build(breaks, order=10)
+    f0, df0 = f0_values(grid.flat, lam)
+    B2 = max(40.0 / lam, 2.0 * B)
+    breaks = panels.geometric_breaks(B, B2, 8)
+    breaks = panels.cap_phase(breaks, lambda s: 2.0 * lam, max_phase=1.0)
+    tail = panels.PanelGrid.build(breaks, order=10)
+    f0t, _ = f0_values(tail.flat, lam)
+    return (grid, *panels._frozen(f0, df0),
+            separable_integrators(grid, "backward", [0.0, 0.0]),
+            (B2, tail, *panels._frozen(f0t)))
 
 
 def _continue(pv, lam: float, y0, span):
@@ -393,6 +433,20 @@ class ScatteringModel:
         self._osc_cache: dict = {}
         self._low_cache: dict = {}
         self._basis_cache: dict = {}
+        # (key, arrays) of the last energy's side-independent work, one slot
+        # per pipeline, which the two sides' solves at that energy share
+        self._m_slot = None
+        self._low_slot = None
+
+    def _shared(self, slot: str, key: tuple, build):
+        """``build(*key)``, or the arrays that slot ``slot`` holds for
+        ``key``; the slot is read once, so a concurrent writer cannot pair
+        one key with another key's arrays."""
+        held = getattr(self, slot)
+        if held is None or held[0] != key:
+            held = (key, build(*key))
+            setattr(self, slot, held)
+        return held[1]
 
     # -- side handling ----------------------------------------------------
 
@@ -491,7 +545,9 @@ class ScatteringModel:
         every xi up to ``xi_hi``.  Returns (grid, f_df, B, xi0, a, b,
         spread): (f, f') stacked (2, n) on the grid over [xi0, B], xi0 =
         max(xi_tail, 0.75 lam^-1/2), and the one ``_match`` of f against
-        the side's perturbed basis, at 0.85, 1 and 1.15 lam^-1/2.
+        the side's perturbed basis, at 0.85, 1 and 1.15 lam^-1/2.  The grid
+        and its Hankel waves come from ``_low_arrays`` through the model's
+        low slot, which the other side at this energy reuses.
         """
         pv = self._pv(side)
         xm = lam ** -0.5
@@ -506,14 +562,10 @@ class ScatteringModel:
         xi0 = max(pv.xi_tail, 0.75 * xm)
         if B <= 1.3 * xm:
             raise DomainError("chart too small for the low-energy matching")
-        breaks = panels.geometric_breaks(xi0, B, 12)
-        breaks = panels.cap_phase(
-            breaks, lambda s: np.where(s * lam > 0.5, lam, 0.0), max_phase=1.0)
-        grid = panels.PanelGrid.build(breaks, order=10)
-        x = grid.flat
-        f0, df0 = f0_values(x, lam)
-        v1 = pv.V1(x)
-        s1, s2 = self._low_tail_constants(pv, lam, B)
+        grid, f0, df0, integ, tail = self._shared("_low_slot", (lam, xi0, B),
+                                                  _low_arrays)
+        v1 = pv.V1(grid.flat)
+        s1, s2 = self._low_tail_constants(pv, lam, *tail)
         inv2il = 1.0 / (2j * lam)
 
         g = f0 + np.conj(f0) * s1 - f0 * s2
@@ -521,7 +573,6 @@ class ScatteringModel:
         B1 = f0 * v1
         A2 = -f0 * inv2il
         B2 = np.conj(f0) * v1
-        integ = separable_integrators(grid, "backward", [0.0, 0.0])
         # the separable bound sum_r sup|A_r| int|B_r|
         mu = sum(float(np.max(np.abs(Ar)))
                  * float(panels.integrate(grid, np.abs(Br)))
@@ -538,21 +589,17 @@ class ScatteringModel:
         self._low_cache[key] = rec
         return rec
 
-    def _low_tail_constants(self, pv, lam: float, B: float):
+    def _low_tail_constants(self, pv, lam: float, B2: float, grid, f0):
         """S1 = (2i lam)^-1 int_B^inf f0^2 V1, S2 = same with |f0|^2.
 
-        Numeric Filon stage on [B, B2] with the exact Hankel amplitude and
-        the charted V1 (cubic model beyond the chart), then an analytic
+        Numeric Filon stage on ``grid`` over [B, B2], with the exact Hankel
+        amplitude ``f0`` at its nodes (both from ``_low_arrays``) and the
+        charted V1 (cubic model beyond the chart), then an analytic
         remainder using f0 ~ e^{i lam xi} and the cubic tail model.
         """
         inv2il = 1.0 / (2j * lam)
-        B2 = max(40.0 / lam, 2.0 * B)
         cap = 0.98 * pv.xi_cap
-        breaks = panels.geometric_breaks(B, B2, 8)
-        breaks = panels.cap_phase(breaks, lambda s: 2.0 * lam, max_phase=1.0)
-        grid = panels.PanelGrid.build(breaks, order=10)
         e = grid.flat
-        f0, _ = f0_values(e, lam)
         inside = e <= cap
         v1 = np.empty_like(e)
         if np.any(inside):
@@ -585,6 +632,9 @@ class ScatteringModel:
         for lam <= 1 the core [lo, xi_v] takes ``_core_breaks`` in front of
         them and the sweep covers the whole window.  For lam > 1 the core
         is left to the inward ODE continuation ``_continue`` from xi_v.
+        The grid, its integrators and e^{-2i lam xi} come from
+        ``_m_arrays`` through the model's m slot, so the other side at
+        this energy reuses them; V, the tail forcing and mu are the side's.
         Returns the evaluator of f (an ``_OscSide``) for xi in [lo, B].
         """
         pv = self._pv(side)
@@ -603,19 +653,15 @@ class ScatteringModel:
         key = (side, lam, lo, B)
         if key in self._osc_cache:
             return self._osc_cache[key]
-        breaks = panels.geometric_breaks(xi_v, B, 12)
         core = lam <= 1.0
-        if core:
-            breaks = np.concatenate([_core_breaks(lam, lo, xi_v), breaks[1:]])
         start = lo if core else xi_v
-        grid = panels.PanelGrid.build(breaks, order=10)
+        grid, integ, ph = self._shared("_m_slot", (lam, lo, B, xi_v),
+                                       _m_arrays)
         e = grid.flat
         V = pv.V(e)
         inv2il = 1.0 / (2j * lam)
         c0t, c1tp = self._m_tail_constants(side, pv, lam, B)
-        ph = np.exp(-2j * lam * e)
         g = 1.0 + inv2il * (ph * c1tp - c0t)
-        integ = separable_integrators(grid, "backward", [0.0, 2.0 * lam])
         # |e^{2i lam (eta - xi)} - 1|/(2 lam) <= min(eta - start, 1/lam)
         # for xi >= start; the separable sup|A| int|B| would be int|V|/lam
         mu = float(panels.integrate(

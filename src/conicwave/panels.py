@@ -5,9 +5,9 @@ sweeps and the spectral table: a grid is a list of panels, each carrying the
 same Gauss-Legendre nodes in the scaled variable.  Partial-range integrals of
 the per-panel Lagrange basis (optionally against a fixed oscillator
 ``exp(i*omega*eta)``) are precomputed once per grid, for all panels at once
-as array operations, which makes successive substitution sweeps and
-cumulative integrals O(N) and lets panels span many oscillation periods
-without losing the phase.
+as array operations (panels of one width share one computation), which
+makes successive substitution sweeps and cumulative integrals O(N) and lets
+panels span many oscillation periods without losing the phase.
 
 Arrays that depend only on the order and the reference nodes (the GL-route
 interpolation matrix, the omega=0 reference segments that each panel scales
@@ -250,13 +250,25 @@ def _basis_segments(order: int, w0: np.ndarray, betas: np.ndarray) -> np.ndarray
     Panels with |beta| <= max(15, order + 3) take the 24-point GL route; the
     rest take the upward monomial-moment recursion in k = 0..order-1, stable
     for |beta| > k, mapped to the Lagrange basis by one product.
+
+    The GL route computes each bit-distinct beta once (equal-width panels
+    share one) and contracts the weighted phases with the real Lagrange
+    values in real arithmetic, one einsum for the real part and one for the
+    imaginary part; each row is bit-equal to the call with its beta alone.
     """
     out = np.empty((len(betas), len(w0), order), dtype=complex)
     gl = np.abs(betas) <= max(15.0, order + 3)
     if gl.any():
         wts, pts, bmat = _gl_reference(order, w0.tobytes())
-        phase = np.exp(1j * betas[gl, None, None] * pts)    # (p, i, 24)
-        out[gl] = np.einsum("ig,pig,igj->pij", wts, phase, bmat)
+        bg = betas[gl]
+        # distinct bit patterns, so that -0.0 and 0.0 keep their own rows
+        _, first, inv = np.unique(bg.view(np.int64), return_index=True,
+                                  return_inverse=True)
+        wp = wts * np.exp(1j * bg[first, None, None] * pts)    # (u, i, 24)
+        seg = np.empty(wp.shape[:2] + (order,), dtype=complex)
+        seg.real = np.einsum("pig,igj->pij", wp.real, bmat)
+        seg.imag = np.einsum("pig,igj->pij", wp.imag, bmat)
+        out[gl] = seg[inv.ravel()]
     if not gl.all():
         b = betas[~gl, None]                                # (p, 1)
         ib = 1j * b

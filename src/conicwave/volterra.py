@@ -6,9 +6,10 @@ Every Jost pipeline solves an equation of the form
 
 with the integral running from x to the end of the grid (backward) or from
 its start to x (forward).  ``separable_integrators`` builds one cumulative
-panel integrator per term, and ``sweep`` iterates the equation in O(N) per
-pass until successive iterates agree, then checks the a-priori bound
-||f|| <= exp(mu) ||g|| under the caller's mu.
+panel integrator per distinct frequency, shared by the terms that have it,
+and ``sweep`` iterates the equation in O(N) per pass until successive
+iterates agree, then checks the a-priori bound ||f|| <= exp(mu) ||g|| under
+the caller's mu.
 """
 
 from __future__ import annotations
@@ -25,11 +26,16 @@ MAX_SWEEPS = 200
 
 def separable_integrators(grid: panels.PanelGrid, direction: str,
                           omegas: Sequence[float]):
-    """One cumulative integrator per frequency w_r: suffix integrals for
-    the backward form, prefix integrals for the forward form."""
+    """One cumulative integrator per term w_r: suffix integrals for the
+    backward form, prefix integrals for the forward form.  Terms of one
+    frequency share one integrator object, built once."""
     cls = (panels.SuffixIntegrator if direction == "backward"
            else panels.PrefixIntegrator)
-    return [cls(grid, omega) for omega in omegas]
+    built: dict = {}
+    for omega in omegas:
+        if omega not in built:
+            built[omega] = cls(grid, omega)
+    return [built[omega] for omega in omegas]
 
 
 def sweep(integ, A, B, g, atol: float, mu: float):

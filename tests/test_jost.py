@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from conicwave import (C0, C1, KAPPA, ArclengthChart, DomainError,
                        KernelEngine, PotentialProfile, ScatteringModel,
                        f0_values, make_profile)
-from conicwave import jost
+from conicwave import jost, panels
 from conicwave.jost import wr
 from conicwave.volterra import sweep
 
@@ -586,7 +586,7 @@ def test_wronskian_pipeline_agreement(hyperboloid_model):
         assert abs(Wl - Wo) <= 1e-5 * abs(Wo)
 
 
-def test_one_sided_profile_w_agrees_with_beta():
+def _one_sided_model():
     # r = sqrt(1 + softplus(x)^2): conical on the right end only, so at
     # lam = 5e-3 <= lam_low the plus side runs the low pipeline and the
     # minus side the oscillatory one (lam * 0.98 * xi_cap >= 12.5).  The
@@ -595,7 +595,51 @@ def test_one_sided_profile_w_agrees_with_beta():
     r = np.sqrt(1.0 + np.logaddexp(0.0, x) ** 2)
     prof = make_profile({"kind": "custom-tabulated",
                          "params": {"x": x, "r": r}, "conical_right": True})
-    m = ScatteringModel(prof, ArclengthChart(prof, x_max=3000.0))
+    return ScatteringModel(prof, ArclengthChart(prof, x_max=3000.0))
+
+
+@pytest.mark.parametrize("new_model, low_lam", [
+    (lambda: ScatteringModel(make_profile(HYPERBOLOID_A1)), 1e-4),
+    (_one_sided_model, 5e-3)], ids=["hyperboloid", "one-sided"])
+def test_both_sides_share_the_energys_arrays(monkeypatch, new_model,
+                                             low_lam):
+    # the grid, the suffix integrators and e^{-2i lam xi} of the m sweep
+    # and the V1 grid with its Hankel waves depend on lam and the breaks
+    # only, so the two sides' solves at one energy build them once; at
+    # low_lam the one-sided profile mixes the pipelines (plus low, minus
+    # oscillatory), so its f0 is built for one side there either way
+    omegas, hankels = [], []
+    real_init, real_f0 = panels.SuffixIntegrator.__init__, jost.f0_values
+
+    def init(self, grid, omega=0.0):
+        omegas.append(omega)
+        real_init(self, grid, omega)
+
+    def f0(*args):
+        hankels.append(args)
+        return real_f0(*args)
+
+    monkeypatch.setattr(panels.SuffixIntegrator, "__init__", init)
+    monkeypatch.setattr(jost, "f0_values", f0)
+    m = new_model()
+    for lam in (0.5, 3.0):
+        omegas.clear()
+        m.scattering_data(lam)
+        assert omegas.count(2.0 * lam) == 1
+        assert m._m_side("plus", lam).grid is m._m_side("minus", lam).grid
+    m.scattering_data(low_lam)
+    assert len(hankels) == 2
+    for lam in (0.5, 3.0, low_lam):
+        fresh = new_model()
+        fresh.jost_minus(lam)
+        fresh.jost_plus(lam)
+        got, want = m.scattering_data(lam), fresh.scattering_data(lam)
+        assert repr((got.W, got.alpha_minus, got.beta_minus)) == \
+            repr((want.W, want.alpha_minus, want.beta_minus))
+
+
+def test_one_sided_profile_w_agrees_with_beta():
+    m = _one_sided_model()
     lam = 5e-3
     assert m._pipeline_for("plus", lam, "auto") == "low"
     assert m._pipeline_for("minus", lam, "auto") == "osc"

@@ -7,6 +7,7 @@ from conicwave import DomainError, panels
 from conicwave.panels import (PanelGrid, full_panel_integrals,
                               geometric_breaks, linear_breaks,
                               prefix_basis_integrals, suffix_basis_integrals)
+from conicwave.volterra import separable_integrators
 
 ORDER = 10
 BETA_GL = 15.0          # |beta| up to which _basis_segments takes the GL route
@@ -73,20 +74,56 @@ def test_basis_integrals_against_oracle(name, omega):
 @pytest.mark.parametrize("w0", ["suffix", "prefix", "full"])
 def test_batched_segments_match_one_beta_calls(w0):
     """Each row of a batch over beta equals the call with that beta alone:
-    bit for bit on the GL route, to rounding on the monomial route."""
+    bit for bit on the GL route, repeated betas included, to rounding on
+    the monomial route."""
     ref = panels.gauss_legendre(ORDER)[0]
     w0 = {"suffix": ref, "prefix": -ref[::-1], "full": np.array([-1.0])}[w0]
-    betas = np.array([-200.0, -16.0, -15.0, -2.5, -0.0, 0.0, 1e-3, 7.0,
-                      14.999, 15.0, 15.0001, 40.0, 1e3])
+    batch, betas = _batched_segments(w0)
     gl = np.abs(betas) <= BETA_GL
     assert gl.any() and not gl.all()
-    batch = panels._basis_segments(ORDER, w0, betas)
     for row, beta, on_gl in zip(batch, betas, gl):
         one = panels._basis_segments(ORDER, w0, np.array([beta]))[0]
         if on_gl:
-            assert np.array_equal(row, one)
+            # bit patterns, so that -0.0 and 0.0 parts count as different
+            assert np.array_equal(row.view(np.uint64), one.view(np.uint64))
         else:
             assert np.max(np.abs(row - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+def _batched_segments(w0):
+    """_basis_segments over a beta set with repeats, and that set: the 40
+    core-like panels of linspace(0, 2, 41) have 6 bit-distinct widths."""
+    widths = np.diff(np.linspace(0.0, 2.0, 41))
+    assert len(np.unique(widths)) == 6
+    betas = np.concatenate([
+        [-200.0, -16.0, -15.0, -2.5, -0.0, 0.0, 1e-3, 7.0, 14.999, 15.0,
+         15.0001, 40.0, 1e3, 7.0, -2.5, 0.0, -0.0, 40.0],
+        0.5 * widths, 1.0 * (0.5 * widths), 30.0 * (0.5 * widths)])
+    return panels._basis_segments(ORDER, w0, betas), betas
+
+
+@pytest.mark.parametrize("w0", ["suffix", "prefix", "full"])
+def test_real_split_gl_route_matches_complex_einsum(w0):
+    # the GL route contracts wts * exp(i beta pts) with the real Lagrange
+    # values as two real einsums; the complex three-operand einsum it
+    # replaced gives the same bits
+    ref = panels.gauss_legendre(ORDER)[0]
+    w0 = {"suffix": ref, "prefix": -ref[::-1], "full": np.array([-1.0])}[w0]
+    batch, betas = _batched_segments(w0)
+    gl = np.abs(betas) <= BETA_GL
+    wts, pts, bmat = panels._gl_reference(ORDER, w0.tobytes())
+    oracle = np.einsum("ig,pig,igj->pij", wts,
+                       np.exp(1j * betas[gl, None, None] * pts), bmat)
+    assert np.array_equal(batch[gl].view(np.uint64), oracle.view(np.uint64))
+
+
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+def test_one_integrator_per_distinct_frequency(direction):
+    grid = GRIDS["geometric"]
+    a, b = separable_integrators(grid, direction, [0.0, 0.0])
+    assert a is b
+    a, b, c = separable_integrators(grid, direction, [0.0, 2.0, 0.0])
+    assert a is c and b is not a
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
