@@ -23,6 +23,15 @@ f0' and the Filon tail grid with its f0 for the low pipeline) are built by
 ``_m_arrays`` and ``_low_arrays`` once per energy and held in one slot per
 model and pipeline, which the second side reads.
 
+Evaluators
+----------
+A Jost solution is a ``_Side``: nodal (f, f') or (m, m') on a grid from a
+cut up, the inward ODE solution or a u0 + b u1 of the matching basis below
+it, and a mirror flag for f_minus.  ``JostStack`` reads many sides, each
+at its own xi, in one bisection over all their grids (``StackedGrids``)
+and one barycentric pass per value shape, with scalar calls only at ODE
+points; ``values`` and the kernel's table both read through it.
+
 Conventions
 -----------
 Wr(u, v) = u v' - u' v, and the scattering Wronskian is
@@ -38,7 +47,7 @@ alpha = Wr(f_minus, conj f_plus)/(-2i*lam), so |beta|^2 - |alpha|^2 = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -201,21 +210,17 @@ class JostEvaluator:
 
     ``values`` gives (f, f') for a Jost solution and (u0, u0', u1, u1') for
     a basis, stacked (2 or 4, len(xi)); xi outside the window raises
-    DomainError.  Each subclass is one kind of evaluator that holds its own
-    data, and its ``read(evaluators, x)`` reads a list of evaluators of
-    that kind at one point each: ``values`` is that read over
-    ``[self] * len(xi)``, and ``f_at`` reads many Jost solutions at one xi
-    with one read per kind.
-    """
+    DomainError."""
 
     lam: float
     window: tuple
     regime = REGIME_LOW_ENERGY
 
     def values(self, xi):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        _check_windows(*self.window, xi)
-        return self.read([self] * xi.size, xi)
+        return self._read(np.atleast_1d(np.asarray(xi, dtype=float)))
+
+    def _read(self, x):
+        return JostStack([self]).read(np.zeros(x.size, dtype=int), x)
 
 
 def _check_windows(lo, hi, xi) -> None:
@@ -225,30 +230,12 @@ def _check_windows(lo, hi, xi) -> None:
         raise DomainError("xi outside an evaluator window")
 
 
-def _groups(objs) -> list:
-    """(object, positions) of each distinct object in ``objs``, by
-    identity, in order of first appearance; the positions are a list, or
-    slice(None) when all are one object."""
-    objs = list(objs)
-    ids = list(map(id, objs))
-    if objs and ids.count(ids[0]) == len(ids):
-        return [(objs[0], slice(None))]
-    out: dict = {}
-    for r, (i, o) in enumerate(zip(ids, objs)):
-        out.setdefault(i, (o, []))[1].append(r)
-    return list(out.values())
-
-
-def _seeds(pvs, x: np.ndarray) -> np.ndarray:
-    """The zero-energy (u0, u0', u1, u1') of side view pvs[i] at x[i], (4,
-    n): one evaluation per side view, at one point where all its points
-    coincide (as in ``f_at``)."""
+def _seeds(pv, x: np.ndarray) -> np.ndarray:
+    """The zero-energy (u0, u0', u1, u1') of side view pv at x, (4, n),
+    evaluated once where all the points coincide."""
     out = np.empty((4, x.size))
-    for pv, idx in _groups(pvs):
-        xs = x[idx]
-        if xs.min() == xs.max():
-            xs = xs[:1]
-        out[:, idx] = _seed_values(pv, xs)
+    if x.size:
+        out[:] = _seed_values(pv, x[:1] if x.min() == x.max() else x)
     return out
 
 
@@ -258,9 +245,9 @@ class _Seed(JostEvaluator):
 
     pv: object
 
-    @staticmethod
-    def read(evs, x):
-        return _seeds([e.pv for e in evs], x)
+    def _read(self, x):
+        _check_windows(*self.window, x)
+        return _seeds(self.pv, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,12 +260,8 @@ class _Basis(JostEvaluator):
     grid: panels.PanelGrid
     corr: np.ndarray
 
-    @staticmethod
-    def read(evs, x):
-        out = panels.interpolate_at([e.grid for e in evs],
-                                    [e.corr for e in evs], x)
-        out += _seeds([e.pv for e in evs], x)
-        return out
+    def _read(self, x):
+        return _BasisStack([self]).read(np.zeros(x.size, dtype=int), x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,127 +272,117 @@ class _TwoSided(JostEvaluator):
     plus: _Basis
     minus: _Basis
 
-    @staticmethod
-    def read(evs, x):
-        neg = x < 0
-        sides = [e.minus if n else e.plus for e, n in zip(evs, neg.tolist())]
-        ax = np.where(neg, -x, x)
-        _check_windows(np.array([s.window[0] for s in sides]),
-                       np.array([s.window[1] for s in sides]), ax)
-        out = _Basis.read(sides, ax)
+    def _read(self, x):
+        _check_windows(*self.window, x)
+        return _BasisStack([self.plus, self.minus]).pairs(0, x)
+
+
+class _BasisStack:
+    """``_Basis`` sides laid end to end, read one side per point: side s is
+    the seed of the side view pvs[pv[s]] plus the corrections corr[s] on
+    grid s, over [0, L[s]].  Its arrays are read-only."""
+
+    def __init__(self, sides):
+        views = {id(s.pv): s.pv for s in sides}
+        self.pvs = tuple(views.values())
+        self.grids = panels.StackedGrids.build([s.grid for s in sides])
+        self.corr = tuple(s.corr for s in sides)
+        self.L, self.pv = panels._frozen(
+            np.array([s.window[1] for s in sides]),
+            np.array([list(views).index(id(s.pv)) for s in sides], dtype=int))
+
+    def read(self, rows, z) -> np.ndarray:
+        """(u0, u0', u1, u1') of side rows[i] at z[i], (4, n)."""
+        _check_windows(0.0, self.L[rows], z)
+        out = self.grids.interpolate(self.corr, rows, z)
+        for k, pv in enumerate(self.pvs):
+            i = (self.pv[rows] == k).nonzero()[0]
+            out[:, i] += _seeds(pv, z[i])
+        return out
+
+    def pairs(self, plus, y) -> np.ndarray:
+        """The two-sided basis of sides plus[i] and plus[i] + 1 at y[i]: the
+        first for y >= 0, the second at -y with the parity signs below."""
+        neg = y < 0
+        out = self.read(plus + neg, np.where(neg, -y, y))
         out[:, neg] *= np.array(_PARITY)[:, None]
         return out
 
 
 @dataclass(frozen=True, eq=False)
-class _LowSide(JostEvaluator):
-    """Low-pipeline f on one side: (f, f') stacked on the V1 grid from
-    ``xi_lo`` up, a*u0 + b*u1 of the matching ``basis`` below it."""
+class _Side(JostEvaluator):
+    """f of one end's solve: from ``cut`` up, ``vals`` on ``grid``, the low
+    pipeline's (f, f') or the oscillatory one's (m, m'), m = e^{-i lam xi}
+    f; below it the ODE solution ``ode`` (lam > 1; for lam <= 1 cut is
+    -inf) or a*u0 + b*u1 of ``basis``.  ``mirror``: f_minus(xi) = g(-xi)."""
 
     grid: panels.PanelGrid
-    f_df: np.ndarray
-    xi_lo: float
-    a: complex
-    b: complex
-    basis: _TwoSided
-
-    @staticmethod
-    def read(evs, x):
-        out = np.empty((2, x.size), dtype=complex)
-        direct = x >= np.array([e.xi_lo for e in evs])
-        i = np.flatnonzero(direct)
-        if i.size:
-            sub = [evs[k] for k in i]
-            out[:, i] = panels.interpolate_at([e.grid for e in sub],
-                                              [e.f_df for e in sub], x[i])
-        i = np.flatnonzero(~direct)
-        if i.size:
-            sub = [evs[k] for k in i]
-            u0, du0, u1, du1 = _TwoSided.read([e.basis for e in sub], x[i])
-            a = np.array([e.a for e in sub])
-            b = np.array([e.b for e in sub])
-            out[0, i] = a * u0 + b * u1
-            out[1, i] = a * du0 + b * du1
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class _OscSide(JostEvaluator):
-    """Oscillatory-pipeline f on one side: m = e^{-i lam xi} f and m',
-    stacked (2, n) on ``grid``.  For lam <= 1 (``ode`` None) the grid
-    spans the whole window, the core below ``xi_v`` included; above that
-    it starts at ``xi_v`` and the inward ODE solution ``ode`` of (f, f')
-    serves the core."""
-
-    grid: panels.PanelGrid
-    mdm: np.ndarray
-    xi_v: float
-    ode: object
-    regime = REGIME_OSCILLATORY
-
-    @staticmethod
-    def read(evs, x):
-        out = np.empty((2, x.size), dtype=complex)
-        on_grid = x >= np.array([-np.inf if e.ode is None else e.xi_v
-                                 for e in evs])
-        i = np.flatnonzero(on_grid)
-        if i.size:
-            sub = [evs[k] for k in i]
-            xv = x[i]
-            mv, dv = panels.interpolate_at([e.grid for e in sub],
-                                           [e.mdm for e in sub], xv)
-            il = 1j * np.array([e.lam for e in sub])
-            ph = np.exp(il * xv)
-            out[0, i] = ph * mv
-            out[1, i] = ph * (il * mv + dv)
-        for k in np.flatnonzero(~on_grid):
-            # a scalar t takes OdeSolution's one-segment path, the same
-            # arithmetic as an array of t
-            out[:, k] = evs[k].ode(x[k])
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class _Mirrored(JostEvaluator):
-    """f_minus(xi) = g(-xi), g the mirrored side's solution ``base``."""
-
-    base: JostEvaluator
+    vals: np.ndarray
+    cut: float
+    ode: object = None
+    a: complex = 0j
+    b: complex = 0j
+    basis: Optional[_TwoSided] = None
+    mirror: bool = False
 
     @property
     def regime(self):
-        return self.base.regime
+        return REGIME_OSCILLATORY if self.basis is None else REGIME_LOW_ENERGY
 
-    @staticmethod
-    def read(evs, x):
-        out = _read([e.base for e in evs], -x)
-        out[1] = -out[1]
+
+class JostStack:
+    """``_Side`` rows laid out to read row rows[i] at x[i] in one pass; a
+    low row's basis is sides bside[r] and bside[r] + 1 of ``basis``.  The
+    arrays are read-only, so a stack can be shared."""
+
+    def __init__(self, sides):
+        if not all(isinstance(s, _Side) for s in sides):
+            raise DomainError("a JostStack reads Jost solutions, not bases")
+        self.sides = tuple(sides)
+        self.vals = tuple(s.vals for s in sides)
+        self.grids = panels.StackedGrids.build([s.grid for s in sides])
+        bases = [b for s in sides if s.basis is not None
+                 for b in (s.basis.plus, s.basis.minus)]
+        self.basis = _BasisStack(bases) if bases else None
+        rows = [(s.lam, *s.window, s.cut, s.a, s.b, s.mirror,
+                 s.basis is not None) for s in sides]
+        (self.lam, self.lo, self.hi, self.cut, self.a, self.b, self.mirror,
+         self.low) = panels._frozen(*(np.array(c, dtype=t) for c, t in zip(
+             list(zip(*rows)) or [()] * 8,
+             (float,) * 4 + (complex,) * 2 + (bool,) * 2)))
+        self.bside = (panels._frozen(2 * np.cumsum(self.low) - 2)[0]
+                      if bases else None)
+
+    def read(self, rows, x) -> np.ndarray:
+        """(f, f') of row rows[i] at x[i], (2, n); DomainError unless each
+        x[i] lies in its row's window (and its matching basis's)."""
+        _check_windows(self.lo[rows], self.hi[rows], x)
+        mirror, low = self.mirror[rows], self.low[rows]
+        y = np.where(mirror, -x, x)
+        out = np.empty((2, x.size), dtype=complex)
+        on = y >= self.cut[rows]
+        i = on.nonzero()[0]
+        if i.size:
+            out[:, i] = self.grids.interpolate(self.vals, rows[i], y[i])
+            i = i[~low[i]] if self.basis is not None else i
+            mv, dv = out[:, i]
+            il = 1j * self.lam[rows[i]]
+            ph = np.exp(il * y[i])
+            out[0, i] = ph * mv
+            out[1, i] = ph * (il * mv + dv)
+        for k in (~on & ~low).nonzero()[0]:
+            # a scalar t takes OdeSolution's one-segment path, the same
+            # arithmetic as an array of t
+            out[:, k] = self.sides[rows[k]].ode(y[k])
+        i = (~on & low).nonzero()[0]
+        if i.size:
+            r = rows[i]
+            u0, du0, u1, du1 = self.basis.pairs(self.bside[r], y[i])
+            a, b = self.a[r], self.b[r]
+            out[0, i] = a * u0 + b * u1
+            out[1, i] = a * du0 + b * du1
+        out[1, mirror] = -out[1, mirror]
         return out
-
-
-_BASES = (_Seed, _Basis, _TwoSided)
-
-
-def _read(evs, x: np.ndarray) -> np.ndarray:
-    """(f, f') of Jost solutions of any kinds, evs[i] at x[i]: one ``read``
-    per kind."""
-    kinds = _groups(map(type, evs))
-    if any(kind in _BASES for kind, _ in kinds):
-        raise DomainError("f_at reads Jost solutions, not bases")
-    if len(kinds) == 1:
-        return kinds[0][0].read(evs, x)
-    out = np.empty((2, x.size), dtype=complex)
-    for kind, idx in kinds:
-        out[:, idx] = kind.read([evs[i] for i in idx], x[idx])
-    return out
-
-
-def f_at(evaluators, xi: float) -> np.ndarray:
-    """f(xi) of each Jost solution in ``evaluators``, bit-equal to
-    ``ev.values([xi])[0][0]`` of each and refused where that is."""
-    x = np.full(len(evaluators), float(xi))
-    _check_windows(np.array([ev.window[0] for ev in evaluators]),
-                   np.array([ev.window[1] for ev in evaluators]), x)
-    return _read(evaluators, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +608,7 @@ class ScatteringModel:
         The grid, its integrators and e^{-2i lam xi} come from
         ``_m_arrays`` through the model's m slot, so the other side at
         this energy reuses them; V, the tail forcing and mu are the side's.
-        Returns the evaluator of f (an ``_OscSide``) for xi in [lo, B].
+        Returns the evaluator of f (a ``_Side``) for xi in [lo, B].
         """
         pv = self._pv(side)
         xi_max = 0.98 * pv.xi_cap
@@ -670,15 +643,14 @@ class ScatteringModel:
                               SWEEP_TOL, mu)
         dm = -ph * (t2 + c1tp)
         mdm = np.stack([m, dm])
-        ode = None
+        ev = _Side(lam, (lo, B), grid, mdm, -np.inf)
         if not core:
             # inward ODE continuation for xi below xi_v
             fv = np.exp(1j * lam * xi_v)
             m_v, dm_v = grid.interpolate(mdm, [xi_v])[:, 0]
             y0 = [fv * m_v, fv * (1j * lam * m_v + dm_v)]
-            ode = _continue(pv, lam, np.asarray(y0, dtype=complex),
-                            (xi_v, lo - 1e-9))
-        ev = _OscSide(lam, (lo, B), grid, mdm, xi_v, ode)
+            ev = replace(ev, cut=xi_v, ode=_continue(
+                pv, lam, np.asarray(y0, dtype=complex), (xi_v, lo - 1e-9)))
         self._osc_cache[key] = ev
         return ev
 
@@ -727,11 +699,12 @@ class ScatteringModel:
             other = "minus" if side == "plus" else "plus"
             basis = _TwoSided(lam, (-L, L), self._side_basis(side, lam, L),
                               self._side_basis(other, lam, L))
-            ev = _LowSide(lam, (-L, B), grid, f_df, xi0 * 1.05, a, b, basis)
+            ev = _Side(lam, (-L, B), grid, f_df, xi0 * 1.05, None, a, b,
+                       basis)
         else:
             ev = self._m_side(side, lam, xi_floor=xi_min, xi_hi=xi_hi)
-        return ev if side == "plus" else \
-            _Mirrored(lam, (-ev.window[1], -ev.window[0]), ev)
+        return ev if side == "plus" else replace(
+            ev, window=(-ev.window[1], -ev.window[0]), mirror=True)
 
     def jost_plus(self, lam: float, xi_min: float = 0.0, xi_hi: float = 0.0,
                   pipeline: str = "auto") -> JostEvaluator:
@@ -767,19 +740,18 @@ class ScatteringModel:
         """(W, alpha, f_plus, f_minus): the side evaluators that
         ``jost_plus``/``jost_minus`` give for ``xi_hi``, and W, alpha from
         their basis coefficients when both run the low pipeline, else from
-        their Wronskians at xi = 0.  Callers form beta = W/(-2i lam)
-        themselves."""
+        their Wronskians at xi = 0, read in one stack pass.  Callers form
+        beta = W/(-2i lam) themselves."""
         fp = self._side_evaluator("plus", lam, 0.0, xi_hi, pipeline)
         fm = self._side_evaluator("minus", lam, 0.0, xi_hi, pipeline)
         if fp.regime == fm.regime == REGIME_LOW_ENERGY:
             # mirrored-side coefficients translate with a sign flip on b
-            ap, bp, am, bm = fp.a, fp.b, fm.base.a, -fm.base.b
+            ap, bp, am, bm = fp.a, fp.b, fm.a, -fm.b
             return (ap * bm - am * bp,
                     (am * np.conj(bp) - bm * np.conj(ap)) / (-2j * lam),
                     fp, fm)
-        zero = np.array([0.0])
-        (f1,), (df1,) = fp.values(zero)
-        (f2,), (df2,) = fm.values(zero)
+        (f1, f2), (df1, df2) = JostStack([fp, fm]).read(np.arange(2),
+                                                        np.zeros(2))
         return (wr(f1, df1, f2, df2),
                 wr(f2, df2, np.conj(f1), np.conj(df1)) / (-2j * lam), fp, fm)
 

@@ -12,22 +12,18 @@ kernel evaluation reduces to polynomial work against that table:
   a = 0.2, 1, 10 and the smoothed cone kappa = 5 (4.3e-10 on a = 1);
 * the integral from LAM_MIN_TABLE up to lam_top runs on one fixed
   geometric ladder of Chebyshev panels of the phase-stripped channel
-  amplitudes, built per engine up to the first edge >= LAM_TOP_MAX: below
-  lam_low it steps by PANEL_RATIO^2 (25 panels at PANEL_RATIO = 4/3 and
-  lam_low = 1e-2; against 0.85-wide s-panels and a step of PANEL_RATIO
-  there, 17 and 49 panels, no benchmark kernel value moved by more than
-  1.8e-9 relative), above it by PANEL_RATIO; the panels below lam_low
-  read the amplitudes off the s-grid samples (one table per lam range),
-  panels above sample the table directly and are appended to a pair's
-  entry as kernels reach higher; a kernel integrates whole panels, up to
-  the right edge of the panel that holds its lam_top; a pair reads
-  f+-(xi) from all the records it samples with one ``jost.f_at`` call per
-  (side, xi), kept per (side, xi) for the other pairs at that xi, and
-  forms m and the channel amplitudes from those arrays; the
-  quadratic/linear phase exp(i(t lam^p + theta lam)) is integrated exactly
-  per panel (oscquad), all panels of a kernel in one level-wise batched
-  pass, against polynomial fits that each pair caches per band as arrays
-  over its panels, so that kernels at another t or kind fit no panel anew;
+  amplitudes, built per engine up to the first edge >= LAM_TOP_MAX; it
+  steps by PANEL_RATIO^2 below lam_low, where the panels read the
+  amplitudes off the s-grid samples, and by PANEL_RATIO above, where they
+  sample the table and are appended to a pair's entry as kernels reach
+  higher; a kernel integrates whole panels, up to the one holding lam_top;
+* the table keeps its records in build order, and a pair reads f+-(xi)
+  from all the rows it needs in one ``jost.JostStack`` pass per (side,
+  xi), kept as one array per (side, xi) for the other pairs at that xi;
+* the phase exp(i(t lam^p + theta lam)) is integrated exactly per panel
+  (oscquad), all panels of a kernel in one batched pass, against
+  polynomial fits that each pair caches per band, so that kernels at
+  another t or kind fit no panel anew;
 * both tails read the fits of the ladder's end panels: below LAM_MIN_TABLE
   the density and its slope at the first panel's start, held constant in s
   under a phase held at its LAM_MIN_TABLE value (a kernel whose held phase
@@ -54,7 +50,7 @@ import numpy as np
 
 from . import oscquad, panels
 from .errors import DomainError, QuadratureError
-from .jost import ScatteringModel, check_energy, f_at
+from .jost import JostStack, ScatteringModel, check_energy
 
 KIND_SCHRODINGER = "schrodinger"
 KIND_WAVE_PLUS = "wave_plus"
@@ -180,21 +176,19 @@ def _mul(a, b):
     return out
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class _NodeRecord:
-    """(W, alpha, beta) at one lam and the Jost evaluators ``ev[side]``.
+    """(W, alpha, beta) at one lam, the Jost evaluators ``ev[side]`` and
+    the record's ``row`` in the table's build order.  It holds no values
+    at any xi: a new pair reads f_side at its xi from the table's rows in
+    one ``JostStack`` pass (``KernelEngine._m_values``)."""
 
-    A record holds no values at any xi: a new pair reads f_side at its xi
-    from all the records it needs at once (``KernelEngine._m_values``, one
-    ``jost.f_at`` call per (side, xi))."""
-
-    __slots__ = ("lam", "W", "alpha", "beta", "ev")
-
-    def __init__(self, lam, W, alpha, beta, ev_plus, ev_minus):
-        self.lam = lam
-        self.W = W
-        self.alpha = alpha
-        self.beta = beta
-        self.ev = {"plus": ev_plus, "minus": ev_minus}
+    lam: float
+    W: complex
+    alpha: complex
+    beta: complex
+    ev: dict
+    row: int
 
 
 class KernelEngine:
@@ -235,7 +229,9 @@ class KernelEngine:
         self._n_sub = len(down) - 1
         self._ladder = np.array(down[::-1] + up[1:])
         self._records: dict = {}
-        # (side, xi) -> {lam: m_side(xi)}, shared by the pairs of a scan
+        # side -> JostStack over the table; (side, xi) -> m_side(xi) of its
+        # first rows, shared by the pairs of a scan
+        self._stacks: dict = {}
         self._m_cache: dict = {}
         self._pair_cache: dict = {}
 
@@ -248,21 +244,31 @@ class KernelEngine:
                 lam, xi_hi=self.xi_abs_max)
             # beta divides the raw numpy W (complex(W) rounds differently)
             rec = _NodeRecord(lam, complex(W), complex(alpha),
-                              complex(W / (-2j * lam)), f_plus, f_minus)
+                              complex(W / (-2j * lam)),
+                              {"plus": f_plus, "minus": f_minus},
+                              len(self._records))
             self._records[lam] = rec
         return rec
 
     def _m_values(self, recs, side: str, xi: float) -> np.ndarray:
-        """m_side(xi) = e^{-+i lam xi} f_side(xi) of each record; the records
-        not read at (side, xi) before are read in one ``f_at`` call."""
-        memo = self._m_cache.setdefault((side, xi), {})
-        new = [r for r in recs if r.lam not in memo]
-        if new:
-            f = f_at([r.ev[side] for r in new], xi)
-            lams = np.array([r.lam for r in new])
-            ph = np.exp((-1j if side == "plus" else 1j) * lams * xi)
-            memo.update(zip(lams.tolist(), _mul(f, ph)))
-        return np.array([memo[r.lam] for r in recs])
+        """m_side(xi) = e^{-+i lam xi} f_side(xi) of each record, from one
+        array per (side, xi) over the table's first rows.  The rows up to
+        the last of ``recs`` that it lacks are read in one pass of the
+        side's ``JostStack``, rebuilt over the whole table when shorter."""
+        rows = np.fromiter((r.row for r in recs), dtype=int, count=len(recs))
+        held = self._m_cache.get((side, xi), np.empty(0, dtype=complex))
+        need = int(rows.max(initial=-1)) + 1
+        if need > held.size:
+            stack = self._stacks.get(side)
+            if stack is None or stack.lam.size < need:
+                stack = self._stacks[side] = JostStack(
+                    [r.ev[side] for r in self._records.values()])
+            new = np.arange(held.size, need)
+            f = stack.read(new, np.full(new.size, float(xi)))[0]
+            ph = np.exp((-1j if side == "plus" else 1j) * stack.lam[new] * xi)
+            held = self._m_cache[side, xi] = np.concatenate(
+                [held, _mul(f, ph)])
+        return held[rows]
 
     # -- channels ------------------------------------------------------------
 
@@ -504,6 +510,7 @@ class KernelEngine:
         if need > self.xi_abs_max:
             self.xi_abs_max = 1.05 * need
             self._records.clear()
+            self._stacks.clear()
             self._m_cache.clear()
             self._pair_cache.clear()
 

@@ -8,6 +8,8 @@ the per-panel Lagrange basis (optionally against a fixed oscillator
 as array operations (panels of one width share one computation), which
 makes successive substitution sweeps and cumulative integrals O(N) and lets
 panels span many oscillation periods without losing the phase.
+``StackedGrids`` lays many grids end to end, so that the spectral table
+reads each record's grid at one point in one bisection.
 
 Arrays that depend only on the order and the reference nodes (the GL-route
 interpolation matrix, the omega=0 reference segments that each panel scales
@@ -147,33 +149,52 @@ def _bary_weights_cached(order: int) -> np.ndarray:
     return w
 
 
-def interpolate_at(grids, values, x) -> np.ndarray:
-    """Each ``values[r]``, nodal values (k, n) on ``grids[r]``, at its own
-    point ``x[r]``: shape (k, len(grids)).
+@dataclass(frozen=True)
+class StackedGrids:
+    """Panel grids of one order laid end to end (grid r's breaks from
+    ``first[r]``), read at one point per row in one pass, bit-equal to the
+    ``PanelGrid`` methods of each point's own grid."""
 
-    The points of each distinct grid are located in one call, and one
-    barycentric pass covers the rows of all of them, bit-equal to
-    ``grids[r].interpolate(values[r], x[r])``.  The grids must share one
-    order.
-    """
-    x = np.asarray(x, dtype=float)
-    order = grids[0].order
-    on: dict = {}
-    for r, g in enumerate(grids):
-        on.setdefault(id(g), (g, []))[1].append(r)
-    # each point's panel as a slice of its flat nodal values: views,
-    # gathered by one concatenate
-    cols, a, b = [None] * x.size, [0.0] * x.size, [0.0] * x.size
-    for g, idx in on.values():
-        if g.order != order:
-            raise DomainError("interpolate_at needs grids of one order")
-        for r, p in zip(idx, g.locate(x[idx]).tolist()):
-            cols[r] = values[r][..., p * order:(p + 1) * order]
-            a[r], b[r] = g.breaks[p], g.breaks[p + 1]
-    vals = np.concatenate(cols, axis=-1)
-    vals = vals.reshape(vals.shape[:-1] + (x.size, order))
-    a, b = np.array(a), np.array(b)
-    return _bary_eval(order, vals, (2.0 * x - a - b) / (b - a))
+    order: int
+    breaks: np.ndarray
+    first: np.ndarray
+    npanels: np.ndarray
+
+    @classmethod
+    def build(cls, grids) -> "StackedGrids":
+        orders = {g.order for g in grids}
+        if len(orders) > 1:
+            raise DomainError("stacked grids need one order")
+        n = np.array([g.npanels for g in grids], dtype=int)
+        breaks = np.concatenate([g.breaks for g in grids] or [[]])
+        return cls(max(orders, default=0),
+                   *_frozen(breaks, np.cumsum(n + 1) - (n + 1), n))
+
+    def locate(self, rows, x) -> np.ndarray:
+        """The panel of grid rows[i] holding x[i]: one searchsorted for one
+        grid, else a bisection of each point's inner breaks (NaN last)."""
+        lo = self.first[rows] + 1
+        hi = lo + self.npanels[rows] - 1
+        if lo.size and lo.min() == lo.max():
+            return self.breaks[lo[0]:hi[0]].searchsorted(x, side="right")
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+            mid = (lo + hi) >> 1
+            right = ~(x < self.breaks[mid])
+            lo = np.where(right & (lo < hi), mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        return lo - self.first[rows] - 1
+
+    def interpolate(self, values, rows, x) -> np.ndarray:
+        """values[rows[i]], nodal (k, n) on grid rows[i], at x[i]: (k,
+        len(x)).  Each point's panel is a view, gathered by one
+        concatenate."""
+        p = self.locate(rows, x)
+        j = self.first[rows] + p
+        a, b, o = self.breaks[j], self.breaks[j + 1], self.order
+        vals = np.concatenate([values[r][:, s:s + o] for r, s
+                               in zip(rows.tolist(), (p * o).tolist())],
+                              axis=-1).reshape(-1, x.size, o)
+        return _bary_eval(o, vals, (2.0 * x - a - b) / (b - a))
 
 
 def _bary_eval(order: int, vals: np.ndarray, w: np.ndarray) -> np.ndarray:

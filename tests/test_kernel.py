@@ -307,9 +307,45 @@ def test_subthreshold_panels_match_direct_samples(name, request):
                         <= 1e-8 * np.max(np.abs(direct)))
 
 
+def _read_at(evs, xi):
+    """(f, f')(xi) of each Jost solution in ``evs``, read in one stack
+    pass: shape (2, len(evs))."""
+    n = len(evs)
+    return jost.JostStack(evs).read(np.arange(n), np.full(n, xi))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+def _f_reference(ev, xi):
+    """(f, f')(xi) of a Jost side from its pieces, one point and one grid
+    at a time (``PanelGrid.interpolate``), with the stacked read's
+    arithmetic: the reference that read is checked against."""
+    y = np.array([-xi if ev.mirror else xi])
+    if y[0] >= ev.cut:
+        f, df = ev.grid.interpolate(ev.vals, y)
+        if ev.basis is None:
+            il = 1j * np.array([ev.lam])
+            ph = np.exp(il * y)
+            f, df = ph * f, ph * (il * f + df)
+    elif ev.basis is None:
+        f, df = ev.ode(y[0])[:, None]
+    else:
+        side = ev.basis.plus if y[0] >= 0 else ev.basis.minus
+        z = np.abs(y)
+        u = side.grid.interpolate(side.corr, z)
+        u += np.array(jost._seed_values(side.pv, z))
+        if y[0] < 0:
+            u *= np.array(jost._PARITY)[:, None]
+        a, b = np.array([ev.a]), np.array([ev.b])
+        f, df = a * u[0] + b * u[2], a * u[1] + b * u[3]
+    return np.array([f[0], -df[0] if ev.mirror else df[0]])
+
+
 def _m_one_point(rec, side, xi):
     """m_side(xi) of one record by a one-point ``values`` call and scalar
-    products: the read that ``jost.f_at`` batches over records."""
+    products: the read that a ``JostStack`` batches over records."""
     ph = -1j if side == "plus" else 1j
     return (rec.ev[side].values(np.array([xi]))[0][0]
             * np.exp(ph * rec.lam * xi))
@@ -328,18 +364,32 @@ def _amps_one_point(rec, hi, lo):
             rec.beta * np.conj(m("minus", hi)) * m("minus", lo) / rec.W]
 
 
+def _xi_v(ev):
+    """Where an oscillatory side's core meets its geometric tail panels."""
+    return 2.0 / max(ev.lam, 1.0)
+
+
 def _branch(ev, xi):
     """The piece of a Jost evaluator that serves xi."""
-    side, x = ev, xi
-    if isinstance(side, jost._Mirrored):
-        side, x = side.base, -xi
-    if isinstance(side, jost._LowSide):
-        if x >= side.xi_lo:
+    x = -xi if ev.mirror else xi
+    if ev.basis is not None:
+        if x >= ev.cut:
             return "V1 grid"
         return "basis" if x >= 0 else "mirrored basis"
-    if x >= side.xi_v:
+    if x >= _xi_v(ev):
         return "m grid"
-    return "core grid" if side.ode is None else "ODE"
+    return "core grid" if ev.ode is None else "ODE"
+
+
+def _edges(rec):
+    """Where a record's pieces meet, in its plus side's coordinate: xi_v
+    or the cut xi_lo, an inner break of its nodal grid and, for a low
+    record, of its basis grid below xi_lo."""
+    ev = rec.ev["plus"]
+    pts = [ev.grid.breaks[len(ev.grid.breaks) // 2]]
+    if ev.basis is not None:
+        return pts + [ev.cut, ev.basis.plus.grid.breaks[3]]
+    return pts + [_xi_v(ev)]
 
 
 @pytest.mark.parametrize("name, branches", [
@@ -347,25 +397,30 @@ def _branch(ev, xi):
      {"V1 grid", "basis", "mirrored basis", "m grid", "core grid", "ODE"}),
     ("cylinder_engine", {"m grid", "core grid", "ODE"})])
 def test_batched_read_equals_one_point_values(name, branches, request):
-    """``jost.f_at`` and every pair entry sampled through it equal, bit for
-    bit, the one-point ``values`` read with scalar products: f on each
-    branch and side, the s-grid samples, and the Filon panel samples (read
-    off the s-grid below lam_low)."""
+    """A ``JostStack`` read and every pair entry sampled through it equal,
+    bit for bit, the one-point ``values`` read with scalar products: f on
+    each branch and side, where the branches meet (xi_v, xi_lo and inner
+    breaks), the s-grid samples, and the Filon panel samples (read off the
+    s-grid below lam_low)."""
     eng = request.getfixturevalue(name)
     recs = ([eng._record(lam) for lam in eng._s_lam]
             + [eng._record(lam) for lam in (0.02, 0.3, 3.0, 40.0)])
+    edges = [x for r in (recs[0], recs[-2], recs[-1]) for x in _edges(r)]
     hit = set()
     for side, sign in (("plus", 1.0), ("minus", -1.0)):
-        for xi in (0.0, 0.5, -5.0, 5.0, 300.0, 1000.0):
+        for xi in [0.0, 0.5, -5.0, 5.0, 300.0, 1000.0] + edges:
             xi *= sign
             evs = [r.ev[side] for r in recs
                    if r.ev[side].window[0] <= xi <= r.ev[side].window[1]]
-            want = [ev.values(np.array([xi]))[0][0] for ev in evs]
-            assert np.array_equal(jost.f_at(evs, xi), want), (side, xi)
+            got = _read_at(evs, xi).T
+            for want in ([ev.values(np.array([xi]))[:, 0] for ev in evs],
+                         [_f_reference(ev, xi) for ev in evs]):
+                want = np.reshape(want, got.shape)
+                assert np.array_equal(_bits(got), _bits(want)), (side, xi)
             hit |= {_branch(ev, xi) for ev in evs}
     assert hit == branches
-    empty = jost.f_at([], 0.5)
-    assert empty.shape == (0,) and empty.dtype == complex
+    empty = _read_at([], 0.5)
+    assert empty.shape == (2, 0) and empty.dtype == complex
     s_recs = recs[:len(eng._s_lam)]
     for xi, xip in [(300.0, -1000.0), (0.5, 0.0), (1000.0, 0.5),
                     (-0.5, -300.0)]:
@@ -388,7 +443,7 @@ def test_batched_read_equals_one_point_values(name, branches, request):
 
 
 def test_batched_read_refuses_what_values_refuses(hyperboloid_model):
-    """``jost.f_at`` raises DomainError wherever one of its evaluators'
+    """A ``JostStack`` read raises DomainError wherever one of its evaluators'
     ``values`` does: a xi outside one record's window, a NaN xi, and a xi
     outside the window (0, L) of the matching basis behind a low-pipeline
     record, which no built record reaches, so it is shrunk in a copy."""
@@ -409,13 +464,13 @@ def test_batched_read_refuses_what_values_refuses(hyperboloid_model):
         # some of the records serve xi, the others refuse it
         n_refused = sum(refuses(ev.values, np.array([xi])) for ev in evs)
         assert 0 < n_refused < len(evs)
-        assert refuses(jost.f_at, evs, xi)
+        assert refuses(_read_at, evs, xi)
         assert refuses(eng._m_values, recs, side, xi)
     for side in ("plus", "minus"):
-        assert refuses(jost.f_at, [r.ev[side] for r in recs], float("nan"))
+        assert refuses(_read_at, [r.ev[side] for r in recs], float("nan"))
     lam = 1e-3
     ev = eng._record(lam).ev["plus"]
-    assert ev.xi_lo > 15.0
+    assert ev.cut > 15.0
     narrow = {"plus": eng.model._side_basis("plus", lam, 10.0),
               "minus": eng.model._side_basis("minus", lam, 10.0)}
     for field, xi in (("plus", 15.0), ("minus", -15.0)):
@@ -423,7 +478,28 @@ def test_batched_read_refuses_what_values_refuses(hyperboloid_model):
             ev.basis, **{field: narrow[field]}))
         assert not refuses(ev.values, np.array([xi]))
         assert refuses(shrunk.values, np.array([xi]))
-        assert refuses(jost.f_at, [ev, shrunk], xi)
+        assert refuses(_read_at, [ev, shrunk], xi)
+    with pytest.raises(DomainError, match="not bases"):
+        jost.JostStack([ev, ev.basis])
+
+
+def test_read_after_span_growth_equals_a_fresh_engine(hyperboloid_model):
+    """Growing the span drops the table with its stacks and m arrays, so a
+    read after it equals, bit for bit, a fresh engine's at the grown span
+    (at lam = 3 the m grid ends at B = 1.1 xi_abs_max + 10, so the two
+    spans' records differ)."""
+    def reads(eng):
+        recs = [eng._record(lam) for lam in (1e-3, 0.5, 3.0)]
+        return [eng._m_values(recs, side, xi)
+                for side, xi in (("plus", 0.3), ("minus", -50.0))]
+
+    eng = KernelEngine(hyperboloid_model, xi_abs_max=100.0)
+    before = reads(eng)
+    eng._ensure_span(400.0)
+    fresh = KernelEngine(hyperboloid_model, xi_abs_max=eng.xi_abs_max)
+    for old, got, want in zip(before, reads(eng), reads(fresh)):
+        assert np.array_equal(_bits(got), _bits(want))
+        assert not np.array_equal(old, want)
 
 
 def test_one_table_below_the_threshold(cylinder_model, monkeypatch):

@@ -273,14 +273,25 @@ def test_geometric_breaks_needs_an_increasing_positive_range():
             panels.geometric_breaks(a, b, 12)
 
 
+def _bits(a):
+    """The bit patterns of a complex array, for bit-for-bit comparison."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def test_stacked_interpolation_matches_one_array_calls():
     """Stacked value arrays share one locate and one weight row per point,
-    and ``interpolate_at`` reads each grid at its own point; every row
-    equals its own one-array ``interpolate`` call bit for bit, at GL nodes
-    (the exact-hit branch), breaks and points past the grid included."""
+    and ``StackedGrids`` reads each point on its own grid; every column
+    equals that grid's one-array ``interpolate`` call bit for bit.  The
+    points are those a ragged bisection can get wrong: GL nodes (the
+    exact-hit branch), every break (the first and last included), 1e-10
+    past either end and further, -0.0, on grids of different lengths and a
+    one-panel grid, all read in one call."""
     rng = np.random.default_rng(7)
     grids = list(GRIDS.values()) + [
-        PanelGrid.build(geometric_breaks(0.5, 30.0, 9), order=ORDER)]
+        PanelGrid.build(geometric_breaks(0.5, 30.0, 9), order=ORDER),
+        PanelGrid.build([-1.0, 2.0], order=ORDER),
+        PanelGrid.build(linear_breaks(0.0, 1.0, 40), order=ORDER)]
+    assert {g.npanels for g in grids} == {1, 7, 17, 40}
     values = [rng.normal(size=(4, g.flat.size))
               + 1j * rng.normal(size=(4, g.flat.size)) for g in grids]
     for g, v in zip(grids, values):
@@ -289,23 +300,39 @@ def test_stacked_interpolation_matches_one_array_calls():
         got = g.interpolate(v, x)
         assert got.shape == (4, x.size)
         for k in range(4):
-            assert np.array_equal(got[k], g.interpolate(v[k], x))
-    for x in (0.1, 0.5, 1.7, float(grids[0].flat[13]), 4.999, 5.0, 30.0):
-        got = panels.interpolate_at(grids, values, np.full(len(grids), x))
-        assert got.shape == (4, len(grids))
-        for r, (g, v) in enumerate(zip(grids, values)):
-            assert np.array_equal(got[:, r], g.interpolate(v, x)[:, 0])
-    # a different point for each grid, the middle grid repeated (one
-    # locate for its three points)
-    at = [0, 1, 2, 1, 1]
-    x = np.array([1.7, float(grids[1].flat[5]), 30.0, 0.3, 50.0])
-    got = panels.interpolate_at([grids[r] for r in at],
-                                [values[r] for r in at], x)
-    assert got.shape == (4, len(at))
-    for j, r in enumerate(at):
-        assert np.array_equal(got[:, j], grids[r].interpolate(values[r],
-                                                              x[j])[:, 0])
+            assert np.array_equal(_bits(got[k]),
+                                  _bits(g.interpolate(v[k], x)))
+    stacked = panels.StackedGrids.build(grids)
+    rows, x = [], []
+    for r, g in enumerate(grids):
+        b = g.breaks
+        pts = np.concatenate([b, b[:1] - 1e-10, b[-1:] + 1e-10, b[:1] - 3.0,
+                              b[-1:] + 7.0, g.flat[::3], [0.0, -0.0],
+                              rng.uniform(b[0], b[-1], 20)])
+        rows += [r] * pts.size
+        x.append(pts)
+    rows, x = np.array(rows), np.concatenate(x)
+    # interleave the grids, as the rows of a table read at once are
+    order = rng.permutation(x.size)
+    rows, x = rows[order], x[order]
+    p = stacked.locate(rows, x)
+    got = stacked.interpolate(values, rows, x)
+    assert got.shape == (4, x.size)
+    for r, g in enumerate(grids):
+        at = rows == r
+        assert np.array_equal(p[at], g.locate(x[at]))
+        assert np.array_equal(_bits(got[:, at]),
+                              _bits(g.interpolate(values[r], x[at])))
+    # a NaN locates in the last panel, as searchsorted puts it, both in
+    # the bisection and on one grid (one row at many points)
+    nan = np.full(len(grids), np.nan)
+    assert np.array_equal(stacked.locate(np.arange(len(grids)), nan),
+                          [g.npanels - 1 for g in grids])
+    one = np.zeros(5, dtype=int)
+    xs = np.array([0.1, 2.5, 5.0, 9.0, np.nan])
+    assert np.array_equal(stacked.locate(one, xs), grids[0].locate(xs))
+    assert np.array_equal(_bits(stacked.interpolate(values, one[:4], xs[:4])),
+                          _bits(grids[0].interpolate(values[0], xs[:4])))
     with pytest.raises(DomainError):
-        panels.interpolate_at(
-            [grids[0], PanelGrid.build(grids[0].breaks, order=6)],
-            [values[0], values[0][:, :grids[0].npanels * 6]], [1.0, 1.0])
+        panels.StackedGrids.build(
+            [grids[0], PanelGrid.build(grids[0].breaks, order=6)])

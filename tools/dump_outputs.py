@@ -1,0 +1,88 @@
+"""Print every output the benchmark checks, one line each, for a diff.
+
+Run from the root of a checkout (about a minute on two cores):
+
+    python3 tools/dump_outputs.py > outputs.txt
+
+It imports the package from this checkout's ``src/`` and prints
+
+* ``scatter``: the ``repr`` of ``scattering_data`` at each of the 768 pool
+  entries of ``perfbench/reference/scatter.json``;
+* ``kernel``: the value and ``err_est`` of the kernel workload's cold op and
+  of all 768 warm ops, on one engine, in the reference's order;
+* ``verify``: the sha1 of the CSV that each of the 19 verify configs writes.
+
+Two checkouts' dumps that ``diff`` equal have byte-identical outputs.  This
+is no gate: a change that re-records ``perfbench/reference/`` moves them on
+purpose.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads as wl  # noqa: E402
+from conicwave import cli  # noqa: E402
+
+
+def scatter_lines():
+    pools = wl.load_reference("scatter")["pools"]
+    for p, doc in wl.SCATTER_PROFILES:
+        model = wl.build_model(doc)
+        for draw, entries in pools[p].items():
+            for e in entries:
+                sd = model.scattering_data(e["lam"])
+                yield f"scatter {p} {draw} {e['lam']!r} {sd!r}"
+
+
+def kernel_lines():
+    ref = wl.load_reference("kernel")
+    eng = wl.cw.KernelEngine(wl.build_model(wl.KERNEL_PROFILE),
+                             xi_abs_max=wl.KERNEL_XI_ABS_MAX)
+    ops = [("cold", *wl.COLD_OP)] + [
+        (f"{kind}/{t!r}/{pair['xi']!r}/{pair['xi_prime']!r}", kind, t,
+         pair["xi"], pair["xi_prime"])
+        for stratum in ref["pairs"] for pair in stratum
+        for _, kind, t in wl.kernel_ops(pair)]
+    for key, *args in ops:
+        ks = eng.evolution_kernel(*args)
+        yield f"kernel {key} {ks.value!r} {ks.err_est!r}"
+
+
+def verify_lines():
+    configs = [(c, v) for c in wl.VERIFY_COMMANDS
+               for v in (range(wl.VERIFY_VARIANTS)
+                         if c in wl.VERIFY_VARIED else [None])]
+    with tempfile.TemporaryDirectory() as tmp:
+        for c, v in configs:
+            name = c if v is None else f"{c}-{v}"
+            cfg = Path(tmp) / f"{name}.json"
+            cfg.write_text(json.dumps(wl.verify_config(c, v)),
+                           encoding="utf-8")
+            out = Path(tmp) / name
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([c, "--config", str(cfg), "--out", str(out)])
+            csv = out / wl.csv_name(c)
+            digest = (hashlib.sha1(csv.read_bytes()).hexdigest()
+                      if csv.exists() else "no-csv")
+            yield f"verify {name} exit={code} {digest}"
+
+
+def main() -> None:
+    for lines in (scatter_lines, kernel_lines, verify_lines):
+        for line in lines():
+            print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()
