@@ -27,10 +27,13 @@ Evaluators
 ----------
 A Jost solution is a ``_Side``: nodal (f, f') or (m, m') on a grid from a
 cut up, the inward ODE solution or a u0 + b u1 of the matching basis below
-it, and a mirror flag for f_minus.  ``JostStack`` reads many sides, each
-at its own xi, in one bisection over all their grids (``StackedGrids``)
-and one barycentric pass per value shape, with scalar calls only at ODE
-points; ``values`` and the kernel's table both read through it.
+it, and a mirror flag for f_minus.  A basis (u0, u1) is a ``_Basis``: the
+exact zero-energy seed plus, at lam > 0, corrections on a grid; a two-sided
+one reads its ``minus`` basis mirrored below 0.  ``JostStack`` and
+``_BasisStack`` read many of them, each at its own xi, in one bisection
+over all their grids (``StackedGrids``) and one barycentric pass per value
+shape, with scalar calls only at ODE points; ``values`` and the kernel's
+table read through them.
 
 Conventions
 -----------
@@ -217,10 +220,9 @@ class JostEvaluator:
     regime = REGIME_LOW_ENERGY
 
     def values(self, xi):
-        return self._read(np.atleast_1d(np.asarray(xi, dtype=float)))
-
-    def _read(self, x):
-        return JostStack([self]).read(np.zeros(x.size, dtype=int), x)
+        x = np.atleast_1d(np.asarray(xi, dtype=float))
+        stack = _BasisStack if isinstance(self, _Basis) else JostStack
+        return stack([self]).read(np.zeros(x.size, dtype=int), x)
 
 
 def _check_windows(lo, hi, xi) -> None:
@@ -230,82 +232,59 @@ def _check_windows(lo, hi, xi) -> None:
         raise DomainError("xi outside an evaluator window")
 
 
-def _seeds(pv, x: np.ndarray) -> np.ndarray:
-    """The zero-energy (u0, u0', u1, u1') of side view pv at x, (4, n),
-    evaluated once where all the points coincide."""
-    out = np.empty((4, x.size))
-    if x.size:
-        out[:] = _seed_values(pv, x[:1] if x.min() == x.max() else x)
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class _Seed(JostEvaluator):
-    """The zero-energy pair u0, u1 of the side view ``pv``."""
-
-    pv: object
-
-    def _read(self, x):
-        _check_windows(*self.window, x)
-        return _seeds(self.pv, x)
-
-
 @dataclass(frozen=True, eq=False)
 class _Basis(JostEvaluator):
-    """One side's perturbed basis on [0, L]: the zero-energy seed, evaluated
-    exactly, plus the O(lam^2) corrections of (u0, u0', u1, u1'), stacked
-    (4, n) on ``grid``."""
+    """(u0, u0', u1, u1') of the side view ``pv`` on [0, window[1]]: the
+    zero-energy seed, evaluated exactly, plus at lam > 0 the O(lam^2)
+    corrections ``corr`` (4, n) on ``grid``.  Two-sided with ``minus``:
+    for xi < 0, ``minus`` at -xi with the parity signs."""
 
     pv: object
-    grid: panels.PanelGrid
-    corr: np.ndarray
-
-    def _read(self, x):
-        return _BasisStack([self]).read(np.zeros(x.size, dtype=int), x)
-
-
-@dataclass(frozen=True, eq=False)
-class _TwoSided(JostEvaluator):
-    """A basis at any xi: the ``plus`` side's for xi >= 0, the mirrored
-    ``minus`` side's with the parity signs for xi < 0."""
-
-    plus: _Basis
-    minus: _Basis
-
-    def _read(self, x):
-        _check_windows(*self.window, x)
-        return _BasisStack([self.plus, self.minus]).pairs(0, x)
+    grid: Optional[panels.PanelGrid] = None
+    corr: Optional[np.ndarray] = None
+    minus: Optional[_Basis] = None
 
 
 class _BasisStack:
-    """``_Basis`` sides laid end to end, read one side per point: side s is
-    the seed of the side view pvs[pv[s]] plus the corrections corr[s] on
-    grid s, over [0, L[s]].  Its arrays are read-only."""
+    """``_Basis`` rows of one kind (one- or two-sided, seeds or perturbed)
+    laid out to read row rows[i] at y[i] in one pass.  Its halves are the
+    rows, then, if two-sided, their ``minus`` bases (row r's is half r +
+    nminus): half h is the seed of side view pvs[pv[h]] plus corr[h] on
+    stacked grid h, over [0, L[h]].  Its arrays are read-only."""
 
-    def __init__(self, sides):
-        views = {id(s.pv): s.pv for s in sides}
+    def __init__(self, bases):
+        halves = list(bases) + [b.minus for b in bases if b.minus is not None]
+        self.nminus = len(halves) - len(bases)
+        self.corr = tuple(h.corr for h in halves if h.grid is not None)
+        if (self.nminus not in (0, len(bases))
+                or 0 < len(self.corr) < len(halves)):
+            raise DomainError("a basis stack reads bases of one kind")
+        self.grids = (panels.StackedGrids.build([h.grid for h in halves])
+                      if self.corr else None)
+        views = {id(h.pv): h.pv for h in halves}
         self.pvs = tuple(views.values())
-        self.grids = panels.StackedGrids.build([s.grid for s in sides])
-        self.corr = tuple(s.corr for s in sides)
         self.L, self.pv = panels._frozen(
-            np.array([s.window[1] for s in sides]),
-            np.array([list(views).index(id(s.pv)) for s in sides], dtype=int))
+            np.array([h.window[1] for h in halves], dtype=float),
+            np.fromiter((list(views).index(id(h.pv)) for h in halves), int))
 
-    def read(self, rows, z) -> np.ndarray:
-        """(u0, u0', u1, u1') of side rows[i] at z[i], (4, n)."""
-        _check_windows(0.0, self.L[rows], z)
-        out = self.grids.interpolate(self.corr, rows, z)
+    def read(self, rows, y) -> np.ndarray:
+        """(u0, u0', u1, u1') of row rows[i] at y[i], (4, n): half h at z =
+        |y|, h the row's minus half where y < 0; DomainError unless each z
+        lies in [0, L[h]]."""
+        h, z = rows, y
+        if self.nminus:
+            neg = y < 0
+            h, z = rows + self.nminus * neg, np.where(neg, -y, y)
+        _check_windows(0.0, self.L[h], z)
+        out = np.empty((4, z.size))
         for k, pv in enumerate(self.pvs):
-            i = (self.pv[rows] == k).nonzero()[0]
-            out[:, i] += _seeds(pv, z[i])
-        return out
-
-    def pairs(self, plus, y) -> np.ndarray:
-        """The two-sided basis of sides plus[i] and plus[i] + 1 at y[i]: the
-        first for y >= 0, the second at -y with the parity signs below."""
-        neg = y < 0
-        out = self.read(plus + neg, np.where(neg, -y, y))
-        out[:, neg] *= np.array(_PARITY)[:, None]
+            i = (self.pv[h] == k).nonzero()[0]
+            if i.size:
+                out[:, i] = _seed_values(pv, z[i])
+        if self.corr and z.size:
+            out += self.grids.interpolate(self.corr, h, z)
+        if self.nminus:
+            out[:, neg] *= np.array(_PARITY)[:, None]
         return out
 
 
@@ -322,7 +301,7 @@ class _Side(JostEvaluator):
     ode: object = None
     a: complex = 0j
     b: complex = 0j
-    basis: Optional[_TwoSided] = None
+    basis: Optional[_Basis] = None
     mirror: bool = False
 
     @property
@@ -332,8 +311,8 @@ class _Side(JostEvaluator):
 
 class JostStack:
     """``_Side`` rows laid out to read row rows[i] at x[i] in one pass; a
-    low row's basis is sides bside[r] and bside[r] + 1 of ``basis``.  The
-    arrays are read-only, so a stack can be shared."""
+    low row's basis is row bside[r] of ``basis``.  The arrays are
+    read-only, so a stack can be shared."""
 
     def __init__(self, sides):
         if not all(isinstance(s, _Side) for s in sides):
@@ -341,8 +320,7 @@ class JostStack:
         self.sides = tuple(sides)
         self.vals = tuple(s.vals for s in sides)
         self.grids = panels.StackedGrids.build([s.grid for s in sides])
-        bases = [b for s in sides if s.basis is not None
-                 for b in (s.basis.plus, s.basis.minus)]
+        bases = [s.basis for s in sides if s.basis is not None]
         self.basis = _BasisStack(bases) if bases else None
         rows = [(s.lam, *s.window, s.cut, s.a, s.b, s.mirror,
                  s.basis is not None) for s in sides]
@@ -350,8 +328,7 @@ class JostStack:
          self.low) = panels._frozen(*(np.array(c, dtype=t) for c, t in zip(
              list(zip(*rows)) or [()] * 8,
              (float,) * 4 + (complex,) * 2 + (bool,) * 2)))
-        self.bside = (panels._frozen(2 * np.cumsum(self.low) - 2)[0]
-                      if bases else None)
+        self.bside = panels._frozen(np.cumsum(self.low) - 1)[0]
 
     def read(self, rows, x) -> np.ndarray:
         """(f, f') of row rows[i] at x[i], (2, n); DomainError unless each
@@ -377,7 +354,7 @@ class JostStack:
         i = (~on & low).nonzero()[0]
         if i.size:
             r = rows[i]
-            u0, du0, u1, du1 = self.basis.pairs(self.bside[r], y[i])
+            u0, du0, u1, du1 = self.basis.read(self.bside[r], y[i])
             a, b = self.a[r], self.b[r]
             out[0, i] = a * u0 + b * u1
             out[1, i] = a * du0 + b * du1
@@ -437,7 +414,8 @@ class ScatteringModel:
     def zero_energy_basis(self) -> JostEvaluator:
         """The pair u0, u1 at lam = 0 (Wr(u0, u1) = 1) on the chart."""
         cap = 0.98 * self.pot.xi_cap
-        return _Seed(0.0, (-cap, cap), self.pot)
+        return _Basis(0.0, (-cap, cap), self.pot,
+                      minus=_Basis(0.0, (0.0, cap), self._pot_minus))
 
     # ------------------------------------------------------------------
     # energy-perturbed basis (one side)
@@ -485,10 +463,8 @@ class ScatteringModel:
             # corrections relative to the zero-energy seed: the seed is
             # evaluated exactly at interpolation time, so the panel
             # interpolation error only touches the O(lam^2) part
-            sols.append(((f.real - seed).copy(),
-                         (-lam2 * (du1x * p0 - du0x * p1)).real.copy()))
-        (v0, d0), (v1, d1) = sols
-        rec = _Basis(lam, (0.0, L), pv, grid, np.stack([v0, d0, v1, d1]))
+            sols += [f.real - seed, (-lam2 * (du1x * p0 - du0x * p1)).real]
+        rec = _Basis(lam, (0.0, L), pv, grid, np.stack(sols))
         self._basis_cache[key] = rec
         return rec
 
@@ -497,15 +473,24 @@ class ScatteringModel:
         """Energy-perturbed basis u_j(., lam) on [-L, L].
 
         The default L = 3/lam is the whole Volterra zone xi*lam <= 3 of
-        ``_side_basis``; a window past it raises DomainError.
+        ``_side_basis``; a window past it, or one that is not finite and
+        > 0, raises DomainError.
         """
         check_energy(lam, "low_energy_basis")
         if lam > self.lam_low:
             raise DomainError("low_energy_basis is restricted to lam <= lam_low")
+        if window is not None and not 0.0 < window < np.inf:
+            raise DomainError("low_energy_basis requires a finite window > 0,"
+                              f" got {window!r}")
         L = window if window is not None else \
             min(3.0 / lam, 0.98 * self.pot.xi_cap)
-        return _TwoSided(lam, (-L, L), self._side_basis("plus", lam, L),
-                         self._side_basis("minus", lam, L))
+        return self._two_sided_basis("plus", lam, L)
+
+    def _two_sided_basis(self, side: str, lam: float, L: float) -> _Basis:
+        """``side``'s basis on [-L, L], the other side's mirrored below 0."""
+        other = "minus" if side == "plus" else "plus"
+        return replace(self._side_basis(side, lam, L), window=(-L, L),
+                       minus=self._side_basis(other, lam, L))
 
     # ------------------------------------------------------------------
     # low-energy outgoing solution on one side
@@ -696,11 +681,8 @@ class ScatteringModel:
             # xi < 0), the V1 grid from xi_lo to B
             grid, f_df, B, xi0, a, b, _ = self._f_low_side(side, lam, xi_hi)
             L = max(1.3 * lam ** -0.5, abs(xi_min) + 1.0)
-            other = "minus" if side == "plus" else "plus"
-            basis = _TwoSided(lam, (-L, L), self._side_basis(side, lam, L),
-                              self._side_basis(other, lam, L))
             ev = _Side(lam, (-L, B), grid, f_df, xi0 * 1.05, None, a, b,
-                       basis)
+                       self._two_sided_basis(side, lam, L))
         else:
             ev = self._m_side(side, lam, xi_floor=xi_min, xi_hi=xi_hi)
         return ev if side == "plus" else replace(
@@ -816,7 +798,10 @@ class ScatteringModel:
         return float(coef[0])
 
     def zero_energy_moments(self, xi: float):
-        """The two quadratic zero-energy moment combinations at xi."""
+        """The two quadratic zero-energy moment combinations at xi > 0."""
+        if not 0.0 < xi < np.inf:
+            raise DomainError("zero_energy_moments requires a finite xi > 0, "
+                              f"got {xi!r}")
         grid = panels.PanelGrid.build(
             panels.graded_breaks(0.0, xi, min(8.0, xi), 0.5, 10), order=10)
         x = grid.flat

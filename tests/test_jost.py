@@ -335,6 +335,18 @@ def test_low_energy_basis_window_guard(hyperboloid_model):
         hyperboloid_model.low_energy_basis(1e-3, window=3500.0)
     with pytest.raises(DomainError):
         hyperboloid_model.jost_plus(1e-2, xi_min=-400.0)
+    # a window that is not finite and > 0 is refused by name; nan once gave
+    # a basis over (nan, nan), and -5 or 0 failed inside the panel builder
+    for window in (float("nan"), float("inf"), -5.0, 0.0):
+        with pytest.raises(DomainError, match=f"window > 0, got {window!r}"):
+            hyperboloid_model.low_energy_basis(1e-3, window=window)
+
+
+def test_zero_energy_moments_refuse_a_bad_xi(hyperboloid_model):
+    # these once failed inside the panel builder or the basis window check
+    for xi in (0.0, -3.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match=f"xi > 0, got {xi!r}"):
+            hyperboloid_model.zero_energy_moments(xi)
 
 
 def test_bases_refuse_xi_past_their_window(hyperboloid_model):
@@ -358,6 +370,10 @@ def test_bases_refuse_xi_past_their_window(hyperboloid_model):
         side.values(np.array([-1.0]))
     with pytest.raises(DomainError):
         side.values(np.array([601.0]))
+    # an empty read is empty for every kind of basis (a perturbed one
+    # raised ValueError from the panel gather)
+    for basis in (lb, zb, side):
+        assert basis.values(np.array([])).shape == (4, 0)
 
 
 def test_energy_check_rejects_zero_negative_and_nan(hyperboloid_model):
@@ -596,6 +612,28 @@ def _one_sided_model():
     prof = make_profile({"kind": "custom-tabulated",
                          "params": {"x": x, "r": r}, "conical_right": True})
     return ScatteringModel(prof, ArclengthChart(prof, x_max=3000.0))
+
+
+@pytest.mark.parametrize("new_model", [
+    lambda: ScatteringModel(make_profile(HYPERBOLOID_A1)), _one_sided_model],
+    ids=["hyperboloid", "one-sided"])
+def test_zero_energy_basis_below_zero_is_the_seed(new_model):
+    # below 0 the zero-energy basis reads its mirrored half at -xi with the
+    # parity signs; the mirror only negates, so that is the seed of the
+    # plus view at xi bit for bit, -0.0 (read by the plus half) included,
+    # in one read and point by point
+    m = new_model()
+    zb = m.zero_energy_basis()
+    x = np.array([-0.0, -1e-9, -0.3, -1.0, -7.5, -40.0, -1e3,
+                  zb.window[0], 0.0, 2.0])
+
+    def bits(a):
+        return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+    want = np.array(jost._seed_values(m.pot, x))
+    assert np.array_equal(bits(zb.values(x)), bits(want))
+    for k, xi in enumerate(x):
+        assert np.array_equal(bits(zb.values(xi)), bits(want[:, k:k + 1]))
 
 
 @pytest.mark.parametrize("new_model, low_lam", [

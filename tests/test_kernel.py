@@ -332,10 +332,10 @@ def _f_reference(ev, xi):
     elif ev.basis is None:
         f, df = ev.ode(y[0])[:, None]
     else:
-        side = ev.basis.plus if y[0] >= 0 else ev.basis.minus
+        half = ev.basis if y[0] >= 0 else ev.basis.minus
         z = np.abs(y)
-        u = side.grid.interpolate(side.corr, z)
-        u += np.array(jost._seed_values(side.pv, z))
+        u = half.grid.interpolate(half.corr, z)
+        u += np.array(jost._seed_values(half.pv, z))
         if y[0] < 0:
             u *= np.array(jost._PARITY)[:, None]
         a, b = np.array([ev.a]), np.array([ev.b])
@@ -388,7 +388,7 @@ def _edges(rec):
     ev = rec.ev["plus"]
     pts = [ev.grid.breaks[len(ev.grid.breaks) // 2]]
     if ev.basis is not None:
-        return pts + [ev.cut, ev.basis.plus.grid.breaks[3]]
+        return pts + [ev.cut, ev.basis.grid.breaks[3]]
     return pts + [_xi_v(ev)]
 
 
@@ -473,14 +473,22 @@ def test_batched_read_refuses_what_values_refuses(hyperboloid_model):
     assert ev.cut > 15.0
     narrow = {"plus": eng.model._side_basis("plus", lam, 10.0),
               "minus": eng.model._side_basis("minus", lam, 10.0)}
+    # the two-sided basis with one half replaced by the narrow one
+    halves = {"plus": dataclasses.replace(narrow["plus"],
+                                          minus=ev.basis.minus),
+              "minus": dataclasses.replace(ev.basis, minus=narrow["minus"])}
     for field, xi in (("plus", 15.0), ("minus", -15.0)):
-        shrunk = dataclasses.replace(ev, basis=dataclasses.replace(
-            ev.basis, **{field: narrow[field]}))
+        shrunk = dataclasses.replace(ev, basis=halves[field])
         assert not refuses(ev.values, np.array([xi]))
         assert refuses(shrunk.values, np.array([xi]))
         assert refuses(_read_at, [ev, shrunk], xi)
     with pytest.raises(DomainError, match="not bases"):
         jost.JostStack([ev, ev.basis])
+    # a basis stack's rows are all one- or all two-sided, all seeds or all
+    # perturbed
+    for other in (eng.model.zero_energy_basis(), narrow["plus"]):
+        with pytest.raises(DomainError, match="one kind"):
+            jost._BasisStack([ev.basis, other])
 
 
 def test_read_after_span_growth_equals_a_fresh_engine(hyperboloid_model):
