@@ -17,9 +17,9 @@ kernel evaluation reduces to polynomial work against that table:
   amplitudes off the s-grid samples, and by PANEL_RATIO above, where they
   sample the table and are appended to a pair's entry as kernels reach
   higher; a kernel integrates whole panels, up to the one holding lam_top;
-* the table keeps its records in build order, and a pair reads f+-(xi)
-  from all the rows it needs in one ``jost.JostStack`` pass per (side,
-  xi), kept as one array per (side, xi) for the other pairs at that xi;
+* the table holds one row (W, alpha, beta, f+, f-) per lam, in build
+  order; a pair reads f+-(xi) at the rows it needs in one JostStack pass
+  per (side, xi), kept as one array for the other pairs at that xi;
 * the phase exp(i(t lam^p + theta lam)) is integrated exactly per panel
   (oscquad), all panels of a kernel in one batched pass, against
   polynomial fits that each pair caches per band, so that kernels at
@@ -122,10 +122,10 @@ class KernelSample:
     ``err_est`` sums three terms, all read off the Filon panels' fits: their
     cut-product fit error, the first neglected term of the Abel tail past
     the panel that holds lam_top and the slope and held phase of the
-    sub-table tail below LAM_MIN_TABLE.  It has no term for how finely the table samples lam
-    (S_PANEL and PANEL_RATIO): on the hyperboloid a = 1, PANEL_RATIO 1.6
-    moved values by up to 40 times their err_est (2.2e-6 relative) and 1.5
-    by 1.1 times, against 4/3."""
+    sub-table tail below LAM_MIN_TABLE.  It has no term for how finely the
+    table samples lam (S_PANEL and PANEL_RATIO): on the hyperboloid a = 1,
+    PANEL_RATIO 1.6 moved values by up to 40 times their err_est (2.2e-6
+    relative) and 1.5 by 1.1 times, against 4/3."""
 
     kind: str
     t: float
@@ -176,26 +176,11 @@ def _mul(a, b):
     return out
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class _NodeRecord:
-    """(W, alpha, beta) at one lam, the Jost evaluators ``ev[side]`` and
-    the record's ``row`` in the table's build order.  It holds no values
-    at any xi: a new pair reads f_side at its xi from the table's rows in
-    one ``JostStack`` pass (``KernelEngine._m_values``)."""
-
-    lam: float
-    W: complex
-    alpha: complex
-    beta: complex
-    ev: dict
-    row: int
-
-
 class KernelEngine:
     """Kernel evaluator bound to one scattering model.
 
-    ``xi_abs_max`` caps the spatial points the lambda table must serve; it
-    is grown automatically by decay scans that use moving light-cone probes.
+    ``xi_abs_max`` caps the spatial points the lambda table (one row per
+    solved lam) must serve; a call needing more grows it, emptying the table.
     The table's lam sampling is fixed by the module constants S_PANEL (the
     s-grid below lam_low, within 1.3e-9 of the channel amplitudes on the
     benchmark profiles) and PANEL_RATIO (the Filon ladder, built once up to
@@ -228,41 +213,53 @@ class KernelEngine:
             up.append(up[-1] * PANEL_RATIO)
         self._n_sub = len(down) - 1
         self._ladder = np.array(down[::-1] + up[1:])
+        self._reset()
+
+    # -- table plumbing -----------------------------------------------------
+
+    def _reset(self) -> None:
+        """An empty table: ``_records`` maps lam to its row of ``_table``,
+        (W, alpha, beta, f_plus, f_minus) in build order; ``_cols`` holds
+        their (W, alpha, beta) as (3, rows), the dicts below reads of it."""
         self._records: dict = {}
-        # side -> JostStack over the table; (side, xi) -> m_side(xi) of its
-        # first rows, shared by the pairs of a scan
+        self._table: list = []
+        self._cols = np.empty((3, 0), dtype=complex)
         self._stacks: dict = {}
         self._m_cache: dict = {}
         self._pair_cache: dict = {}
 
-    # -- table plumbing -----------------------------------------------------
+    def _rows(self, lams) -> np.ndarray:
+        """The row of each energy in ``lams``.  The energies the table lacks
+        are solved once each, in input order, and appended together, so a
+        solve that raises leaves the table as it was."""
+        new = {}
+        for lam in lams:
+            if lam not in self._records and lam not in new:
+                W, alpha, f_plus, f_minus = self.model._w_alpha(
+                    lam, xi_hi=self.xi_abs_max)
+                # beta divides the raw numpy W (complex(W) rounds differently)
+                new[lam] = (complex(W), complex(alpha),
+                            complex(W / (-2j * lam)), f_plus, f_minus)
+        for lam, row in new.items():
+            self._records[lam] = len(self._table)
+            self._table.append(row)
+        if new:
+            self._cols = np.concatenate(
+                [self._cols, np.array([r[:3] for r in new.values()]).T], 1)
+        return np.array([self._records[lam] for lam in lams], dtype=int)
 
-    def _record(self, lam: float) -> _NodeRecord:
-        rec = self._records.get(lam)
-        if rec is None:
-            W, alpha, f_plus, f_minus = self.model._w_alpha(
-                lam, xi_hi=self.xi_abs_max)
-            # beta divides the raw numpy W (complex(W) rounds differently)
-            rec = _NodeRecord(lam, complex(W), complex(alpha),
-                              complex(W / (-2j * lam)),
-                              {"plus": f_plus, "minus": f_minus},
-                              len(self._records))
-            self._records[lam] = rec
-        return rec
-
-    def _m_values(self, recs, side: str, xi: float) -> np.ndarray:
-        """m_side(xi) = e^{-+i lam xi} f_side(xi) of each record, from one
-        array per (side, xi) over the table's first rows.  The rows up to
-        the last of ``recs`` that it lacks are read in one pass of the
+    def _m_values(self, rows, side: str, xi: float) -> np.ndarray:
+        """m_side(xi) = e^{-+i lam xi} f_side(xi) at the table's ``rows``,
+        from one array per (side, xi) over the table's first rows.  The rows
+        up to the last of ``rows`` that it lacks are read in one pass of the
         side's ``JostStack``, rebuilt over the whole table when shorter."""
-        rows = np.fromiter((r.row for r in recs), dtype=int, count=len(recs))
         held = self._m_cache.get((side, xi), np.empty(0, dtype=complex))
         need = int(rows.max(initial=-1)) + 1
         if need > held.size:
             stack = self._stacks.get(side)
             if stack is None or stack.lam.size < need:
                 stack = self._stacks[side] = JostStack(
-                    [r.ev[side] for r in self._records.values()])
+                    [row[3 if side == "plus" else 4] for row in self._table])
             new = np.arange(held.size, need)
             f = stack.read(new, np.full(new.size, float(xi)))[0]
             ph = np.exp((-1j if side == "plus" else 1j) * stack.lam[new] * xi)
@@ -277,7 +274,7 @@ class KernelEngine:
         """((side of hi, side of lo), thetas, amps) for an ordered pair
         hi >= lo: channel k has the phase e^{i thetas[k] lam} and the
         amplitude amps[k](a, b, W, alpha, beta) of the arrays a = m(hi),
-        b = m(lo) and the records' columns."""
+        b = m(lo) and the table's columns."""
         if hi >= 0.0 >= lo:
             return ("plus", "minus"), [hi - lo], [
                 lambda a, b, W, al, be: _mul(a, b) / W]
@@ -289,34 +286,28 @@ class KernelEngine:
             lambda a, b, W, al, be: _mul(_mul(-np.conj(al), a), b) / W,
             lambda a, b, W, al, be: _mul(_mul(be, np.conj(a)), b) / W]
 
-    def _amplitudes(self, hi: float, lo: float, recs) -> list:
-        """Each channel's amplitude at the records ``recs``."""
+    def _amplitudes(self, hi: float, lo: float, lams) -> list:
+        """Each channel's amplitude at the energies ``lams``."""
         (s_hi, s_lo), _, amps = self._channels(hi, lo)
-        a = self._m_values(recs, s_hi, hi)
-        b = self._m_values(recs, s_lo, lo)
-        cols = [np.array([getattr(r, k) for r in recs])
-                for k in ("W", "alpha", "beta")]
-        return [amp(a, b, *cols) for amp in amps]
+        rows = self._rows(lams)
+        a = self._m_values(rows, s_hi, hi)
+        b = self._m_values(rows, s_lo, lo)
+        return [amp(a, b, *self._cols.take(rows, axis=1)) for amp in amps]
 
     def _pair_data(self, hi: float, lo: float, lam_top: float):
         """The pair's channel amplitudes on the s-grid and the osc panels.
 
         The entry is built once: the s-grid samples and the osc panels
         below lam_low, which interpolate them.  Later calls only append
-        ladder panels above lam_low, sampled from table records, up to the
+        ladder panels above lam_low, sampled from table rows, up to the
         panel that holds lam_top.  The panels are arrays: ``edges`` (n + 1),
         ``nodes`` (n, 10) and ``vals``, one (n, 10) array per channel; the
         fits cached under ``fits`` stay valid, since panel indices never
         move."""
-        def sample(nodes):
-            recs = [self._record(l) for l in nodes.ravel()]
-            return [v.reshape(nodes.shape)
-                    for v in self._amplitudes(hi, lo, recs)]
-
         ladder = self._ladder
         data = self._pair_cache.get((hi, lo))
         if data is None:
-            s_vals = sample(self._s_lam)
+            s_vals = self._amplitudes(hi, lo, self._s_lam)
             edges = ladder[: self._n_sub + 1]
             nodes = oscquad.cheb_nodes(edges[:-1, None], edges[1:, None])
             # one interpolation serves every channel and sub-threshold panel
@@ -333,8 +324,9 @@ class KernelEngine:
             nodes = oscquad.cheb_nodes(edges[:-1, None], edges[1:, None])
             data["edges"] = ladder[: top + 1]
             data["nodes"] = np.concatenate([data["nodes"], nodes])
-            data["vals"] = [np.concatenate([old, new]) for old, new
-                            in zip(data["vals"], sample(nodes))]
+            data["vals"] = [
+                np.concatenate([old, new.reshape(nodes.shape)]) for old, new
+                in zip(data["vals"], self._amplitudes(hi, lo, nodes.ravel()))]
         return data
 
     # -- integration ----------------------------------------------------------
@@ -506,20 +498,22 @@ class KernelEngine:
     # -- public operations ---------------------------------------------------
 
     def _ensure_span(self, *xis) -> None:
+        """Grow xi_abs_max to serve every xi, emptying the table; a
+        non-finite xi (max(0.0, nan) is 0.0) is refused before any change."""
+        for x in xis:
+            if not np.isfinite(x):
+                raise DomainError(f"xi must be finite, got {float(x)!r}")
         need = max(abs(float(x)) for x in xis)
         if need > self.xi_abs_max:
             self.xi_abs_max = 1.05 * need
-            self._records.clear()
-            self._stacks.clear()
-            self._m_cache.clear()
-            self._pair_cache.clear()
+            self._reset()
 
     def spectral_density(self, xi: float, xi_prime: float, lam: float) -> float:
         """2*lam*Im[f+(xi>) f-(xi<)/W(lam)]; symmetric, >= 0 on the diagonal."""
         check_energy(lam, "spectral_density")
+        self._ensure_span(xi, xi_prime)
         hi, lo = max(xi, xi_prime), min(xi, xi_prime)
-        self._ensure_span(hi, lo)
-        amps = self._amplitudes(hi, lo, [self._record(lam)])
+        amps = self._amplitudes(hi, lo, [lam])
         return float(2.0 * lam * sum(
             (np.exp(1j * th * lam) * amp[0]).imag
             for th, amp in zip(self._channels(hi, lo)[1], amps)))

@@ -524,7 +524,7 @@ def test_pipeline_overlap(hyperboloid_model):
 
 
 def test_low_table_record_reads_matching_basis_only(monkeypatch):
-    # a span-1100 table record with both sides on the low pipeline takes
+    # a span-1100 table row with both sides on the low pipeline takes
     # everything below the V1 grid from the two matching bases
     # (L = 1.3 lam^-1/2) and continues no ODE
     model = ScatteringModel(make_profile(HYPERBOLOID_A1))
@@ -545,29 +545,30 @@ def test_low_table_record_reads_matching_basis_only(monkeypatch):
 
     monkeypatch.setattr(jost, "_match", counting_match)
     lam = 8e-3
-    KernelEngine(model, xi_abs_max=1.1e3)._record(lam)
+    KernelEngine(model, xi_abs_max=1.1e3)._rows([lam])
     keys = sorted(model._basis_cache)
     assert [k[0] for k in keys] == ["minus", "plus"]
     assert all(k[2] == 1.3 * lam ** -0.5 for k in keys)
     assert calls == []
-    # one match per side solve: the record's two sides, then the two of
+    # one match per side solve: the row's two sides, then the two of
     # scattering_data, whose own B (xi_hi = 0) is a new solve; a repeat of
     # either reads the matches its solves carry
     assert len(matches) == 2
     model.scattering_data(lam)
     assert len(matches) == 4
-    KernelEngine(model, xi_abs_max=1.1e3)._record(lam)
+    KernelEngine(model, xi_abs_max=1.1e3)._rows([lam])
     model.scattering_data(lam)
     assert len(matches) == 4
 
 
 def test_scattering_data_unaffected_by_table_records():
-    # a span-1100 record builds its own V1 grid; scattering_data keeps its own
+    # a span-1100 table row builds its own V1 grid; scattering_data keeps
+    # its own
     fresh = ScatteringModel(make_profile(HYPERBOLOID_A1))
     used = ScatteringModel(make_profile(HYPERBOLOID_A1))
     engine = KernelEngine(used, xi_abs_max=1.1e3)
     for lam in (7e-3, 1e-2):
-        engine._record(lam)
+        engine._rows([lam])
         assert repr(used.scattering_data(lam)) == \
             repr(fresh.scattering_data(lam))
 

@@ -292,7 +292,7 @@ def hyperboloid_a10_engine():
                                   "hyperboloid_a10_engine"])
 def test_subthreshold_panels_match_direct_samples(name, request):
     # the Filon panels below lam_low read their channel values off the
-    # s-grid; a table record at each panel node must agree with them (the
+    # s-grid; a table row at each panel node must agree with them (the
     # s-panels of width 2 read 4.3e-10 on a = 1 and 1.3e-9 on a = 10)
     eng = request.getfixturevalue(name)
     for xi, xip in [(300.0, -1000.0), (1000.0, 0.5)]:
@@ -301,8 +301,8 @@ def test_subthreshold_panels_match_direct_samples(name, request):
         below = data["edges"][1:] <= eng.lam_low
         assert below.any()
         for i in np.flatnonzero(below):
-            recs = [eng._record(lam) for lam in data["nodes"][i]]
-            for v, direct in zip(data["vals"], eng._amplitudes(hi, lo, recs)):
+            direct = eng._amplitudes(hi, lo, data["nodes"][i])
+            for v, direct in zip(data["vals"], direct):
                 assert (np.max(np.abs(v[i] - direct))
                         <= 1e-8 * np.max(np.abs(direct)))
 
@@ -343,25 +343,34 @@ def _f_reference(ev, xi):
     return np.array([f[0], -df[0] if ev.mirror else df[0]])
 
 
-def _m_one_point(rec, side, xi):
-    """m_side(xi) of one record by a one-point ``values`` call and scalar
-    products: the read that a ``JostStack`` batches over records."""
+def _evs(eng, lams, side):
+    """The table's Jost evaluators of one side at the energies ``lams``."""
+    return [eng._table[row][3 if side == "plus" else 4]
+            for row in eng._rows(lams)]
+
+
+def _m_one_point(eng, lam, side, xi):
+    """m_side(xi) at one energy by a one-point ``values`` call and scalar
+    products: the read that a ``JostStack`` batches over table rows."""
     ph = -1j if side == "plus" else 1j
-    return (rec.ev[side].values(np.array([xi]))[0][0]
-            * np.exp(ph * rec.lam * xi))
+    return (_evs(eng, [lam], side)[0].values(np.array([xi]))[0][0]
+            * np.exp(ph * lam * xi))
 
 
-def _amps_one_point(rec, hi, lo):
-    """The channel amplitudes of one record, product by scalar product."""
+def _amps_one_point(eng, lam, hi, lo):
+    """The channel amplitudes at one energy, product by scalar product,
+    with W, alpha and beta read off its table row."""
+    W, alpha, beta = eng._table[eng._rows([lam])[0]][:3]
+
     def m(side, xi):
-        return _m_one_point(rec, side, xi)
+        return _m_one_point(eng, lam, side, xi)
     if hi >= 0.0 >= lo:
-        return [m("plus", hi) * m("minus", lo) / rec.W]
+        return [m("plus", hi) * m("minus", lo) / W]
     if lo > 0.0:
-        return [rec.alpha * m("plus", hi) * m("plus", lo) / rec.W,
-                rec.beta * m("plus", hi) * np.conj(m("plus", lo)) / rec.W]
-    return [-np.conj(rec.alpha) * m("minus", hi) * m("minus", lo) / rec.W,
-            rec.beta * np.conj(m("minus", hi)) * m("minus", lo) / rec.W]
+        return [alpha * m("plus", hi) * m("plus", lo) / W,
+                beta * m("plus", hi) * np.conj(m("plus", lo)) / W]
+    return [-np.conj(alpha) * m("minus", hi) * m("minus", lo) / W,
+            beta * np.conj(m("minus", hi)) * m("minus", lo) / W]
 
 
 def _xi_v(ev):
@@ -381,11 +390,11 @@ def _branch(ev, xi):
     return "core grid" if ev.ode is None else "ODE"
 
 
-def _edges(rec):
-    """Where a record's pieces meet, in its plus side's coordinate: xi_v
-    or the cut xi_lo, an inner break of its nodal grid and, for a low
-    record, of its basis grid below xi_lo."""
-    ev = rec.ev["plus"]
+def _edges(eng, lam):
+    """Where the pieces of the table row at ``lam`` meet, in its plus
+    side's coordinate: xi_v or the cut xi_lo, an inner break of its nodal
+    grid and, for a low row, of its basis grid below xi_lo."""
+    ev = _evs(eng, [lam], "plus")[0]
     pts = [ev.grid.breaks[len(ev.grid.breaks) // 2]]
     if ev.basis is not None:
         return pts + [ev.cut, ev.basis.grid.breaks[3]]
@@ -403,15 +412,15 @@ def test_batched_read_equals_one_point_values(name, branches, request):
     breaks), the s-grid samples, and the Filon panel samples (read off the
     s-grid below lam_low)."""
     eng = request.getfixturevalue(name)
-    recs = ([eng._record(lam) for lam in eng._s_lam]
-            + [eng._record(lam) for lam in (0.02, 0.3, 3.0, 40.0)])
-    edges = [x for r in (recs[0], recs[-2], recs[-1]) for x in _edges(r)]
+    lams = list(eng._s_lam) + [0.02, 0.3, 3.0, 40.0]
+    edges = [x for lam in (lams[0], lams[-2], lams[-1])
+             for x in _edges(eng, lam)]
     hit = set()
     for side, sign in (("plus", 1.0), ("minus", -1.0)):
         for xi in [0.0, 0.5, -5.0, 5.0, 300.0, 1000.0] + edges:
             xi *= sign
-            evs = [r.ev[side] for r in recs
-                   if r.ev[side].window[0] <= xi <= r.ev[side].window[1]]
+            evs = [ev for ev in _evs(eng, lams, side)
+                   if ev.window[0] <= xi <= ev.window[1]]
             got = _read_at(evs, xi).T
             for want in ([ev.values(np.array([xi]))[:, 0] for ev in evs],
                          [_f_reference(ev, xi) for ev in evs]):
@@ -421,15 +430,18 @@ def test_batched_read_equals_one_point_values(name, branches, request):
     assert hit == branches
     empty = _read_at([], 0.5)
     assert empty.shape == (2, 0) and empty.dtype == complex
-    s_recs = recs[:len(eng._s_lam)]
+    # the columns hold each row's (W, alpha, beta)
+    assert np.array_equal(_bits(eng._cols),
+                          _bits(np.array([r[:3] for r in eng._table]).T))
+    s_lams = eng._s_lam
     for xi, xip in [(300.0, -1000.0), (0.5, 0.0), (1000.0, 0.5),
                     (-0.5, -300.0)]:
         hi, lo = max(xi, xip), min(xi, xip)
         data = eng._pair_data(hi, lo, 0.05)
-        s_vals = [np.array(v)
-                  for v in zip(*(_amps_one_point(r, hi, lo) for r in s_recs))]
+        s_vals = [np.array(v) for v in
+                  zip(*(_amps_one_point(eng, lam, hi, lo) for lam in s_lams))]
         assert all(np.array_equal(a, b) for a, b in
-                   zip(eng._amplitudes(hi, lo, s_recs), s_vals))
+                   zip(eng._amplitudes(hi, lo, s_lams), s_vals))
         for b, lam_nodes, *vals in zip(data["edges"][1:], data["nodes"],
                                        *data["vals"]):
             if b <= eng.lam_low:
@@ -437,20 +449,21 @@ def test_batched_read_equals_one_point_values(name, branches, request):
                         for v in s_vals]
             else:
                 want = [np.array(v) for v in zip(
-                    *(_amps_one_point(eng._record(lam), hi, lo)
+                    *(_amps_one_point(eng, lam, hi, lo)
                       for lam in lam_nodes))]
             assert all(np.array_equal(v, w) for v, w in zip(vals, want))
 
 
 def test_batched_read_refuses_what_values_refuses(hyperboloid_model):
     """A ``JostStack`` read raises DomainError wherever one of its evaluators'
-    ``values`` does: a xi outside one record's window, a NaN xi, and a xi
+    ``values`` does: a xi outside one row's window, a NaN xi, and a xi
     outside the window (0, L) of the matching basis behind a low-pipeline
-    record, which no built record reaches, so it is shrunk in a copy."""
+    row, which no built row reaches, so it is shrunk in a copy."""
     # an engine of its own: the windows follow the span, which decay scans
     # grow on the shared one
     eng = KernelEngine(hyperboloid_model, xi_abs_max=1.1e3)
-    recs = [eng._record(lam) for lam in eng._s_lam[::20]] + [eng._record(0.5)]
+    lams = list(eng._s_lam[::20]) + [0.5]
+    rows = eng._rows(lams)
 
     def refuses(fun, *args):
         try:
@@ -460,16 +473,16 @@ def test_batched_read_refuses_what_values_refuses(hyperboloid_model):
         return False
 
     for side, xi in (("plus", -20.0), ("plus", 2.0e3), ("minus", 20.0)):
-        evs = [r.ev[side] for r in recs]
-        # some of the records serve xi, the others refuse it
+        evs = _evs(eng, lams, side)
+        # some of the rows serve xi, the others refuse it
         n_refused = sum(refuses(ev.values, np.array([xi])) for ev in evs)
         assert 0 < n_refused < len(evs)
         assert refuses(_read_at, evs, xi)
-        assert refuses(eng._m_values, recs, side, xi)
+        assert refuses(eng._m_values, rows, side, xi)
     for side in ("plus", "minus"):
-        assert refuses(_read_at, [r.ev[side] for r in recs], float("nan"))
+        assert refuses(_read_at, _evs(eng, lams, side), float("nan"))
     lam = 1e-3
-    ev = eng._record(lam).ev["plus"]
+    ev = _evs(eng, [lam], "plus")[0]
     assert ev.cut > 15.0
     narrow = {"plus": eng.model._side_basis("plus", lam, 10.0),
               "minus": eng.model._side_basis("minus", lam, 10.0)}
@@ -492,14 +505,17 @@ def test_batched_read_refuses_what_values_refuses(hyperboloid_model):
 
 
 def test_read_after_span_growth_equals_a_fresh_engine(hyperboloid_model):
-    """Growing the span drops the table with its stacks and m arrays, so a
-    read after it equals, bit for bit, a fresh engine's at the grown span
-    (at lam = 3 the m grid ends at B = 1.1 xi_abs_max + 10, so the two
-    spans' records differ)."""
+    """Growing the span empties the table with its columns, stacks and m
+    arrays, so a read after it equals, bit for bit, a fresh engine's at
+    the grown span (at lam = 3 the m grid ends at B = 1.1 xi_abs_max + 10,
+    so the two spans' rows differ)."""
+    lams = (1e-3, 0.5, 3.0)
+
     def reads(eng):
-        recs = [eng._record(lam) for lam in (1e-3, 0.5, 3.0)]
-        return [eng._m_values(recs, side, xi)
-                for side, xi in (("plus", 0.3), ("minus", -50.0))]
+        rows = eng._rows(lams)
+        return [eng._m_values(rows, side, xi) for side, xi in
+                (("plus", 0.3), ("minus", -50.0))] + eng._amplitudes(
+                    5.0, -7.0, lams)
 
     eng = KernelEngine(hyperboloid_model, xi_abs_max=100.0)
     before = reads(eng)
@@ -508,6 +524,34 @@ def test_read_after_span_growth_equals_a_fresh_engine(hyperboloid_model):
     for old, got, want in zip(before, reads(eng), reads(fresh)):
         assert np.array_equal(_bits(got), _bits(want))
         assert not np.array_equal(old, want)
+    assert len(eng._records) == len(eng._table) == eng._cols.shape[1] == 3
+
+
+def test_rows_solve_each_new_energy_once(cylinder_model, monkeypatch):
+    """``_rows`` solves each energy the table lacks once, in input order,
+    and a row pairs its energy's (W, alpha, beta) with its evaluators; a
+    solve that raises appends nothing."""
+    eng = KernelEngine(cylinder_model, xi_abs_max=10.0)
+    calls = []
+    real = cylinder_model._w_alpha
+
+    def counting(lam, **kwargs):
+        calls.append(lam)
+        if lam == 9.0:
+            raise QuadratureError("a solve that fails")
+        return real(lam, **kwargs)
+
+    monkeypatch.setattr(cylinder_model, "_w_alpha", counting)
+    assert eng._rows([0.5]).tolist() == [0]
+    assert eng._rows([0.7, 0.5, 0.7, 2.0]).tolist() == [1, 0, 1, 2]
+    assert calls == [0.5, 0.7, 2.0]
+    for lam, row in eng._records.items():
+        W, alpha, beta, f_plus, f_minus = eng._table[row]
+        assert f_plus.lam == f_minus.lam == lam
+        assert np.array_equal(eng._cols[:, row], [W, alpha, beta])
+    with pytest.raises(QuadratureError):
+        eng._rows([3.0, 9.0])
+    assert len(eng._records) == len(eng._table) == eng._cols.shape[1] == 3
 
 
 def test_one_table_below_the_threshold(cylinder_model, monkeypatch):
@@ -551,7 +595,7 @@ def test_band_sign_precondition(hyperboloid_engine):
         hyperboloid_engine.evolution_kernel(KIND_SCHRODINGER, 0.0, 1.0, 0.0)
 
 
-def test_kernels_refuse_t_zero_and_nonfinite(cylinder_engine):
+def test_kernels_refuse_t_zero_and_nonfinite(cylinder_engine, cylinder_model):
     # t = 0 is no evolution: a band kernel there would read a number
     # (0.00375 for low_low on the cylinder at (0, 0)) that means nothing
     eng = cylinder_engine
@@ -561,6 +605,24 @@ def test_kernels_refuse_t_zero_and_nonfinite(cylinder_engine):
                 eng.band_kernel(KIND_WAVE_PLUS, band, t, 0.0, 0.0)
         with pytest.raises(DomainError):
             eng.evolution_kernel(KIND_WAVE_PLUS, t, 0.0, 0.0)
+    # a non-finite xi or xi' is refused before the table changes: NaN read
+    # the pair (0, 0), since max(0.0, nan) is 0.0, and inf emptied the
+    # table and solved every later row over an infinite span
+    own = KernelEngine(cylinder_model, xi_abs_max=10.0)
+    own.spectral_density(1.0, -2.0, 0.5)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for xi, xip in ((bad, 0.0), (0.0, bad)):
+            for call in (
+                    lambda: own.evolution_kernel(KIND_SCHRODINGER, 10.0, xi,
+                                                 xip),
+                    lambda: own.band_kernel(KIND_WAVE_PLUS, "low_low", 10.0,
+                                            xi, xip),
+                    lambda: own.spectral_density(xi, xip, 1.0),
+                    lambda: own.decay_scan(KIND_SCHRODINGER,
+                                           [1.0, 10.0, 100.0], [xi, xip])):
+                with pytest.raises(DomainError, match="xi must be finite"):
+                    call()
+                assert (own.xi_abs_max, len(own._records)) == (10.0, 1)
 
 
 def test_full_kernel_is_the_band_free_band_kernel(cylinder_engine):

@@ -1,6 +1,6 @@
 """Print every output the benchmark checks, one line each, for a diff.
 
-Run from the root of a checkout (about a minute on two cores):
+Run from the root of a checkout (about 15 s on two cores):
 
     python3 tools/dump_outputs.py > outputs.txt
 
