@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ConicwaveError
-from .geometry import (ArclengthChart, PotentialProfile, fit_conical_constants,
-                       make_profile)
+from .geometry import (DEFAULT_X_MAX, ArclengthChart, PotentialProfile,
+                       fit_conical_constants, make_profile)
 from .jost import ScatteringModel
 # stationary_phase_check stays importable from here: perfbench's tracer
 # test looks it up under this module
@@ -188,7 +188,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _build_potential(cfg: RunConfig) -> PotentialProfile:
     profile = make_profile(cfg.profile)
-    x_max = float(cfg.profile.get("x_max", 1.0e5))
+    x_max = float(cfg.profile.get("x_max", DEFAULT_X_MAX))
     return PotentialProfile(profile, ArclengthChart(profile, x_max=x_max))
 
 

@@ -12,6 +12,7 @@ low-energy scattering laws feed on.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
@@ -291,8 +292,12 @@ class PotentialProfile:
 
     Heavy consumers (Volterra sweeps, ODE right-hand sides, kernel tables)
     evaluate through cubic splines built here once; V1 below |xi| = XI_TAIL
-    is deliberately undefined.
+    is deliberately undefined.  ``mirrored`` gives the view under
+    xi -> -xi, whose right end is this one's left end.
     """
+
+    #: -1.0 on a mirrored view
+    sign = 1.0
 
     def __init__(self, profile: ProfileSpec, chart: ArclengthChart):
         self.profile = profile
@@ -341,23 +346,25 @@ class PotentialProfile:
                                              * np.abs(bot) ** 3))
 
     # -- evaluators ---------------------------------------------------------
+    # each reads its spline at sign*xi, and the odd ones (rho, dr, the 1/r
+    # integral) carry the sign too; multiplying by +-1.0 is exact
 
     def rho(self, xi):
-        return self._rho(xi)
+        return self.sign * self._rho(self.sign * np.asarray(xi, dtype=float))
 
     def V(self, xi):
-        return self._V(xi)
+        return self._V(self.sign * np.asarray(xi, dtype=float))
 
     def V_at(self, s: float) -> float:
         """V at one float, bit-equal to ``float(self.V(s))``: scipy's piece
         (end pieces extrapolate) and its order of summation."""
-        x, c, s = self._Vx, self._Vc, float(s)
+        x, c, s = self._Vx, self._Vc, self.sign * float(s)
         i = min(max(bisect_right(x, s) - 1, 0), len(x) - 2)
         d = s - x[i]
         return c[3, i] + c[2, i] * d + c[1, i] * (d * d) + c[0, i] * (d * d * d)
 
     def V1(self, xi):
-        xi = np.asarray(xi, dtype=float)
+        xi = self.sign * np.asarray(xi, dtype=float)
         if np.any(np.abs(xi) < self.xi_tail):
             raise DomainError(f"V1 undefined for |xi| < {self.xi_tail}")
         out = np.where(xi > 0, self._V1_right(np.maximum(xi, self.xi_tail)),
@@ -369,49 +376,27 @@ class PotentialProfile:
         return self.tail_coeff_right / np.abs(np.asarray(xi, dtype=float)) ** 3
 
     def r_of_xi(self, xi):
-        return self._r(xi)
+        return self._r(self.sign * np.asarray(xi, dtype=float))
 
     def dr_of_xi(self, xi):
-        return self._dr(xi)
+        return self.sign * self._dr(self.sign * np.asarray(xi, dtype=float))
 
     def inv_r_integral(self, xi):
         """integral_0^xi deta / r(eta) in the arclength variable."""
-        return self._invr(xi) - self._invr_shift
+        return self.sign * (self._invr(self.sign * np.asarray(xi, dtype=float))
+                            - self._invr_shift)
 
-    def mirrored(self) -> "MirroredPotential":
-        return MirroredPotential(self)
-
-
-class MirroredPotential:
-    """View of a PotentialProfile under xi -> -xi (used for the left end)."""
-
-    def __init__(self, base: PotentialProfile):
-        self.base = base
-        self.xi_tail = base.xi_tail
-        self.xi_cap = base.xi_cap
-        self.C2 = base.C2_left
-        self.tail_coeff_right = base.tail_coeff_left
-
-    # the tail model reads only tail_coeff_right, the mirrored left end
-    v1_tail_model = PotentialProfile.v1_tail_model
-
-    def V(self, xi):
-        return self.base.V(-np.asarray(xi, dtype=float))
-
-    def V_at(self, s: float) -> float:
-        return self.base.V_at(-s)
-
-    def V1(self, xi):
-        return self.base.V1(-np.asarray(xi, dtype=float))
-
-    def r_of_xi(self, xi):
-        return self.base.r_of_xi(-np.asarray(xi, dtype=float))
-
-    def dr_of_xi(self, xi):
-        return -self.base.dr_of_xi(-np.asarray(xi, dtype=float))
-
-    def inv_r_integral(self, xi):
-        return -self.base.inv_r_integral(-np.asarray(xi, dtype=float))
+    def mirrored(self) -> "PotentialProfile":
+        """The same potential under xi -> -xi (the left end seen as a right
+        one): it shares the splines, flips ``sign`` and swaps each per-end
+        constant, so mirroring twice reads the original."""
+        view = copy.copy(self)
+        view.sign = -self.sign
+        view.C2, view.C2_left = self.C2_left, self.C2
+        view.C3, view.C3_left = self.C3_left, self.C3
+        view.tail_coeff_right, view.tail_coeff_left = (self.tail_coeff_left,
+                                                       self.tail_coeff_right)
+        return view
 
 
 def _potential_grid(xi_hi: float) -> np.ndarray:

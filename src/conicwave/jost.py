@@ -20,8 +20,9 @@ Both ends' solves at one energy use the same panel grid and the same
 oscillator; only V differs.  The side-independent arrays (the grid, its
 suffix integrators, e^{-2i lam xi} for the m sweep; the V1 grid with f0,
 f0' and the Filon tail grid with its f0 for the low pipeline) are built by
-``_m_arrays`` and ``_low_arrays`` once per energy and held in one slot per
-model and pipeline, which the second side reads.
+``_m_arrays`` and ``_low_arrays`` once per energy.  The model keeps them,
+with both sides' solves, in one store for the energy it is on, and starts
+an empty one at the next energy.
 
 Evaluators
 ----------
@@ -380,22 +381,18 @@ class ScatteringModel:
             else PotentialProfile(profile, self.chart)
         self.lam_low = LAM_LOW
         self._pot_minus = self.pot.mirrored()
-        self._osc_cache: dict = {}
-        self._low_cache: dict = {}
-        self._basis_cache: dict = {}
-        # (key, arrays) of the last energy's side-independent work, one slot
-        # per pipeline, which the two sides' solves at that energy share
-        self._m_slot = None
-        self._low_slot = None
+        # (lam, store) of the last energy's work; see _store
+        self._energy = (None, {})
 
-    def _shared(self, slot: str, key: tuple, build):
-        """``build(*key)``, or the arrays that slot ``slot`` holds for
-        ``key``; the slot is read once, so a concurrent writer cannot pair
-        one key with another key's arrays."""
-        held = getattr(self, slot)
-        if held is None or held[0] != key:
-            held = (key, build(*key))
-            setattr(self, slot, held)
+    def _store(self, lam: float) -> dict:
+        """Energy lam's solves ("osc"/"low"/"basis", side, window) and
+        shared arrays ((lo, B, xi_v), (xi0, B)); a new energy starts an
+        empty store.  The pair is read once, so a concurrent writer cannot
+        pair one energy with another energy's work."""
+        held = self._energy
+        if held[0] != lam:
+            held = (lam, {})
+            self._energy = held
         return held[1]
 
     # -- side handling ----------------------------------------------------
@@ -428,9 +425,9 @@ class ScatteringModel:
         series pays off; past it the two solutions oscillate, and a window
         with L > 3/lam raises DomainError.
         """
-        key = (side, lam, L)
-        if key in self._basis_cache:
-            return self._basis_cache[key]
+        store, key = self._store(lam), ("basis", side, L)
+        if key in store:
+            return store[key]
         pv = self._pv(side)
         if L > 0.99 * pv.xi_cap:
             raise DomainError("basis window exceeds the chart")
@@ -465,7 +462,7 @@ class ScatteringModel:
             # interpolation error only touches the O(lam^2) part
             sols += [f.real - seed, (-lam2 * (du1x * p0 - du0x * p1)).real]
         rec = _Basis(lam, (0.0, L), pv, grid, np.stack(sols))
-        self._basis_cache[key] = rec
+        store[key] = rec
         return rec
 
     def low_energy_basis(self, lam: float, window: Optional[float] = None
@@ -504,24 +501,24 @@ class ScatteringModel:
         spread): (f, f') stacked (2, n) on the grid over [xi0, B], xi0 =
         max(xi_tail, 0.75 lam^-1/2), and the one ``_match`` of f against
         the side's perturbed basis, at 0.85, 1 and 1.15 lam^-1/2.  The grid
-        and its Hankel waves come from ``_low_arrays`` through the model's
-        low slot, which the other side at this energy reuses.
+        and its Hankel waves come from ``_low_arrays`` through the energy's
+        store, so the other side at this energy reuses them.
         """
         pv = self._pv(side)
         xm = lam ** -0.5
         B = min(0.98 * pv.xi_cap, max(8.0 / lam, 3.0 * xm,
                                       1.1 * xi_hi + 10.0))
-        key = (side, lam, B)
-        if key in self._low_cache:
-            return self._low_cache[key]
+        store, key = self._store(lam), ("low", side, B)
+        if key in store:
+            return store[key]
         if not self._conical(side):
             raise DomainError(f"low-energy pipeline needs a conical "
                               f"{'right' if side == 'plus' else 'left'} end")
         xi0 = max(pv.xi_tail, 0.75 * xm)
         if B <= 1.3 * xm:
             raise DomainError("chart too small for the low-energy matching")
-        grid, f0, df0, integ, tail = self._shared("_low_slot", (lam, xi0, B),
-                                                  _low_arrays)
+        grid, f0, df0, integ, tail = store.get((xi0, B)) or store.setdefault(
+            (xi0, B), _low_arrays(lam, xi0, B))
         v1 = pv.V1(grid.flat)
         s1, s2 = self._low_tail_constants(pv, lam, *tail)
         inv2il = 1.0 / (2j * lam)
@@ -544,7 +541,7 @@ class ScatteringModel:
         rec = (grid, f_df, B, xi0,
                *_match(grid.interpolate(f_df, pts),
                        self._side_basis(side, lam, 1.3 * xm), pts))
-        self._low_cache[key] = rec
+        store[key] = rec
         return rec
 
     def _low_tail_constants(self, pv, lam: float, B2: float, grid, f0):
@@ -591,7 +588,7 @@ class ScatteringModel:
         them and the sweep covers the whole window.  For lam > 1 the core
         is left to the inward ODE continuation ``_continue`` from xi_v.
         The grid, its integrators and e^{-2i lam xi} come from
-        ``_m_arrays`` through the model's m slot, so the other side at
+        ``_m_arrays`` through the energy's store, so the other side at
         this energy reuses them; V, the tail forcing and mu are the side's.
         Returns the evaluator of f (a ``_Side``) for xi in [lo, B].
         """
@@ -608,13 +605,13 @@ class ScatteringModel:
         B = min(xi_max, max(400.0 / lam,
                             1.1 * max(abs(xi_floor), xi_hi) + 10.0))
         lo = min(xi_floor, 0.0)
-        key = (side, lam, lo, B)
-        if key in self._osc_cache:
-            return self._osc_cache[key]
+        store, key = self._store(lam), ("osc", side, lo, B)
+        if key in store:
+            return store[key]
         core = lam <= 1.0
         start = lo if core else xi_v
-        grid, integ, ph = self._shared("_m_slot", (lam, lo, B, xi_v),
-                                       _m_arrays)
+        grid, integ, ph = store.get((lo, B, xi_v)) or store.setdefault(
+            (lo, B, xi_v), _m_arrays(lam, lo, B, xi_v))
         e = grid.flat
         V = pv.V(e)
         inv2il = 1.0 / (2j * lam)
@@ -636,7 +633,7 @@ class ScatteringModel:
             y0 = [fv * m_v, fv * (1j * lam * m_v + dm_v)]
             ev = replace(ev, cut=xi_v, ode=_continue(
                 pv, lam, np.asarray(y0, dtype=complex), (xi_v, lo - 1e-9)))
-        self._osc_cache[key] = ev
+        store[key] = ev
         return ev
 
     def _m_tail_constants(self, side: str, pv, lam: float, B: float):
@@ -694,12 +691,10 @@ class ScatteringModel:
         check_energy(lam, "jost_plus")
         return self._side_evaluator("plus", lam, xi_min, xi_hi, pipeline)
 
-    def jost_minus(self, lam: float, xi_max: float = 0.0,
-                   xi_lo: float = 0.0) -> JostEvaluator:
+    def jost_minus(self, lam: float, xi_max: float = 0.0) -> JostEvaluator:
         """Jost solution f_minus ~ e^{-i lam xi} at -infinity."""
         check_energy(lam, "jost_minus")
-        return self._side_evaluator("minus", lam, -abs(xi_max), abs(xi_lo),
-                                    "auto")
+        return self._side_evaluator("minus", lam, -abs(xi_max), 0.0, "auto")
 
     # ------------------------------------------------------------------
     # coefficients, Wronskian, reflection/transmission
@@ -825,15 +820,23 @@ class ScatteringModel:
         constants, ...}; c2 is ``fit_c2()``.
         """
         lam_grid = np.asarray(lam_grid, dtype=float)
-        if np.any(lam_grid <= 0) or np.any(lam_grid > self.lam_low):
-            raise DomainError("lam_grid must lie in (0, lam_low]")
-        if lam_grid.max() / lam_grid.min() < 99.0:
+        bad = lam_grid[~((lam_grid > 0) & (lam_grid <= self.lam_low))]
+        if bad.size:
+            raise DomainError("lam_grid must lie in (0, lam_low], got lam = "
+                              f"{float(bad[0])!r}")
+        if not lam_grid.size or lam_grid.max() / lam_grid.min() < 99.0:
             raise DomainError("lam_grid must span at least two decades")
         lam_grid = np.sort(lam_grid)
         report: dict = {}
         c2 = self.fit_c2()
 
-        data = [self.scattering_data(l) for l in lam_grid]
+        # f+ of the representation check below, taken while its energy is held
+        n_rep = int(np.count_nonzero(lam_grid <= 1e-3))
+        data, reps = [], []
+        for i, l in enumerate(lam_grid):
+            data.append(self.scattering_data(l))
+            if n_rep - 6 <= i < n_rep:
+                reps.append((l, self.jost_plus(l, xi_min=-(l ** -0.5) * 1.2)))
         ap = np.array([d.a_plus for d in data])
         bp = np.array([d.b_plus for d in data])
         W = np.array([d.W for d in data])
@@ -900,8 +903,7 @@ class ScatteringModel:
 
         # pointwise low-energy representation of f+ on both sides
         c4s, c5s = [], []
-        for l in lam_grid[lam_grid <= 1e-3][-6:]:
-            ev = self.jost_plus(l, xi_min=-(l ** -0.5) * 1.2)
+        for l, ev in reps:
             for scale in (0.5, 1.0):
                 xi = scale * l ** -0.5
                 v, _ = ev.values(np.array([xi]))
@@ -974,8 +976,10 @@ class ScatteringModel:
         exceeds 1.5x the constant fitted on the coarse half of the grid.
         """
         lam_grid = np.asarray(lam_grid, dtype=float)
-        if np.any(lam_grid < 1.0):
-            raise DomainError("high-energy grid must satisfy lam >= 1")
+        bad = lam_grid[~((lam_grid >= 1.0) & (lam_grid < np.inf))]
+        if bad.size:
+            raise DomainError("high-energy grid must satisfy lam >= 1 and be "
+                              f"finite, got lam = {float(bad[0])!r}")
         xis = np.geomspace(1.0, 1.0e3, 25)
         w = np.hypot(xis, 1.0)
         rows = {"m_minus_one": [], "dxi_m": [], "dxi2_m": [], "dlam_m": []}

@@ -583,7 +583,12 @@ class KernelEngine:
         """Sup of the weighted kernel over the spatial grid per t, with a
         log-log decay fit over the last decade."""
         t_grid = np.sort(np.asarray(t_grid, dtype=float))
-        if t_grid.max() / t_grid.min() < 99.0:
+        # before the table grows or a kernel runs; t <= 0 has no decay rate
+        bad = t_grid[~((t_grid > 0) & (t_grid < np.inf))]
+        if bad.size:
+            raise DomainError("decay scan needs finite t > 0, got t = "
+                              f"{float(bad[0])!r}")
+        if not t_grid.size or t_grid.max() / t_grid.min() < 99.0:
             raise DomainError("decay scan needs at least two decades of t")
         base = np.asarray(spatial_grid if spatial_grid is not None
                           else SUP_GRID, dtype=float)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conicwave import (ConfigError, DomainError, fit_conical_constants,
                        make_profile)
-from conicwave.geometry import ArclengthChart, PotentialProfile
+from conicwave.geometry import (DEFAULT_X_MAX, ArclengthChart,
+                                PotentialProfile)
 
 
 def test_make_profile_cylinder():
@@ -185,23 +186,48 @@ def test_potential_profile_invariants(hyp_chart):
 
 @pytest.mark.parametrize("doc", [
     {"kind": "hyperboloid", "params": {"a": 0.2}},
-    {"kind": "two-sided-cone-smoothed", "params": {"kappa": 5.0}}])
+    {"kind": "two-sided-cone-smoothed", "params": {"kappa": 5.0}},
+    {"kind": "custom-tabulated", "conical_right": True,
+     "params": _one_sided_table(x_end=400.0), "x_max": 300.0}])
 def test_scalar_V_is_the_spline(doc):
     """V_at, which the ODE right-hand side calls, is bit-equal to the spline
-    inside the grid, at every breakpoint and extrapolated past both ends."""
+    inside the grid, at every breakpoint and extrapolated past both ends.
+    The mirrored view is a PotentialProfile that reads the same splines at
+    -xi bit for bit, with the sign flipped on the odd evaluators and the
+    per-end constants swapped; mirroring twice reads the original."""
     prof = make_profile(doc)
-    pot = PotentialProfile(prof, ArclengthChart(prof))
+    x_max = doc.get("x_max", DEFAULT_X_MAX)
+    pot = PotentialProfile(prof, ArclengthChart(prof, x_max))
     grid = pot._V.x
     rng = np.random.default_rng(11)
     pts = np.concatenate([rng.uniform(grid[0], grid[-1], 2000),
                           rng.uniform(-15.0, 15.0, 2000), grid,
                           grid[0] - rng.uniform(0.0, 50.0, 50),
                           grid[-1] + rng.uniform(0.0, 50.0, 50)])
-    for pv in (pot, pot.mirrored()):
+    mirror = pot.mirrored()
+    twice = mirror.mirrored()
+    assert isinstance(mirror, PotentialProfile)
+    for pv in (pot, mirror, twice):
         want = pv.V(pts)
         got = [pv.V_at(float(s)) for s in pts]
         assert all(type(v) is float for v in got)
         assert np.array_equal(np.array(got), want)
+    tail = pts[np.abs(pts) >= pot.xi_tail]
+    for name, sign, xs in (("V", 1.0, pts), ("V1", 1.0, tail),
+                           ("r_of_xi", 1.0, pts), ("rho", -1.0, pts),
+                           ("dr_of_xi", -1.0, pts),
+                           ("inv_r_integral", -1.0, pts)):
+        base = getattr(pot, name)
+        assert np.array_equal(getattr(mirror, name)(xs), sign * base(-xs)), \
+            name
+        assert np.array_equal(getattr(twice, name)(xs), base(xs)), name
+    for right, left in (("C2", "C2_left"), ("C3", "C3_left"),
+                        ("tail_coeff_right", "tail_coeff_left")):
+        assert getattr(mirror, right) == getattr(pot, left), right
+        assert getattr(mirror, left) == getattr(pot, right), left
+        assert getattr(twice, right) == getattr(pot, right), right
+    assert np.array_equal(mirror.v1_tail_model(tail),
+                          pot.tail_coeff_left / np.abs(tail) ** 3)
 
 
 def test_conical_fit_constants(hyp_chart):

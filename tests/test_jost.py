@@ -1,5 +1,10 @@
 """Jost solutions, scattering coefficients and the asymptotic laws."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -546,9 +551,11 @@ def test_low_table_record_reads_matching_basis_only(monkeypatch):
     monkeypatch.setattr(jost, "_match", counting_match)
     lam = 8e-3
     KernelEngine(model, xi_abs_max=1.1e3)._rows([lam])
-    keys = sorted(model._basis_cache)
+    held, store = model._energy
+    keys = sorted(k[1:] for k in store if k[0] == "basis")
+    assert held == lam
     assert [k[0] for k in keys] == ["minus", "plus"]
-    assert all(k[2] == 1.3 * lam ** -0.5 for k in keys)
+    assert all(k[1] == 1.3 * lam ** -0.5 for k in keys)
     assert calls == []
     # one match per side solve: the row's two sides, then the two of
     # scattering_data, whose own B (xi_hi = 0) is a new solve; a repeat of
@@ -589,6 +596,55 @@ def test_solves_do_not_depend_on_earlier_calls():
     L = 13.0000003
     assert repr(used.low_energy_basis(1e-3, window=L).values([L])) == \
         repr(fresh.low_energy_basis(1e-3, window=L).values([L]))
+
+
+def test_model_holds_one_energy():
+    # the model keeps the solves of the energy it is on, for both sides and
+    # every window, and lets go of them at the next energy
+    model = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    ev = model.jost_plus(0.5)
+    assert model.jost_plus(0.5) is ev
+    ref = weakref.ref(ev)
+    del ev
+    gc.collect()
+    assert ref() is not None
+    model.scattering_data(0.7)
+    gc.collect()
+    assert ref() is None
+    assert model._energy[0] == 0.7
+
+
+def test_threads_on_one_model_read_their_own_energy():
+    # threads at different energies replace each other's store; each call
+    # still reads only its own energy's work, so every record equals the
+    # one a model used by a single thread gives
+    lams = [1e-3, 5e-3, 0.05, 0.5, 2.0, 7.0]
+    serial = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    want = {lam: {repr(serial.scattering_data(lam))} for lam in lams}
+    shared = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    got, errors = {lam: set() for lam in lams}, []
+
+    def work(k):
+        try:
+            for lam in lams[k:] + lams[:k]:
+                got[lam].add(repr(shared.scattering_data(lam)))
+        except Exception as exc:      # reported by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert got == want
 
 
 def test_wronskian_pipeline_agreement(hyperboloid_model):
@@ -758,6 +814,19 @@ def test_validation_grids_are_checked(hyperboloid_model):
         m.validate_low_energy(np.geomspace(1e-4, 5e-3, 9))
     with pytest.raises(DomainError, match="lam >= 1"):
         m.validate_high_energy(np.geomspace(0.5, 100.0, 8))
+    # a bad lam is named before any solve: NaN passed every comparison and
+    # reached a solve (low) or int() (high), inf reached geometric_breaks
+    held = m._energy
+    nan, inf = float("nan"), float("inf")
+    for grid, bad in (([1e-5, nan, 1e-3], "nan"), ([1e-5, 1e-3, inf], "inf"),
+                      ([0.0, 1e-5, 1e-3], "0.0")):
+        with pytest.raises(DomainError, match=f"lam = {bad}"):
+            m.validate_low_energy(grid)
+    for grid, bad in (([nan, 2.0], "nan"), ([inf, 2.0], "inf"),
+                      ([2.0, 0.5], "0.5")):
+        with pytest.raises(DomainError, match=f"lam >= 1.*lam = {bad}"):
+            m.validate_high_energy(grid)
+    assert m._energy is held
 
 
 def test_jost_rejects_bad_lambda(hyperboloid_model):

@@ -3,6 +3,7 @@ majorant."""
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -623,6 +624,20 @@ def test_kernels_refuse_t_zero_and_nonfinite(cylinder_engine, cylinder_model):
                 with pytest.raises(DomainError, match="xi must be finite"):
                     call()
                 assert (own.xi_abs_max, len(own._records)) == (10.0, 1)
+    # a decay scan names a bad t before the table or any kernel changes:
+    # inf was refused only after the finite t had run (and had grown the
+    # span to the probe's), NaN was called an xi, a negative t broke the
+    # two-decade check and t = 0 divided by zero
+    nan, inf = float("nan"), float("inf")
+    for t_grid, bad in (([1.0, 10.0, 100.0, inf], "inf"),
+                        ([1.0, nan, 10.0, 100.0], "nan"),
+                        ([-1.0, 10.0, 1000.0], "-1.0"),
+                        ([0.0, 10.0, 100.0], "0.0")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"t = {bad}"):
+                own.decay_scan(KIND_SCHRODINGER, t_grid)
+        assert (own.xi_abs_max, len(own._records)) == (10.0, 1)
 
 
 def test_full_kernel_is_the_band_free_band_kernel(cylinder_engine):
