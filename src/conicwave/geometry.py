@@ -260,9 +260,15 @@ class ArclengthChart:
             raise DomainError("xi outside chart image")
         xi = np.clip(xi, self.xi_min, self.xi_max)
         x = np.clip(self._inv_seed(xi), -self.x_max, self.x_max)
+        # four Newton steps, each on the points the last one moved: the
+        # update is pointwise, so a point it left in place stays there
+        live = np.arange(x.size)
         for _ in range(4):
-            f = self.xi_of_x(x) - xi
-            x = np.clip(x - f / self._metric(x), -self.x_max, self.x_max)
+            xl = x[live]
+            f = self.xi_of_x(xl) - xi[live]
+            new = np.clip(xl - f / self._metric(xl), -self.x_max, self.x_max)
+            x[live] = new
+            live = live[new != xl]
         return float(x[0]) if scalar else x
 
     def dxi_dx(self, x):

@@ -8,6 +8,13 @@ against the cubic-tail remainder V1, and matched to the energy-perturbed
 zero-energy basis at xi = lam**-0.5.  Everything scattering-related (W,
 reflection, transmission) then lives in the basis coefficients.
 
+The perturbed basis is the Neumann series u_j(., lam) = sum_k lam^(2k)
+T^k u_j of its forward Volterra equation, T f = -u1 int_0^xi u0 f + u0
+int_0^xi u1 f.  The terms T^k u_j do not depend on lam, so every energy up
+to lam_low sums one ``_Terms`` stack per side, built once on a grid over
+the chart and extended by more terms when a window needs them; above
+lam_low each energy sums a stack on its own grid.
+
 Oscillatory (lam above lam_low, or any lam when the potential is summable
 enough): the phase-stripped function m = exp(-i*lam*xi) f solves a backward
 Volterra equation with a bounded kernel, truncated at B with an analytic
@@ -58,12 +65,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import exp1
 
-from . import panels
+from . import panels, volterra
 from .errors import ConvergenceError, DomainError
 from .geometry import ArclengthChart, PotentialProfile, ProfileSpec
 from .hankel import (C0, C1, KAPPA, REGIME_LOW_ENERGY,
                      REGIME_OSCILLATORY, f0_values)
-from .volterra import separable_integrators, sweep
+from .volterra import check_bound, separable_integrators, sweep
 
 LAM_LOW = 1.0e-2
 SWEEP_TOL = 1e-12
@@ -289,6 +296,99 @@ class _BasisStack:
         return out
 
 
+def _basis_grid(hi: float, freq) -> panels.PanelGrid:
+    """Grid of the basis terms on [0, hi]: 0.25-wide panels up to 4 (0.5
+    left 7e-10 in u0'(0) at a sharp neck), 12 per decade beyond, split
+    where ``freq`` turns by more than 0.8 rad per panel."""
+    breaks = panels.graded_breaks(0.0, hi, min(4.0, hi), 0.25, 12)
+    return panels.PanelGrid.build(
+        panels.cap_phase(breaks, freq, max_phase=0.8), order=10)
+
+
+def _running_peak(grid: panels.PanelGrid, t: np.ndarray) -> np.ndarray:
+    """max|T^k u_j| over panels 0..p of terms t (K, 4, n): (K, 2, panels)."""
+    vals = np.abs(t[:, ::2]).reshape(t.shape[:1] + (2,) + grid.nodes.shape)
+    return np.maximum.accumulate(vals.max(axis=-1), axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Terms:
+    """Terms of the basis series of the side view ``pv`` on ``grid``:
+    t[k] stacks (T^k u0, (T^k u0)', T^k u1, (T^k u1)') at the nodes, t[0]
+    the zero-energy seed (u0, u0', u1, u1'), and the derivative terms take
+    du0, du1 where T takes u0, u1 outside its integrals; peak[k, j, p] is
+    max|T^k u_j| over panels 0..p; ``prefix`` integrates on the grid.
+    Read-only, so a stack can be shared; ``extended`` and ``basis`` return
+    new ones."""
+
+    pv: object
+    grid: panels.PanelGrid
+    prefix: panels.PrefixIntegrator
+    t: np.ndarray
+    peak: np.ndarray
+
+    @classmethod
+    def seeded(cls, pv, grid: panels.PanelGrid) -> _Terms:
+        t = np.stack(_seed_values(pv, grid.flat))[None]
+        return cls(pv, grid, panels.PrefixIntegrator(grid),
+                   *panels._frozen(t, _running_peak(grid, t)))
+
+    def extended(self) -> _Terms:
+        """This stack with one more term, T applied to the last."""
+        u0, du0, u1, du1 = self.t[0]
+        v = self.t[-1, ::2]
+        # p_i[j] = int_0^xi u_i T^k u_j, both seeds in one pass
+        p0, p1 = self.prefix.node_values(np.stack([u0 * v, u1 * v])).real
+        new = np.stack([-u1 * p0 + u0 * p1, -du1 * p0 + du0 * p1],
+                       axis=1).reshape(1, 4, -1)
+        t, peak = panels._frozen(
+            np.concatenate([self.t, new]),
+            np.concatenate([self.peak, _running_peak(self.grid, new)]))
+        return replace(self, t=t, peak=peak)
+
+    def basis(self, lam: float, L: float):
+        """(stack, basis): the series at lam, summed by Horner over the
+        panels that cover [0, L] up to the first term n >= 1 that is <=
+        SWEEP_TOL max(1, max|u_j|) there for both seeds, and the stack
+        that held its terms (this one, extended if it had fewer).  Needing
+        more than MAX_SWEEPS terms, or a sum past the exp(mu) a-priori
+        bound, raises ConvergenceError."""
+        grid = self.grid
+        p = min(max(int(grid.breaks.searchsorted(L)), 1), grid.npanels)
+        lam2, terms = lam * lam, self
+        atol = SWEEP_TOL * np.maximum(1.0, self.peak[0, :, p - 1])
+        n = 1
+        while True:
+            if n > volterra.MAX_SWEEPS:
+                raise ConvergenceError("the basis series needs more than "
+                                       f"{volterra.MAX_SWEEPS} terms")
+            if n == len(terms.t):
+                terms = terms.extended()
+            if (lam2 ** n * terms.peak[n, :, p - 1] <= atol).all():
+                break
+            n += 1
+        if p < grid.npanels:
+            grid = panels.PanelGrid.build(grid.breaks[:p + 1], grid.order)
+        t = terms.t[:n + 1, :, :p * grid.order]
+        c = t[n]
+        for k in range(n - 1, 0, -1):
+            c = t[k] + lam2 * c
+        corr = lam2 * c
+        # |K(xi, eta)| = lam^2 u0(xi) u0(eta) (I(xi) - I(eta)) with I =
+        # u1/u0 increasing (I' = 1/u0^2): for xi >= eta it is at most lam^2
+        # u0(eta) R(eta) (I(L) - I(eta)), R(eta) the max of u0 on [eta, L]
+        u0, u1 = t[0, 0], t[0, 2]
+        iv = u1 / u0
+        R = np.maximum.accumulate(u0[::-1])[::-1]
+        mu = lam2 * float(panels.integrate(grid, u0 * R * (iv[-1] - iv)))
+        for j, tol in enumerate(atol):
+            check_bound(t[0, 2 * j] + corr[2 * j], t[0, 2 * j], mu, tol)
+        # corrections relative to the zero-energy seed: the seed is
+        # evaluated exactly at interpolation time, so the panel
+        # interpolation error only touches the O(lam^2) part
+        return terms, _Basis(lam, (0.0, L), self.pv, grid, corr)
+
+
 @dataclass(frozen=True, eq=False)
 class _Side(JostEvaluator):
     """f of one end's solve: from ``cut`` up, ``vals`` on ``grid``, the low
@@ -383,6 +483,8 @@ class ScatteringModel:
         self._pot_minus = self.pot.mirrored()
         # (lam, store) of the last energy's work; see _store
         self._energy = (None, {})
+        # side -> the _Terms stack that every basis at lam <= lam_low sums
+        self._series = {}
 
     def _store(self, lam: float) -> dict:
         """Energy lam's solves ("osc"/"low"/"basis", side, window) and
@@ -421,9 +523,16 @@ class ScatteringModel:
     def _side_basis(self, side: str, lam: float, L: float):
         """u_j(., lam) and derivatives on [0, L] of the chosen side.
 
-        A Volterra solve on the zone xi*lam <= 3, where the perturbation
-        series pays off; past it the two solutions oscillate, and a window
-        with L > 3/lam raises DomainError.
+        The Neumann series u_j(., lam) = sum_k lam^(2k) T^k u_j of the
+        forward equation u = u_j + lam^2 T u, with T f = -u1 int_0^xi u0 f
+        + u0 int_0^xi u1 f (the minus sign is what puts the solution at
+        energy +lam^2; cylinder oracle: cos(lam xi), not cosh).  Energies
+        up to lam_low read one ``_Terms`` stack per side, on a grid over
+        the whole chart, and sum it over the panels that cover [0, L]
+        (past them the terms grow like xi^(2k)); above lam_low each energy
+        sums its own stack on a grid over [0, L].  The series pays off on
+        the zone xi*lam <= 3; past it the two solutions oscillate, and a
+        window with L > 3/lam raises DomainError.
         """
         store, key = self._store(lam), ("basis", side, L)
         if key in store:
@@ -434,34 +543,19 @@ class ScatteringModel:
         if L > 3.0 / lam:
             raise DomainError("basis window exceeds the Volterra zone "
                               "xi*lam <= 3")
-        # 0.25-wide panels resolve a sharp neck (0.5 left 7e-10 in u0'(0))
-        breaks = panels.graded_breaks(0.0, L, min(4.0, L), 0.25, 12)
-        breaks = panels.cap_phase(breaks, lambda s: lam, max_phase=0.8)
-        grid = panels.PanelGrid.build(breaks, order=10)
-        x = grid.flat
-        u0x, du0x, u1x, du1x = _seed_values(pv, x)
-        lam2 = lam * lam
-        integ = separable_integrators(grid, "forward", [0.0, 0.0])
-        # |K(xi, eta)| = lam^2 u0(xi) u0(eta) (I(xi) - I(eta)) with I = u1/u0
-        # increasing (I' = 1/u0^2): for xi >= eta it is at most lam^2
-        # u0(eta) R(eta) (I(L) - I(eta)), R(eta) the max of u0 on [eta, L]
-        iv = u1x / u0x
-        R = np.maximum.accumulate(u0x[::-1])[::-1]
-        mu = lam2 * float(panels.integrate(grid, u0x * R * (iv[-1] - iv)))
-        sols = []
-        for seed in (u0x, u1x):
-            # u(xi,lam) = u_j(xi) - lam^2 int_0^xi [u1(xi)u0 - u0(xi)u1] u(.,lam);
-            # the minus sign is what puts the solution at energy +lam^2
-            # (cylinder oracle: cos(lam*xi), not cosh)
-            f, (p0, p1), _ = sweep(
-                integ, (-lam2 * u1x, lam2 * u0x), (u0x, u1x),
-                seed.astype(complex),
-                SWEEP_TOL * max(1.0, float(np.max(np.abs(seed)))), mu)
-            # corrections relative to the zero-energy seed: the seed is
-            # evaluated exactly at interpolation time, so the panel
-            # interpolation error only touches the O(lam^2) part
-            sols += [f.real - seed, (-lam2 * (du1x * p0 - du0x * p1)).real]
-        rec = _Basis(lam, (0.0, L), pv, grid, np.stack(sols))
+        if lam > self.lam_low:
+            terms = _Terms.seeded(pv, _basis_grid(L, lambda s: lam))
+            rec = terms.basis(lam, L)[1]
+        else:
+            # one grid for every window the checks above admit at lam <=
+            # lam_low, as fine everywhere as the energy's own would be
+            terms = self._series.get(side) or _Terms.seeded(
+                pv, _basis_grid(0.99 * pv.xi_cap,
+                                lambda s: np.minimum(self.lam_low, 3.0 / s)))
+            grown, rec = terms.basis(lam, L)
+            if grown is not self._series.get(side):
+                # one assignment publishes the longer stack whole
+                self._series[side] = grown
         store[key] = rec
         return rec
 
@@ -980,6 +1074,9 @@ class ScatteringModel:
         if bad.size:
             raise DomainError("high-energy grid must satisfy lam >= 1 and be "
                               f"finite, got lam = {float(bad[0])!r}")
+        if not lam_grid.size:
+            raise DomainError("high-energy grid must hold at least one lam, "
+                              "got an empty grid")
         xis = np.geomspace(1.0, 1.0e3, 25)
         w = np.hypot(xis, 1.0)
         rows = {"m_minus_one": [], "dxi_m": [], "dxi2_m": [], "dlam_m": []}

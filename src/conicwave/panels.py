@@ -363,7 +363,8 @@ class SuffixIntegrator:
 
 
 class PrefixIntegrator:
-    """Evaluates x -> integral_a^{x} f(eta) exp(i*omega*eta) deta at grid nodes."""
+    """Evaluates x -> integral_a^{x} f(eta) exp(i*omega*eta) deta at grid
+    nodes; a node's value reads only the panels up to its own."""
 
     def __init__(self, grid: PanelGrid, omega: float = 0.0):
         self.grid = grid
@@ -371,12 +372,16 @@ class PrefixIntegrator:
         self._full = full_panel_integrals(grid, omega)
 
     def node_values(self, fvals: np.ndarray) -> np.ndarray:
+        """``fvals`` may stack k arrays as (k, n), giving (k, n)."""
         g = self.grid
-        f = np.asarray(fvals).reshape(g.nodes.shape)
-        per_panel = np.einsum("pj,pj->p", self._full, f)
-        head = np.concatenate([[0.0], np.cumsum(per_panel)[:-1]])
-        vals = np.einsum("pij,pj->pi", self._partial, f) + head[:, None]
-        return vals.ravel()
+        f = np.asarray(fvals)
+        f = f.reshape(f.shape[:-1] + g.nodes.shape)
+        per_panel = np.einsum("pj,...pj->...p", self._full, f)
+        head = np.zeros_like(per_panel)
+        np.cumsum(per_panel[..., :-1], axis=-1, out=head[..., 1:])
+        vals = np.einsum("pij,...pj->...pi", self._partial, f) \
+            + head[..., None]
+        return vals.reshape(f.shape[:-2] + (-1,))
 
     def break_values(self, fvals: np.ndarray) -> np.ndarray:
         """Cumulative integral at the panel breakpoints (length m+1)."""

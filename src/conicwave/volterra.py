@@ -9,7 +9,8 @@ its start to x (forward).  ``separable_integrators`` builds one cumulative
 panel integrator per distinct frequency, shared by the terms that have it,
 and ``sweep`` iterates the equation in O(N) per pass until successive
 iterates agree, then checks the a-priori bound ||f|| <= exp(mu) ||g|| under
-the caller's mu.
+the caller's mu (``check_bound``, which the low-energy basis series of
+``jost`` applies to its partial sums too).
 """
 
 from __future__ import annotations
@@ -64,8 +65,16 @@ def sweep(integ, A, B, g, atol: float, mu: float):
             break
     else:
         raise ConvergenceError(f"no convergence within {MAX_SWEEPS} sweeps")
+    check_bound(f, g, mu, atol)
+    return f, ints, n
+
+
+def check_bound(f, g, mu: float, atol: float) -> None:
+    """Raise ConvergenceError unless ||f|| <= exp(mu) ||g|| (sup norms, with
+    1e-9 relative and 10 atol slack): the a-priori bound of f = g + K f,
+    and of each Neumann partial sum of it, when mu bounds the integral of
+    the kernel's sup over the integration range."""
     bound = np.exp(mu) * float(np.max(np.abs(g))) * (1.0 + 1e-9) + 10 * atol
     if float(np.max(np.abs(f))) > bound:
         raise ConvergenceError("solution violates the exp(mu) a-priori bound; "
                                "kernel or mu estimate is inconsistent")
-    return f, ints, n

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicwave import (ConfigError, DomainError, fit_conical_constants,
-                       make_profile)
+                       geometry, make_profile)
 from conicwave.geometry import (DEFAULT_X_MAX, ArclengthChart,
                                 PotentialProfile)
 
@@ -121,6 +121,40 @@ def test_chart_roundtrip_and_domain(hyp_chart):
         hyp_chart.xi_of_x(2.0e5)
     with pytest.raises(DomainError):
         hyp_chart.x_of_xi(2.0 * hyp_chart.xi_max)
+
+
+def _newton_everywhere(chart, xi):
+    """x_of_xi's four Newton steps run on every point, as it ran them
+    before it skipped the points a step left in place."""
+    xi = np.clip(np.atleast_1d(np.asarray(xi, dtype=float)),
+                 chart.xi_min, chart.xi_max)
+    x = np.clip(chart._inv_seed(xi), -chart.x_max, chart.x_max)
+    for _ in range(4):
+        f = chart.xi_of_x(x) - xi
+        x = np.clip(x - f / chart._metric(x), -chart.x_max, chart.x_max)
+    return x
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "hyperboloid", "params": {"a": 0.2}},
+    {"kind": "two-sided-cone-smoothed", "params": {"kappa": 5.0}}],
+    ids=["a0.2", "cone-k5"])
+def test_inverse_chart_skips_settled_points_bit_for_bit(doc):
+    # the potential grid, the clipped ends (xi past the image by less than
+    # the pad) and a scalar read the same bits as four steps on every point
+    chart = ArclengthChart(make_profile(doc))
+    grid = geometry._potential_grid(min(chart.xi_max, -chart.xi_min))
+    ends = [chart.xi_min, chart.xi_max, chart.xi_min * (1 + 1e-10),
+            chart.xi_max * (1 + 1e-10)]
+    xi = np.concatenate([grid, ends])
+    got, want = chart.x_of_xi(xi), _newton_everywhere(chart, xi)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.max(np.abs(got[-4:])) == chart.x_max
+    for s in (0.0, 3.7, -250.0, ends[-1]):
+        one = chart.x_of_xi(s)
+        assert type(one) is float
+        assert np.array_equal(np.atleast_1d(one).view(np.int64),
+                              _newton_everywhere(chart, s).view(np.int64))
 
 
 def test_chart_odd_symmetry(hyp_chart):

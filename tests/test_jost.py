@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conicwave import (C0, C1, KAPPA, ArclengthChart, DomainError,
-                       KernelEngine, PotentialProfile, ScatteringModel,
-                       f0_values, make_profile)
-from conicwave import jost, panels
+from conicwave import (C0, C1, KAPPA, ArclengthChart, ConvergenceError,
+                       DomainError, KernelEngine, PotentialProfile,
+                       ScatteringModel, f0_values, make_profile)
+from conicwave import jost, panels, volterra
 from conicwave.jost import wr
-from conicwave.volterra import sweep
+from conicwave.volterra import check_bound, separable_integrators, sweep
 
 HYPERBOLOID_A1 = {"kind": "hyperboloid", "params": {"a": 1.0}}
 
@@ -308,19 +308,18 @@ def test_low_energy_basis_resolves_a_sharp_neck(profile):
     {"kind": "two-sided-cone-smoothed", "params": {"kappa": 5.0}}],
     ids=["a0.2", "a1", "a10", "cone-k5"])
 def test_side_basis_mu_bounds_its_solutions(profile, monkeypatch):
-    # the basis sweep's mu bounds the integral of its kernel's sup over
-    # xi >= eta, so it must hold both solutions, ||f|| <= e^mu ||g||, and
-    # stay small: the separable bound sum_r sup|A_r| int|B_r| reached 117
-    # on the cone at lam = 1e-3
+    # the basis series' mu bounds the integral of its kernel's sup over
+    # xi >= eta, so it must hold both summed solutions, ||f|| <= e^mu ||g||,
+    # and stay small: the separable bound sum_r sup|A_r| int|B_r| reached
+    # 117 on the cone at lam = 1e-3
     m = ScatteringModel(make_profile(profile))
     seen = []
 
-    def recording(integ, A, B, g, atol, mu):
-        out = sweep(integ, A, B, g, atol, mu)
-        seen.append((mu, np.max(np.abs(out[0])) / np.max(np.abs(g))))
-        return out
+    def recording(f, g, mu, atol):
+        check_bound(f, g, mu, atol)
+        seen.append((mu, np.max(np.abs(f)) / np.max(np.abs(g))))
 
-    monkeypatch.setattr(jost, "sweep", recording)
+    monkeypatch.setattr(jost, "check_bound", recording)
     for lam in (1e-6, 1e-3, 1e-2):
         L = min(3.0 / lam, 0.98 * m.pot.xi_cap)
         for side in ("plus", "minus"):
@@ -328,6 +327,131 @@ def test_side_basis_mu_bounds_its_solutions(profile, monkeypatch):
     assert len(seen) == 12               # 3 lam x 2 sides x 2 seeds
     for mu, ratio in seen:
         assert np.log(ratio) <= mu <= 5.0
+
+
+BENCH_PROFILES = [{"kind": "hyperboloid", "params": {"a": 0.2}},
+                  HYPERBOLOID_A1, {"kind": "hyperboloid", "params": {"a": 10.0}},
+                  {"kind": "two-sided-cone-smoothed", "params": {"kappa": 5.0}}]
+BENCH_IDS = ["a0.2", "a1", "a10", "cone-k5"]
+
+
+def _sweep_basis(pv, lam, L):
+    """Nodes and (u0, u0', u1, u1') there of the forward basis equation
+    solved by successive substitution on the energy's own grid of [0, L],
+    as ``_side_basis`` solved it before it summed the series."""
+    grid = jost._basis_grid(L, lambda s: lam)
+    x = grid.flat
+    u0, du0, u1, du1 = jost._seed_values(pv, x)
+    lam2 = lam * lam
+    integ = separable_integrators(grid, "forward", [0.0, 0.0])
+    out = []
+    for seed, dseed in ((u0, du0), (u1, du1)):
+        f, (p0, p1), _ = sweep(
+            integ, (-lam2 * u1, lam2 * u0), (u0, u1), seed.astype(complex),
+            jost.SWEEP_TOL * max(1.0, float(np.max(np.abs(seed)))), 10.0)
+        out += [f.real, dseed - lam2 * (du1 * p0 - du0 * p1).real]
+    return x, np.stack(out)
+
+
+@pytest.mark.parametrize("profile", BENCH_PROFILES, ids=BENCH_IDS)
+def test_series_basis_matches_the_sweep(profile):
+    # at lam <= lam_low the series is summed on the side's one grid, above
+    # it on the energy's own; both read the sweep's values within 1e-11 of
+    # the window's max (8.4e-13 measured) at the sweep's nodes, at the
+    # matching window 1.3 lam^-1/2 and the whole zone min(3/lam, cap)
+    m = ScatteringModel(make_profile(profile))
+    cap = 0.98 * m.pot.xi_cap
+    for lam in (1e-6, 1e-3, 1e-2, 0.5, 20.0):
+        for L in {min(1.3 * lam ** -0.5, 3.0 / lam), min(3.0 / lam, cap)}:
+            for side in ("plus", "minus"):
+                x, want = _sweep_basis(m._pv(side), lam, L)
+                got = m._side_basis(side, lam, L).values(x)
+                dev = np.max(np.abs(got - want), axis=1)
+                assert np.all(dev <= 1e-11 * np.max(np.abs(want), axis=1))
+
+
+def test_low_energy_bases_sum_one_term_stack_per_side(monkeypatch):
+    # every energy up to lam_low sums the side's one stack, seeded once per
+    # side; a window that needs more terms extends that stack, keeping the
+    # terms it had; above lam_low each energy seeds a stack of its own
+    m = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    seeded = []
+    real = jost._Terms.seeded
+
+    def counting(pv, grid):
+        seeded.append(pv)
+        return real(pv, grid)
+
+    monkeypatch.setattr(jost._Terms, "seeded", counting)
+    for lam in (1e-3, 5e-4, 1e-5, 1e-2):
+        for side in ("plus", "minus"):
+            m._side_basis(side, lam, 1.3 * lam ** -0.5)
+    assert len(seeded) == 2
+    stack = m._series["plus"]
+    m._side_basis("plus", 5e-4, 3.0 / 5e-4)
+    grown = m._series["plus"]
+    assert len(grown.t) > len(stack.t) and grown.grid is stack.grid
+    assert np.array_equal(grown.t[:len(stack.t)], stack.t)
+    assert np.array_equal(grown.peak[:len(stack.t)], stack.peak)
+    # a narrower window at another energy sums the stack as it is
+    m._side_basis("plus", 2e-4, 1.3 * 2e-4 ** -0.5)
+    assert m._series["plus"] is grown and len(seeded) == 2
+    for lam in (0.05, 3.0):
+        m._side_basis("plus", lam, min(1.3 * lam ** -0.5, 3.0 / lam))
+    assert len(seeded) == 4 and m._series["plus"] is grown
+
+
+def test_basis_series_stops_at_max_sweeps(monkeypatch):
+    # the series needs about a dozen terms at lam xi = 3; capped at 3 it
+    # raises, on the shared stack and on an energy's own alike
+    m = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    monkeypatch.setattr(volterra, "MAX_SWEEPS", 3)
+    for lam in (1e-2, 0.5):
+        with pytest.raises(ConvergenceError, match="more than 3 terms"):
+            m._side_basis("plus", lam, 3.0 / lam)
+        assert ("basis", "plus", 3.0 / lam) not in m._store(lam)
+    monkeypatch.setattr(volterra, "MAX_SWEEPS", 200)
+    for lam in (1e-2, 0.5):
+        m._side_basis("plus", lam, 3.0 / lam)
+
+
+def test_threads_on_one_model_share_the_term_stacks():
+    # threads that extend a side's stack while others sum it read the same
+    # bases, bit for bit, as one thread does: a stack is published whole,
+    # and a sum reads only the terms its window needs
+    cases = [(lam, L) for lam in (1e-2, 3e-3, 1e-3, 1e-4, 1e-5)
+             for L in (1.3 * lam ** -0.5, min(3.0 / lam, 1e4))]
+    xs = np.array([0.0, 1.0, 7.5, 30.0])
+
+    def read(m, lam, L):
+        return repr(m.low_energy_basis(lam, window=L).values(xs[xs <= L]))
+
+    serial = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    want = {c: read(serial, *c) for c in cases}
+    shared = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    got, errors = {c: set() for c in cases}, []
+
+    def work(k):
+        try:
+            for c in cases[k::4] + cases[:k:4] + cases[::-1]:
+                got[c].add(read(shared, *c))
+        except Exception as exc:      # reported by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert got == {c: {w} for c, w in want.items()}
 
 
 def test_low_energy_basis_window_guard(hyperboloid_model):
@@ -826,6 +950,9 @@ def test_validation_grids_are_checked(hyperboloid_model):
                       ([2.0, 0.5], "0.5")):
         with pytest.raises(DomainError, match=f"lam >= 1.*lam = {bad}"):
             m.validate_high_energy(grid)
+    # an empty grid raised IndexError from the fit after an empty scan
+    with pytest.raises(DomainError, match="empty grid"):
+        m.validate_high_energy([])
     assert m._energy is held
 
 

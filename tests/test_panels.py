@@ -126,6 +126,18 @@ def test_one_integrator_per_distinct_frequency(direction):
     assert a is c and b is not a
 
 
+@pytest.mark.parametrize("name, omega", CASES)
+def test_stacked_prefix_values_match_one_array_calls(name, omega):
+    # the basis series integrates both seeds' terms in one call
+    grid = GRIDS[name]
+    integ = panels.PrefixIntegrator(grid, omega)
+    f = np.random.default_rng(3).normal(size=(2, 3, grid.flat.size))
+    got = integ.node_values(f)
+    assert got.shape == f.shape
+    for i in np.ndindex(f.shape[:-1]):
+        assert np.array_equal(got[i], integ.node_values(f[i]))
+
+
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_zero_omega_is_scaled_reference(name):
     grid = GRIDS[name]
