@@ -1,8 +1,13 @@
 """Oscillatory panel integrals against brute-force phase-resolved rules."""
 
-import numpy as np
-from numpy.polynomial import polynomial as P
+import warnings
 
+import numpy as np
+from numpy.polynomial import chebyshev as C
+from numpy.polynomial import polynomial as P
+import pytest
+
+from conicwave import DomainError, QuadratureError
 from conicwave import oscquad as OQ
 
 _XG, _WG = np.polynomial.legendre.leggauss(12)
@@ -141,6 +146,73 @@ def test_linear_filon_small_curvature():
     for (coef, at, bt), got in zip(cases, OQ._linear_filon(coefs, ats, bts)):
         ref = _brute(-1.0, 1.0, coef, at, bt)
         assert abs(got - ref) <= 2e-12 * max(abs(ref), 1e-3)
+
+
+def test_levin_regime(monkeypatch):
+    # on [-1, 1] the panel variables are the phase coefficients; random
+    # amplitudes and T_9, the degree-9 amplitude that is largest at the
+    # stationary point for its size on [-1, 1], the worst case of Levin's
+    # error |p(w0)| / max|p| (w0 + sqrt(w0^2 - 1))^-LEVIN_N
+    coefs = _random_coefs(np.random.default_rng(17), 3) + [
+        C.cheb2poly(np.eye(OQ.DEG + 1)[-1]).astype(complex)]
+    W0 = OQ.LEVIN_W0
+    near = [(at, sgn * 2.0 * w0 * at) for at in (3.9, 6.0, 10.0, 50.0)
+            for w0 in (W0, W0 * (1 + 1e-3), W0 * (1 + 1e-2), W0 * (1 - 1e-3))
+            for sgn in (1.0, -1.0)]
+    # a row of the sweep that 12 Levin points miss by 2.7e-7 (20: 6.5e-15)
+    near.append((4.35, 74.6))
+    # far from stationarity: the sweep's worst row (at = 3.07e4, w0 = 9.4)
+    # and |bt| = 1e7, where _brute is 5.8e-7 off (rounding of a 1e7-radian
+    # phase over 3e8 nodes, in 32 s) but the boundary series at both ends
+    # is exact to within its own error estimate
+    far = [(3.07e4, 2.0 * 9.42 * 3.07e4), (1.0, 1.0e7), (40.0, -1.0e7)]
+    cases = [(coef, at, bt) for coef in coefs for at, bt in near + far]
+    coef, at, bt = map(np.array, zip(*cases))
+    levin_rows, levin = [], OQ._levin
+
+    def counted(c, a, b):
+        levin_rows.append(len(c))
+        return levin(c, a, b)
+
+    monkeypatch.setattr(OQ, "_levin", counted)
+    got = OQ.panel_osc_integral(-np.ones(len(at)), np.ones(len(at)), coef,
+                                at, bt)
+    # every row at or past W0 took the Levin regime at the top level
+    assert levin_rows[0] == np.sum(np.abs(bt) >= 2.0 * W0 * at)
+    for (c, a, b), g in zip(cases, got):
+        if (a, b) in far:
+            ref, rem = (x[0] for x in OQ._boundary_series(
+                c[None], 1.0, 1.0, 1.0, a, np.array([b])))
+            ref_l, rem_l = (x[0] for x in OQ._boundary_series(
+                c[None], -1.0, 1.0, -1.0, a, np.array([b])))
+            ref -= ref_l
+            assert rem + rem_l <= 1e-11 * abs(ref)
+            assert abs(g - ref) <= 1e-10 * abs(ref)
+        else:
+            ref = _brute(-1.0, 1.0, c, a, b)
+            assert abs(g - ref) <= 1e-10 * max(abs(ref), 2e-3)
+
+
+def test_negative_curvature_is_refused():
+    # a caller folds alpha < 0 by conjugation; the regimes assume alpha >= 0
+    # (at <= 0.15 would send every such row to the linear-phase Filon rule)
+    coef = _random_coefs(np.random.default_rng(2), 1)[0]
+    with pytest.raises(DomainError, match="alpha"):
+        OQ.panel_osc_integral([1.0], [1.3], [coef], -1.0e4, [3.0e4])
+    with pytest.raises(DomainError, match="alpha"):
+        OQ.panel_osc_integral([1.0, 1.0], [1.3, 1.3], [coef, coef],
+                              [1.0, -1.0], [3.0e4, 3.0e4])
+
+
+def test_unresolved_stationary_point_raises():
+    # at alpha = 1e30 the stationary point at 1.7 stays inside a panel too
+    # curved for the erfc moments after the last bisection
+    coef = _random_coefs(np.random.default_rng(2), 1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError):
+            OQ.panel_osc_integral([1.4], [2.0], [coef], 1.0e30,
+                                  [-2.0e30 * 1.7])
 
 
 def test_abel_tail_against_exponential_integral():

@@ -3,6 +3,12 @@
 Run from the root of a checkout (about 15 s on two cores):
 
     python3 tools/dump_outputs.py > outputs.txt
+    python3 tools/dump_outputs.py before.txt > after.txt
+
+Given an earlier dump, it also writes to standard error, per section, how
+many lines changed, and over the kernel lines the largest relative change
+of the value and of ``err_est``, and the largest change of the value as a
+share of the earlier ``err_est``.
 
 It imports the package from this checkout's ``src/`` and prints
 
@@ -78,11 +84,48 @@ def verify_lines():
             yield f"verify {name} exit={code} {digest}"
 
 
-def main() -> None:
-    for lines in (scatter_lines, kernel_lines, verify_lines):
-        for line in lines():
+def compare(before: list, after: list) -> list:
+    """Summary lines of what changed from the dump ``before`` to ``after``
+    (lists of lines), line by line in dump order."""
+    changed = {}
+    worst = {"kernel values: max relative change": 0.0,
+             "kernel err_est: max relative change": 0.0,
+             "kernel values: max change / earlier err_est": 0.0}
+    for k in range(max(len(before), len(after))):
+        old = before[k] if k < len(before) else ""
+        new = after[k] if k < len(after) else ""
+        section = (new or old).split(" ", 1)[0]
+        changed.setdefault(section, [0, 0])[1] += 1
+        if old == new:
+            continue
+        changed[section][0] += 1
+        old_f, new_f = old.split(" "), new.split(" ")
+        if section == "kernel" and old_f[:2] == new_f[:2]:
+            (v0, e0), (v1, e1) = ((complex(f[2]), float(f[3]))
+                                  for f in (old_f, new_f))
+            for key, num, den in zip(worst, (v1 - v0, e1 - e0, v1 - v0),
+                                     (v0, e0, e0)):
+                rel = (abs(num) / abs(den) if den
+                       else float("inf") if num else 0.0)
+                worst[key] = max(worst[key], rel)
+    return ([f"{section}: {n} of {total} lines changed"
+             for section, (n, total) in changed.items()]
+            + [f"{key}: {val:.3e}" for key, val in worst.items()])
+
+
+def main(argv: list) -> None:
+    if len(argv) > 1:
+        raise SystemExit("usage: dump_outputs.py [EARLIER_DUMP]")
+    lines = []
+    for source in (scatter_lines, kernel_lines, verify_lines):
+        for line in source():
             print(line, flush=True)
+            lines.append(line)
+    if argv:
+        before = Path(argv[0]).read_text(encoding="utf-8").splitlines()
+        for line in compare(before, lines):
+            print(line, file=sys.stderr)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
