@@ -635,8 +635,10 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 def stationary_phase_check(case: StationaryPhaseCase) -> tuple:
     """(lhs, rhs) of the quadratic stationary-phase majorant.
 
-    lhs = |integral e^{i t phi} a| by phase-resolved quadrature; rhs is the
-    delta^2-weighted majorant with delta = t^{-1/2}.
+    lhs = |integral e^{i t phi} a|, on quadratic-phase u-panels when the
+    support holds the critical point 0 and by phase-resolved quadrature
+    when it does not; rhs is the delta^2-weighted majorant with delta =
+    t^{-1/2}.
     """
     return stationary_phase_checks([case])[0]
 
@@ -644,10 +646,14 @@ def stationary_phase_check(case: StationaryPhaseCase) -> tuple:
 def stationary_phase_checks(cases) -> list:
     """``stationary_phase_check`` of each case, bit-identical.
 
-    Cases with the same phase, t and support share one panel grid and one
-    evaluation of e^{i t phi} on it (in the standard library, the Gaussian
-    and x^2 Gaussian amplitudes at each t).
+    Every case is checked against the contract before any grid is built:
+    a non-finite t or t <= 0, and a phase without phi(0) = phi'(0) = 0,
+    raise DomainError.  Cases with the same phase, t and support share one
+    panel grid (in the standard library, the Gaussian and x^2 Gaussian
+    amplitudes at each t).
     """
+    for case in cases:
+        _check_case(case)
     groups: dict = {}
     for i, case in enumerate(cases):
         key = (case.phase, case.dphase, case.t, tuple(case.support))
@@ -658,6 +664,20 @@ def stationary_phase_checks(cases) -> list:
         for i, v in zip(idx, vals):
             out[i] = (float(abs(v)), _majorant(cases[i]))
     return out
+
+
+def _check_case(case: StationaryPhaseCase) -> None:
+    if not (np.isfinite(case.t) and case.t > 0.0):
+        raise DomainError(f"stationary phase case {case.label!r} needs a "
+                          f"finite t > 0, got t = {case.t!r}")
+    phi0, dphi0 = float(case.phase(0.0)), float(case.dphase(0.0))
+    if phi0 != 0.0 or dphi0 != 0.0:
+        raise DomainError(f"stationary phase case {case.label!r} needs "
+                          f"phi(0) = phi'(0) = 0, got {phi0!r} and {dphi0!r}")
+
+
+#: u-panels on each side of the critical point in ``_u_panel_integrals``
+_U_PANELS = 64
 
 
 def _phase_resolved_integrals(cases) -> np.ndarray:
@@ -671,6 +691,8 @@ def _phase_resolved_integrals(cases) -> np.ndarray:
     curv = (case.phase(xs + h) - 2 * case.phase(xs) + case.phase(xs - h)) / h ** 2
     if np.min(curv) < 1.0 - 1e-6:
         raise DomainError("phase curvature drops below 1 on the support")
+    if a < 0.0 < b:
+        return _u_panel_integrals(cases)
 
     breaks = panels.cap_phase(np.linspace(a, b, 65),
                               lambda x: t * abs(case.dphase(x)) + 1.0,
@@ -680,9 +702,57 @@ def _phase_resolved_integrals(cases) -> np.ndarray:
         osc = np.exp(1j * t * case.phase(x))
         return np.stack([c.amplitude(x) * osc for c in cases])
 
-    # up to 845k panels at t = 1e4: evaluated and summed in blocks, never
-    # held as one grid, and bit-identical to the whole-grid sum
+    # without the critical point the grid has at most 67,535 panels (at
+    # t = 1e4 in the standard library), evaluated and summed in blocks,
+    # never held as one grid, and bit-identical to the whole-grid sum
     return panels.integrate_blocks(breaks, integrands, order=12)
+
+
+def _u_panel_integrals(cases) -> np.ndarray:
+    """integral e^{i t phi} a of cases sharing phi, t and a support around
+    the critical point 0, in u = sign(x) sqrt(phi(x)).
+
+    There the phase is exactly t u^2 and the amplitude a(x(u)) x'(u) is
+    smooth, with x' = 2u / phi'(x) and x'(0) = sqrt(2 / phi''(0)).  Each
+    case's amplitude is fitted on ``_U_PANELS`` Chebyshev u-panels per side
+    of 0 and integrated by one batched ``oscquad.panel_osc_integral`` call
+    of its own, so that its value cannot depend on the cases beside it.
+    """
+    case = cases[0]
+    a, b = case.support
+    edges = np.concatenate([
+        np.linspace(-np.sqrt(case.phase(a)), 0.0, _U_PANELS + 1),
+        np.linspace(0.0, np.sqrt(case.phase(b)), _U_PANELS + 1)[1:]])
+    shape = (2 * _U_PANELS, oscquad.DEG + 1)
+    u = oscquad.cheb_nodes(edges[:-1, None], edges[1:, None]).ravel()
+    x = _phase_inverse(case.phase, u, a, b)
+    h = 1e-6
+    curv0 = (case.dphase(h) - case.dphase(-h)) / (2.0 * h)
+    dxdu = np.full(u.shape, np.sqrt(2.0 / curv0))
+    off = u != 0.0
+    dxdu[off] = 2.0 * u[off] / case.dphase(x[off])
+    return np.array([
+        np.sum(oscquad.panel_osc_integral(
+            edges[:-1], edges[1:],
+            oscquad.fit_poly((c.amplitude(x) * dxdu).reshape(shape)),
+            case.t, 0.0))
+        for c in cases])
+
+
+def _phase_inverse(phase, u, a: float, b: float) -> np.ndarray:
+    """x in [a, b] with phi(x) = u^2 and the sign of u, by bisection between
+    0 and the support's end on that side, where phi rises away from 0."""
+    inner = np.zeros_like(u)
+    outer = np.where(u < 0.0, a, b)
+    target = u * u
+    # 80 halvings take a bracket of width up to 10 to 1e-23, below the
+    # spacing of doubles at the nodes nearest 0
+    for _ in range(80):
+        mid = 0.5 * (inner + outer)
+        above = phase(mid) > target
+        outer = np.where(above, mid, outer)
+        inner = np.where(above, inner, mid)
+    return 0.5 * (inner + outer)
 
 
 def _majorant(case: StationaryPhaseCase) -> float:

@@ -742,37 +742,95 @@ def _whole_grid_lhs(case):
         grid, case.amplitude(x) * np.exp(1j * case.t * case.phase(x)))))
 
 
+def _holds_critical_point(case):
+    a, b = case.support
+    return a < 0.0 < b
+
+
 def test_stationary_phase_batch_is_bit_identical():
-    """The batch shares one grid and oscillator between the Gaussian and
-    x^2 Gaussian cases of each t and evaluates in blocks; every lhs is the
-    whole-grid value and every (lhs, rhs) the single-case one, bit for bit,
+    """The batch shares one grid between the Gaussian and x^2 Gaussian
+    cases of each t; every (lhs, rhs) is the single-case one, bit for bit.
+    A support that misses the critical point keeps the phase-resolved grid,
+    evaluated in blocks: its lhs is the whole-grid value, bit for bit,
     noise-level lhs (~1e-16) included."""
     cases = standard_case_library((1e2, 1e3))
     keys = {(c.phase, c.dphase, c.t, c.support) for c in cases}
     assert len(keys) == len(cases) - 2
     got = stationary_phase_checks(cases)
+    missing = 0
     for case, (lhs, rhs) in zip(cases, got):
-        assert lhs == _whole_grid_lhs(case), case.label
+        if not _holds_critical_point(case):
+            missing += 1
+            assert lhs == _whole_grid_lhs(case), case.label
         assert (lhs, rhs) == stationary_phase_check(case), case.label
+    assert missing == 4
+
+
+@pytest.mark.parametrize("t", [1e2, 1e4])
+def test_stationary_phase_x2gauss_closed_form(t):
+    """int x^2 e^{-x^2} e^{i t x^2} dx = sqrt(pi)/2 (1 - i t)^{-3/2}; the
+    support's cut at |x| = 6.5 is below 1e-18."""
+    case = [c for c in standard_case_library((t,))
+            if c.label.startswith("x2gauss")][0]
+    assert case.oracle is None
+    closed = np.sqrt(np.pi) / 2.0 * abs(1.0 - 1j * t) ** -1.5
+    lhs, _ = stationary_phase_check(case)
+    assert abs(lhs - closed) <= 1e-9 * closed
+
+
+def test_stationary_phase_u_panel_halving(monkeypatch):
+    """Halving the u-panels moves the anharmonic and x^2 Gaussian lhs at
+    t = 1e4 by at most 1e-9 relative."""
+    cases = [c for c in standard_case_library((1e4,))
+             if c.label.startswith(("anharmonic", "x2gauss"))]
+    assert len(cases) == 2 and all(map(_holds_critical_point, cases))
+    coarse = stationary_phase_checks(cases)
+    monkeypatch.setattr(kernel, "_U_PANELS", 2 * kernel._U_PANELS)
+    fine = stationary_phase_checks(cases)
+    for case, (lhs, _), (ref, _) in zip(cases, coarse, fine):
+        assert abs(lhs - ref) <= 1e-9 * ref, case.label
 
 
 def test_stationary_phase_memory_is_bounded():
-    """The t = 1e4 Gaussian group (845k panels of 12 nodes, two cases on one
-    oscillator) is summed block by block: its tracemalloc peak stays below
-    64 MB, where holding the weighted values of the grid takes 317 MB, and
-    each (lhs, rhs) is the single-case one."""
-    group = [c for c in standard_case_library((1e4,))
-             if c.label in ("gauss_inside_t10000", "x2gauss_t10000")]
-    assert len(group) == 2
+    """bump_left_t10000, the largest grid without the critical point (67,535
+    panels of 12 nodes), is summed block by block: its tracemalloc peak
+    stays below 8 MB, where the whole grid takes about 44 MB, and its lhs is
+    the whole-grid value."""
+    case = [c for c in standard_case_library((1e4,))
+            if c.label == "bump_left_t10000"][0]
     tracemalloc.start()
     try:
-        got = stationary_phase_checks(group)
+        lhs, _ = stationary_phase_check(case)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 20, peak
-    for case, pair in zip(group, got):
-        assert pair == stationary_phase_check(case), case.label
+    assert peak < 8 * 2 ** 20, peak
+    assert lhs == _whole_grid_lhs(case)
+
+
+@pytest.mark.parametrize("t", [-100.0, 0.0, np.nan, np.inf])
+def test_stationary_phase_rejects_bad_t(t):
+    case = dataclasses.replace(standard_case_library((1e2,))[0], t=t)
+    with pytest.raises(DomainError, match="finite t > 0"):
+        stationary_phase_check(case)
+
+
+@pytest.mark.parametrize("phase, dphase", [
+    (lambda x: (np.asarray(x) - 0.3) ** 2,
+     lambda x: 2.0 * (np.asarray(x) - 0.3)),
+    (lambda x: np.asarray(x) ** 2 + 0.3 * np.asarray(x),
+     lambda x: 2.0 * np.asarray(x) + 0.3),
+    (lambda x: np.asarray(x) ** 2 + 1.0,
+     lambda x: 2.0 * np.asarray(x))], ids=["shifted", "slope", "offset"])
+def test_stationary_phase_rejects_critical_point_off_zero(phase, dphase):
+    """The majorant is centred at 0 and the u-map needs phi(0) = phi'(0) =
+    0; a phase that breaks either is refused, whichever the route."""
+    for support in ((-1.0, 1.0), (1.0, 2.0)):
+        case = dataclasses.replace(standard_case_library((1e2,))[0],
+                                   phase=phase, dphase=dphase,
+                                   support=support)
+        with pytest.raises(DomainError, match="phi'"):
+            stationary_phase_checks([case])
 
 
 def test_stationary_phase_zero_amplitude():

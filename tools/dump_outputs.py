@@ -6,9 +6,10 @@ Run from the root of a checkout (about 15 s on two cores):
     python3 tools/dump_outputs.py before.txt > after.txt
 
 Given an earlier dump, it also writes to standard error, per section, how
-many lines changed, and over the kernel lines the largest relative change
-of the value and of ``err_est``, and the largest change of the value as a
-share of the earlier ``err_est``.
+many lines changed, over the kernel lines the largest relative change of
+the value and of ``err_est`` and the largest change of the value as a
+share of the earlier ``err_est``, and over the statphase lines the largest
+relative change of ``lhs``.
 
 It imports the package from this checkout's ``src/`` and prints
 
@@ -16,7 +17,9 @@ It imports the package from this checkout's ``src/`` and prints
   entries of ``perfbench/reference/scatter.json``;
 * ``kernel``: the value and ``err_est`` of the kernel workload's cold op and
   of all 768 warm ops, on one engine, in the reference's order;
-* ``verify``: the sha1 of the CSV that each of the 19 verify configs writes.
+* ``verify``: the sha1 of the CSV that each of the 19 verify configs writes;
+* ``statphase``: the ``case`` and ``lhs`` cells of each row of the
+  statphase CSV, after its sha1.
 
 Two checkouts' dumps that ``diff`` equal have byte-identical outputs.  This
 is no gate: a change that re-records ``perfbench/reference/`` moves them on
@@ -26,6 +29,7 @@ purpose.
 from __future__ import annotations
 
 import contextlib
+import csv as csvlib
 import hashlib
 import io
 import json
@@ -82,6 +86,9 @@ def verify_lines():
             digest = (hashlib.sha1(csv.read_bytes()).hexdigest()
                       if csv.exists() else "no-csv")
             yield f"verify {name} exit={code} {digest}"
+            if c == "statphase" and csv.exists():
+                for row in csvlib.DictReader(io.StringIO(csv.read_text())):
+                    yield f"statphase {row['case']} {row['lhs']}"
 
 
 def compare(before: list, after: list) -> list:
@@ -90,7 +97,8 @@ def compare(before: list, after: list) -> list:
     changed = {}
     worst = {"kernel values: max relative change": 0.0,
              "kernel err_est: max relative change": 0.0,
-             "kernel values: max change / earlier err_est": 0.0}
+             "kernel values: max change / earlier err_est": 0.0,
+             "statphase lhs: max relative change": 0.0}
     for k in range(max(len(before), len(after))):
         old = before[k] if k < len(before) else ""
         new = after[k] if k < len(after) else ""
@@ -103,11 +111,16 @@ def compare(before: list, after: list) -> list:
         if section == "kernel" and old_f[:2] == new_f[:2]:
             (v0, e0), (v1, e1) = ((complex(f[2]), float(f[3]))
                                   for f in (old_f, new_f))
-            for key, num, den in zip(worst, (v1 - v0, e1 - e0, v1 - v0),
-                                     (v0, e0, e0)):
-                rel = (abs(num) / abs(den) if den
-                       else float("inf") if num else 0.0)
-                worst[key] = max(worst[key], rel)
+            moves = zip(list(worst)[:3], (v1 - v0, e1 - e0, v1 - v0),
+                        (v0, e0, e0))
+        elif section == "statphase" and old_f[:2] == new_f[:2]:
+            v0, v1 = float(old_f[2]), float(new_f[2])
+            moves = [("statphase lhs: max relative change", v1 - v0, v0)]
+        else:
+            continue
+        for key, num, den in moves:
+            rel = abs(num) / abs(den) if den else float("inf") if num else 0.0
+            worst[key] = max(worst[key], rel)
     return ([f"{section}: {n} of {total} lines changed"
              for section, (n, total) in changed.items()]
             + [f"{key}: {val:.3e}" for key, val in worst.items()])
