@@ -10,10 +10,10 @@ reflection, transmission) then lives in the basis coefficients.
 
 The perturbed basis is the Neumann series u_j(., lam) = sum_k lam^(2k)
 T^k u_j of its forward Volterra equation, T f = -u1 int_0^xi u0 f + u0
-int_0^xi u1 f.  The terms T^k u_j do not depend on lam, so every energy up
-to lam_low sums one ``_Terms`` stack per side, built once on a grid over
-the chart and extended by more terms when a window needs them; above
-lam_low each energy sums a stack on its own grid.
+int_0^xi u1 f.  The terms T^k u_j do not depend on lam, so each energy sums
+one of two ``_Terms`` stacks per side, built once and extended when a
+window needs more terms: up to lam_low on a grid over the chart, above it
+on one over the widest window, refined toward 0 down to 3/LAM_BASIS_MAX.
 
 Oscillatory (lam above lam_low, or any lam when the potential is summable
 enough): the phase-stripped function m = exp(-i*lam*xi) f solves a backward
@@ -73,6 +73,8 @@ from .hankel import (C0, C1, KAPPA, REGIME_LOW_ENERGY,
 from .volterra import check_bound, separable_integrators, sweep
 
 LAM_LOW = 1.0e-2
+#: the largest energy whose perturbed basis the shared term grids resolve
+LAM_BASIS_MAX = 1.0e5
 SWEEP_TOL = 1e-12
 #: width of the linear core panels of the oscillatory m sweep (lam <= 1)
 CORE_PANEL = 0.05
@@ -157,7 +159,7 @@ def _m_arrays(lam: float, lo: float, B: float, xi_v: float):
     if lam <= 1.0:
         breaks = np.concatenate([_core_breaks(lam, lo, xi_v), breaks[1:]])
     grid = panels.PanelGrid.build(breaks, order=10)
-    return (grid, separable_integrators(grid, "backward", [0.0, 2.0 * lam]),
+    return (grid, separable_integrators(grid, [0.0, 2.0 * lam]),
             *panels._frozen(np.exp(-2j * lam * grid.flat)))
 
 
@@ -177,7 +179,7 @@ def _low_arrays(lam: float, xi0: float, B: float):
     tail = panels.PanelGrid.build(breaks, order=10)
     f0t, _ = f0_values(tail.flat, lam)
     return (grid, *panels._frozen(f0, df0),
-            separable_integrators(grid, "backward", [0.0, 0.0]),
+            separable_integrators(grid, [0.0, 0.0]),
             (B2, tail, *panels._frozen(f0t)))
 
 
@@ -296,13 +298,18 @@ class _BasisStack:
         return out
 
 
-def _basis_grid(hi: float, freq) -> panels.PanelGrid:
-    """Grid of the basis terms on [0, hi]: 0.25-wide panels up to 4 (0.5
-    left 7e-10 in u0'(0) at a sharp neck), 12 per decade beyond, split
-    where ``freq`` turns by more than 0.8 rad per panel."""
+def _basis_grid(hi: float, lam_max: float) -> panels.PanelGrid:
+    """Grid of the basis terms of the energies up to ``lam_max`` on [0,
+    hi]: 12 panels per decade from 3/lam_max, the narrowest window they
+    ask for, up to 0.25 (none when 3/lam_max >= 0.25), 0.25-wide panels up
+    to 4 (0.5 left 7e-10 in u0'(0) at a sharp neck), 12 per decade beyond,
+    split where min(lam_max, 3/xi) turns by more than 0.8 rad per panel."""
     breaks = panels.graded_breaks(0.0, hi, min(4.0, hi), 0.25, 12)
-    return panels.PanelGrid.build(
-        panels.cap_phase(breaks, freq, max_phase=0.8), order=10)
+    if 3.0 / lam_max < 0.25:
+        breaks = np.concatenate([[0.0], panels.geometric_breaks(
+            3.0 / lam_max, 0.25, 12)[:-1], breaks[1:]])
+    return panels.PanelGrid.build(panels.cap_phase(
+        breaks, lambda s: np.minimum(lam_max, 3.0 / s), max_phase=0.8))
 
 
 def _running_peak(grid: panels.PanelGrid, t: np.ndarray) -> np.ndarray:
@@ -352,8 +359,10 @@ class _Terms:
         SWEEP_TOL max(1, max|u_j|) there for both seeds, and the stack
         that held its terms (this one, extended if it had fewer).  Needing
         more than MAX_SWEEPS terms, or a sum past the exp(mu) a-priori
-        bound, raises ConvergenceError."""
+        bound, raises ConvergenceError; L past the grid, DomainError."""
         grid = self.grid
+        if L > grid.breaks[-1]:
+            raise DomainError("basis window exceeds its term grid")
         p = min(max(int(grid.breaks.searchsorted(L)), 1), grid.npanels)
         lam2, terms = lam * lam, self
         atol = SWEEP_TOL * np.maximum(1.0, self.peak[0, :, p - 1])
@@ -483,7 +492,7 @@ class ScatteringModel:
         self._pot_minus = self.pot.mirrored()
         # (lam, store) of the last energy's work; see _store
         self._energy = (None, {})
-        # side -> the _Terms stack that every basis at lam <= lam_low sums
+        # (side, lam <= lam_low) -> the _Terms stack its bases sum
         self._series = {}
 
     def _store(self, lam: float) -> dict:
@@ -527,35 +536,31 @@ class ScatteringModel:
         forward equation u = u_j + lam^2 T u, with T f = -u1 int_0^xi u0 f
         + u0 int_0^xi u1 f (the minus sign is what puts the solution at
         energy +lam^2; cylinder oracle: cos(lam xi), not cosh).  Energies
-        up to lam_low read one ``_Terms`` stack per side, on a grid over
-        the whole chart, and sum it over the panels that cover [0, L]
-        (past them the terms grow like xi^(2k)); above lam_low each energy
-        sums its own stack on a grid over [0, L].  The series pays off on
-        the zone xi*lam <= 3; past it the two solutions oscillate, and a
-        window with L > 3/lam raises DomainError.
+        up to lam_low and above it sum one ``_Terms`` stack per side each,
+        over the panels that cover [0, L] (past them the terms grow like
+        xi^(2k)); a window past the stack's grid raises DomainError.  The
+        series pays off on the zone xi*lam <= 3; past it the two solutions
+        oscillate, and a window with L > 3/lam raises DomainError, as does
+        lam > LAM_BASIS_MAX, whose windows the grids do not resolve.
         """
         store, key = self._store(lam), ("basis", side, L)
         if key in store:
             return store[key]
-        pv = self._pv(side)
-        if L > 0.99 * pv.xi_cap:
-            raise DomainError("basis window exceeds the chart")
+        if lam > LAM_BASIS_MAX:
+            raise DomainError(f"the basis is resolved for lam <= LAM_BASIS_MAX"
+                              f" = {LAM_BASIS_MAX!r}, got lam = {lam!r}")
         if L > 3.0 / lam:
             raise DomainError("basis window exceeds the Volterra zone "
                               "xi*lam <= 3")
-        if lam > self.lam_low:
-            terms = _Terms.seeded(pv, _basis_grid(L, lambda s: lam))
-            rec = terms.basis(lam, L)[1]
-        else:
-            # one grid for every window the checks above admit at lam <=
-            # lam_low, as fine everywhere as the energy's own would be
-            terms = self._series.get(side) or _Terms.seeded(
-                pv, _basis_grid(0.99 * pv.xi_cap,
-                                lambda s: np.minimum(self.lam_low, 3.0 / s)))
-            grown, rec = terms.basis(lam, L)
-            if grown is not self._series.get(side):
-                # one assignment publishes the longer stack whole
-                self._series[side] = grown
+        pv, series = self._pv(side), (side, lam <= self.lam_low)
+        hi = 0.99 * pv.xi_cap if series[1] else min(
+            1.3 * self.lam_low ** -0.5 + 1.0, 0.99 * pv.xi_cap)
+        terms = self._series.get(series) or _Terms.seeded(pv, _basis_grid(
+            hi, self.lam_low if series[1] else LAM_BASIS_MAX))
+        grown, rec = terms.basis(lam, L)
+        if grown is not self._series.get(series):
+            # one assignment publishes the longer stack whole
+            self._series[series] = grown
         store[key] = rec
         return rec
 

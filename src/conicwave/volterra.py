@@ -4,13 +4,12 @@ Every Jost pipeline solves an equation of the form
 
     f(x) = g(x) + sum_r A_r(x) * integral B_r(s) exp(i w_r s) f(s) ds,
 
-with the integral running from x to the end of the grid (backward) or from
-its start to x (forward).  ``separable_integrators`` builds one cumulative
-panel integrator per distinct frequency, shared by the terms that have it,
-and ``sweep`` iterates the equation in O(N) per pass until successive
-iterates agree, then checks the a-priori bound ||f|| <= exp(mu) ||g|| under
-the caller's mu (``check_bound``, which the low-energy basis series of
-``jost`` applies to its partial sums too).
+with the integral running from x to the end of the grid.  One suffix panel
+integrator per distinct frequency (``separable_integrators``) serves the
+terms that have it, and ``sweep`` iterates the equation in O(N) per pass
+until successive iterates agree, then checks the a-priori bound ||f|| <=
+exp(mu) ||g|| under the caller's mu (``check_bound``, which the low-energy
+basis series of ``jost`` applies to its partial sums too).
 """
 
 from __future__ import annotations
@@ -25,17 +24,13 @@ from .errors import ConvergenceError
 MAX_SWEEPS = 200
 
 
-def separable_integrators(grid: panels.PanelGrid, direction: str,
-                          omegas: Sequence[float]):
-    """One cumulative integrator per term w_r: suffix integrals for the
-    backward form, prefix integrals for the forward form.  Terms of one
-    frequency share one integrator object, built once."""
-    cls = (panels.SuffixIntegrator if direction == "backward"
-           else panels.PrefixIntegrator)
+def separable_integrators(grid: panels.PanelGrid, omegas: Sequence[float]):
+    """One suffix integrator per term w_r; terms of one frequency share one
+    integrator object, built once."""
     built: dict = {}
     for omega in omegas:
         if omega not in built:
-            built[omega] = cls(grid, omega)
+            built[omega] = panels.SuffixIntegrator(grid, omega)
     return [built[omega] for omega in omegas]
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from conicwave import panels
 from conicwave.errors import ConvergenceError, DomainError, QuadratureError
 from conicwave.hankel import f0_values
-from conicwave.volterra import MAX_SWEEPS, separable_integrators
+from conicwave.volterra import MAX_SWEEPS
 
 MU_OVERFLOW = 50.0
 
@@ -198,7 +198,8 @@ def _equation_residual(problem, grid, f) -> float:
     fine = panels.PanelGrid.build(fine_breaks, order=grid.order)
     xf = fine.flat
     ff = grid.interpolate(f, xf)
-    (I,) = separable_integrators(fine, problem.direction, [0.0])
+    I = (panels.SuffixIntegrator(fine) if problem.direction == "backward"
+         else panels.PrefixIntegrator(fine))
     vals_nodes = problem.kernel_values(mids[:, None], xf[None, :]) \
         * ff[None, :]
     integral = np.empty(len(mids), dtype=complex)

@@ -12,9 +12,9 @@ from scipy.integrate import solve_ivp
 from conicwave import (C0, C1, KAPPA, ArclengthChart, ConvergenceError,
                        DomainError, KernelEngine, PotentialProfile,
                        ScatteringModel, f0_values, make_profile)
-from conicwave import jost, panels, volterra
+from conicwave import cli, jost, panels, volterra
 from conicwave.jost import wr
-from conicwave.volterra import check_bound, separable_integrators, sweep
+from conicwave.volterra import check_bound, sweep
 
 HYPERBOLOID_A1 = {"kind": "hyperboloid", "params": {"a": 1.0}}
 
@@ -335,75 +335,126 @@ BENCH_PROFILES = [{"kind": "hyperboloid", "params": {"a": 0.2}},
 BENCH_IDS = ["a0.2", "a1", "a10", "cone-k5"]
 
 
-def _sweep_basis(pv, lam, L):
-    """Nodes and (u0, u0', u1, u1') there of the forward basis equation
-    solved by successive substitution on the energy's own grid of [0, L],
-    as ``_side_basis`` solved it before it summed the series."""
-    grid = jost._basis_grid(L, lambda s: lam)
-    x = grid.flat
-    u0, du0, u1, du1 = jost._seed_values(pv, x)
+def _sweep_basis(pv, lam, grid):
+    """(u0, u0', u1, u1') at the nodes of ``grid`` from the forward basis
+    equation solved there by successive substitution."""
+    u0, du0, u1, du1 = jost._seed_values(pv, grid.flat)
     lam2 = lam * lam
-    integ = separable_integrators(grid, "forward", [0.0, 0.0])
+    integ = [panels.PrefixIntegrator(grid)] * 2
     out = []
     for seed, dseed in ((u0, du0), (u1, du1)):
         f, (p0, p1), _ = sweep(
             integ, (-lam2 * u1, lam2 * u0), (u0, u1), seed.astype(complex),
             jost.SWEEP_TOL * max(1.0, float(np.max(np.abs(seed)))), 10.0)
         out += [f.real, dseed - lam2 * (du1 * p0 - du0 * p1).real]
-    return x, np.stack(out)
+    return np.stack(out)
 
 
 @pytest.mark.parametrize("profile", BENCH_PROFILES, ids=BENCH_IDS)
 def test_series_basis_matches_the_sweep(profile):
-    # at lam <= lam_low the series is summed on the side's one grid, above
-    # it on the energy's own; both read the sweep's values within 1e-11 of
-    # the window's max (8.4e-13 measured) at the sweep's nodes, at the
-    # matching window 1.3 lam^-1/2 and the whole zone min(3/lam, cap)
+    # the summed series reads the sweep on its own grid (the panels of its
+    # stack that cover the window) within 1e-11 of the window's max (6e-14
+    # measured) at the nodes up to L, at the matching window 1.3 lam^-1/2
+    # and the whole zone min(3/lam, cap)
     m = ScatteringModel(make_profile(profile))
     cap = 0.98 * m.pot.xi_cap
     for lam in (1e-6, 1e-3, 1e-2, 0.5, 20.0):
         for L in {min(1.3 * lam ** -0.5, 3.0 / lam), min(3.0 / lam, cap)}:
             for side in ("plus", "minus"):
-                x, want = _sweep_basis(m._pv(side), lam, L)
-                got = m._side_basis(side, lam, L).values(x)
-                dev = np.max(np.abs(got - want), axis=1)
+                rec = m._side_basis(side, lam, L)
+                x = rec.grid.flat
+                want = _sweep_basis(m._pv(side), lam, rec.grid)[:, x <= L]
+                dev = np.max(np.abs(rec.values(x[x <= L]) - want), axis=1)
                 assert np.all(dev <= 1e-11 * np.max(np.abs(want), axis=1))
 
 
+def _refined_grid(lam, L):
+    """[0, L] in 0.0625-wide core panels up to 4, 24 per decade beyond and
+    24 per decade from min(1e-4, L/10) up to the first core break, split
+    where lam turns by more than 0.2 rad; order 14."""
+    core = panels.graded_breaks(0.0, L, min(4.0, L), 0.0625, 24)
+    breaks = np.concatenate([[0.0], panels.geometric_breaks(
+        min(1e-4, L / 10.0), core[1], 24)[:-1], core[1:]])
+    return panels.PanelGrid.build(
+        panels.cap_phase(breaks, lambda s: lam, max_phase=0.2), order=14)
+
+
+@pytest.mark.parametrize("profile", BENCH_PROFILES, ids=BENCH_IDS)
+def test_series_basis_matches_a_refined_sweep(profile):
+    # at the windows of _side_coefficients the basis reads a sweep on a
+    # refined grid within 5e-9 of each component's max (9.7e-10 measured,
+    # at lam = 20).  An energy's own grid with 0.25-wide core panels, once
+    # used above lam_low, read 4.2e-7 (a0.2) and 3.4e-7 (cone-k5) at lam =
+    # 3.  Like the basis, the reference interpolates only its part beyond
+    # the seed: interpolating the seed, whose chart has limited smoothness
+    # at a sharp neck, left it 6e-9 off itself refined
+    m = ScatteringModel(make_profile(profile))
+    for lam in (1e-3, 0.05, 0.5, 3.0, 20.0):
+        L = min(1.3 * min(lam ** -0.5, 2.5 / lam) + 1.0, 3.0 / lam)
+        grid, x = _refined_grid(lam, L), np.linspace(0.0, L, 201)
+        for side in ("plus", "minus"):
+            pv = m._pv(side)
+            want = np.stack(jost._seed_values(pv, x)) + grid.interpolate(
+                _sweep_basis(pv, lam, grid)
+                - np.stack(jost._seed_values(pv, grid.flat)), x)
+            dev = np.abs(m._side_basis(side, lam, L).values(x) - want)
+            assert np.all(dev.max(axis=1)
+                          <= 5e-9 * np.abs(want).max(axis=1))
+
+
 def test_low_energy_bases_sum_one_term_stack_per_side(monkeypatch):
-    # every energy up to lam_low sums the side's one stack, seeded once per
-    # side; a window that needs more terms extends that stack, keeping the
-    # terms it had; above lam_low each energy seeds a stack of its own
+    # every energy sums one of the side's two stacks, one up to lam_low and
+    # one above it, each seeded once; a window that needs more terms
+    # extends its stack, keeping the terms it had
     m = ScatteringModel(make_profile(HYPERBOLOID_A1))
     seeded = []
     real = jost._Terms.seeded
 
     def counting(pv, grid):
-        seeded.append(pv)
+        seeded.append((pv, grid.breaks[-1]))
         return real(pv, grid)
 
     monkeypatch.setattr(jost._Terms, "seeded", counting)
+    for lam in (1e-5, 1e-3, 0.05, 3.0, 50.0):
+        m.scattering_data(lam)
+    assert len(seeded) == len(set(seeded)) == 4
     for lam in (1e-3, 5e-4, 1e-5, 1e-2):
         for side in ("plus", "minus"):
             m._side_basis(side, lam, 1.3 * lam ** -0.5)
-    assert len(seeded) == 2
-    stack = m._series["plus"]
+    stack = m._series[("plus", True)]
     m._side_basis("plus", 5e-4, 3.0 / 5e-4)
-    grown = m._series["plus"]
+    grown = m._series[("plus", True)]
     assert len(grown.t) > len(stack.t) and grown.grid is stack.grid
     assert np.array_equal(grown.t[:len(stack.t)], stack.t)
     assert np.array_equal(grown.peak[:len(stack.t)], stack.peak)
     # a narrower window at another energy sums the stack as it is
     m._side_basis("plus", 2e-4, 1.3 * 2e-4 ** -0.5)
-    assert m._series["plus"] is grown and len(seeded) == 2
-    for lam in (0.05, 3.0):
+    assert m._series[("plus", True)] is grown
+    for lam in (0.02, 7.0, 1e3):
         m._side_basis("plus", lam, min(1.3 * lam ** -0.5, 3.0 / lam))
-    assert len(seeded) == 4 and m._series["plus"] is grown
+    assert len(seeded) == 4 and m._series[("plus", True)] is grown
+
+
+def test_side_basis_refuses_what_its_grids_do_not_resolve():
+    # LAM_BASIS_MAX = 1e5 ties the high stack's first break to the window
+    # 3/lam; there the coefficients still pass the coeffs gates
+    # (constancy 3.96e-10), and above it the basis is refused by name
+    m = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    sd = m.scattering_data(jost.LAM_BASIS_MAX)
+    assert all(sd.residuals[k] <= gate
+               for k, gate in cli._COEFFS_GATES.items())
+    with pytest.raises(DomainError, match="lam <= LAM_BASIS_MAX = 100000.0"):
+        m.scattering_data(1.01 * jost.LAM_BASIS_MAX)
+    # a window past the high stack's grid (it ends at 14) once read a basis
+    # extrapolated past it, 4.9e2 off on a0.2
+    m = ScatteringModel(make_profile(BENCH_PROFILES[0]))
+    with pytest.raises(DomainError, match="term grid"):
+        m._side_basis("plus", 0.05, 60.0)
 
 
 def test_basis_series_stops_at_max_sweeps(monkeypatch):
     # the series needs about a dozen terms at lam xi = 3; capped at 3 it
-    # raises, on the shared stack and on an energy's own alike
+    # raises, on the stacks up to and above lam_low alike
     m = ScatteringModel(make_profile(HYPERBOLOID_A1))
     monkeypatch.setattr(volterra, "MAX_SWEEPS", 3)
     for lam in (1e-2, 0.5):

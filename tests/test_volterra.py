@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicwave import ConvergenceError, QuadratureError, volterra
-from conicwave.panels import PanelGrid
+from conicwave.panels import PanelGrid, PrefixIntegrator
 from conicwave.volterra import separable_integrators, sweep
 from oracles import VolterraProblem, estimate_mu, volterra_solve
 
@@ -138,7 +138,7 @@ def test_separable_matches_dense():
     # the same problem as the one separable term 0.4 * exp(-|s|), swept
     x = a.grid.flat
     g = np.exp(-x) + 0j
-    integ = separable_integrators(a.grid, "backward", [0.0])
+    integ = separable_integrators(a.grid, [0.0])
     b, _, _ = sweep(integ, [0.4 * np.ones_like(x)], [np.exp(-np.abs(x))], g,
                     1e-12 * float(np.max(np.abs(g))), 0.4 * (1 - np.exp(-2.5)))
     assert np.max(np.abs(a.values - b)) <= 1e-10
@@ -147,7 +147,7 @@ def test_separable_matches_dense():
 def test_sweep_contract_and_guards(monkeypatch):
     # f = 1 + 2 int_0^x f = e^{2x}; the integrals belong to the returned f
     grid = PanelGrid.build(np.linspace(0.0, 1.0, 9))
-    integ = separable_integrators(grid, "forward", [0.0])
+    integ = [PrefixIntegrator(grid)]
     g = np.ones(grid.flat.shape, dtype=complex)
     f, (t,), n = sweep(integ, [2.0], [np.ones_like(g)], g, 1e-13, 2.0)
     assert np.max(np.abs(f - np.exp(2.0 * grid.flat))) <= 1e-11

@@ -5,11 +5,15 @@ Run from the root of a checkout (about 15 s on two cores):
     python3 tools/dump_outputs.py > outputs.txt
     python3 tools/dump_outputs.py before.txt > after.txt
 
-Given an earlier dump, it also writes to standard error, per section, how
-many lines changed, over the kernel lines the largest relative change of
-the value and of ``err_est`` and the largest change of the value as a
-share of the earlier ``err_est``, and over the statphase lines the largest
-relative change of ``lhs``.
+Given an earlier dump, it also writes to standard error, so that the dump
+itself does not change, per section how many lines changed; over the
+scatter lines, per field, how many lines moved W, alpha- and beta-, their
+largest change scaled as ``workloads._scatter_check`` scales it, the
+largest relative change of a+- and b+- and the largest absolute change of
+each residual; over the kernel lines the largest relative change of the
+value and of ``err_est`` and the largest change of the value as a share of
+the earlier ``err_est``; and over the statphase lines the largest relative
+change of ``lhs``.
 
 It imports the package from this checkout's ``src/`` and prints
 
@@ -91,10 +95,43 @@ def verify_lines():
                     yield f"statphase {row['case']} {row['lhs']}"
 
 
+#: the names a ``ScatteringData`` repr uses
+_REPR_NAMES = {"__builtins__": {}, "ScatteringData": dict,
+               "nan": float("nan"), "inf": float("inf")}
+
+
+def _record(line: str) -> dict:
+    """The fields of a scatter line's ``ScatteringData`` repr."""
+    return eval(line.split(" ", 4)[4], _REPR_NAMES)
+
+
+def _scatter_moves(old: str, new: str, lines: dict) -> list:
+    """(key, change, scale) of each field of two scatter lines: W, alpha-
+    and beta- scaled as ``workloads._scatter_check`` scales them (|W| and
+    |beta-| of the earlier line), a+-, b+- relative, residuals absolute;
+    ``lines`` counts, per field of the first three, the lines it moved."""
+    r0, r1 = _record(old), _record(new)
+    scales = {"W": abs(r0["W"]), "alpha_minus": abs(r0["beta_minus"]),
+              "beta_minus": abs(r0["beta_minus"])}
+    moves = []
+    for name, scale in scales.items():
+        if r1[name] != r0[name]:
+            lines[name] = lines.get(name, 0) + 1
+        moves.append((f"scatter {name}: max change / reference scale",
+                      r1[name] - r0[name], scale))
+    for name in ("a_plus", "b_plus", "a_minus", "b_minus"):
+        moves.append((f"scatter {name}: max relative change",
+                      r1[name] - r0[name], r0[name]))
+    for name, val in r0["residuals"].items():
+        moves.append((f"scatter residual {name}: max absolute change",
+                      r1["residuals"][name] - val, 1.0))
+    return moves
+
+
 def compare(before: list, after: list) -> list:
     """Summary lines of what changed from the dump ``before`` to ``after``
     (lists of lines), line by line in dump order."""
-    changed = {}
+    changed, scatter_lines = {}, {}
     worst = {"kernel values: max relative change": 0.0,
              "kernel err_est: max relative change": 0.0,
              "kernel values: max change / earlier err_est": 0.0,
@@ -108,7 +145,9 @@ def compare(before: list, after: list) -> list:
             continue
         changed[section][0] += 1
         old_f, new_f = old.split(" "), new.split(" ")
-        if section == "kernel" and old_f[:2] == new_f[:2]:
+        if section == "scatter" and old_f[:4] == new_f[:4]:
+            moves = _scatter_moves(old, new, scatter_lines)
+        elif section == "kernel" and old_f[:2] == new_f[:2]:
             (v0, e0), (v1, e1) = ((complex(f[2]), float(f[3]))
                                   for f in (old_f, new_f))
             moves = zip(list(worst)[:3], (v1 - v0, e1 - e0, v1 - v0),
@@ -120,9 +159,11 @@ def compare(before: list, after: list) -> list:
             continue
         for key, num, den in moves:
             rel = abs(num) / abs(den) if den else float("inf") if num else 0.0
-            worst[key] = max(worst[key], rel)
+            worst[key] = max(worst.get(key, 0.0), rel)
     return ([f"{section}: {n} of {total} lines changed"
              for section, (n, total) in changed.items()]
+            + [f"scatter {name}: moved on {scatter_lines.get(name, 0)} lines"
+               for name in ("W", "alpha_minus", "beta_minus")]
             + [f"{key}: {val:.3e}" for key, val in worst.items()])
 
 
