@@ -21,7 +21,11 @@ Volterra equation with a bounded kernel, truncated at B with an analytic
 tail correction.  For lam <= 1 one panel-wise sweep solves it over the whole
 window, core included (Greengard-Rokhlin, CPAM 44, 1991); for lam > 1 it is
 solved on the conical tail [2/lam, B] and continued inward through the core
-as an ODE.
+as an ODE.  Either solve stops at -xi_v (xi_v = 2/max(lam, 1) on a large
+chart): past it a window reads the connection identity f_plus = a f_minus +
+b conj(f_minus) (mirrored for f_minus), with f_minus from the other end's
+solve out to |xi_min| and a, b from the two solves' own Wronskians at
+xi = 0, so no grid or ODE span grows with lam |xi_min|.
 
 Both ends' solves at one energy use the same panel grid and the same
 oscillator; only V differs.  The side-independent arrays (the grid, its
@@ -35,13 +39,14 @@ Evaluators
 ----------
 A Jost solution is a ``_Side``: nodal (f, f') or (m, m') on a grid from a
 cut up, the inward ODE solution or a u0 + b u1 of the matching basis below
-it, and a mirror flag for f_minus.  A basis (u0, u1) is a ``_Basis``: the
+it, a p + b conj(p) of the other end's solution p past a far cut, and a
+mirror flag for f_minus.  A basis (u0, u1) is a ``_Basis``: the
 exact zero-energy seed plus, at lam > 0, corrections on a grid; a two-sided
 one reads its ``minus`` basis mirrored below 0.  ``JostStack`` and
 ``_BasisStack`` read many of them, each at its own xi, in one bisection
 over all their grids (``StackedGrids``) and one barycentric pass per value
-shape, with scalar calls only at ODE points; ``values`` and the kernel's
-table read through them.
+shape, with scalar calls only at ODE points, and the far rows' partners
+in one nested read; ``values`` and the kernel's table read through them.
 
 Conventions
 -----------
@@ -134,19 +139,24 @@ def _match(f_df, basis, pts):
     return complex(a3[1]), complex(b3[1]), float(spread)
 
 
-def _core_breaks(lam: float, lo: float, xi_v: float) -> np.ndarray:
-    """Breaks of the m sweep's core [lo, xi_v], lo <= 0 < xi_v.
+def _xi_v(lam: float, xi_max: float) -> float:
+    """Where the m sweep's conical-tail panels end, xi_v = min(2/max(lam,
+    1), 0.45 xi_max): the core below it is swept (lam <= 1) or continued
+    by ODE (lam > 1), and a window reaching past -xi_v is read through the
+    connection identity."""
+    return min(2.0 / max(lam, 1.0), 0.45 * xi_max)
 
-    CORE_PANEL-wide panels on [0, xi_v]; below 0 the mirror of
-    ``graded_breaks`` (the same width out to -xi_v, geometric beyond, so
-    the node count grows with log|lo|), split where m's e^{-2i lam xi}
-    part would turn by more than 1 rad per panel.
-    """
+
+def _core_breaks(lo: float, xi_v: float) -> np.ndarray:
+    """Breaks of the m sweep's core [lo, xi_v], -xi_v <= lo <= 0 < xi_v:
+    CORE_PANEL-wide panels on [0, xi_v] and on [lo, 0].  Their phase
+    2 lam CORE_PANEL stays below 0.1 rad for lam <= 1, and no window
+    reaches past -xi_v, so the node count does not grow with |lo|."""
     right = panels.linear_breaks(0.0, xi_v, int(np.ceil(xi_v / CORE_PANEL)))
     if lo == 0.0:
         return right
-    left = -panels.graded_breaks(0.0, -lo, xi_v, CORE_PANEL, 12)[::-1]
-    left = panels.cap_phase(left, lambda s: 2.0 * lam, max_phase=1.0)
+    left = -panels.linear_breaks(
+        0.0, -lo, max(1, int(np.ceil(-lo / CORE_PANEL))))[::-1]
     return np.concatenate([left[:-1], right])
 
 
@@ -157,7 +167,7 @@ def _m_arrays(lam: float, lo: float, B: float, xi_v: float):
     2 lam suffix integrators, and e^{-2i lam xi} at the nodes."""
     breaks = panels.geometric_breaks(xi_v, B, 12)
     if lam <= 1.0:
-        breaks = np.concatenate([_core_breaks(lam, lo, xi_v), breaks[1:]])
+        breaks = np.concatenate([_core_breaks(lo, xi_v), breaks[1:]])
     grid = panels.PanelGrid.build(breaks, order=10)
     return (grid, separable_integrators(grid, [0.0, 2.0 * lam]),
             *panels._frozen(np.exp(-2j * lam * grid.flat)))
@@ -403,7 +413,10 @@ class _Side(JostEvaluator):
     """f of one end's solve: from ``cut`` up, ``vals`` on ``grid``, the low
     pipeline's (f, f') or the oscillatory one's (m, m'), m = e^{-i lam xi}
     f; below it the ODE solution ``ode`` (lam > 1; for lam <= 1 cut is
-    -inf) or a*u0 + b*u1 of ``basis``.  ``mirror``: f_minus(xi) = g(-xi)."""
+    -inf) or a*u0 + b*u1 of ``basis``.  An oscillatory side read past
+    ``far`` takes a*p + b*conj(p) there instead, p(xi) = h(-xi) of the
+    other end's solution h = ``partner`` (the connection identity).
+    ``mirror``: f_minus(xi) = g(-xi)."""
 
     grid: panels.PanelGrid
     vals: np.ndarray
@@ -413,6 +426,8 @@ class _Side(JostEvaluator):
     b: complex = 0j
     basis: Optional[_Basis] = None
     mirror: bool = False
+    far: float = -np.inf
+    partner: Optional[_Side] = None
 
     @property
     def regime(self):
@@ -421,8 +436,9 @@ class _Side(JostEvaluator):
 
 class JostStack:
     """``_Side`` rows laid out to read row rows[i] at x[i] in one pass; a
-    low row's basis is row bside[r] of ``basis``.  The arrays are
-    read-only, so a stack can be shared."""
+    low row's basis is row bside[r] of ``basis``, a row's partner row
+    pside[r] of ``partner``.  The arrays are read-only, so a stack can be
+    shared."""
 
     def __init__(self, sides):
         if not all(isinstance(s, _Side) for s in sides):
@@ -432,22 +448,28 @@ class JostStack:
         self.grids = panels.StackedGrids.build([s.grid for s in sides])
         bases = [s.basis for s in sides if s.basis is not None]
         self.basis = _BasisStack(bases) if bases else None
-        rows = [(s.lam, *s.window, s.cut, s.a, s.b, s.mirror,
-                 s.basis is not None) for s in sides]
-        (self.lam, self.lo, self.hi, self.cut, self.a, self.b, self.mirror,
-         self.low) = panels._frozen(*(np.array(c, dtype=t) for c, t in zip(
-             list(zip(*rows)) or [()] * 8,
-             (float,) * 4 + (complex,) * 2 + (bool,) * 2)))
-        self.bside = panels._frozen(np.cumsum(self.low) - 1)[0]
+        partners = [s.partner for s in sides if s.partner is not None]
+        self.partner = JostStack(partners) if partners else None
+        rows = [(s.lam, *s.window, s.cut, s.far, s.a, s.b, s.mirror,
+                 s.basis is not None, s.partner is not None) for s in sides]
+        (self.lam, self.lo, self.hi, self.cut, self.far, self.a, self.b,
+         self.mirror, self.low, paired) = panels._frozen(*(
+             np.array(c, dtype=t) for c, t in zip(
+                 list(zip(*rows)) or [()] * 10,
+                 (float,) * 5 + (complex,) * 2 + (bool,) * 3)))
+        self.bside, self.pside = panels._frozen(np.cumsum(self.low) - 1,
+                                                np.cumsum(paired) - 1)
 
     def read(self, rows, x) -> np.ndarray:
         """(f, f') of row rows[i] at x[i], (2, n); DomainError unless each
-        x[i] lies in its row's window (and its matching basis's)."""
+        x[i] lies in its row's window (and its matching basis's or
+        partner's)."""
         _check_windows(self.lo[rows], self.hi[rows], x)
         mirror, low = self.mirror[rows], self.low[rows]
         y = np.where(mirror, -x, x)
         out = np.empty((2, x.size), dtype=complex)
-        on = y >= self.cut[rows]
+        far = y < self.far[rows]
+        on = (y >= self.cut[rows]) & ~far
         i = on.nonzero()[0]
         if i.size:
             out[:, i] = self.grids.interpolate(self.vals, rows[i], y[i])
@@ -457,7 +479,7 @@ class JostStack:
             ph = np.exp(il * y[i])
             out[0, i] = ph * mv
             out[1, i] = ph * (il * mv + dv)
-        for k in (~on & ~low).nonzero()[0]:
+        for k in (~on & ~low & ~far).nonzero()[0]:
             # a scalar t takes OdeSolution's one-segment path, the same
             # arithmetic as an array of t
             out[:, k] = self.sides[rows[k]].ode(y[k])
@@ -468,6 +490,14 @@ class JostStack:
             a, b = self.a[r], self.b[r]
             out[0, i] = a * u0 + b * u1
             out[1, i] = a * du0 + b * du1
+        i = far.nonzero()[0]
+        if i.size:
+            r = rows[i]
+            h, dh = self.partner.read(self.pside[r], -y[i])
+            a, b = self.a[r], self.b[r]
+            # p(y) = h(-y), so p'(y) = -h'(-y)
+            out[0, i] = a * h + b * np.conj(h)
+            out[1, i] = -(a * dh + b * np.conj(dh))
         out[1, mirror] = -out[1, mirror]
         return out
 
@@ -675,17 +705,19 @@ class ScatteringModel:
 
     def _m_side(self, side: str, lam: float, xi_floor: float = 0.0,
                 xi_hi: float = 0.0):
-        """Backward Volterra for m on [lo, B], lo = min(xi_floor, 0).
+        """Backward Volterra for m on [lo, B], lo = min(xi_floor, 0) >= -xi_v.
 
         The kernel is (exp(2i lam (eta - xi)) - 1)/(2i lam) V(eta), the
         phase-stripped form of the sine-kernel equation; truncation at B is
         compensated by the analytic conical-tail forcing.  The kernel is
         bounded by min(eta - xi, 1/lam)|V(eta)|, so one sweep can run
         through the core as well as the conical tail.  The tail down to
-        xi_v = min(2/max(lam, 1), 0.45 xi_max) takes geometric panels;
-        for lam <= 1 the core [lo, xi_v] takes ``_core_breaks`` in front of
-        them and the sweep covers the whole window.  For lam > 1 the core
-        is left to the inward ODE continuation ``_continue`` from xi_v.
+        xi_v = ``_xi_v(lam, xi_max)`` takes geometric panels; for lam <= 1
+        the core [lo, xi_v] takes ``_core_breaks`` in front of them and the
+        sweep covers the whole window.  For lam > 1 the core is left to the
+        inward ODE continuation ``_continue`` from xi_v, over at most 2 xi_v.
+        ``_own_side`` reads a window reaching past -xi_v through the
+        connection identity, so no caller passes xi_floor below it.
         The grid, its integrators and e^{-2i lam xi} come from
         ``_m_arrays`` through the energy's store, so the other side at
         this energy reuses them; V, the tail forcing and mu are the side's.
@@ -700,7 +732,7 @@ class ScatteringModel:
         if 0.5 * raw_trunc * raw_trunc + 1e-12 > 2e-4:
             raise DomainError("oscillatory pipeline truncation error too "
                               "large at this lam; use the low-energy path")
-        xi_v = min(2.0 / max(lam, 1.0), 0.45 * xi_max)
+        xi_v = _xi_v(lam, xi_max)
         B = min(xi_max, max(400.0 / lam,
                             1.1 * max(abs(xi_floor), xi_hi) + 10.0))
         lo = min(xi_floor, 0.0)
@@ -771,18 +803,44 @@ class ScatteringModel:
                         xi_hi: float, pipeline: str) -> JostEvaluator:
         """f_side; for the minus side the mirrored view of the left end's
         solution, whose own coordinate is -xi (``xi_min`` is in it)."""
+        ev = self._own_side(side, lam, xi_min, xi_hi, pipeline)
+        return ev if side == "plus" else replace(
+            ev, window=(-ev.window[1], -ev.window[0]), mirror=True)
+
+    def _own_side(self, side: str, lam: float, xi_min: float, xi_hi: float,
+                  pipeline: str) -> _Side:
+        """``side``'s solution g over [xi_min, B] in its own coordinate.
+
+        An oscillatory window reaching past -c, c = xi_v, is solved
+        directly on [-c, B] only; below -c it reads g = a p + b conj(p),
+        p(xi) = h(-xi) of the other end's solution h, solved out to
+        |xi_min|.  a = Wr(g, conj p)/Wr(p, conj p) and b = Wr(g, p)/Wr(conj
+        p, p) take both Wronskians of these two solves at xi = 0, so the
+        identity holds for the solutions as solved, truncation at B
+        included (the exact Wr(p, conj p) = 2i lam would leave ~1e-7)."""
         pipe = self._pipeline_for(side, lam, pipeline)
         if pipe == "low":
             # two pieces: the matching basis below xi_lo (mirrored for
             # xi < 0), the V1 grid from xi_lo to B
             grid, f_df, B, xi0, a, b, _ = self._f_low_side(side, lam, xi_hi)
             L = max(1.3 * lam ** -0.5, abs(xi_min) + 1.0)
-            ev = _Side(lam, (-L, B), grid, f_df, xi0 * 1.05, None, a, b,
-                       self._two_sided_basis(side, lam, L))
-        else:
-            ev = self._m_side(side, lam, xi_floor=xi_min, xi_hi=xi_hi)
-        return ev if side == "plus" else replace(
-            ev, window=(-ev.window[1], -ev.window[0]), mirror=True)
+            return _Side(lam, (-L, B), grid, f_df, xi0 * 1.05, None, a, b,
+                         self._two_sided_basis(side, lam, L))
+        c = _xi_v(lam, 0.98 * self._pv(side).xi_cap)
+        if xi_min >= -c:
+            return self._m_side(side, lam, xi_floor=xi_min, xi_hi=xi_hi)
+        near = self._m_side(side, lam, xi_floor=-c, xi_hi=xi_hi)
+        h = self._own_side("minus" if side == "plus" else "plus", lam, 0.0,
+                           -xi_min, pipeline)
+        (g, p), (dg, dp) = JostStack([near, h]).read(np.arange(2),
+                                                     np.zeros(2))
+        dp = -dp
+        pc, dpc = np.conj(p), np.conj(dp)
+        return replace(near, window=(max(xi_min, -h.window[1]),
+                                     near.window[1]), far=-c,
+                       partner=h, a=complex(wr(g, dg, pc, dpc)
+                                            / wr(p, dp, pc, dpc)),
+                       b=complex(wr(g, dg, p, dp) / wr(pc, dpc, p, dp)))
 
     def jost_plus(self, lam: float, xi_min: float = 0.0, xi_hi: float = 0.0,
                   pipeline: str = "auto") -> JostEvaluator:

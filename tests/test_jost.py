@@ -147,12 +147,13 @@ def test_ode_continues_the_core_only_above_lam_one(monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.05, 0.5])
 def test_core_sweep_far_left_window(hyperboloid_model, lam):
-    # a window reaching xi = -1e3 grows the core grid geometrically below
-    # -2, phase-capped at 1 rad of e^{-2i lam xi} per panel (at lam = 0.5
-    # about 1.1e4 nodes), and f there agrees with a tight ODE continuation
-    # inward from xi = 2
+    # a window reaching xi = -1e3 sweeps the core on [-2, 2] only (80
+    # CORE_PANEL-wide panels) and reads below -2 through the connection
+    # identity, so the grid is the core plus the tail up to B = max(400/lam,
+    # 10) (1240 nodes at lam = 0.05, 1120 at 0.5) whatever xi_min; f there
+    # agrees with a tight ODE continuation inward from xi = 2
     ev = hyperboloid_model.jost_plus(lam, xi_min=-1e3)
-    assert ev.grid.flat.size <= 12000
+    assert ev.grid.flat.size <= 1240
     pot = hyperboloid_model.pot
 
     def rhs(s, y):
@@ -165,6 +166,71 @@ def test_core_sweep_far_left_window(hyperboloid_model, lam):
     want = np.array([sol.sol(x)[0] for x in pts])
     f = ev.values(pts)[0]
     assert np.max(np.abs(f - want) / np.abs(want)) <= 1e-7
+
+
+@pytest.mark.parametrize("a", [0.2, 1.0, 10.0])
+@pytest.mark.parametrize("lam, X", [(0.5, 200.0), (2.0, 50.0), (20.0, 20.0)],
+                         ids=["lam0.5", "lam2", "lam20"])
+def test_far_reads_match_a_tight_ode(a, lam, X):
+    # below -xi_v f+ (above xi_v f-) is a p + b conj(p) of the other
+    # end's solve p; both agree with a tight DOP853 continuation from
+    # xi = 0, one system for both sides, f-(-s) integrated as g(s), within
+    # `gate` of the window's largest |f|.  On a=10 at lam = 20 the other
+    # end's solve, truncated at B = 1.1*20 + 10, carries a small e^{-2i lam
+    # xi} part that its 40 rad tail panels do not interpolate between nodes:
+    # the read is 3.5e-8 off, as a direct read of f+ on [0, 20] is
+    gate = 5e-8 if (a, lam) == (10.0, 20.0) else 1e-8
+    m = ScatteringModel(make_profile(
+        {"kind": "hyperboloid", "params": {"a": a}}))
+    fp, fm = m.jost_plus(lam, xi_min=-X), m.jost_minus(lam, xi_max=X)
+    (p0, dp0), (g0, dg0) = fp.values([0.0])[:, 0], fm.values([0.0])[:, 0]
+    l2, V = lam * lam, m.pot.V_at
+
+    def rhs(s, y):
+        return [y[1], (V(s) - l2) * y[0], y[3], (V(-s) - l2) * y[2]]
+
+    sol = solve_ivp(rhs, (0.0, -X - 1e-9), [p0, dp0, g0, -dg0],
+                    method="DOP853", rtol=1e-12, atol=1e-14,
+                    dense_output=True)
+    s = np.linspace(-X, 0.0, 41)
+    want = sol.sol(s)
+    for got, ref in ((fp.values(s), want[:2]),
+                     (fm.values(-s), want[2:] * np.array([[1.0], [-1.0]]))):
+        err = np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)
+        assert err.max() <= gate
+
+
+def test_far_left_read_runs_no_long_ode(monkeypatch):
+    # the direct solve of a far-left window ends at -xi_v: the ODE only
+    # crosses the core [-xi_v, xi_v], while the default solves keep their
+    # spans (xi_v, -1e-9) bit for bit
+    spans = []
+    real = jost.solve_ivp
+
+    def counting(fun, span, *args, **kwargs):
+        spans.append(span)
+        return real(fun, span, *args, **kwargs)
+
+    monkeypatch.setattr(jost, "solve_ivp", counting)
+    model = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    ev = model.jost_plus(20.0, xi_min=-1e3)
+    ev.values(np.array([-1e3, -0.5, 0.0]))
+    assert spans and all(s[0] - s[1] <= 2 * 0.1 + 1e-6 for s in spans)
+    spans.clear()
+    model.scattering_data(3.0)
+    assert spans == [(2.0 / 3.0, -1e-9)] * 2
+
+
+def test_far_left_window_costs_no_nodes(hyperboloid_model):
+    # the direct solve's grid does not grow with |xi_min|; the other end's
+    # grows by its geometric tail only, 12 panels per decade of |xi_min|.
+    # The flux Wr(f, conj f) stays the same across the identity's cut at -2
+    near = [hyperboloid_model.jost_plus(1.0, xi_min=x) for x in (-1e3, -1e5)]
+    assert near[0].grid.flat.size == near[1].grid.flat.size == 1080
+    assert near[1].partner.grid.flat.size <= 1000
+    f, df = near[1].values(np.array([-1e5, -1e3, -2.5, -1.5, 0.0, 5.0]))
+    w = wr(f, df, f.conj(), df.conj())
+    assert np.max(np.abs(w - w[-1])) <= 1e-9 * abs(w[-1])
 
 
 def test_wave_sample_h_residual(hyperboloid_model):

@@ -12,8 +12,10 @@ largest change scaled as ``workloads._scatter_check`` scales it, the
 largest relative change of a+- and b+- and the largest absolute change of
 each residual; over the kernel lines the largest relative change of the
 value and of ``err_est`` and the largest change of the value as a share of
-the earlier ``err_est``; and over the statphase lines the largest relative
-change of ``lhs``.
+the earlier ``err_est``; over the statphase lines the largest relative
+change of ``lhs``; and over each jost CSV's lines the largest relative
+change of f and of f'.  Lines are compared in dump order, so the earlier
+dump must come from the same version of this tool.
 
 It imports the package from this checkout's ``src/`` and prints
 
@@ -23,7 +25,9 @@ It imports the package from this checkout's ``src/`` and prints
   of all 768 warm ops, on one engine, in the reference's order;
 * ``verify``: the sha1 of the CSV that each of the 19 verify configs writes;
 * ``statphase``: the ``case`` and ``lhs`` cells of each row of the
-  statphase CSV, after its sha1.
+  statphase CSV, after its sha1;
+* ``jost``: the lambda, xi, f and f' cells of each row of each jost CSV,
+  after its sha1.
 
 Two checkouts' dumps that ``diff`` equal have byte-identical outputs.  This
 is no gate: a change that re-records ``perfbench/reference/`` moves them on
@@ -90,9 +94,16 @@ def verify_lines():
             digest = (hashlib.sha1(csv.read_bytes()).hexdigest()
                       if csv.exists() else "no-csv")
             yield f"verify {name} exit={code} {digest}"
-            if c == "statphase" and csv.exists():
-                for row in csvlib.DictReader(io.StringIO(csv.read_text())):
+            if not csv.exists():
+                continue
+            rows = csvlib.DictReader(io.StringIO(csv.read_text()))
+            if c == "statphase":
+                for row in rows:
                     yield f"statphase {row['case']} {row['lhs']}"
+            elif c == "jost":
+                for row in rows:
+                    yield " ".join(["jost", name] + [row[k] for k in (
+                        "lambda", "xi", "re_f", "im_f", "re_df", "im_df")])
 
 
 #: the names a ``ScatteringData`` repr uses
@@ -155,6 +166,12 @@ def compare(before: list, after: list) -> list:
         elif section == "statphase" and old_f[:2] == new_f[:2]:
             v0, v1 = float(old_f[2]), float(new_f[2])
             moves = [("statphase lhs: max relative change", v1 - v0, v0)]
+        elif section == "jost" and old_f[:4] == new_f[:4]:
+            (f0, d0), (f1, d1) = ((complex(float(f[4]), float(f[5])),
+                                   complex(float(f[6]), float(f[7])))
+                                  for f in (old_f, new_f))
+            moves = [(f"jost {new_f[1]} {name}: max relative change", v1 - v0,
+                      v0) for name, v0, v1 in (("f", f0, f1), ("df", d0, d1))]
         else:
             continue
         for key, num, den in moves:
