@@ -29,7 +29,7 @@ xi = 0, so no grid or ODE span grows with lam |xi_min|.
 
 Both ends' solves at one energy use the same panel grid and the same
 oscillator; only V differs.  The side-independent arrays (the grid, its
-suffix integrators, e^{-2i lam xi} for the m sweep; the V1 grid with f0,
+suffix integrator, e^{-2i lam xi} for the m sweep; the V1 grid with f0,
 f0' and the Filon tail grid with its f0 for the low pipeline) are built by
 ``_m_arrays`` and ``_low_arrays`` once per energy.  The model keeps them,
 with both sides' solves, in one store for the energy it is on, and starts
@@ -64,6 +64,7 @@ alpha = Wr(f_minus, conj f_plus)/(-2i*lam), so |beta|^2 - |alpha|^2 = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -163,8 +164,10 @@ def _core_breaks(lo: float, xi_v: float) -> np.ndarray:
 def _m_arrays(lam: float, lo: float, B: float, xi_v: float):
     """The side-independent part of the m sweep at one energy: its grid on
     [lo, B] (for lam <= 1 ``_core_breaks`` in front of the geometric tail
-    panels from xi_v, above that the tail panels alone), the omega = 0 and
-    2 lam suffix integrators, and e^{-2i lam xi} at the nodes."""
+    panels from xi_v, above that the tail panels alone), its suffix
+    integrator for the terms at omega = 0 (through the shared reference
+    product) and 2 lam (per-panel matrices), and e^{-2i lam xi} at the
+    nodes."""
     breaks = panels.geometric_breaks(xi_v, B, 12)
     if lam <= 1.0:
         breaks = np.concatenate([_core_breaks(lo, xi_v), breaks[1:]])
@@ -175,8 +178,9 @@ def _m_arrays(lam: float, lo: float, B: float, xi_v: float):
 
 def _low_arrays(lam: float, xi0: float, B: float):
     """The side-independent part of the low pipeline at one energy: the V1
-    grid on [xi0, B] with f0 and f0' at its nodes and its omega = 0 suffix
-    integrators, and (B2, grid, f0) of the Filon stage of
+    grid on [xi0, B] with f0 and f0' at its nodes and its suffix
+    integrator for two omega = 0 terms (one reference product, no
+    per-panel matrices), and (B2, grid, f0) of the Filon stage of
     ``_low_tail_constants`` on [B, B2], B2 = max(40/lam, 2B)."""
     breaks = panels.geometric_breaks(xi0, B, 12)
     breaks = panels.cap_phase(
@@ -206,6 +210,25 @@ def _continue(pv, lam: float, y0, span):
     if not sol.success:
         raise ConvergenceError("ODE continuation failed")
     return sol.sol
+
+
+@dataclass(frozen=True, eq=False)
+class _Continuation:
+    """``_continue(pv, lam, y0, span)``, solved when a read first needs it
+    (a failed solve raises at that read) and kept: reads that stay above
+    the cut run no ODE."""
+
+    pv: object
+    lam: float
+    y0: np.ndarray
+    span: tuple
+
+    @cached_property
+    def _sol(self):
+        return _continue(self.pv, self.lam, self.y0, self.span)
+
+    def __call__(self, t):
+        return self._sol(t)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +264,13 @@ class JostEvaluator:
 
     def values(self, xi):
         x = np.atleast_1d(np.asarray(xi, dtype=float))
+        return self._one_row.read(np.zeros(x.size, dtype=int), x)
+
+    @cached_property
+    def _one_row(self):
+        """This evaluator as a one-row stack, built at its first read."""
         stack = _BasisStack if isinstance(self, _Basis) else JostStack
-        return stack([self]).read(np.zeros(x.size, dtype=int), x)
+        return stack([self])
 
 
 def _check_windows(lo, hi, xi) -> None:
@@ -412,11 +440,11 @@ class _Terms:
 class _Side(JostEvaluator):
     """f of one end's solve: from ``cut`` up, ``vals`` on ``grid``, the low
     pipeline's (f, f') or the oscillatory one's (m, m'), m = e^{-i lam xi}
-    f; below it the ODE solution ``ode`` (lam > 1; for lam <= 1 cut is
-    -inf) or a*u0 + b*u1 of ``basis``.  An oscillatory side read past
-    ``far`` takes a*p + b*conj(p) there instead, p(xi) = h(-xi) of the
-    other end's solution h = ``partner`` (the connection identity).
-    ``mirror``: f_minus(xi) = g(-xi)."""
+    f; below it the ODE solution ``ode`` (lam > 1, a ``_Continuation``;
+    for lam <= 1 cut is -inf) or a*u0 + b*u1 of ``basis``.  An
+    oscillatory side read past ``far`` takes a*p + b*conj(p) there
+    instead, p(xi) = h(-xi) of the other end's solution h = ``partner``
+    (the connection identity).  ``mirror``: f_minus(xi) = g(-xi)."""
 
     grid: panels.PanelGrid
     vals: np.ndarray
@@ -443,7 +471,7 @@ class JostStack:
     def __init__(self, sides):
         if not all(isinstance(s, _Side) for s in sides):
             raise DomainError("a JostStack reads Jost solutions, not bases")
-        self.sides = tuple(sides)
+        self.odes = tuple(s.ode for s in sides)
         self.vals = tuple(s.vals for s in sides)
         self.grids = panels.StackedGrids.build([s.grid for s in sides])
         bases = [s.basis for s in sides if s.basis is not None]
@@ -482,7 +510,7 @@ class JostStack:
         for k in (~on & ~low & ~far).nonzero()[0]:
             # a scalar t takes OdeSolution's one-segment path, the same
             # arithmetic as an array of t
-            out[:, k] = self.sides[rows[k]].ode(y[k])
+            out[:, k] = self.odes[rows[k]](y[k])
         i = (~on & low).nonzero()[0]
         if i.size:
             r = rows[i]
@@ -715,10 +743,11 @@ class ScatteringModel:
         xi_v = ``_xi_v(lam, xi_max)`` takes geometric panels; for lam <= 1
         the core [lo, xi_v] takes ``_core_breaks`` in front of them and the
         sweep covers the whole window.  For lam > 1 the core is left to the
-        inward ODE continuation ``_continue`` from xi_v, over at most 2 xi_v.
+        inward ODE continuation ``_continue`` from xi_v, over at most 2 xi_v,
+        solved at the first read below xi_v (``_Continuation``).
         ``_own_side`` reads a window reaching past -xi_v through the
         connection identity, so no caller passes xi_floor below it.
-        The grid, its integrators and e^{-2i lam xi} come from
+        The grid, its integrator and e^{-2i lam xi} come from
         ``_m_arrays`` through the energy's store, so the other side at
         this energy reuses them; V, the tail forcing and mu are the side's.
         Returns the evaluator of f (a ``_Side``) for xi in [lo, B].
@@ -762,7 +791,7 @@ class ScatteringModel:
             fv = np.exp(1j * lam * xi_v)
             m_v, dm_v = grid.interpolate(mdm, [xi_v])[:, 0]
             y0 = [fv * m_v, fv * (1j * lam * m_v + dm_v)]
-            ev = replace(ev, cut=xi_v, ode=_continue(
+            ev = replace(ev, cut=xi_v, ode=_Continuation(
                 pv, lam, np.asarray(y0, dtype=complex), (xi_v, lo - 1e-9)))
         store[key] = ev
         return ev

@@ -340,48 +340,120 @@ def _panel_phase(grid: PanelGrid, omega: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # cumulative sums over panels
 # ---------------------------------------------------------------------------
+#
+# An integrator turns each stacked row of nodal values into per-panel
+# "cells": the partial-range integrals at the panel's nodes followed by the
+# integral over the whole panel, (rows, panels, order + 1), from one product
+# per kind of row.  An omega = 0 row needs no per-panel matrix: its cells
+# are the real reference rows on [-1, 1] (``_reference_rows``) applied to
+# all panels at once and scaled by each panel's half-width, one GEMM for
+# every such row.  An oscillating row takes its frequency's per-panel
+# matrices (``_panel_matrices``), the full-panel row appended, in one
+# batched product over the panels.  A running sum of the full-panel column
+# then carries each node's integral across the other panels.
+
+@lru_cache(maxsize=32)
+def _reference_rows(order: int, suffix: bool) -> tuple:
+    """(real, paired): the omega = 0 partial-range basis integrals on [-1,
+    1] followed by the GL weights (the full-panel row), transposed to
+    (order, order + 1) for a right product, and the same map on complex
+    values read as (re, im) float pairs, so that a complex row takes one
+    real GEMM.  Cached read-only."""
+    real = np.ascontiguousarray(np.vstack(
+        [_reference_segment(order, suffix), gauss_legendre(order)[1]]).T)
+    return _frozen(real, np.kron(real, np.eye(2)))
+
+
+def _panel_matrices(grid: PanelGrid, omega: float, suffix: bool):
+    """(panels, order, order + 1): each panel's partial-range basis
+    integrals against exp(i omega eta), then its full-panel ones,
+    transposed for a right product."""
+    cells = np.concatenate([_basis_integrals(grid, omega, suffix),
+                            full_panel_integrals(grid, omega)[:, None]], 1)
+    return np.ascontiguousarray(cells.transpose(0, 2, 1))
+
+
+def _cells(f: np.ndarray, nzero: int, half: np.ndarray, suffix: bool,
+           mats) -> np.ndarray:
+    """Cells (k, panels, order + 1) of rows f (k, panels, order): the first
+    ``nzero`` at omega = 0, by one product against ``_reference_rows``
+    scaled by the half-widths ``half``; the others against their per-panel
+    matrices ``mats`` (k - nzero or 1, panels, order, order + 1), by one
+    batched product."""
+    cells = np.empty(f.shape[:-1] + (f.shape[-1] + 1,), dtype=complex
+                     if mats is not None else np.result_type(f, float))
+    if nzero:
+        real, paired = _reference_rows(f.shape[-1], suffix)
+        z = cells[:nzero]
+        if np.iscomplexobj(z):
+            np.matmul(np.ascontiguousarray(f[:nzero], dtype=complex)
+                      .view(float), paired, out=z.view(float))
+        else:
+            np.matmul(f[:nzero], real, out=z)
+        z *= half[:, None]
+    if mats is not None:
+        np.matmul(f[nzero:, :, None, :], mats, out=cells[nzero:, :, None, :])
+    return cells
+
 
 class SuffixIntegrator:
-    """Evaluates x -> integral_x^{b} f(eta) exp(i*omega*eta) deta at grid nodes.
+    """Evaluates x -> integral_x^{b} f_r(eta) exp(i*omega_r*eta) deta at the
+    grid nodes for stacked rows f_r, row r at its own frequency omega_r,
+    the omega = 0 rows first.
 
-    Sums are assembled right-to-left from precomputed basis integrals, so a
-    full pass over all nodes is O(N).
+    Sums are assembled right-to-left from the per-panel cells, so a pass
+    over all nodes and rows is O(N) and takes one reference product for
+    the omega = 0 rows and one batched product for the others.  Per-panel
+    matrices are built once per distinct nonzero frequency, none for
+    omega = 0.
     """
 
-    def __init__(self, grid: PanelGrid, omega: float = 0.0):
+    def __init__(self, grid: PanelGrid, omegas=(0.0,)):
         self.grid = grid
-        self._partial = suffix_basis_integrals(grid, omega)
-        self._full = full_panel_integrals(grid, omega)
+        self._half = 0.5 * np.diff(grid.breaks)
+        omegas = np.asarray(omegas, dtype=float).reshape(-1)
+        # each kind of row is then one slice of the stack
+        self._nzero = int(np.count_nonzero(omegas == 0.0))
+        if (omegas[:self._nzero] != 0.0).any():
+            raise DomainError("stack the omega = 0 rows first")
+        freqs, which = np.unique(omegas[self._nzero:], return_inverse=True)
+        self._mats = np.stack(
+            [_panel_matrices(grid, w, True) for w in freqs])[which] \
+            if freqs.size else None
 
     def node_values(self, fvals: np.ndarray) -> np.ndarray:
-        g = self.grid
-        f = np.asarray(fvals).reshape(g.nodes.shape)
-        per_panel = np.einsum("pj,pj->p", self._full, f)
-        tail = np.concatenate([np.cumsum(per_panel[::-1])[::-1][1:], [0.0]])
-        vals = np.einsum("pij,pj->pi", self._partial, f) + tail[:, None]
-        return vals.ravel()
+        """``fvals`` stacks one row per frequency as (k, n), giving (k, n);
+        with one frequency a single (n,) array gives (n,)."""
+        f = np.asarray(fvals)
+        rows = f.reshape((-1,) + self.grid.nodes.shape)
+        cells = _cells(rows, self._nzero, self._half, True, self._mats)
+        tail = np.zeros_like(cells[..., -1])
+        np.cumsum(cells[:, :0:-1, -1], axis=-1, out=tail[:, -2::-1])
+        return (cells[..., :-1] + tail[..., None]).reshape(f.shape)
 
 
 class PrefixIntegrator:
     """Evaluates x -> integral_a^{x} f(eta) exp(i*omega*eta) deta at grid
-    nodes; a node's value reads only the panels up to its own."""
+    nodes; a node's value reads only the panels up to its own.  At omega
+    = 0 the cells come from the shared reference product, as for the
+    omega = 0 rows of ``SuffixIntegrator``."""
 
     def __init__(self, grid: PanelGrid, omega: float = 0.0):
         self.grid = grid
-        self._partial = prefix_basis_integrals(grid, omega)
+        self._half = 0.5 * np.diff(grid.breaks)
+        self._mats = (_panel_matrices(grid, omega, False)
+                      if omega != 0.0 else None)
         self._full = full_panel_integrals(grid, omega)
 
     def node_values(self, fvals: np.ndarray) -> np.ndarray:
         """``fvals`` may stack k arrays as (k, n), giving (k, n)."""
-        g = self.grid
         f = np.asarray(fvals)
-        f = f.reshape(f.shape[:-1] + g.nodes.shape)
-        per_panel = np.einsum("pj,...pj->...p", self._full, f)
-        head = np.zeros_like(per_panel)
-        np.cumsum(per_panel[..., :-1], axis=-1, out=head[..., 1:])
-        vals = np.einsum("pij,...pj->...pi", self._partial, f) \
-            + head[..., None]
-        return vals.reshape(f.shape[:-2] + (-1,))
+        rows = f.reshape((-1,) + self.grid.nodes.shape)
+        cells = _cells(rows, len(rows) if self._mats is None else 0,
+                       self._half, False, self._mats)
+        head = np.zeros_like(cells[..., -1])
+        np.cumsum(cells[:, :-1, -1], axis=-1, out=head[:, 1:])
+        return (cells[..., :-1] + head[..., None]).reshape(f.shape)
 
     def break_values(self, fvals: np.ndarray) -> np.ndarray:
         """Cumulative integral at the panel breakpoints (length m+1)."""

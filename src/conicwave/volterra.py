@@ -5,11 +5,12 @@ Every Jost pipeline solves an equation of the form
     f(x) = g(x) + sum_r A_r(x) * integral B_r(s) exp(i w_r s) f(s) ds,
 
 with the integral running from x to the end of the grid.  One suffix panel
-integrator per distinct frequency (``separable_integrators``) serves the
-terms that have it, and ``sweep`` iterates the equation in O(N) per pass
-until successive iterates agree, then checks the a-priori bound ||f|| <=
-exp(mu) ||g|| under the caller's mu (``check_bound``, which the low-energy
-basis series of ``jost`` applies to its partial sums too).
+integrator per grid (``separable_integrators``) takes every term's
+frequency w_r, and ``sweep`` iterates the equation in O(N) per pass, with
+one ``node_values`` call on all terms' integrands stacked, until successive
+iterates agree, then checks the a-priori bound ||f|| <= exp(mu) ||g|| under
+the caller's mu (``check_bound``, which the low-energy basis series of
+``jost`` applies to its partial sums too).
 """
 
 from __future__ import annotations
@@ -25,35 +26,35 @@ MAX_SWEEPS = 200
 
 
 def separable_integrators(grid: panels.PanelGrid, omegas: Sequence[float]):
-    """One suffix integrator per term w_r; terms of one frequency share one
-    integrator object, built once."""
-    built: dict = {}
-    for omega in omegas:
-        if omega not in built:
-            built[omega] = panels.SuffixIntegrator(grid, omega)
-    return [built[omega] for omega in omegas]
+    """One suffix integrator on ``grid`` for terms at frequencies w_r, the
+    w_r = 0 terms first: its ``node_values`` takes the terms' integrands
+    stacked (k, n), row r against exp(i w_r s)."""
+    return panels.SuffixIntegrator(grid, omegas)
 
 
 def sweep(integ, A, B, g, atol: float, mu: float):
     """Solve f = g + sum_r A_r * I_r[B_r f] by successive substitution.
 
-    ``integ`` holds one cumulative integrator I_r per term (see
-    ``separable_integrators``); ``A``, ``B`` and ``g`` are nodal values on
-    its grid.  Each sweep forms the next iterate from the integrals of the
-    last one and then integrates it, so the first iterate f within ``atol``
-    (sup norm) of its predecessor comes back as (f, [I_r[B_r f]], sweeps)
-    and callers assemble derivatives from the integrals of f itself.
-    Raises ConvergenceError when MAX_SWEEPS sweeps do not converge or when
-    ||f|| exceeds the a-priori bound exp(mu) ||g||.  ``mu`` is the
-    caller's bound on the integral over the grid of the kernel's sup over
-    the integration range; the separable sum_r sup|A_r| * integral |B_r|
-    is always one, but can be far looser than the kernel's own.
+    ``integ`` integrates all terms at once: its ``node_values`` maps the
+    stacked integrands B_r f, (k, n), to their cumulative integrals I_r
+    (see ``separable_integrators``); ``A``, ``B`` and ``g`` are nodal
+    values on its grid.  Each sweep forms the next iterate from the
+    integrals of the last one and then integrates it, in one call, so the
+    first iterate f within ``atol`` (sup norm) of its predecessor comes
+    back as (f, I (k, n) of B_r f, sweeps) and callers assemble
+    derivatives from the integrals of f itself.  Raises ConvergenceError
+    when MAX_SWEEPS sweeps do not converge or when ||f|| exceeds the
+    a-priori bound exp(mu) ||g||.  ``mu`` is the caller's bound on the
+    integral over the grid of the kernel's sup over the integration range;
+    the separable sum_r sup|A_r| * integral |B_r| is always one, but can
+    be far looser than the kernel's own.
     """
+    B = np.stack(B)
     f = g
-    ints = [I.node_values(Br * f) for I, Br in zip(integ, B)]
+    ints = integ.node_values(B * f)
     for n in range(1, MAX_SWEEPS + 1):
         new = sum((Ar * t for Ar, t in zip(A, ints)), g)
-        ints = [I.node_values(Br * new) for I, Br in zip(integ, B)]
+        ints = integ.node_values(B * new)
         delta = float(np.max(np.abs(new - f)))
         f = new
         if delta <= atol:

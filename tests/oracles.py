@@ -13,6 +13,10 @@ mu = integral sup_x |K(x, s)| ds is finite, with the a-priori bound
 overflow that bound and asserts the bound on every accepted solve.  It is
 the oracle for the O(N) separable ``conicwave.volterra.sweep``.
 
+``EinsumSuffix`` is the suffix integrator one frequency at a time: the
+per-panel matrices of ``suffix_basis_integrals`` and ``full_panel_integrals``
+contracted by two einsums per row.
+
 ``g0_green`` is the Green kernel of the inverse-square reference problem,
 built from ``conicwave.hankel.f0_values``.
 """
@@ -210,6 +214,29 @@ def _equation_residual(problem, grid, f) -> float:
     fmid = grid.interpolate(f, mids)
     gmid = np.asarray(problem.forcing(mids), dtype=complex)
     return float(np.max(np.abs(fmid - gmid - integral)))
+
+
+class EinsumSuffix:
+    """Suffix integrals of stacked rows (k, n), row r against exp(i
+    omegas[r] eta), each row contracted with its own frequency's per-panel
+    matrices; a drop-in for ``conicwave.volterra.separable_integrators``."""
+
+    def __init__(self, grid: panels.PanelGrid, omegas):
+        self.grid = grid
+        self.parts = [(panels.suffix_basis_integrals(grid, w),
+                       panels.full_panel_integrals(grid, w)) for w in omegas]
+
+    def node_values(self, fvals):
+        f = np.asarray(fvals).reshape((len(self.parts),)
+                                      + self.grid.nodes.shape)
+        out = []
+        for (part, full), fr in zip(self.parts, f):
+            per_panel = np.einsum("pj,pj->p", full, fr)
+            tail = np.concatenate([np.cumsum(per_panel[::-1])[::-1][1:],
+                                   [0.0]])
+            out.append((np.einsum("pij,pj->pi", part, fr)
+                        + tail[:, None]).ravel())
+        return np.array(out)
 
 
 def g0_green(xi: float, eta: float, lam: float) -> complex:

@@ -4,6 +4,7 @@ import gc
 import sys
 import threading
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conicwave import (C0, C1, KAPPA, ArclengthChart, ConvergenceError,
 from conicwave import cli, jost, panels, volterra
 from conicwave.jost import wr
 from conicwave.volterra import check_bound, sweep
+from oracles import EinsumSuffix
 
 HYPERBOLOID_A1 = {"kind": "hyperboloid", "params": {"a": 1.0}}
 
@@ -143,6 +145,95 @@ def test_ode_continues_the_core_only_above_lam_one(monkeypatch):
     assert calls == []
     model.scattering_data(3.0)
     assert len(calls) == 2
+
+
+def test_ode_continuation_runs_at_its_first_read_below_the_cut(monkeypatch):
+    # at lam = 5 the m bounds scan reads xi >= 1 > xi_v = 0.4 only, so no
+    # ODE runs; the first read below the cut solves it, bit for bit the
+    # eager continuation, and a failed solve raises at that read
+    spans = []
+    real = jost.solve_ivp
+
+    def counting(fun, span, *args, **kwargs):
+        spans.append(span)
+        return real(fun, span, *args, **kwargs)
+
+    monkeypatch.setattr(jost, "solve_ivp", counting)
+    model = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    xis = np.geomspace(1.0, 1.0e3, 25)
+    model._m_scan("plus", 5.0, xis)
+    assert spans == []
+    ev = model._m_side("plus", 5.0, xi_hi=float(xis.max()))
+    ys = np.array([0.0, 0.1, 0.25, 0.399])
+    got = ev.values(ys)
+    ev.values(ys)
+    assert spans == [(0.4, -1e-9)]
+    eager = jost._continue(model.pot, 5.0, ev.ode.y0, ev.ode.span)
+    want = np.stack([eager(y) for y in ys], axis=1)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    monkeypatch.setattr(jost, "solve_ivp",
+                        lambda *args, **kwargs: SimpleNamespace(success=False))
+    ev = ScatteringModel(make_profile(HYPERBOLOID_A1))._m_side("plus", 3.0)
+    ev.values([1.0])
+    with pytest.raises(ConvergenceError, match="ODE continuation failed"):
+        ev.values([0.5])
+
+
+def test_one_row_reads_build_one_stack(monkeypatch):
+    # an evaluator builds its one-row stack at its first read and keeps it:
+    # a second values call builds none and returns the same bits, on an
+    # oscillatory side (core sweep, ODE, far-left partner), a low side and
+    # a basis
+    built = []
+    for cls in (jost.JostStack, jost._BasisStack):
+        def init(self, rows, real=cls.__init__):
+            built.append(type(self).__name__)
+            real(self, rows)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    model = ScatteringModel(make_profile(HYPERBOLOID_A1))
+    x = np.array([-0.9, 0.3, 1.7])
+    for ev in (model.jost_plus(0.5, xi_min=-1.0),
+               model.jost_plus(3.0, xi_min=-3.0),
+               model.jost_plus(5e-3, xi_min=-3.0),
+               model.low_energy_basis(5e-3)):
+        built.clear()
+        first = ev.values(x)
+        assert built
+        built.clear()
+        again = ev.values(x)
+        assert built == []
+        assert np.array_equal(first.view(np.uint64), again.view(np.uint64))
+
+
+#: passes of (plus, minus) per energy at lam = 5e-3 (the V1 sweep), 0.05,
+#: 0.5 and 5 (the m sweep), as one einsum integrator per frequency takes
+SWEEP_PASSES = {0.2: [4, 4, 11, 11, 9, 9, 7, 7],
+                1.0: [5, 5, 10, 10, 8, 8, 5, 5],
+                10.0: [7, 7, 8, 8, 6, 6, 4, 4]}
+
+
+@pytest.mark.parametrize("a", sorted(SWEEP_PASSES))
+def test_sweeps_keep_their_pass_counts(a, monkeypatch):
+    # the stacked integrator rounds differently from the per-frequency
+    # einsum, and the m and V1 sweeps still stop after the same passes
+    passes = []
+    real = jost.sweep
+
+    def counting(*args):
+        out = real(*args)
+        passes.append(out[2])
+        return out
+
+    monkeypatch.setattr(jost, "sweep", counting)
+    profile = make_profile({"kind": "hyperboloid", "params": {"a": a}})
+    for integrators in (jost.separable_integrators, EinsumSuffix):
+        monkeypatch.setattr(jost, "separable_integrators", integrators)
+        passes.clear()
+        model = ScatteringModel(profile)
+        for lam in (5e-3, 0.05, 0.5, 5.0):
+            model.scattering_data(lam)
+        assert passes == SWEEP_PASSES[a]
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.5])
@@ -406,7 +497,7 @@ def _sweep_basis(pv, lam, grid):
     equation solved there by successive substitution."""
     u0, du0, u1, du1 = jost._seed_values(pv, grid.flat)
     lam2 = lam * lam
-    integ = [panels.PrefixIntegrator(grid)] * 2
+    integ = panels.PrefixIntegrator(grid)
     out = []
     for seed, dseed in ((u0, du0), (u1, du1)):
         f, (p0, p1), _ = sweep(
@@ -947,8 +1038,8 @@ def test_both_sides_share_the_energys_arrays(monkeypatch, new_model,
     omegas, hankels = [], []
     real_init, real_f0 = panels.SuffixIntegrator.__init__, jost.f0_values
 
-    def init(self, grid, omega=0.0):
-        omegas.append(omega)
+    def init(self, grid, omega=(0.0,)):
+        omegas.extend(omega)
         real_init(self, grid, omega)
 
     def f0(*args):

@@ -8,6 +8,7 @@ from conicwave.panels import (PanelGrid, full_panel_integrals,
                               geometric_breaks, linear_breaks,
                               prefix_basis_integrals, suffix_basis_integrals)
 from conicwave.volterra import separable_integrators
+from oracles import EinsumSuffix
 
 ORDER = 10
 BETA_GL = 15.0          # |beta| up to which _basis_segments takes the GL route
@@ -117,12 +118,58 @@ def test_real_split_gl_route_matches_complex_einsum(w0):
     assert np.array_equal(batch[gl].view(np.uint64), oracle.view(np.uint64))
 
 
-def test_one_integrator_per_distinct_frequency():
+def test_one_integrator_per_distinct_frequency(monkeypatch):
+    # one integrator serves every term of a sweep; it builds per-panel
+    # matrices once per distinct nonzero frequency and none for omega = 0,
+    # whose rows take the shared reference product, and rows of one
+    # frequency on equal values give equal bits
+    built = []
+    real = panels._panel_matrices
+
+    def counting(grid, omega, suffix):
+        built.append(omega)
+        return real(grid, omega, suffix)
+
+    monkeypatch.setattr(panels, "_panel_matrices", counting)
     grid = GRIDS["geometric"]
-    a, b = separable_integrators(grid, [0.0, 0.0])
-    assert a is b
-    a, b, c = separable_integrators(grid, [0.0, 2.0, 0.0])
-    assert a is c and b is not a
+    assert isinstance(separable_integrators(grid, [0.0, 0.0]),
+                      panels.SuffixIntegrator)
+    assert built == []
+    integ = separable_integrators(grid, [0.0, 0.0, 2.0, 2.0])
+    assert built == [2.0]
+    f = np.random.default_rng(4).normal(size=(2, grid.flat.size)) + 0j
+    got = integ.node_values(f[[0, 0, 1, 1]])
+    assert np.array_equal(_bits(got[0]), _bits(got[1]))
+    assert np.array_equal(_bits(got[2]), _bits(got[3]))
+    # each kind of row is one slice of the stack
+    with pytest.raises(DomainError, match="omega = 0 rows first"):
+        separable_integrators(grid, [2.0, 0.0])
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_suffix_values_match_per_frequency_einsum(name):
+    # the reference product (omega = 0) and the batched per-panel product
+    # round differently from the per-frequency einsum, by at most 1e-15 of
+    # the row's largest value, stacked and one row at a time, complex rows
+    # and real omega = 0 rows alike
+    grid = GRIDS[name]
+    omegas = (0.0, 2.0, 30.0)
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=(3, grid.flat.size)) \
+        + 1j * rng.normal(size=(3, grid.flat.size))
+    want = EinsumSuffix(grid, omegas).node_values(f)
+    got = separable_integrators(grid, omegas).node_values(f)
+    assert got.shape == f.shape
+    for r, omega in enumerate(omegas):
+        one = separable_integrators(grid, [omega]).node_values(f[r])
+        assert one.shape == f[r].shape
+        scale = 1e-15 * np.max(np.abs(want[r]))
+        assert np.max(np.abs(got[r] - want[r])) <= scale
+        assert np.max(np.abs(one - want[r])) <= scale
+    want = EinsumSuffix(grid, [0.0]).node_values(f[0].real)
+    got = separable_integrators(grid, [0.0]).node_values(f[0].real)
+    assert np.isrealobj(got)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name, omega", CASES)

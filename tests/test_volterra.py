@@ -147,11 +147,11 @@ def test_separable_matches_dense():
 def test_sweep_contract_and_guards(monkeypatch):
     # f = 1 + 2 int_0^x f = e^{2x}; the integrals belong to the returned f
     grid = PanelGrid.build(np.linspace(0.0, 1.0, 9))
-    integ = [PrefixIntegrator(grid)]
+    integ = PrefixIntegrator(grid)
     g = np.ones(grid.flat.shape, dtype=complex)
     f, (t,), n = sweep(integ, [2.0], [np.ones_like(g)], g, 1e-13, 2.0)
     assert np.max(np.abs(f - np.exp(2.0 * grid.flat))) <= 1e-11
-    assert np.max(np.abs(t - integ[0].node_values(f))) == 0.0
+    assert np.max(np.abs(t - integ.node_values(f))) == 0.0
     assert np.max(np.abs(g + 2.0 * t - f)) <= 1e-13
     with monkeypatch.context() as mp:
         mp.setattr(volterra, "MAX_SWEEPS", n - 1)
@@ -163,13 +163,11 @@ def test_sweep_contract_and_guards(monkeypatch):
 
     class Tripled:
         # an integrator three times too large breaks the exp(mu) bound
-        grid = integ[0].grid
-
         def node_values(self, h):
-            return 3.0 * integ[0].node_values(h)
+            return 3.0 * integ.node_values(h)
 
     with pytest.raises(ConvergenceError):
-        sweep([Tripled()], [1.0], [np.ones_like(g)], g, 1e-13, 1.0)
+        sweep(Tripled(), [1.0], [np.ones_like(g)], g, 1e-13, 1.0)
 
 
 @settings(max_examples=15, deadline=None)
