@@ -27,11 +27,8 @@ from .errors import ConfigError, ConicwaveError
 from .geometry import (DEFAULT_X_MAX, ArclengthChart, PotentialProfile,
                        fit_conical_constants, make_profile)
 from .jost import ScatteringModel
-# stationary_phase_check stays importable from here: perfbench's tracer
-# test looks it up under this module
 from .kernel import (BANDS, KINDS, KernelEngine, SUP_GRID,
-                     standard_case_library, stationary_phase_check,
-                     stationary_phase_checks)
+                     standard_case_library, stationary_phase_check)
 
 COMMANDS = ("describe", "potential", "jost", "coeffs", "validate-low",
             "validate-high", "kernel", "decay", "statphase")
@@ -73,18 +70,27 @@ class RunConfig:
     band: Optional[str] = None
 
 
+def _is_number(v) -> bool:
+    # json reads true and false as bool, a subclass of int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_integer(v) -> bool:
+    return _is_number(v) and (isinstance(v, int) or v.is_integer())
+
+
 def _parse_grid(doc, name: str) -> np.ndarray:
     if not isinstance(doc, dict):
         raise ConfigError(f"{name} must be an object with min/max/count/scale")
     unknown = set(doc) - _GRID_KEYS
     if unknown:
         raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
-    try:
-        lo = float(doc["min"])
-        hi = float(doc["max"])
-        count = int(doc["count"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} needs numeric min/max/count") from exc
+    # no coercion: float("1e-3"), float(true) and int(2.7) would all pass
+    lo, hi, count = (doc.get(k) for k in ("min", "max", "count"))
+    if not (_is_number(lo) and _is_number(hi) and _is_integer(count)):
+        raise ConfigError(f"{name} needs numeric min/max/count (an integer "
+                          f"count), got {lo!r}, {hi!r}, {count!r}")
+    lo, hi, count = float(lo), float(hi), int(count)
     scale = doc.get("scale", "linear")
     if count < 1:
         raise ConfigError(f"{name}: count must be >= 1")
@@ -99,11 +105,6 @@ def _parse_grid(doc, name: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _is_number(v) -> bool:
-    # json reads true and false as bool, a subclass of int
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 #: profile key -> (type check, what the error asks for): make_profile would
 #: end "abc" in a traceback, and read 1.7 as d = 1 and "false" as true
 _PROFILE_TYPES = {
@@ -111,8 +112,7 @@ _PROFILE_TYPES = {
         _is_number(x) or isinstance(x, list) and all(map(_is_number, x))
         for x in v.values()), "an object of numbers or lists of numbers"),
     "x_max": (_is_number, "a number"),
-    "d": (lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
-          "an integer"),
+    "d": (_is_integer, "an integer"),
     "conical_left": (lambda v: isinstance(v, bool), "true or false"),
     "conical_right": (lambda v: isinstance(v, bool), "true or false"),
 }
@@ -333,14 +333,12 @@ def _cmd_validate_high(cfg, out: Path) -> int:
 
 
 def _kernel_engine(cfg) -> KernelEngine:
-    model = _build_model(cfg)
+    # sized by xi_grid alone: decay_scan grows the span for its light-cone
+    # probe before any kernel runs
     span = 1.0e3
     if cfg.xi_grid is not None:
         span = max(span, float(np.max(np.abs(cfg.xi_grid))))
-    if cfg.t_grid is not None:
-        span = max(span, min(float(np.max(cfg.t_grid)),
-                             0.9 * model.pot.xi_cap))
-    return KernelEngine(model, xi_abs_max=1.05 * span)
+    return KernelEngine(_build_model(cfg), xi_abs_max=1.05 * span)
 
 
 def _cmd_kernel(cfg, out: Path) -> int:
@@ -383,7 +381,8 @@ def _cmd_statphase(cfg, out: Path) -> int:
     rows = []
     worst_ratio = 0.0
     oracle_fail = False
-    for case, (lhs, rhs) in zip(cases, stationary_phase_checks(cases)):
+    for case in cases:
+        lhs, rhs = stationary_phase_check(case)
         ratio = lhs / rhs if rhs > 0 else np.inf
         worst_ratio = max(worst_ratio, ratio)
         oracle_err = np.nan

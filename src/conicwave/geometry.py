@@ -355,11 +355,20 @@ class PotentialProfile:
     # each reads its spline at sign*xi, and the odd ones (rho, dr, the 1/r
     # integral) carry the sign too; multiplying by +-1.0 is exact
 
+    def _on_chart(self, xi):
+        """sign * xi, refused past |xi| = xi_cap, where the splines would
+        extrapolate, with the slack ``ArclengthChart.x_of_xi`` gives."""
+        xi = np.asarray(xi, dtype=float)
+        if np.any(np.abs(xi) > self.xi_cap + 1e-9 * (1.0 + np.abs(xi))):
+            raise DomainError(f"xi outside the chart's span |xi| <= "
+                              f"{self.xi_cap:.17g}")
+        return self.sign * xi
+
     def rho(self, xi):
-        return self.sign * self._rho(self.sign * np.asarray(xi, dtype=float))
+        return self.sign * self._rho(self._on_chart(xi))
 
     def V(self, xi):
-        return self._V(self.sign * np.asarray(xi, dtype=float))
+        return self._V(self._on_chart(xi))
 
     def V_at(self, s: float) -> float:
         """V at one float, bit-equal to ``float(self.V(s))``: scipy's piece

@@ -39,6 +39,11 @@ Channel decomposition: with both arguments ordered (xi> >= xi<),
 
 so every kernel is a sum of at most two phase channels with slowly varying
 amplitudes built from m+, m-, W, alpha, beta.
+
+``stationary_phase_check`` checks the (non)stationary-phase bound one case
+at a time: on quadratic-phase u-panels (oscquad) when the support holds the
+critical point, else on a phase-resolved panel grid that
+``panels.integrate_blocks`` sums block by block.
 """
 
 from __future__ import annotations
@@ -635,38 +640,13 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 def stationary_phase_check(case: StationaryPhaseCase) -> tuple:
     """(lhs, rhs) of the quadratic stationary-phase majorant.
 
-    lhs = |integral e^{i t phi} a|, on quadratic-phase u-panels when the
-    support holds the critical point 0 and by phase-resolved quadrature
-    when it does not; rhs is the delta^2-weighted majorant with delta =
-    t^{-1/2}.
+    The case must have a finite t > 0, phi(0) = phi'(0) = 0 and curvature
+    phi'' >= 1 on its support, else DomainError is raised before any grid
+    is built.  lhs = |integral e^{i t phi} a|, on quadratic-phase u-panels
+    when the support holds the critical point 0 and by phase-resolved
+    quadrature when it does not; rhs is the delta^2-weighted majorant with
+    delta = t^{-1/2}.
     """
-    return stationary_phase_checks([case])[0]
-
-
-def stationary_phase_checks(cases) -> list:
-    """``stationary_phase_check`` of each case, bit-identical.
-
-    Every case is checked against the contract before any grid is built:
-    a non-finite t or t <= 0, and a phase without phi(0) = phi'(0) = 0,
-    raise DomainError.  Cases with the same phase, t and support share one
-    panel grid (in the standard library, the Gaussian and x^2 Gaussian
-    amplitudes at each t).
-    """
-    for case in cases:
-        _check_case(case)
-    groups: dict = {}
-    for i, case in enumerate(cases):
-        key = (case.phase, case.dphase, case.t, tuple(case.support))
-        groups.setdefault(key, []).append(i)
-    out = [None] * len(cases)
-    for idx in groups.values():
-        vals = _phase_resolved_integrals([cases[i] for i in idx])
-        for i, v in zip(idx, vals):
-            out[i] = (float(abs(v)), _majorant(cases[i]))
-    return out
-
-
-def _check_case(case: StationaryPhaseCase) -> None:
     if not (np.isfinite(case.t) and case.t > 0.0):
         raise DomainError(f"stationary phase case {case.label!r} needs a "
                           f"finite t > 0, got t = {case.t!r}")
@@ -674,51 +654,46 @@ def _check_case(case: StationaryPhaseCase) -> None:
     if phi0 != 0.0 or dphi0 != 0.0:
         raise DomainError(f"stationary phase case {case.label!r} needs "
                           f"phi(0) = phi'(0) = 0, got {phi0!r} and {dphi0!r}")
-
-
-#: u-panels on each side of the critical point in ``_u_panel_integrals``
-_U_PANELS = 64
-
-
-def _phase_resolved_integrals(cases) -> np.ndarray:
-    """integral e^{i t phi} a of cases sharing phi, t and the support."""
-    case = cases[0]
     a, b = case.support
-    t = case.t
-    # curvature precondition
     xs = np.linspace(a, b, 201)
     h = 1e-5 * max(1.0, b - a)
     curv = (case.phase(xs + h) - 2 * case.phase(xs) + case.phase(xs - h)) / h ** 2
     if np.min(curv) < 1.0 - 1e-6:
         raise DomainError("phase curvature drops below 1 on the support")
-    if a < 0.0 < b:
-        return _u_panel_integrals(cases)
+    val = (_u_panel_integral(case) if a < 0.0 < b
+           else _phase_resolved_integral(case))
+    return float(abs(val)), _majorant(case)
 
+
+#: u-panels on each side of the critical point in ``_u_panel_integral``
+_U_PANELS = 64
+
+
+def _phase_resolved_integral(case: StationaryPhaseCase) -> complex:
+    """integral e^{i t phi} a over a support that misses the critical point,
+    on panels of phase at most 1 each."""
+    a, b = case.support
+    t = case.t
     breaks = panels.cap_phase(np.linspace(a, b, 65),
                               lambda x: t * abs(case.dphase(x)) + 1.0,
                               max_phase=1.0)
-
-    def integrands(x):
-        osc = np.exp(1j * t * case.phase(x))
-        return np.stack([c.amplitude(x) * osc for c in cases])
-
-    # without the critical point the grid has at most 67,535 panels (at
-    # t = 1e4 in the standard library), evaluated and summed in blocks,
-    # never held as one grid, and bit-identical to the whole-grid sum
-    return panels.integrate_blocks(breaks, integrands, order=12)
+    # the grid has at most 67,535 panels (at t = 1e4 in the standard
+    # library), evaluated and summed in blocks, never held as one grid, and
+    # bit-identical to the whole-grid sum
+    return panels.integrate_blocks(
+        breaks, lambda x: case.amplitude(x) * np.exp(1j * t * case.phase(x)),
+        order=12)
 
 
-def _u_panel_integrals(cases) -> np.ndarray:
-    """integral e^{i t phi} a of cases sharing phi, t and a support around
-    the critical point 0, in u = sign(x) sqrt(phi(x)).
+def _u_panel_integral(case: StationaryPhaseCase) -> complex:
+    """integral e^{i t phi} a over a support around the critical point 0,
+    in u = sign(x) sqrt(phi(x)).
 
     There the phase is exactly t u^2 and the amplitude a(x(u)) x'(u) is
-    smooth, with x' = 2u / phi'(x) and x'(0) = sqrt(2 / phi''(0)).  Each
-    case's amplitude is fitted on ``_U_PANELS`` Chebyshev u-panels per side
-    of 0 and integrated by one batched ``oscquad.panel_osc_integral`` call
-    of its own, so that its value cannot depend on the cases beside it.
+    smooth, with x' = 2u / phi'(x) and x'(0) = sqrt(2 / phi''(0)).  It is
+    fitted on ``_U_PANELS`` Chebyshev u-panels per side of 0 and integrated
+    by one batched ``oscquad.panel_osc_integral`` call.
     """
-    case = cases[0]
     a, b = case.support
     edges = np.concatenate([
         np.linspace(-np.sqrt(case.phase(a)), 0.0, _U_PANELS + 1),
@@ -731,12 +706,10 @@ def _u_panel_integrals(cases) -> np.ndarray:
     dxdu = np.full(u.shape, np.sqrt(2.0 / curv0))
     off = u != 0.0
     dxdu[off] = 2.0 * u[off] / case.dphase(x[off])
-    return np.array([
-        np.sum(oscquad.panel_osc_integral(
-            edges[:-1], edges[1:],
-            oscquad.fit_poly((c.amplitude(x) * dxdu).reshape(shape)),
-            case.t, 0.0))
-        for c in cases])
+    return np.sum(oscquad.panel_osc_integral(
+        edges[:-1], edges[1:],
+        oscquad.fit_poly((case.amplitude(x) * dxdu).reshape(shape)),
+        case.t, 0.0))
 
 
 def _phase_inverse(phase, u, a: float, b: float) -> np.ndarray:

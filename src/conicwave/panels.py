@@ -9,7 +9,9 @@ as array operations (panels of one width share one computation), which
 makes successive substitution sweeps and cumulative integrals O(N) and lets
 panels span many oscillation periods without losing the phase.
 ``StackedGrids`` lays many grids end to end, so that the spectral table
-reads each record's grid at one point in one bisection.
+reads each record's grid at one point in one bisection.  ``integrate_blocks``
+integrates one pointwise integrand over a grid too large to hold, a block
+of panels at a time, bit-identical to the whole-grid sum.
 
 Arrays that depend only on the order and the reference nodes (the GL-route
 interpolation matrix, the omega=0 reference segments that each panel scales
@@ -364,11 +366,11 @@ def _reference_rows(order: int, suffix: bool) -> tuple:
     return _frozen(real, np.kron(real, np.eye(2)))
 
 
-def _panel_matrices(grid: PanelGrid, omega: float, suffix: bool):
-    """(panels, order, order + 1): each panel's partial-range basis
-    integrals against exp(i omega eta), then its full-panel ones,
-    transposed for a right product."""
-    cells = np.concatenate([_basis_integrals(grid, omega, suffix),
+def _panel_matrices(grid: PanelGrid, omega: float):
+    """(panels, order, order + 1): each panel's suffix basis integrals
+    against exp(i omega eta), then its full-panel ones, transposed for a
+    right product."""
+    cells = np.concatenate([_basis_integrals(grid, omega, True),
                             full_panel_integrals(grid, omega)[:, None]], 1)
     return np.ascontiguousarray(cells.transpose(0, 2, 1))
 
@@ -418,7 +420,7 @@ class SuffixIntegrator:
             raise DomainError("stack the omega = 0 rows first")
         freqs, which = np.unique(omegas[self._nzero:], return_inverse=True)
         self._mats = np.stack(
-            [_panel_matrices(grid, w, True) for w in freqs])[which] \
+            [_panel_matrices(grid, w) for w in freqs])[which] \
             if freqs.size else None
 
     def node_values(self, fvals: np.ndarray) -> np.ndarray:
@@ -433,24 +435,21 @@ class SuffixIntegrator:
 
 
 class PrefixIntegrator:
-    """Evaluates x -> integral_a^{x} f(eta) exp(i*omega*eta) deta at grid
-    nodes; a node's value reads only the panels up to its own.  At omega
-    = 0 the cells come from the shared reference product, as for the
-    omega = 0 rows of ``SuffixIntegrator``."""
+    """Evaluates x -> integral_a^{x} f(eta) deta at grid nodes; a node's
+    value reads only the panels up to its own.  The cells come from the
+    shared reference product, as for the omega = 0 rows of
+    ``SuffixIntegrator``."""
 
-    def __init__(self, grid: PanelGrid, omega: float = 0.0):
+    def __init__(self, grid: PanelGrid):
         self.grid = grid
         self._half = 0.5 * np.diff(grid.breaks)
-        self._mats = (_panel_matrices(grid, omega, False)
-                      if omega != 0.0 else None)
-        self._full = full_panel_integrals(grid, omega)
+        self._full = full_panel_integrals(grid)
 
     def node_values(self, fvals: np.ndarray) -> np.ndarray:
         """``fvals`` may stack k arrays as (k, n), giving (k, n)."""
         f = np.asarray(fvals)
         rows = f.reshape((-1,) + self.grid.nodes.shape)
-        cells = _cells(rows, len(rows) if self._mats is None else 0,
-                       self._half, False, self._mats)
+        cells = _cells(rows, len(rows), self._half, False, None)
         head = np.zeros_like(cells[..., -1])
         np.cumsum(cells[:, :-1, -1], axis=-1, out=head[:, 1:])
         return (cells[..., :-1] + head[..., None]).reshape(f.shape)
@@ -482,10 +481,9 @@ _LEAF_VALUES = 8 * BLOCK_PANELS
 def integrate_blocks(breaks, f, order: int = 10):
     """Integral of a pointwise ``f`` over ``PanelGrid.build(breaks, order)``.
 
-    ``f`` maps n nodes to n values, or to (k, n) values of k integrands, and
-    is evaluated BLOCK_PANELS panels at a time.  The weighted values are
-    summed per integrand along numpy's pairwise-summation tree as they come
-    (``_pairwise_sums``), so each result is bit-identical to
+    ``f`` maps n nodes to n values and is evaluated BLOCK_PANELS panels at
+    a time.  The weighted values are summed along numpy's pairwise-summation
+    tree as they come (``_pairwise_sum``), so the result is bit-identical to
     ``integrate(grid, f(grid.flat))`` while only one block and one leaf of
     values are held, never the whole grid.
     """
@@ -494,36 +492,33 @@ def integrate_blocks(breaks, f, order: int = 10):
 
     def weighted(p):
         x, w = _nodes_weights(breaks[p:min(p + BLOCK_PANELS, m) + 1], order)
-        fx = np.asarray(f(x.ravel()))
-        return w * fx.reshape(fx.shape[:-1] + x.shape)
+        return w.ravel() * f(x.ravel())
 
     first = weighted(0)
-    lead = first.shape[:-2]
     blocks = itertools.chain(
         [first], map(weighted, range(BLOCK_PANELS, m, BLOCK_PANELS)))
-    take = _taker(v.reshape(-1, v.shape[-2] * order) for v in blocks)
     unit = 2 if np.iscomplexobj(first) else 1
-    return _pairwise_sums(take, m * order, unit).reshape(lead)[()]
+    return _pairwise_sum(_taker(blocks), m * order, unit)
 
 
 def _taker(blocks):
-    """``take(n)``: the next n columns of a stream of (k, *) blocks."""
+    """``take(n)``: the next n values of a stream of 1-D blocks."""
     buf = next(blocks)
 
     def take(n: int) -> np.ndarray:
         nonlocal buf
-        while buf.shape[-1] < n:
+        while buf.size < n:
             block = next(blocks)
-            buf = np.concatenate([buf, block], axis=-1) if buf.size else block
-        out, buf = buf[:, :n], buf[:, n:]
+            buf = np.concatenate([buf, block]) if buf.size else block
+        out, buf = buf[:n], buf[n:]
         return out
 
     return take
 
 
-def _pairwise_sums(take, n: int, unit: int, leaf: int = _LEAF_VALUES):
-    """Row sums of the next n columns of ``take``, each bit-equal to numpy's
-    ``.sum()`` of that row as one contiguous array.
+def _pairwise_sum(take, n: int, unit: int, leaf: int = _LEAF_VALUES):
+    """Sum of the next n values of ``take``, bit-equal to numpy's ``.sum()``
+    of them as one contiguous array.
 
     numpy sums a contiguous run pairwise (N. J. Higham, SIAM J. Sci. Comput.
     14, 1993): it splits n values at n/2, rounded down to a multiple of 8
@@ -534,7 +529,7 @@ def _pairwise_sums(take, n: int, unit: int, leaf: int = _LEAF_VALUES):
     the two halves above it as numpy does.
     """
     if n <= leaf:
-        return np.array([row.sum() for row in take(n)])
+        return take(n).sum()
     half = unit * n // 2 // 8 * 8 // unit
-    left = _pairwise_sums(take, half, unit, leaf)
-    return left + _pairwise_sums(take, n - half, unit, leaf)
+    left = _pairwise_sum(take, half, unit, leaf)
+    return left + _pairwise_sum(take, n - half, unit, leaf)

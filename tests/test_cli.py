@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conicwave import ConfigError, ScatteringModel
+from conicwave import ConfigError, ScatteringModel, cli, standard_case_library
 from conicwave.cli import DECAY_ALPHA_WINDOW, load_config, main, run
 
 
@@ -226,6 +226,40 @@ def test_config_error_exits_1(tmp_path, capsys, doc, needle):
     assert err.startswith("error: ") and needle in err
 
 
+@pytest.mark.parametrize("grid, want", [
+    ({"min": "1e-3", "max": 1.0, "count": 2}, None),
+    ({"min": 1e-3, "max": True, "count": 2}, None),
+    ({"min": 1e-3, "max": 1.0, "count": 2.7}, None),
+    ({"min": 1e-3, "max": 1.0, "count": True}, None),
+    ({"min": 1e-3, "max": 1.0, "count": "3"}, None),
+    ({"min": 1e-3, "max": 1, "count": 2.0}, [1e-3, 1.0])],
+    ids=["min-string", "max-bool", "count-fraction", "count-bool",
+         "count-string", "integral-float-count"])
+def test_grid_spec_takes_json_numbers_only(tmp_path, grid, want):
+    # no coercion: the first five once parsed to [0.001, 1.0] or similar
+    p = _write(tmp_path, {"profile": _CYL, "command": "coeffs",
+                          "lam_grid": grid})
+    if want is None:
+        with pytest.raises(ConfigError, match="numeric min/max/count"):
+            load_config(p)
+    else:
+        assert load_config(p).lam_grid.tolist() == want
+
+
+def test_potential_refuses_xi_past_the_chart(tmp_path, capsys):
+    # on a = 1 the chart's symmetric span is |xi| <= 1.414e5; past it the
+    # rho and V splines would extrapolate (V = 18.45 at xi = 1e9)
+    for lim, code in ((2e5, 1), (1.4e5, 0)):
+        doc = {"profile": {"kind": "hyperboloid", "params": {"a": 1.0}},
+               "command": "potential",
+               "xi_grid": {"min": -lim, "max": lim, "count": 3}}
+        assert main(["potential", "--config", str(_write(tmp_path, doc)),
+                     "--out", str(tmp_path / "p")]) == code
+    assert "chart" in capsys.readouterr().err
+    rows = (tmp_path / "p" / "potential.csv").read_text().splitlines()
+    assert len(rows) == 4
+
+
 def test_integral_float_d_is_accepted(tmp_path, capsys):
     # JSON writers may emit d = 2 as 2.0: it runs as d = 2 (1.7 is refused
     # above)
@@ -250,6 +284,22 @@ def test_kernel_csv_contract(tmp_path):
     val = complex(float(row[4]), float(row[5]))
     assert abs(float(row[6]) - abs(val)) <= 1e-15
     assert float(row[7]) <= 1e-4
+
+
+def test_kernel_rows_do_not_depend_on_the_t_grid(tmp_path):
+    # the table is sized by xi_grid alone: the rows at t = 10 are the same
+    # bytes whether t_grid ends at 10 or at 1e4 (a span grown to 1e4 once
+    # moved them by up to 9e-8 relative on a = 1)
+    rows = []
+    for tmax, count in ((100.0, 1), (1e4, 2)):
+        doc = {"profile": {"kind": "hyperboloid", "params": {"a": 1.0}},
+               "command": "kernel",
+               "t_grid": {"min": 10.0, "max": tmax, "count": count,
+                          "scale": "log"},
+               "xi_grid": {"min": 0.0, "max": 10.0, "count": 2}}
+        assert run(load_config(_write(tmp_path, doc)), tmp_path / "k") == 0
+        rows.append((tmp_path / "k" / "kernel.csv").read_text().splitlines())
+    assert len(rows[0]) == 4 and rows[1][:4] == rows[0]
 
 
 def test_decay_command(tmp_path, capsys):
@@ -310,6 +360,22 @@ def test_statphase_command(tmp_path):
     lines = (tmp_path / "sp" / "statphase.csv").read_text().strip().splitlines()
     assert lines[0] == "case,t,lhs,rhs,ratio,oracle_abs_err"
     assert len(lines) == 13
+
+
+def test_statphase_checks_each_case_once(tmp_path, monkeypatch):
+    # the command runs the library through the one public entry, so a
+    # traced run counts one stationary_phase_check per case
+    calls = []
+    real = cli.stationary_phase_check
+
+    def counting(case):
+        calls.append(case.label)
+        return real(case)
+
+    monkeypatch.setattr(cli, "stationary_phase_check", counting)
+    doc = {"profile": {"kind": "cylinder"}, "command": "statphase"}
+    assert run(load_config(_write(tmp_path, doc)), tmp_path / "sp") == 0
+    assert calls == [c.label for c in standard_case_library()]
 
 
 def test_describe_conical_profile(tmp_path, capsys):

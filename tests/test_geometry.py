@@ -225,10 +225,11 @@ def test_potential_profile_invariants(hyp_chart):
      "params": _one_sided_table(x_end=400.0), "x_max": 300.0}])
 def test_scalar_V_is_the_spline(doc):
     """V_at, which the ODE right-hand side calls, is bit-equal to the spline
-    inside the grid, at every breakpoint and extrapolated past both ends.
-    The mirrored view is a PotentialProfile that reads the same splines at
-    -xi bit for bit, with the sign flipped on the odd evaluators and the
-    per-end constants swapped; mirroring twice reads the original."""
+    inside the grid, at every breakpoint and extrapolated past both ends,
+    where V refuses.  The mirrored view is a PotentialProfile that reads the
+    same splines at -xi bit for bit, with the sign flipped on the odd
+    evaluators and the per-end constants swapped; mirroring twice reads the
+    original."""
     prof = make_profile(doc)
     x_max = doc.get("x_max", DEFAULT_X_MAX)
     pot = PotentialProfile(prof, ArclengthChart(prof, x_max))
@@ -241,14 +242,19 @@ def test_scalar_V_is_the_spline(doc):
     mirror = pot.mirrored()
     twice = mirror.mirrored()
     assert isinstance(mirror, PotentialProfile)
+    on_chart = np.abs(pts) <= pot.xi_cap
+    inside = pts[on_chart]
     for pv in (pot, mirror, twice):
-        want = pv.V(pts)
+        want = pv._V(pv.sign * pts)
         got = [pv.V_at(float(s)) for s in pts]
         assert all(type(v) is float for v in got)
         assert np.array_equal(np.array(got), want)
+        assert np.array_equal(pv.V(inside), want[on_chart])
+        with pytest.raises(DomainError, match="chart"):
+            pv.V(grid[-1] + 50.0)
     tail = pts[np.abs(pts) >= pot.xi_tail]
-    for name, sign, xs in (("V", 1.0, pts), ("V1", 1.0, tail),
-                           ("r_of_xi", 1.0, pts), ("rho", -1.0, pts),
+    for name, sign, xs in (("V", 1.0, inside), ("V1", 1.0, tail),
+                           ("r_of_xi", 1.0, pts), ("rho", -1.0, inside),
                            ("dr_of_xi", -1.0, pts),
                            ("inv_r_integral", -1.0, pts)):
         base = getattr(pot, name)

@@ -15,8 +15,7 @@ from conicwave import ScatteringModel, jost, kernel, make_profile, panels
 from conicwave.geometry import ArclengthChart, PotentialProfile
 from conicwave.kernel import (KIND_SCHRODINGER, KIND_WAVE_PLUS,
                               LAM_MIN_TABLE, StationaryPhaseCase,
-                              _compact_bump, _compact_bump_d,
-                              stationary_phase_checks)
+                              _compact_bump, _compact_bump_d)
 from conicwave.panels import gauss_legendre
 
 
@@ -748,22 +747,16 @@ def _holds_critical_point(case):
 
 
 def test_stationary_phase_batch_is_bit_identical():
-    """The batch shares one grid between the Gaussian and x^2 Gaussian
-    cases of each t; every (lhs, rhs) is the single-case one, bit for bit.
-    A support that misses the critical point keeps the phase-resolved grid,
-    evaluated in blocks: its lhs is the whole-grid value, bit for bit,
-    noise-level lhs (~1e-16) included."""
-    cases = standard_case_library((1e2, 1e3))
-    keys = {(c.phase, c.dphase, c.t, c.support) for c in cases}
-    assert len(keys) == len(cases) - 2
-    got = stationary_phase_checks(cases)
-    missing = 0
-    for case, (lhs, rhs) in zip(cases, got):
-        if not _holds_critical_point(case):
-            missing += 1
-            assert lhs == _whole_grid_lhs(case), case.label
-        assert (lhs, rhs) == stationary_phase_check(case), case.label
-    assert missing == 4
+    """A support that misses the critical point keeps the phase-resolved
+    grid, evaluated and summed in batches of panels: each such case's lhs
+    is the whole-grid value, bit for bit, noise-level lhs (~1e-16)
+    included."""
+    cases = [c for c in standard_case_library((1e2, 1e3))
+             if not _holds_critical_point(c)]
+    assert len(cases) == 4
+    for case in cases:
+        lhs, _ = stationary_phase_check(case)
+        assert lhs == _whole_grid_lhs(case), case.label
 
 
 @pytest.mark.parametrize("t", [1e2, 1e4])
@@ -784,9 +777,9 @@ def test_stationary_phase_u_panel_halving(monkeypatch):
     cases = [c for c in standard_case_library((1e4,))
              if c.label.startswith(("anharmonic", "x2gauss"))]
     assert len(cases) == 2 and all(map(_holds_critical_point, cases))
-    coarse = stationary_phase_checks(cases)
+    coarse = [stationary_phase_check(c) for c in cases]
     monkeypatch.setattr(kernel, "_U_PANELS", 2 * kernel._U_PANELS)
-    fine = stationary_phase_checks(cases)
+    fine = [stationary_phase_check(c) for c in cases]
     for case, (lhs, _), (ref, _) in zip(cases, coarse, fine):
         assert abs(lhs - ref) <= 1e-9 * ref, case.label
 
@@ -830,7 +823,7 @@ def test_stationary_phase_rejects_critical_point_off_zero(phase, dphase):
                                    phase=phase, dphase=dphase,
                                    support=support)
         with pytest.raises(DomainError, match="phi'"):
-            stationary_phase_checks([case])
+            stationary_phase_check(case)
 
 
 def test_stationary_phase_zero_amplitude():
